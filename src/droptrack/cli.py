@@ -2,7 +2,7 @@
 
 Subcommands: run (single cell), sweep (variant × pattern grid), eval
 (metrics on stored outputs), energy (log summarization or model
-estimation), report (tables from a stored sweep).
+estimation), report (rewrite a stored sweep's report files).
 
 Exit codes: 0 success, 2 configuration error, 3 dataset error,
 4 computation error.
@@ -18,10 +18,10 @@ from pathlib import Path
 from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw,
                      read_power_log_csv, summarize_power_log)
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
-from .metrics import NoGroundTruthError, clear_mot, hota
-from .pipeline import (ComputationError, ConfigError, config_from_dict,
-                       load_sequences, run_once, run_sweep, render_sweep_csv,
-                       render_tradeoff_csv, SweepReport, MetricsRow,
+from .metrics import SIMILARITY_FNS, NoGroundTruthError, clear_mot, hota
+from .pipeline import (ComputationError, ConfigError, MetricsRow, SweepReport,
+                       config_from_dict, load_sequences, read_config_json,
+                       render_sweep_csv, run_once, run_sweep,
                        write_cell_outputs, write_report)
 from .schedule import build_schedule, parse_pattern
 
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="detector variant (gt or noisy:<profile>)")
         p.add_argument("--seed", type=int, default=None, metavar="U64")
         p.add_argument("--out", type=Path, default=None, metavar="DIR")
-        p.add_argument("--jobs", type=int, default=None, metavar="N")
 
     run_p = sub.add_parser("run", help="evaluate one (variant, pattern) cell")
     add_common(run_p)
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--sidecar", type=Path, default=None)
     eval_p.add_argument("--frame-count", type=int, default=None)
     eval_p.add_argument("--similarity", default="3d-iou",
-                        choices=["3d-iou", "bev-iou"])
+                        choices=sorted(SIMILARITY_FNS))
     eval_p.add_argument("--clear-threshold", type=float, default=0.5)
 
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
@@ -80,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     energy_p.add_argument("--length", type=int, default=1000,
                           help="schedule length in frames")
 
-    report_p = sub.add_parser("report", help="re-render tables from sweep.json")
+    report_p = sub.add_parser("report", help="rewrite the report files "
+                                             "from sweep.json")
     report_p.add_argument("--sweep", type=Path, required=True,
                           help="sweep.json produced by the sweep command")
     report_p.add_argument("--out", type=Path, required=True)
@@ -89,19 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     """Merge the JSON config (if any) with command-line overrides."""
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") \
-                from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") \
-                from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-    else:
-        raw = {}
+    raw = read_config_json(args.config) if args.config is not None else {}
     if args.pattern or args.target:
         raw["patterns"] = list(args.pattern or []) + list(args.target or [])
     raw.setdefault("patterns", ["1/1"])
@@ -109,26 +97,7 @@ def _load_config(args):
         raw["variants"] = [args.variant]
     if args.seed is not None:
         raw["rng_seed"] = args.seed
-    if args.jobs is not None:
-        raw["jobs"] = args.jobs
     return config_from_dict(raw)
-
-
-def _print_rows(rows) -> None:
-    cols = ("variant", "target", "effective_target", "hota", "det_a", "ass_a",
-            "mota", "motp", "processed_frames", "draw_watts", "yield_w_per_pt")
-    print(",".join(cols))
-    for row in rows:
-        cells = []
-        for col in cols:
-            value = getattr(row, col)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(f"{value:.6f}")
-            else:
-                cells.append(str(value))
-        print(",".join(cells))
 
 
 def _cmd_run(args) -> int:
@@ -143,14 +112,14 @@ def _cmd_run(args) -> int:
                 cell_dir = Path(args.out) / variant.replace(":", "_") / \
                     f"{pattern.n}of{pattern.m}"
                 write_cell_outputs(result, cell_dir)
-    _print_rows(rows)
+    print(render_sweep_csv(SweepReport(rows=tuple(rows))), end="")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     report = run_sweep(config)
-    _print_rows(report.rows)
+    print(render_sweep_csv(report), end="")
     if args.out is not None:
         paths = write_report(report, args.out)
         for name in sorted(paths):
@@ -211,13 +180,9 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load sweep report {args.sweep}: {exc}") \
             from None
-    report = SweepReport(rows=rows)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(render_sweep_csv(report))
-    (out / "tradeoff.csv").write_text(render_tradeoff_csv(report))
-    print(f"wrote {out / 'sweep.csv'}")
-    print(f"wrote {out / 'tradeoff.csv'}")
+    paths = write_report(SweepReport(rows=rows), args.out)
+    for name in sorted(paths):
+        print(f"wrote {paths[name]}")
     return EXIT_OK
 
 

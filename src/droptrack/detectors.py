@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Detection, LabeledObject, OrientedBox, wrap_angle
-
-DEFAULT_CLASS_SET = frozenset({"Car"})
+from .geometry import (DEFAULT_CLASS_SET, MIN_EXTENT, Detection,
+                       LabeledObject, OrientedBox, wrap_angle)
 
 # Fallback clutter shape when a sequence has no labels to sample from.
 _FALLBACK_EXTENT = (4.5, 1.8, 1.6, 0.8)
-
-_MIN_EXTENT = 0.05
 
 
 def gt_detect(labels: list[LabeledObject],
@@ -126,9 +123,9 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
         dyaw = rng.normal(0.0, 1.0) * profile.yaw_sigma
         box = OrientedBox(
             cx=b.cx + dc[0], cy=b.cy + dc[1], cz=b.cz + dc[2],
-            length=max(_MIN_EXTENT, b.length + de[0]),
-            width=max(_MIN_EXTENT, b.width + de[1]),
-            height=max(_MIN_EXTENT, b.height + de[2]),
+            length=max(MIN_EXTENT, b.length + de[0]),
+            width=max(MIN_EXTENT, b.width + de[1]),
+            height=max(MIN_EXTENT, b.height + de[2]),
             yaw=wrap_angle(b.yaw + dyaw),
         )
         out.append(Detection(box=box, score=float(rng.uniform(low, high)),

@@ -57,32 +57,26 @@ def frame_energy_and_time(params: EnergyParams, is_processed: bool) -> tuple[flo
 
 
 def estimate_draw(params: EnergyParams, schedule: Schedule) -> float:
-    """Average system draw in watts over the schedule's wall clock.
-
-    Always within [idle_draw, active_draw]; the division can round a hair
-    outside the mathematical sandwich, so the result is clamped.
-    """
-    n_proc = processed_count(schedule)
-    n_drop = schedule.sequence_length - n_proc
-    e_proc, t_proc = frame_energy_and_time(params, True)
-    e_drop, t_drop = frame_energy_and_time(params, False)
-    energy = n_proc * e_proc + n_drop * e_drop
-    duration = n_proc * t_proc + n_drop * t_drop
-    return min(max(energy / duration, params.idle_draw), params.active_draw)
+    """Average system draw in watts over the schedule's wall clock."""
+    return estimate_draw_multi(params, [schedule])
 
 
 def estimate_draw_multi(params: EnergyParams,
                         schedules: list[Schedule]) -> float:
-    """Pooled average draw over several sequences run back to back."""
+    """Pooled average draw over several sequences run back to back.
+
+    Always within [idle_draw, active_draw]; the division can round a hair
+    outside the mathematical sandwich, so the result is clamped.
+    """
     if not schedules:
         raise ValueError("need at least one schedule")
+    e_proc, t_proc = frame_energy_and_time(params, True)
+    e_drop, t_drop = frame_energy_and_time(params, False)
     energy = 0.0
     duration = 0.0
     for schedule in schedules:
         n_proc = processed_count(schedule)
         n_drop = schedule.sequence_length - n_proc
-        e_proc, t_proc = frame_energy_and_time(params, True)
-        e_drop, t_drop = frame_energy_and_time(params, False)
         energy += n_proc * e_proc + n_drop * e_drop
         duration += n_proc * t_proc + n_drop * t_drop
     return min(max(energy / duration, params.idle_draw), params.active_draw)

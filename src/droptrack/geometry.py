@@ -18,6 +18,14 @@ import numpy as np
 # touching edges produces slivers of this magnitude.
 _AREA_EPS = 1e-12
 
+# Object classes a run detects, tracks and scores unless configured otherwise.
+DEFAULT_CLASS_SET = frozenset({"Car"})
+
+# Floor on the extents of boxes the detector and tracker emit: noise can push
+# an extent to zero or below, and every emitted box must stay a valid
+# OrientedBox.
+MIN_EXTENT = 0.05
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle in radians to (-pi, pi]."""

@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import Detection, LabeledObject, OrientedBox, wrap_angle
+from .geometry import DEFAULT_CLASS_SET, LabeledObject, OrientedBox, wrap_angle
 from .tracker import FrameOutput, TrackEntry, PROVENANCE_UPDATED
-
-DEFAULT_CLASS_SET = frozenset({"Car"})
 
 
 class DatasetError(Exception):
@@ -37,7 +35,6 @@ class SequenceData:
     sequence_id: str
     frame_count: int
     labels: tuple[LabeledObject, ...]
-    detections: tuple[tuple[Detection, ...], ...] | None = None
 
     def __post_init__(self):
         if self.frame_count < 1:
@@ -69,6 +66,41 @@ def _box_to_camera(box: OrientedBox) -> tuple[float, ...]:
     return box.height, box.width, box.length, x, y, z, rotation_y
 
 
+def _parse_rows(lines: list[str], origin: str,
+                class_set: frozenset[str] | None = None):
+    """Parse 17/18-field rows into (line, frame, track_id, type, box, score).
+
+    Blank lines are skipped and the score defaults to 1.0. With a
+    class_set, rows of other types and DontCare rows come back with box
+    None: their placeholder geometry is never validated. Every malformed
+    row raises DatasetError naming origin:line.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) not in (17, 18):
+            raise DatasetError(
+                f"{origin}:{lineno}: expected 17 or 18 fields, got {len(fields)}")
+        kind = fields[2]
+        try:
+            frame = int(fields[0])
+            track_id = int(fields[1])
+            h, w, length = (float(fields[10]), float(fields[11]),
+                            float(fields[12]))
+            x, y, z = float(fields[13]), float(fields[14]), float(fields[15])
+            rotation_y = float(fields[16])
+            score = float(fields[17]) if len(fields) == 18 else 1.0
+            if frame < 0:
+                raise ValueError("negative frame index")
+            box = None
+            if class_set is None or (kind != "DontCare" and kind in class_set):
+                box = _box_from_camera(h, w, length, x, y, z, rotation_y)
+        except ValueError as exc:
+            raise DatasetError(f"{origin}:{lineno}: {exc}") from None
+        yield lineno, frame, track_id, kind, box, score
+
+
 def parse_kitti_labels(source, sequence_id: str = "",
                        frame_count: int | None = None,
                        class_set: frozenset[str] = DEFAULT_CLASS_SET) -> SequenceData:
@@ -90,32 +122,11 @@ def parse_kitti_labels(source, sequence_id: str = "",
 
     labels: list[LabeledObject] = []
     max_frame = -1
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) not in (17, 18):
-            raise DatasetError(
-                f"{origin}:{lineno}: expected 17 or 18 fields, got {len(fields)}")
-        try:
-            frame = int(fields[0])
-            track_id = int(fields[1])
-            kind = fields[2]
-            h, w, length = (float(fields[10]), float(fields[11]),
-                            float(fields[12]))
-            x, y, z = float(fields[13]), float(fields[14]), float(fields[15])
-            rotation_y = float(fields[16])
-        except ValueError as exc:
-            raise DatasetError(f"{origin}:{lineno}: {exc}") from None
-        if frame < 0:
-            raise DatasetError(f"{origin}:{lineno}: negative frame index")
+    for _, frame, track_id, kind, box, _ in _parse_rows(lines, origin,
+                                                        class_set):
         max_frame = max(max_frame, frame)
-        if kind == "DontCare" or kind not in class_set:
+        if box is None:
             continue
-        try:
-            box = _box_from_camera(h, w, length, x, y, z, rotation_y)
-        except ValueError as exc:
-            raise DatasetError(f"{origin}:{lineno}: {exc}") from None
         labels.append(LabeledObject(frame_index=frame, track_id=track_id,
                                     box=box, class_label=kind))
 
@@ -196,22 +207,13 @@ def read_frame_outputs(path, sidecar_path=None,
     except OSError as exc:
         raise DatasetError(f"cannot read outputs {path}: {exc}") from None
     entries_by_frame: dict[int, list[TrackEntry]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) not in (17, 18):
-            raise DatasetError(
-                f"{path}:{lineno}: expected 17 or 18 fields, got {len(fields)}")
-        frame = int(fields[0])
-        track_id = int(fields[1])
-        h, w, length = float(fields[10]), float(fields[11]), float(fields[12])
-        x, y, z = float(fields[13]), float(fields[14]), float(fields[15])
-        ry = float(fields[16])
-        score = float(fields[17]) if len(fields) == 18 else 1.0
+    for lineno, frame, track_id, _, box, score in _parse_rows(
+            text.splitlines(), str(path)):
+        if frame_count is not None and frame >= frame_count:
+            raise DatasetError(f"{path}:{lineno}: frame {frame} outside "
+                               f"sequence of {frame_count} frames")
         prov = provenance.get(str(frame), {}).get(str(track_id),
                                                   PROVENANCE_UPDATED)
-        box = _box_from_camera(h, w, length, x, y, z, ry)
         entries_by_frame.setdefault(frame, []).append(
             TrackEntry(track_id=track_id, box=box, score=score, provenance=prov))
 
@@ -223,7 +225,10 @@ def read_frame_outputs(path, sidecar_path=None,
 
 
 def load_manifest(path) -> dict[str, int]:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DatasetError(f"cannot read manifest {path}: {exc}") from None
     if not isinstance(data, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")
     out = {}

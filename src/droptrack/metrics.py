@@ -5,7 +5,8 @@ detection step was dropped are judged on predicted boxes.
 
 Definitional constants shared with the test oracles:
   - ALPHA_GRID: the 19-point localization-threshold grid 0.05..0.95.
-  - MATCH_EPS: slack on similarity-vs-threshold comparisons.
+  - MATCH_EPS: slack on similarity-vs-threshold comparisons (defined
+    with the tracker's gated assignment, which both metrics match with).
   - Matching objective: per frame, maximize match count first, then the
     summed pair score (association-weighted similarity for HOTA, raw
     similarity for CLEAR). Accumulation is canonical: frames ascending,
@@ -18,15 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import LabeledObject, OrientedBox, bev_iou, iou_3d
-from .tracker import FrameOutput, solve_assignment
+from .tracker import MATCH_EPS, FrameOutput, solve_assignment
 
 ALPHA_GRID = tuple(np.arange(1, 20) / 20.0)
-MATCH_EPS = 1e-12
 
-_SIM_FNS = {"3d-iou": iou_3d, "bev-iou": bev_iou}
+SIMILARITY_FNS = {"3d-iou": iou_3d, "bev-iou": bev_iou}
 
 
 class NoGroundTruthError(ValueError):
@@ -65,10 +64,10 @@ def _resolve_similarity(similarity):
     if callable(similarity):
         return similarity
     try:
-        return _SIM_FNS[similarity]
+        return SIMILARITY_FNS[similarity]
     except KeyError:
-        raise ValueError(f"unknown similarity {similarity!r}; "
-                         f"expected one of {sorted(_SIM_FNS)} or a callable") from None
+        raise ValueError(f"unknown similarity {similarity!r}; expected one of "
+                         f"{sorted(SIMILARITY_FNS)} or a callable") from None
 
 
 def build_frame_tables(labels: list[LabeledObject],
@@ -189,8 +188,7 @@ def hota_from_tables(tables: list[FrameTable]) -> HotaResult:
             for i, gi in enumerate(t.gt_ids):
                 for j, pj in enumerate(t.pred_ids):
                     score[i, j] = align.get((gi, pj), 0.0) * t.sim[i, j]
-            eligible = t.sim >= alpha - MATCH_EPS
-            pairs = _matched_pairs(score, eligible)
+            pairs = solve_assignment(score, t.sim >= alpha - MATCH_EPS)
             tp += len(pairs)
             fn += g - len(pairs)
             fp += p - len(pairs)
@@ -214,21 +212,6 @@ def hota_from_tables(tables: list[FrameTable]) -> HotaResult:
     ass_val = float(np.mean([row[3] for row in per_alpha]))
     return HotaResult(hota=hota_val, det_a=det_val, ass_a=ass_val,
                       per_alpha=tuple(per_alpha))
-
-
-def _matched_pairs(score: np.ndarray, eligible: np.ndarray) -> list[tuple[int, int]]:
-    """Count-first, then score-sum-maximal matching over eligible pairs.
-
-    Eligibility comes from raw similarity vs alpha; the score being
-    maximized is the association-weighted similarity, so the two matrices
-    differ and the gate cannot be folded into the score.
-    """
-    if not eligible.any():
-        return []
-    base = 1.0 + float(score[eligible].sum())
-    weights = np.where(eligible, base + score, 0.0)
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if eligible[r, c]]
 
 
 def hota(labels: list[LabeledObject], outputs: list[FrameOutput],
@@ -273,7 +256,8 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
             for i, gi in enumerate(rem_g):
                 for j, pj in enumerate(rem_p):
                     sub[i, j] = t.sim[gt_index[gi], pr_index[pj]]
-            for i, j in solve_assignment(sub, match_threshold):
+            eligible = sub >= match_threshold - MATCH_EPS
+            for i, j in solve_assignment(sub, eligible):
                 pairs[rem_g[i]] = rem_p[j]
 
         tp += len(pairs)

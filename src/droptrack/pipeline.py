@@ -15,17 +15,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .detectors import (DEFAULT_CLASS_SET, NoiseProfile, gt_detect,
-                        noisy_detect, scene_context)
+from .detectors import NoiseProfile, gt_detect, noisy_detect, scene_context
 from .energy import (ENERGY_PRESETS, EnergyParams, UndefinedYieldError,
                      estimate_draw_multi, yield_metric)
+from .geometry import DEFAULT_CLASS_SET
 from .kitti_io import DatasetError, SequenceData, load_label_dir, load_manifest, \
     write_frame_outputs
-from .metrics import clear_pooled, hota_pooled
+from .metrics import SIMILARITY_FNS, clear_pooled, hota_pooled
 from .schedule import (DropPattern, Schedule, TARGET_PATTERNS, build_schedule,
                        parse_pattern, processed_count)
 from .scenario import reference_scenario
@@ -56,13 +55,12 @@ class RunConfig:
     patterns: tuple[DropPattern, ...]
     profiles: dict[str, NoiseProfile]
     tracker: TrackerConfig
-    tracker_overrides: dict[str, dict]
+    tracker_overrides: dict[DropPattern, TrackerConfig]
     energy: dict[str, EnergyParams]
     class_set: frozenset[str] = DEFAULT_CLASS_SET
     similarity: str = "3d-iou"
     clear_threshold: float = 0.5
     rng_seed: int = 0
-    jobs: int = 1
 
 
 def _parse_energy_entry(entry, where: str) -> EnergyParams:
@@ -136,12 +134,20 @@ def config_from_dict(data: dict) -> RunConfig:
     tracker = _parse_tracker(data.get("tracker", {}), "tracker")
     overrides = {}
     for key, body in data.get("tracker_overrides", {}).items():
-        pattern = parse_pattern(str(key))
+        where = f"tracker_overrides[{key!r}]"
+        try:
+            pattern = parse_pattern(str(key))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         unknown = set(body) - _TRACKER_FIELDS
         if unknown:
-            raise ConfigError(f"tracker_overrides[{key!r}]: unknown fields "
-                              f"{sorted(unknown)}")
-        overrides[str(pattern)] = dict(body)
+            raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+        overrides[pattern] = _parse_tracker({**asdict(tracker), **body}, where)
+
+    similarity = data.get("similarity", "3d-iou")
+    known = sorted(SIMILARITY_FNS)
+    if similarity not in known:
+        raise ConfigError(f"similarity {similarity!r}: expected one of {known}")
 
     energy = {}
     for key, body in data.get("energy", {}).items():
@@ -155,22 +161,28 @@ def config_from_dict(data: dict) -> RunConfig:
         tracker=tracker,
         tracker_overrides=overrides,
         energy=energy,
-        class_set=frozenset(data.get("class_set", ["Car"])),
-        similarity=data.get("similarity", "3d-iou"),
+        class_set=frozenset(data.get("class_set", DEFAULT_CLASS_SET)),
+        similarity=similarity,
         clear_threshold=float(data.get("clear_threshold", 0.5)),
         rng_seed=int(data.get("rng_seed", 0)),
-        jobs=int(data.get("jobs", 1)),
     )
 
 
-def config_from_json(path) -> RunConfig:
+def read_config_json(path) -> dict:
+    """The JSON object in a config file; any read failure is a ConfigError."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    return data
+
+
+def config_from_json(path) -> RunConfig:
+    return config_from_dict(read_config_json(path))
 
 
 def load_sequences(config: RunConfig) -> list[SequenceData]:
@@ -185,10 +197,7 @@ def load_sequences(config: RunConfig) -> list[SequenceData]:
 
 
 def tracker_config_for(config: RunConfig, pattern: DropPattern) -> TrackerConfig:
-    override = config.tracker_overrides.get(str(pattern))
-    if not override:
-        return config.tracker
-    return replace(config.tracker, **override)
+    return config.tracker_overrides.get(pattern, config.tracker)
 
 
 @dataclass(frozen=True)
@@ -291,27 +300,19 @@ def run_sweep(config: RunConfig,
               sequences: list[SequenceData] | None = None) -> SweepReport:
     if sequences is None:
         sequences = load_sequences(config)
-    cells = [(variant, pattern) for variant in config.variants
-             for pattern in config.patterns]
+    by_cell = {}
+    for variant in config.variants:
+        for pattern in config.patterns:
+            try:
+                by_cell[(variant, pattern)] = run_once(config, variant, pattern,
+                                                       sequences)
+            except (ConfigError, DatasetError):
+                raise
+            except Exception as exc:
+                raise ComputationError(
+                    f"sweep cell variant={variant} pattern={pattern} "
+                    f"failed: {exc}") from exc
 
-    def compute(cell):
-        variant, pattern = cell
-        try:
-            return run_once(config, variant, pattern, sequences)
-        except (ConfigError, DatasetError):
-            raise
-        except Exception as exc:
-            raise ComputationError(
-                f"sweep cell variant={variant} pattern={pattern} failed: {exc}"
-            ) from exc
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(compute, cells))
-    else:
-        results = [compute(cell) for cell in cells]
-
-    by_cell = {cell: result for cell, result in zip(cells, results)}
     rows = []
     for variant in config.variants:
         baseline = by_cell.get((variant, DropPattern(1, 1)))

@@ -12,12 +12,13 @@ The first 7 components are observed; yaw and extents follow a random walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Detection, OrientedBox, bev_iou, iou_3d, wrap_angle
+from .geometry import (MIN_EXTENT, Detection, OrientedBox, bev_iou, iou_3d,
+                       wrap_angle)
 
 N_STATE = 10
 N_OBSERVED = 7
@@ -29,10 +30,9 @@ DEAD = "dead"
 PROVENANCE_UPDATED = "updated"
 PROVENANCE_PREDICTED = "predicted"
 
-_GATE_EPS = 1e-12
-# Extent components of the mean can graze zero under heavy noise; the
-# emitted box must stay a valid OrientedBox.
-_MIN_EXTENT = 0.05
+# Slack on every score-vs-threshold gate, here and in the metrics: a pair
+# whose score equals the threshold up to rounding is eligible.
+MATCH_EPS = 1e-12
 
 
 @dataclass
@@ -81,9 +81,9 @@ class TrackState:
         m = self.mean
         return OrientedBox(
             cx=float(m[0]), cy=float(m[1]), cz=float(m[2]),
-            length=max(_MIN_EXTENT, float(m[4])),
-            width=max(_MIN_EXTENT, float(m[5])),
-            height=max(_MIN_EXTENT, float(m[6])),
+            length=max(MIN_EXTENT, float(m[4])),
+            width=max(MIN_EXTENT, float(m[5])),
+            height=max(MIN_EXTENT, float(m[6])),
             yaw=wrap_angle(float(m[3])),
         )
 
@@ -169,18 +169,18 @@ def update(state: TrackState, detection: Detection,
                       status=state.status, last_score=detection.score)
 
 
-def solve_assignment(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
+def solve_assignment(scores: np.ndarray,
+                     eligible: np.ndarray) -> list[tuple[int, int]]:
     """Gated assignment maximizing (match count, total score), in that order.
 
-    Scores below the gate are never matched. The count-first objective is
-    encoded by offsetting every eligible score with a constant larger than
-    any achievable score sum, so the Hungarian solver cannot trade a match
-    away for score.
+    Only pairs marked in the boolean mask `eligible` (same shape as
+    `scores`) are matched; callers gate with `x >= threshold - MATCH_EPS`.
+    The mask may come from another matrix than the score: HOTA gates on raw
+    similarity but maximizes association-weighted similarity. The
+    count-first objective is encoded by offsetting every eligible score
+    with a constant larger than any achievable score sum, so the Hungarian
+    solver cannot trade a match away for score.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        return []
-    eligible = scores >= gate - _GATE_EPS
     if not eligible.any():
         return []
     base = 1.0 + float(scores[eligible].sum())
@@ -199,7 +199,8 @@ def associate(tracks: list[TrackState], detections: list[Detection],
         tb = trk.box()
         for j, det in enumerate(detections):
             scores[i, j] = config.similarity(tb, det.box)
-    pairs = solve_assignment(scores, config.gate_iou_min)
+    pairs = solve_assignment(scores,
+                             scores >= config.gate_iou_min - MATCH_EPS)
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]

@@ -32,6 +32,59 @@ def kitti_label_row(frame, tid, x=2.0, z=10.0):
     return " ".join(fields)
 
 
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def sweep_argv(tmp_path, **overrides):
+    return ["sweep", "--config", str(write_config(tmp_path, **overrides))]
+
+
+def bad_manifest_argv(tmp_path):
+    (tmp_path / "0000.txt").write_text(kitti_label_row(0, 1) + "\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{broken")
+    return sweep_argv(tmp_path, dataset={"kind": "kitti", "path": str(tmp_path),
+                                         "manifest": str(manifest)})
+
+
+def eval_argv(tmp_path, last_output_row):
+    """eval over a 4-frame label file and outputs whose line 5 is given."""
+    labels = tmp_path / "0000.txt"
+    labels.write_text("".join(kitti_label_row(f, 1) + "\n" for f in range(4)))
+    outputs = tmp_path / "out.txt"
+    outputs.write_text("".join(kitti_label_row(f, 1) + "\n" for f in range(4))
+                       + last_output_row + "\n")
+    return ["eval", "--labels", str(labels), "--outputs", str(outputs)]
+
+
+@pytest.mark.parametrize("build, code, needle", [
+    (lambda p: sweep_argv(p, similarity="nope"), EXIT_CONFIG, "similarity"),
+    (lambda p: sweep_argv(p, tracker_overrides={"bogus": {}}), EXIT_CONFIG,
+     "tracker_overrides['bogus']"),
+    (lambda p: sweep_argv(p, tracker_overrides={"1/2": {"cycle_time": -1}}),
+     EXIT_CONFIG, "cycle_time"),
+    (lambda p: sweep_argv(p) + ["--jobs", "2"], EXIT_CONFIG, "--jobs"),
+    (bad_manifest_argv, EXIT_DATASET, "manifest.json"),
+    (lambda p: eval_argv(p, kitti_label_row(250, 1)), EXIT_DATASET,
+     "out.txt:5:"),
+    (lambda p: eval_argv(p, kitti_label_row(-1, 1)), EXIT_DATASET,
+     "out.txt:5:"),
+    (lambda p: eval_argv(p, kitti_label_row(0, 1).replace("0", "x", 1)),
+     EXIT_DATASET, "out.txt:5:"),
+], ids=["similarity", "override-key", "override-value", "jobs-flag",
+        "manifest", "output-frame-past-end", "output-frame-negative",
+        "output-frame-not-int"])
+def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
+                                               needle):
+    assert exit_code(build(tmp_path)) == code
+    assert needle in capsys.readouterr().err
+
+
 class TestRun:
     def test_single_cell(self, capsys):
         code = main(["run", "--pattern", "1/1", "--variant", "gt"])
@@ -206,6 +259,20 @@ class TestReport:
             == (first / "sweep.csv").read_text()
         assert (second / "tradeoff.csv").read_text() \
             == (first / "tradeoff.csv").read_text()
+
+    def test_round_trip_bytes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        first = tmp_path / "first"
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(first)]) == EXIT_OK
+        names = ("sweep.csv", "sweep.json", "tradeoff.csv")
+        assert capsys.readouterr().out == (first / "sweep.csv").read_text() \
+            + "".join(f"wrote {first / name}\n" for name in names)
+        second = tmp_path / "second"
+        assert main(["report", "--sweep", str(first / "sweep.json"),
+                     "--out", str(second)]) == EXIT_OK
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_bad_sweep_file(self, tmp_path, capsys):
         bad = tmp_path / "sweep.json"

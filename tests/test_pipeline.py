@@ -48,7 +48,6 @@ class TestConfigParsing:
         assert cfg.dataset == {"kind": "reference"}
         assert cfg.similarity == "3d-iou"
         assert cfg.clear_threshold == 0.5
-        assert cfg.jobs == 1
 
     def test_named_targets_accepted(self):
         cfg = config_from_dict({"patterns": [90, "75"]})
@@ -206,11 +205,6 @@ class TestRunSweep:
         report = run_sweep(cfg)
         assert all(row.yield_w_per_pt is None for row in report.rows)
         assert all(row.draw_watts is None for row in report.rows)
-
-    def test_parallel_equals_serial(self):
-        serial = run_sweep(make_config())
-        parallel = run_sweep(make_config(jobs=3))
-        assert render_sweep_json(serial) == render_sweep_json(parallel)
 
     def test_noisy_sweep_deterministic_and_seed_sensitive(self):
         noisy = {

@@ -12,6 +12,7 @@ from droptrack.geometry import Detection, OrientedBox
 from droptrack.tracker import (
     CONFIRMED,
     DEAD,
+    MATCH_EPS,
     PROVENANCE_PREDICTED,
     PROVENANCE_UPDATED,
     TENTATIVE,
@@ -171,20 +172,21 @@ class TestUpdate:
 class TestAssignment:
     def test_singleton_above_gate(self):
         scores = np.array([[0.9]])
-        assert solve_assignment(scores, 0.1) == [(0, 0)]
+        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) == [(0, 0)]
 
     def test_singleton_below_gate(self):
         scores = np.array([[0.05]])
-        assert solve_assignment(scores, 0.1) == []
+        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) == []
 
     def test_empty(self):
-        assert solve_assignment(np.zeros((0, 3)), 0.1) == []
+        scores = np.zeros((0, 3))
+        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) == []
 
     def test_known_three_by_three(self):
         scores = np.array([[0.9, 0.3, 0.0],
                            [0.4, 0.8, 0.2],
                            [0.0, 0.25, 0.7]])
-        got = set(solve_assignment(scores, 0.1))
+        got = set(solve_assignment(scores, scores >= 0.1 - MATCH_EPS))
         assert got == enumerate_assignment(scores, 0.1)
         assert got == {(0, 0), (1, 1), (2, 2)}
 
@@ -193,7 +195,7 @@ class TestAssignment:
         # row; the count-first objective must find two matches.
         scores = np.array([[0.6, 0.5],
                            [0.55, 0.0]])
-        got = set(solve_assignment(scores, 0.1))
+        got = set(solve_assignment(scores, scores >= 0.1 - MATCH_EPS))
         assert got == {(0, 1), (1, 0)}
 
     @settings(max_examples=120, deadline=None)
@@ -206,7 +208,7 @@ class TestAssignment:
         # validity rather than the exact pair set.
         scores = np.array([[rnd.random() for _ in range(m)]
                            for _ in range(n)])
-        got = solve_assignment(scores, 0.3)
+        got = solve_assignment(scores, scores >= 0.3 - MATCH_EPS)
         expected = enumerate_assignment(scores, 0.3)
         assert len({i for i, _ in got}) == len(got)
         assert len({j for _, j in got}) == len(got)

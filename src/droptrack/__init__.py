@@ -16,7 +16,8 @@ from .detectors import (NoiseProfile, SceneContext, gt_detect, noisy_detect,
 from .tracker import (FrameOutput, TrackEntry, Tracker, TrackerConfig,
                       TrackState, associate, predict, solve_assignment, update)
 from .metrics import (ALPHA_GRID, ClearResult, HotaResult, NoGroundTruthError,
-                      clear_mot, clear_pooled, hota, hota_pooled)
+                      build_frame_tables, clear_mot, clear_pooled, hota,
+                      hota_pooled)
 from .energy import (ENERGY_PRESETS, EnergyParams, PowerLog, UndefinedYieldError,
                      YieldRecord, estimate_draw, estimate_draw_multi,
                      read_power_log_csv, summarize_power_log, yield_metric)

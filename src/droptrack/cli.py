@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATASET = 3
 EXIT_COMPUTE = 4
+
+
+def _positive(convert):
+    """Argument type: convert, then require a finite value above zero."""
+    def parse(text):
+        value = convert(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--labels", type=Path, required=True)
     eval_p.add_argument("--outputs", type=Path, required=True)
     eval_p.add_argument("--sidecar", type=Path, default=None)
-    eval_p.add_argument("--frame-count", type=int, default=None)
+    eval_p.add_argument("--frame-count", type=_positive(int), default=None)
     eval_p.add_argument("--similarity", default="3d-iou",
                         choices=sorted(SIMILARITY_FNS))
     eval_p.add_argument("--clear-threshold", type=float, default=0.5)
@@ -68,15 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
     energy_p.add_argument("--log", type=Path, default=None,
                           help="CSV power log (timestamp_s,watts)")
-    energy_p.add_argument("--sample-rate", type=float, default=100.0)
+    energy_p.add_argument("--sample-rate", type=_positive(float), default=100.0)
     energy_p.add_argument("--preset", choices=sorted(ENERGY_PRESETS),
                           default=None)
     energy_p.add_argument("--idle-draw", type=float, default=None)
     energy_p.add_argument("--active-draw", type=float, default=None)
     energy_p.add_argument("--inference-time", type=float, default=None)
     energy_p.add_argument("--cycle-time", type=float, default=0.1)
-    energy_p.add_argument("--pattern", default="1/1", metavar="N/M")
-    energy_p.add_argument("--length", type=int, default=1000,
+    energy_p.add_argument("--pattern", type=parse_pattern, default="1/1",
+                          metavar="N/M")
+    energy_p.add_argument("--length", type=_positive(int), default=1000,
                           help="schedule length in frames")
 
     report_p = sub.add_parser("report", help="rewrite the report files "
@@ -150,7 +163,7 @@ def _cmd_energy(args) -> int:
     if args.log is not None:
         try:
             log = read_power_log_csv(args.log, sample_rate=args.sample_rate)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read power log {args.log}: {exc}") \
                 from None
         print(f"median_draw_watts {summarize_power_log(log):.6f}")
@@ -163,12 +176,16 @@ def _cmd_energy(args) -> int:
         if missing:
             raise ConfigError(
                 f"energy model needs --preset or explicit {missing}")
-        params = EnergyParams(idle_draw=args.idle_draw,
-                              active_draw=args.active_draw,
-                              inference_time=args.inference_time,
-                              cycle_time=args.cycle_time)
-    pattern = parse_pattern(args.pattern)
-    schedule = build_schedule(pattern, args.length)
+        try:
+            params = EnergyParams(idle_draw=args.idle_draw,
+                                  active_draw=args.active_draw,
+                                  inference_time=args.inference_time,
+                                  cycle_time=args.cycle_time)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--idle-draw/--active-draw/--inference-time/--cycle-time: "
+                f"{exc}") from None
+    schedule = build_schedule(args.pattern, args.length)
     print(f"estimated_draw_watts {estimate_draw(params, schedule):.6f}")
     return EXIT_OK
 
@@ -206,7 +223,7 @@ def main(argv=None) -> int:
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
-    except (ComputationError, NoGroundTruthError, ValueError) as exc:
+    except (ComputationError, NoGroundTruthError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -117,7 +117,11 @@ def read_power_log_csv(path, sample_rate: float = 100.0) -> PowerLog:
         if reader.fieldnames is None or "watts" not in reader.fieldnames:
             raise ValueError(f"{path}: expected header with a 'watts' column")
         for row in reader:
-            watts.append(float(row["watts"]))
+            try:
+                watts.append(float(row["watts"]))
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: bad watts value "
+                                 f"{row['watts']!r}") from None
     return PowerLog(samples=tuple(watts), sample_rate=sample_rate)
 
 

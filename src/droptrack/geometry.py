@@ -198,3 +198,7 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     inter = inter_area * dz
     union = a.volume + b.volume - inter
     return min(inter / union, 1.0)
+
+
+# Box similarity functions by the name configs and the command line use.
+SIMILARITY_FNS = {"3d-iou": iou_3d, "bev-iou": bev_iou}

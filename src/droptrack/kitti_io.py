@@ -67,14 +67,17 @@ def _box_to_camera(box: OrientedBox) -> tuple[float, ...]:
 
 
 def _parse_rows(lines: list[str], origin: str,
-                class_set: frozenset[str] | None = None):
+                class_set: frozenset[str] | None = None,
+                frame_count: int | None = None):
     """Parse 17/18-field rows into (line, frame, track_id, type, box, score).
 
     Blank lines are skipped and the score defaults to 1.0. With a
     class_set, rows of other types and DontCare rows come back with box
-    None: their placeholder geometry is never validated. Every malformed
-    row raises DatasetError naming origin:line.
+    None: their geometry and track id (-1 for DontCare) go unchecked.
+    A malformed row, a row at or past frame_count or a repeated (frame,
+    track id) raises DatasetError naming origin:line.
     """
+    seen = set()
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
@@ -93,8 +96,16 @@ def _parse_rows(lines: list[str], origin: str,
             score = float(fields[17]) if len(fields) == 18 else 1.0
             if frame < 0:
                 raise ValueError("negative frame index")
+            if frame_count is not None and frame >= frame_count:
+                raise ValueError(f"frame {frame} outside sequence of "
+                                 f"{frame_count} frames")
             box = None
             if class_set is None or (kind != "DontCare" and kind in class_set):
+                if track_id < 0:
+                    raise ValueError("negative track id")
+                if (frame, track_id) in seen:
+                    raise ValueError(f"duplicate (frame, id) {(frame, track_id)}")
+                seen.add((frame, track_id))
                 box = _box_from_camera(h, w, length, x, y, z, rotation_y)
         except ValueError as exc:
             raise DatasetError(f"{origin}:{lineno}: {exc}") from None
@@ -123,7 +134,7 @@ def parse_kitti_labels(source, sequence_id: str = "",
     labels: list[LabeledObject] = []
     max_frame = -1
     for _, frame, track_id, kind, box, _ in _parse_rows(lines, origin,
-                                                        class_set):
+                                                        class_set, frame_count):
         max_frame = max(max_frame, frame)
         if box is None:
             continue
@@ -131,12 +142,6 @@ def parse_kitti_labels(source, sequence_id: str = "",
                                     box=box, class_label=kind))
 
     labels.sort(key=lambda lab: (lab.frame_index, lab.track_id))
-    seen = set()
-    for lab in labels:
-        key = (lab.frame_index, lab.track_id)
-        if key in seen:
-            raise DatasetError(f"{origin}: duplicate (frame, id) {key}")
-        seen.add(key)
 
     if frame_count is None:
         frame_count = max_frame + 1 if max_frame >= 0 else 1
@@ -198,7 +203,14 @@ def read_frame_outputs(path, sidecar_path=None,
         except (OSError, json.JSONDecodeError) as exc:
             raise DatasetError(
                 f"cannot read sidecar {sidecar_path}: {exc}") from None
-        provenance = sidecar.get("provenance", {})
+        valid = isinstance(sidecar, dict)
+        provenance = sidecar.get("provenance", {}) if valid else {}
+        stored_count = sidecar.get("frame_count", 0) if valid else 0
+        if not (valid and isinstance(provenance, dict)
+                and all(isinstance(v, dict) for v in provenance.values())
+                and type(stored_count) is int and stored_count >= 0):
+            raise DatasetError(f"{sidecar_path}: expected an object with an "
+                               f"integer frame_count and provenance objects")
         if frame_count is None:
             frame_count = sidecar.get("frame_count")
 
@@ -207,11 +219,8 @@ def read_frame_outputs(path, sidecar_path=None,
     except OSError as exc:
         raise DatasetError(f"cannot read outputs {path}: {exc}") from None
     entries_by_frame: dict[int, list[TrackEntry]] = {}
-    for lineno, frame, track_id, _, box, score in _parse_rows(
-            text.splitlines(), str(path)):
-        if frame_count is not None and frame >= frame_count:
-            raise DatasetError(f"{path}:{lineno}: frame {frame} outside "
-                               f"sequence of {frame_count} frames")
+    for _, frame, track_id, _, box, score in _parse_rows(
+            text.splitlines(), str(path), frame_count=frame_count):
         prov = provenance.get(str(frame), {}).get(str(track_id),
                                                   PROVENANCE_UPDATED)
         entries_by_frame.setdefault(frame, []).append(

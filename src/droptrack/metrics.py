@@ -3,6 +3,9 @@
 Both metrics consume the tracker's every-frame outputs, so frames whose
 detection step was dropped are judged on predicted boxes.
 
+`hota_pooled` and `clear_pooled` score one `build_frame_tables` list per
+sequence, so both metrics share one table build per sequence.
+
 Definitional constants shared with the test oracles:
   - ALPHA_GRID: the 19-point localization-threshold grid 0.05..0.95.
   - MATCH_EPS: slack on similarity-vs-threshold comparisons (defined
@@ -16,16 +19,15 @@ Definitional constants shared with the test oracles:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LabeledObject, OrientedBox, bev_iou, iou_3d
+from .geometry import SIMILARITY_FNS, LabeledObject, OrientedBox
 from .tracker import MATCH_EPS, FrameOutput, solve_assignment
 
 ALPHA_GRID = tuple(np.arange(1, 20) / 20.0)
-
-SIMILARITY_FNS = {"3d-iou": iou_3d, "bev-iou": bev_iou}
 
 
 class NoGroundTruthError(ValueError):
@@ -60,21 +62,11 @@ class FrameTable:
     sim: np.ndarray
 
 
-def _resolve_similarity(similarity):
-    if callable(similarity):
-        return similarity
-    try:
-        return SIMILARITY_FNS[similarity]
-    except KeyError:
-        raise ValueError(f"unknown similarity {similarity!r}; expected one of "
-                         f"{sorted(SIMILARITY_FNS)} or a callable") from None
-
-
 def build_frame_tables(labels: list[LabeledObject],
                        outputs: list[FrameOutput],
                        similarity="3d-iou") -> list[FrameTable]:
     """Canonical per-frame tables, frames ascending, ids sorted."""
-    sim_fn = _resolve_similarity(similarity)
+    sim_fn = SIMILARITY_FNS[similarity]
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
     for lab in labels:
         frame = by_frame_gt.setdefault(lab.frame_index, {})
@@ -112,95 +104,59 @@ def build_frame_tables(labels: list[LabeledObject],
     return tables
 
 
-def _remap_ids(tables_per_seq: list[list[FrameTable]]) -> list[FrameTable]:
-    """Concatenate sequences with ids made globally unique."""
-    merged = []
-    for k, tables in enumerate(tables_per_seq):
-        gt_map: dict[int, int] = {}
-        pr_map: dict[int, int] = {}
-        for t in tables:
-            for gi in t.gt_ids:
-                gt_map.setdefault(gi, len(gt_map))
-        for t in tables:
-            for pj in t.pred_ids:
-                pr_map.setdefault(pj, len(pr_map))
-        merged.append((gt_map, pr_map, tables))
-    out: list[FrameTable] = []
-    g_off = 0
-    p_off = 0
-    for gt_map, pr_map, tables in merged:
-        for t in tables:
-            out.append(FrameTable(
-                gt_ids=tuple(gt_map[g] + g_off for g in t.gt_ids),
-                pred_ids=tuple(pr_map[p] + p_off for p in t.pred_ids),
-                sim=t.sim,
-            ))
-        g_off += len(gt_map)
-        p_off += len(pr_map)
-    return out
-
-
 # --- HOTA ---------------------------------------------------------------
 
-def hota_from_tables(tables: list[FrameTable]) -> HotaResult:
-    gt_count: dict[int, int] = {}
-    pred_count: dict[int, int] = {}
-    potential: dict[tuple[int, int], float] = {}
-
-    tiny = float(np.finfo(float).eps)
-    for t in tables:
-        for gi in t.gt_ids:
-            gt_count[gi] = gt_count.get(gi, 0) + 1
-        for pj in t.pred_ids:
-            pred_count[pj] = pred_count.get(pj, 0) + 1
-        if not t.gt_ids or not t.pred_ids:
-            continue
-        row = t.sim.sum(axis=1)
-        col = t.sim.sum(axis=0)
-        for i, gi in enumerate(t.gt_ids):
-            for j, pj in enumerate(t.pred_ids):
-                denom = row[i] + col[j] - t.sim[i, j]
-                if denom > tiny:
-                    key = (gi, pj)
-                    potential[key] = potential.get(key, 0.0) \
-                        + t.sim[i, j] / denom
-
-    if sum(gt_count.values()) == 0:
+def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
+    """HOTA over all sequences; ids are keyed by (sequence index, id)."""
+    frames = [([(k, gi) for gi in t.gt_ids], [(k, pj) for pj in t.pred_ids],
+               t.sim) for k, tables in enumerate(tables_per_seq) for t in tables]
+    gt_count = Counter(g for gts, _, _ in frames for g in gts)
+    pred_count = Counter(p for _, prs, _ in frames for p in prs)
+    if not gt_count:
         raise NoGroundTruthError("no ground truth; HOTA undefined")
 
-    # Jaccard alignment between each (gt id, pred id) pair over the
-    # whole sequence; used as the association weight inside matching.
-    align: dict[tuple[int, int], float] = {}
-    for (gi, pj), pot in potential.items():
-        align[(gi, pj)] = pot / (gt_count[gi] + pred_count[pj] - pot)
+    potential: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
+    tiny = float(np.finfo(float).eps)
+    for gts, prs, sim in frames:
+        row = sim.sum(axis=1)
+        col = sim.sum(axis=0)
+        for i, g in enumerate(gts):
+            for j, p in enumerate(prs):
+                denom = row[i] + col[j] - sim[i, j]
+                if denom > tiny:
+                    potential[(g, p)] = potential.get((g, p), 0.0) \
+                        + sim[i, j] / denom
+
+    # Jaccard alignment between each (gt id, pred id) pair over the whole
+    # sequence, the association weight inside matching. It does not depend
+    # on alpha, so each frame's weighted score matrix is built once.
+    align = {(g, p): pot / (gt_count[g] + pred_count[p] - pot)
+             for (g, p), pot in potential.items()}
+    weighted = []
+    for gts, prs, sim in frames:
+        score = np.zeros(sim.shape)
+        for i, g in enumerate(gts):
+            for j, p in enumerate(prs):
+                score[i, j] = align.get((g, p), 0.0) * sim[i, j]
+        weighted.append(score)
 
     per_alpha = []
     for alpha in ALPHA_GRID:
         tp = fn = fp = 0
-        matches: dict[tuple[int, int], int] = {}
-        for t in tables:
-            g, p = len(t.gt_ids), len(t.pred_ids)
-            if g == 0 or p == 0:
-                fn += g
-                fp += p
-                continue
-            score = np.zeros((g, p))
-            for i, gi in enumerate(t.gt_ids):
-                for j, pj in enumerate(t.pred_ids):
-                    score[i, j] = align.get((gi, pj), 0.0) * t.sim[i, j]
-            pairs = solve_assignment(score, t.sim >= alpha - MATCH_EPS)
+        matches: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+        for (gts, prs, sim), score in zip(frames, weighted):
+            pairs = solve_assignment(score, sim >= alpha - MATCH_EPS)
             tp += len(pairs)
-            fn += g - len(pairs)
-            fp += p - len(pairs)
+            fn += len(gts) - len(pairs)
+            fp += len(prs) - len(pairs)
             for i, j in pairs:
-                key = (t.gt_ids[i], t.pred_ids[j])
-                matches[key] = matches.get(key, 0) + 1
+                matches[(gts[i], prs[j])] = matches.get((gts[i], prs[j]), 0) + 1
 
         det_a = tp / max(1, tp + fn + fp)
         ass_num = 0.0
-        for (gi, pj) in sorted(matches):
-            mc = matches[(gi, pj)]
-            ass_num += mc * (mc / (gt_count[gi] + pred_count[pj] - mc))
+        for (g, p) in sorted(matches):
+            mc = matches[(g, p)]
+            ass_num += mc * (mc / (gt_count[g] + pred_count[p] - mc))
         ass_a = ass_num / max(1, tp)
         det_pct = 100.0 * det_a
         ass_pct = 100.0 * ass_a
@@ -216,14 +172,7 @@ def hota_from_tables(tables: list[FrameTable]) -> HotaResult:
 
 def hota(labels: list[LabeledObject], outputs: list[FrameOutput],
          similarity="3d-iou") -> HotaResult:
-    return hota_from_tables(build_frame_tables(labels, outputs, similarity))
-
-
-def hota_pooled(per_sequence: list[tuple[list[LabeledObject], list[FrameOutput]]],
-                similarity="3d-iou") -> HotaResult:
-    tables = _remap_ids([build_frame_tables(labels, outputs, similarity)
-                         for labels, outputs in per_sequence])
-    return hota_from_tables(tables)
+    return hota_pooled([build_frame_tables(labels, outputs, similarity)])
 
 
 # --- CLEAR --------------------------------------------------------------
@@ -239,25 +188,22 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
         gt_index = {gi: i for i, gi in enumerate(t.gt_ids)}
         pr_index = {pj: j for j, pj in enumerate(t.pred_ids)}
 
+        # Keep last frame's pairs that still exist and still overlap.
         pairs: dict[int, int] = {}
-        used_pred: set[int] = set()
         for gi in t.gt_ids:
             pj = prev.get(gi)
-            if pj is None or pj not in pr_index:
-                continue
-            if t.sim[gt_index[gi], pr_index[pj]] >= match_threshold - MATCH_EPS:
+            if pj in pr_index and t.sim[gt_index[gi], pr_index[pj]] \
+                    >= match_threshold - MATCH_EPS:
                 pairs[gi] = pj
-                used_pred.add(pj)
 
         rem_g = [gi for gi in t.gt_ids if gi not in pairs]
-        rem_p = [pj for pj in t.pred_ids if pj not in used_pred]
+        used = set(pairs.values())
+        rem_p = [pj for pj in t.pred_ids if pj not in used]
         if rem_g and rem_p:
-            sub = np.zeros((len(rem_g), len(rem_p)))
-            for i, gi in enumerate(rem_g):
-                for j, pj in enumerate(rem_p):
-                    sub[i, j] = t.sim[gt_index[gi], pr_index[pj]]
-            eligible = sub >= match_threshold - MATCH_EPS
-            for i, j in solve_assignment(sub, eligible):
+            sub = t.sim[np.ix_([gt_index[gi] for gi in rem_g],
+                               [pr_index[pj] for pj in rem_p])]
+            for i, j in solve_assignment(sub,
+                                         sub >= match_threshold - MATCH_EPS):
                 pairs[rem_g[i]] = rem_p[j]
 
         tp += len(pairs)
@@ -273,7 +219,13 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
     return tp, fp, fn, idsw, gt_total, iou_sum
 
 
-def _clear_result(tp, fp, fn, idsw, gt_total, iou_sum) -> ClearResult:
+def clear_pooled(tables_per_seq: list[list[FrameTable]],
+                 match_threshold: float = 0.5) -> ClearResult:
+    """CLEAR over all sequences: each sequence's counts, summed."""
+    counts = [_clear_counts(t, match_threshold) for t in tables_per_seq]
+    # Column sums, from a zero row so that no sequences means no ground truth.
+    tp, fp, fn, idsw, gt_total, iou_sum = map(
+        sum, zip((0, 0, 0, 0, 0, 0.0), *counts))
     if gt_total == 0:
         raise NoGroundTruthError("no ground truth; MOTA undefined")
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total)
@@ -284,22 +236,5 @@ def _clear_result(tp, fp, fn, idsw, gt_total, iou_sum) -> ClearResult:
 
 def clear_mot(labels: list[LabeledObject], outputs: list[FrameOutput],
               match_threshold: float = 0.5, similarity="3d-iou") -> ClearResult:
-    tables = build_frame_tables(labels, outputs, similarity)
-    return _clear_result(*_clear_counts(tables, match_threshold))
-
-
-def clear_pooled(per_sequence: list[tuple[list[LabeledObject], list[FrameOutput]]],
-                 match_threshold: float = 0.5, similarity="3d-iou") -> ClearResult:
-    tp = fp = fn = idsw = 0
-    gt_total = 0
-    iou_sum = 0.0
-    for labels, outputs in per_sequence:
-        tables = build_frame_tables(labels, outputs, similarity)
-        t, f, n, i, g, s = _clear_counts(tables, match_threshold)
-        tp += t
-        fp += f
-        fn += n
-        idsw += i
-        gt_total += g
-        iou_sum += s
-    return _clear_result(tp, fp, fn, idsw, gt_total, iou_sum)
+    return clear_pooled([build_frame_tables(labels, outputs, similarity)],
+                        match_threshold)

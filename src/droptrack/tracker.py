@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import (MIN_EXTENT, Detection, OrientedBox, bev_iou, iou_3d,
+from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
                        wrap_angle)
 
 N_STATE = 10
@@ -58,13 +58,11 @@ class TrackerConfig:
             raise ValueError("lifecycle thresholds must be >= 1")
         if not 0.0 <= self.gate_iou_min <= 1.0:
             raise ValueError("gate_iou_min must lie in [0, 1]")
-        if self.association_metric not in ("bev-iou", "3d-iou"):
-            raise ValueError("association_metric must be 'bev-iou' or '3d-iou'")
+        if self.association_metric not in SIMILARITY_FNS:
+            raise ValueError(f"association_metric must be one of "
+                             f"{sorted(SIMILARITY_FNS)}")
         if self.process_noise < 0.0 or self.measurement_noise < 0.0:
             raise ValueError("noise scales must be nonnegative")
-
-    def similarity(self, a: OrientedBox, b: OrientedBox) -> float:
-        return bev_iou(a, b) if self.association_metric == "bev-iou" else iou_3d(a, b)
 
 
 @dataclass
@@ -194,11 +192,12 @@ def associate(tracks: list[TrackState], detections: list[Detection],
     """Split (tracks × detections) into matches and leftovers."""
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
+    similarity = SIMILARITY_FNS[config.association_metric]
     scores = np.zeros((len(tracks), len(detections)))
     for i, trk in enumerate(tracks):
         tb = trk.box()
         for j, det in enumerate(detections):
-            scores[i, j] = config.similarity(tb, det.box)
+            scores[i, j] = similarity(tb, det.box)
     pairs = solve_assignment(scores,
                              scores >= config.gate_iou_min - MATCH_EPS)
     matched_t = {i for i, _ in pairs}

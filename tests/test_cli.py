@@ -52,14 +52,43 @@ def bad_manifest_argv(tmp_path):
                                          "manifest": str(manifest)})
 
 
-def eval_argv(tmp_path, last_output_row):
-    """eval over a 4-frame label file and outputs whose line 5 is given."""
+def eval_argv(tmp_path, output_row=None, label_row=None, sidecar=None,
+              extra=()):
+    """eval over a 4-frame label file and matching outputs.
+
+    A given output_row or label_row becomes line 5 of its file; a given
+    sidecar is written, as JSON, beside the outputs.
+    """
+    rows = "".join(kitti_label_row(f, 1) + "\n" for f in range(4))
     labels = tmp_path / "0000.txt"
-    labels.write_text("".join(kitti_label_row(f, 1) + "\n" for f in range(4)))
+    labels.write_text(rows + (label_row + "\n" if label_row else ""))
     outputs = tmp_path / "out.txt"
-    outputs.write_text("".join(kitti_label_row(f, 1) + "\n" for f in range(4))
-                       + last_output_row + "\n")
-    return ["eval", "--labels", str(labels), "--outputs", str(outputs)]
+    outputs.write_text(rows + (output_row + "\n" if output_row else ""))
+    if sidecar is not None:
+        (tmp_path / "out.txt.meta.json").write_text(json.dumps(sidecar))
+    return ["eval", "--labels", str(labels), "--outputs", str(outputs),
+            *extra]
+
+
+def kitti_sweep_argv(tmp_path, manifest=None, **overrides):
+    """sweep over one 4-frame label file, with an optional manifest."""
+    (tmp_path / "0000.txt").write_text(
+        "".join(kitti_label_row(f, 1) + "\n" for f in range(4)))
+    dataset = {"kind": "kitti", "path": str(tmp_path)}
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        dataset["manifest"] = str(tmp_path / "manifest.json")
+    return sweep_argv(tmp_path, dataset=dataset, **overrides)
+
+
+def power_log_argv(tmp_path, text):
+    log = tmp_path / "log.csv"
+    log.write_text(text)
+    return ["energy", "--log", str(log)]
+
+
+ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
+                "--inference-time", "0.05"]
 
 
 @pytest.mark.parametrize("build, code, needle", [
@@ -76,9 +105,59 @@ def eval_argv(tmp_path, last_output_row):
      "out.txt:5:"),
     (lambda p: eval_argv(p, kitti_label_row(0, 1).replace("0", "x", 1)),
      EXIT_DATASET, "out.txt:5:"),
+    # Config values of the wrong JSON type.
+    (lambda p: sweep_argv(p, tracker=5), EXIT_CONFIG, "tracker"),
+    (lambda p: sweep_argv(p, tracker_overrides={"1/2": 5}), EXIT_CONFIG,
+     "tracker_overrides['1/2']"),
+    (lambda p: sweep_argv(p, tracker_overrides=[1]), EXIT_CONFIG,
+     "tracker_overrides"),
+    (lambda p: sweep_argv(p, profiles=[1]), EXIT_CONFIG, "profiles"),
+    (lambda p: sweep_argv(p, energy=[1]), EXIT_CONFIG, "energy"),
+    (lambda p: sweep_argv(p, clear_threshold="abc"), EXIT_CONFIG,
+     "clear_threshold"),
+    (lambda p: sweep_argv(p, rng_seed="x"), EXIT_CONFIG, "rng_seed"),
+    (lambda p: sweep_argv(p, class_set="Car"), EXIT_CONFIG, "class_set"),
+    # Dataset errors.
+    (lambda p: eval_argv(p, label_row=kitti_label_row(1, -1)), EXIT_DATASET,
+     "0000.txt:5:"),
+    (lambda p: eval_argv(p, extra=["--frame-count", "2"]), EXIT_DATASET,
+     "0000.txt:3:"),
+    (lambda p: kitti_sweep_argv(p, manifest={"0000": 2}), EXIT_DATASET,
+     "0000.txt:3:"),
+    (lambda p: eval_argv(p, kitti_label_row(3, 1)), EXIT_DATASET,
+     "out.txt:5:"),
+    (lambda p: eval_argv(p, sidecar=[1]), EXIT_DATASET, "out.txt.meta.json"),
+    (lambda p: eval_argv(p, sidecar={"provenance": {"0": 5}}), EXIT_DATASET,
+     "out.txt.meta.json"),
+    # Command-line argument errors.
+    (lambda p: ENERGY_MODEL + ["--pattern", "3/2"], EXIT_CONFIG, "--pattern"),
+    (lambda p: ENERGY_MODEL + ["--length", "0"], EXIT_CONFIG, "--length"),
+    (lambda p: ["energy", "--idle-draw", "300", "--active-draw", "100",
+                "--inference-time", "0.05"], EXIT_CONFIG, "--idle-draw"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
+     + ["--sample-rate", "0"], EXIT_CONFIG, "--sample-rate"),
+    (lambda p: power_log_argv(p, "timestamp_s,power\n0,1\n"), EXIT_CONFIG,
+     "log.csv"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.01,abc\n"),
+     EXIT_CONFIG, "log.csv:3:"),
+    (lambda p: eval_argv(p, extra=["--frame-count", "0"]), EXIT_CONFIG,
+     "--frame-count"),
+    # A failing cell names itself under `run` as under `sweep`: a label set
+    # with no object of the configured class has no ground truth to score.
+    (lambda p: ["run", *kitti_sweep_argv(p, class_set=["Van"])[1:]],
+     EXIT_COMPUTE, "variant=gt pattern=1/1"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
-        "output-frame-not-int"])
+        "output-frame-not-int", "tracker-not-object",
+        "override-body-not-object", "overrides-not-object",
+        "profiles-not-object", "energy-not-object", "clear-threshold-string",
+        "rng-seed-string", "class-set-string", "label-track-id-negative",
+        "frame-count-below-labels", "manifest-count-below-labels",
+        "output-duplicate-id", "sidecar-not-object",
+        "sidecar-provenance-entry-not-object", "energy-pattern",
+        "energy-length", "energy-draw-order", "energy-sample-rate",
+        "power-log-no-watts", "power-log-bad-watts", "eval-frame-count-zero",
+        "run-cell-failure"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

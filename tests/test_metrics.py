@@ -274,8 +274,9 @@ class TestPooling:
         labels, outputs = random_tracking_instance(11)
         single_h = hota(labels, outputs)
         single_c = clear_mot(labels, outputs)
-        pooled_h = hota_pooled([(labels, outputs), (labels, outputs)])
-        pooled_c = clear_pooled([(labels, outputs), (labels, outputs)])
+        tables = build_frame_tables(labels, outputs)
+        pooled_h = hota_pooled([tables, tables])
+        pooled_c = clear_pooled([tables, tables])
         assert pooled_h.hota == pytest.approx(single_h.hota, abs=1e-12)
         assert pooled_h.det_a == pytest.approx(single_h.det_a, abs=1e-12)
         assert pooled_h.ass_a == pytest.approx(single_h.ass_a, abs=1e-12)
@@ -295,8 +296,8 @@ class TestPooling:
         b_spec = {0: [(5, 1000.1, 0.0)], 1: [], 2: [(5, 1000.1, 0.0)]}
         seq_b_out = make_outputs(b_spec, 3)
 
-        pooled = hota_pooled([(seq_a_labels, seq_a_out),
-                              (seq_b_labels, seq_b_out)])
+        pooled = hota_pooled([build_frame_tables(seq_a_labels, seq_a_out),
+                              build_frame_tables(seq_b_labels, seq_b_out)])
 
         merged_labels = seq_a_labels + [
             LabeledObject(frame_index=lab.frame_index, track_id=2,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import droptrack.metrics as metrics
 import droptrack.pipeline as pipeline
 from droptrack.pipeline import (
     ComputationError,
@@ -176,6 +177,19 @@ class TestRunOnce:
         assert cell.row.processed_frames == 100
         assert cell.row.effective_target == 50.0
         assert cell.row.hota < 100.0
+
+    def test_frame_tables_built_once_per_sequence(self, monkeypatch):
+        # HOTA and CLEAR score the same tables; the reference scenario is
+        # one sequence.
+        build = metrics.build_frame_tables
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(metrics, "build_frame_tables", counting)
+        run_once(make_config(), "gt", DropPattern(1, 2))
+        assert len(calls) == 1
 
 
 class TestRunSweep:

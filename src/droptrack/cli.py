@@ -43,6 +43,14 @@ def _positive(convert):
     return parse
 
 
+def _clear_threshold(text):
+    """Argument type: a CLEAR match threshold, which must lie in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="droptrack",
@@ -75,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--frame-count", type=_positive(int), default=None)
     eval_p.add_argument("--similarity", default="3d-iou",
                         choices=sorted(SIMILARITY_FNS))
-    eval_p.add_argument("--clear-threshold", type=float, default=0.5)
+    eval_p.add_argument("--clear-threshold", type=_clear_threshold, default=0.5)
 
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
     energy_p.add_argument("--log", type=Path, default=None,

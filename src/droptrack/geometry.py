@@ -3,16 +3,16 @@
 Boxes live in a right-handed ground-plane frame: x/y span the ground,
 z points up, yaw rotates the footprint about the vertical axis. The
 footprint overlap is computed exactly by clipping one rectangle against
-the other (Sutherland-Hodgman), so no external geometry library is
-involved, and the 3D overlap is footprint area times vertical overlap.
+the other (Sutherland-Hodgman) on plain floats: a polygon is a list of
+(x, y) pairs from footprint through clipping to area, and no geometry or
+array library is involved. The 3D overlap is footprint area times
+vertical overlap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Intersection areas below this are treated as zero: polygon clipping on
 # touching edges produces slivers of this magnitude.
@@ -62,13 +62,12 @@ class OrientedBox:
                 raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
-    def footprint(self) -> np.ndarray:
-        """Corner coordinates of the ground-plane rectangle, shape (4, 2)."""
+    def footprint(self) -> list[tuple[float, float]]:
+        """The four (x, y) corners of the ground-plane rectangle, counter-clockwise."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         dx, dy = self.length / 2.0, self.width / 2.0
-        corners = np.array([[dx, dy], [-dx, dy], [-dx, -dy], [dx, -dy]])
-        rot = np.array([[c, -s], [s, c]])
-        return corners @ rot.T + np.array([self.cx, self.cy])
+        return [(self.cx + x * c - y * s, self.cy + x * s + y * c)
+                for x, y in ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))]
 
     @property
     def z_interval(self) -> tuple[float, float]:
@@ -113,21 +112,21 @@ class LabeledObject:
             raise ValueError("track_id must be nonnegative")
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon given as (n, 2) vertices."""
+def _polygon_area(poly: list[tuple[float, float]]) -> float:
+    """Shoelace area of a simple polygon given as (x, y) vertices."""
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    pairs = zip(poly, poly[1:] + poly[:1])
+    return 0.5 * abs(sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in pairs))
 
 
-def _clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
+def _clip_polygon(subject: list, clipper: list) -> list:
     """Sutherland-Hodgman clip of `subject` against convex `clipper`.
 
-    Both polygons are (n, 2) arrays with counter-clockwise winding.
-    Returns the clipped polygon vertices, possibly empty.
+    Both polygons are lists of (x, y) vertices with counter-clockwise
+    winding. Returns the clipped polygon vertices, possibly empty.
     """
-    output = [(float(p[0]), float(p[1])) for p in subject]
+    output = subject
     n = len(clipper)
     for i in range(n):
         if not output:
@@ -153,7 +152,7 @@ def _clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
                 output.append((prev[0] + t * (cur[0] - prev[0]),
                                prev[1] + t * (cur[1] - prev[1])))
             prev, f_prev = cur, f_cur
-    return np.array(output) if output else np.empty((0, 2))
+    return output
 
 
 def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:

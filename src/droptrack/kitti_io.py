@@ -58,12 +58,13 @@ def _box_from_camera(h: float, w: float, length: float, x: float, y: float,
                        height=h, yaw=wrap_angle(-rotation_y - math.pi / 2.0))
 
 
-def _box_to_camera(box: OrientedBox) -> tuple[float, ...]:
-    x = -box.cy
-    y = box.height / 2.0 - box.cz
-    z = box.cx
+def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:
+    """The 17 KITTI label fields of one box, inverting _box_from_camera."""
+    x, y = -box.cy, box.height / 2.0 - box.cz
     rotation_y = wrap_angle(-box.yaw - math.pi / 2.0)
-    return box.height, box.width, box.length, x, y, z, rotation_y
+    return (f"{frame} {track_id} {kind} 0 0 0 -1 -1 -1 -1 "
+            f"{box.height:.6f} {box.width:.6f} {box.length:.6f} "
+            f"{x:.6f} {y:.6f} {box.cx:.6f} {rotation_y:.6f}")
 
 
 def _parse_rows(lines: list[str], origin: str,
@@ -151,13 +152,8 @@ def parse_kitti_labels(source, sequence_id: str = "",
 
 def write_kitti_labels(labels: list[LabeledObject], path) -> None:
     """Inverse of parse_kitti_labels for ground-truth fixtures."""
-    rows = []
-    for lab in sorted(labels, key=lambda l: (l.frame_index, l.track_id)):
-        h, w, length, x, y, z, ry = _box_to_camera(lab.box)
-        rows.append(
-            f"{lab.frame_index} {lab.track_id} {lab.class_label} 0 0 0 "
-            f"-1 -1 -1 -1 "
-            f"{h:.6f} {w:.6f} {length:.6f} {x:.6f} {y:.6f} {z:.6f} {ry:.6f}")
+    rows = [_format_row(lab.frame_index, lab.track_id, lab.class_label, lab.box)
+            for lab in sorted(labels, key=lambda l: (l.frame_index, l.track_id))]
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""))
 
 
@@ -174,12 +170,8 @@ def write_frame_outputs(outputs: list[FrameOutput], path,
         frame_count = max(frame_count, out.frame_index + 1)
         frame_prov: dict[str, str] = {}
         for entry in sorted(out.entries, key=lambda e: e.track_id):
-            h, w, length, x, y, z, ry = _box_to_camera(entry.box)
-            rows.append(
-                f"{out.frame_index} {entry.track_id} Car 0 0 0 "
-                f"-1 -1 -1 -1 "
-                f"{h:.6f} {w:.6f} {length:.6f} {x:.6f} {y:.6f} {z:.6f} "
-                f"{ry:.6f} {entry.score:.6f}")
+            rows.append(_format_row(out.frame_index, entry.track_id, "Car",
+                                    entry.box) + f" {entry.score:.6f}")
             frame_prov[str(entry.track_id)] = entry.provenance
         if frame_prov:
             provenance[str(out.frame_index)] = frame_prov

@@ -171,6 +171,13 @@ def config_from_dict(data: dict) -> RunConfig:
         overrides[pattern] = _from_object(TrackerConfig,
                                           {**asdict(tracker), **body}, where)
 
+    clear_threshold = float(_typed(data.get("clear_threshold", 0.5), float,
+                                   "clear_threshold"))
+    # At 0 or below, CLEAR's gate would match pairs that do not overlap.
+    if not 0.0 < clear_threshold <= 1.0:
+        raise ConfigError(f"clear_threshold must lie in (0, 1], "
+                          f"got {clear_threshold!r}")
+
     similarity = data.get("similarity", "3d-iou")
     known = sorted(SIMILARITY_FNS)
     if similarity not in known:
@@ -191,8 +198,7 @@ def config_from_dict(data: dict) -> RunConfig:
         class_set=frozenset(_string_array(data, "class_set",
                                           sorted(DEFAULT_CLASS_SET))),
         similarity=similarity,
-        clear_threshold=float(_typed(data.get("clear_threshold", 0.5), float,
-                                     "clear_threshold")),
+        clear_threshold=clear_threshold,
         rng_seed=_typed(data.get("rng_seed", 0), int, "rng_seed"),
     )
 
@@ -364,9 +370,7 @@ def run_sweep(config: RunConfig,
 
 # --- report persistence ---------------------------------------------------
 
-_CSV_COLUMNS = ("variant", "target", "effective_target", "hota", "det_a",
-                "ass_a", "mota", "motp", "processed_frames", "draw_watts",
-                "yield_w_per_pt")
+_CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def _fmt(value) -> str:
@@ -410,22 +414,29 @@ def render_sweep_json(report: SweepReport) -> str:
 
 
 def write_report(report: SweepReport, out_dir) -> dict[str, Path]:
+    """Write sweep.csv, sweep.json and tradeoff.csv; a failure is a ConfigError."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "sweep_csv": out_dir / "sweep.csv",
         "sweep_json": out_dir / "sweep.json",
         "tradeoff_csv": out_dir / "tradeoff.csv",
     }
-    paths["sweep_csv"].write_text(render_sweep_csv(report))
-    paths["sweep_json"].write_text(render_sweep_json(report))
-    paths["tradeoff_csv"].write_text(render_tradeoff_csv(report))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths["sweep_csv"].write_text(render_sweep_csv(report))
+        paths["sweep_json"].write_text(render_sweep_json(report))
+        paths["tradeoff_csv"].write_text(render_tradeoff_csv(report))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
     return paths
 
 
 def write_cell_outputs(result: CellResult, out_dir) -> None:
-    """Persist one cell's per-sequence tracker outputs."""
+    """Persist one cell's per-sequence tracker outputs; a failure is a ConfigError."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for seq_id, outputs in sorted(result.outputs_per_sequence.items()):
-        write_frame_outputs(outputs, out_dir / f"{seq_id}.txt")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for seq_id, outputs in sorted(result.outputs_per_sequence.items()):
+            write_frame_outputs(outputs, out_dir / f"{seq_id}.txt")
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None

@@ -87,6 +87,17 @@ def power_log_argv(tmp_path, text):
     return ["energy", "--log", str(log)]
 
 
+def out_file_argv(tmp_path, command):
+    """`command` with --out naming an existing regular file."""
+    out = tmp_path / "out-is-a-file"
+    out.write_text("")
+    if command == "report":
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"rows": []}))
+        return ["report", "--sweep", str(sweep), "--out", str(out)]
+    return [command, "--pattern", "1/1", "--out", str(out)]
+
+
 ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
                 "--inference-time", "0.05"]
 
@@ -146,6 +157,24 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
     # with no object of the configured class has no ground truth to score.
     (lambda p: ["run", *kitti_sweep_argv(p, class_set=["Van"])[1:]],
      EXIT_COMPUTE, "variant=gt pattern=1/1"),
+    # A CLEAR threshold outside (0, 1] would count non-overlapping pairs as
+    # matches, or match nothing.
+    (lambda p: eval_argv(p, extra=["--clear-threshold", "nan"]), EXIT_CONFIG,
+     "--clear-threshold"),
+    (lambda p: eval_argv(p, extra=["--clear-threshold", "-1"]), EXIT_CONFIG,
+     "--clear-threshold"),
+    (lambda p: eval_argv(p, extra=["--clear-threshold", "0"]), EXIT_CONFIG,
+     "--clear-threshold"),
+    (lambda p: eval_argv(p, extra=["--clear-threshold", "2"]), EXIT_CONFIG,
+     "--clear-threshold"),
+    (lambda p: sweep_argv(p, clear_threshold=0), EXIT_CONFIG,
+     "clear_threshold"),
+    (lambda p: sweep_argv(p, clear_threshold=2), EXIT_CONFIG,
+     "clear_threshold"),
+    # An --out that cannot be written is a bad argument.
+    (lambda p: out_file_argv(p, "sweep"), EXIT_CONFIG, "out-is-a-file"),
+    (lambda p: out_file_argv(p, "run"), EXIT_CONFIG, "out-is-a-file"),
+    (lambda p: out_file_argv(p, "report"), EXIT_CONFIG, "out-is-a-file"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -157,7 +186,11 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
         "sidecar-provenance-entry-not-object", "energy-pattern",
         "energy-length", "energy-draw-order", "energy-sample-rate",
         "power-log-no-watts", "power-log-bad-watts", "eval-frame-count-zero",
-        "run-cell-failure"])
+        "run-cell-failure", "eval-clear-threshold-nan",
+        "eval-clear-threshold-negative", "eval-clear-threshold-zero",
+        "eval-clear-threshold-above-one", "clear-threshold-zero",
+        "clear-threshold-above-one", "sweep-out-is-file", "run-out-is-file",
+        "report-out-is-file"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

@@ -192,3 +192,19 @@ class TestValidation:
         assert box.footprint_area == 8.0
         assert box.volume == 8.0
         assert box.z_interval == (1.5, 2.5)
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("yaw", [0.0, 0.3, math.pi / 2, 2.5, math.pi,
+                                     -0.7, -math.pi / 2, -3.0])
+    def test_rectangle_corners_counter_clockwise(self, yaw):
+        box = make_box(cx=3.5, cy=-1.25, length=4.2, width=1.8, yaw=yaw)
+        corners = box.footprint()
+        assert isinstance(corners, list) and len(corners) == 4
+        assert all(type(x) is float and type(y) is float for x, y in corners)
+        signed = 0.5 * sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1)
+                           in zip(corners, corners[1:] + corners[:1]))
+        assert signed > 0.0
+        assert signed == pytest.approx(box.length * box.width, rel=1e-12)
+        assert sum(x for x, _ in corners) / 4 == pytest.approx(box.cx, abs=1e-12)
+        assert sum(y for _, y in corners) / 4 == pytest.approx(box.cy, abs=1e-12)

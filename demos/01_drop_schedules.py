@@ -34,8 +34,8 @@ for length in (20, 21, 99, 1059):
     print(f"9/10 over {length:>4} frames: {closed:>4} processed, "
           f"effective {effective_target(sched):.2f}%")
 
-# A schedule can be re-armed on demand: trigger_next forces the earliest
-# not-yet-processed frame at or after the given index to run detection.
+# A schedule can be re-armed on demand: trigger_next(schedule, i) forces
+# frame i + 1 to run detection (and changes nothing if it already does).
 sched = build_schedule(DropPattern(1, 4), 12)
 before = "".join("P" if f else "." for f in sched.flags)
 sched = trigger_next(sched, 5)

@@ -10,7 +10,6 @@ no external dataset is needed.
 """
 
 import tempfile
-from pathlib import Path
 
 from droptrack import config_from_dict, run_sweep, write_report
 
@@ -41,12 +40,13 @@ for row in report.rows:
           f"{row.mota:>8.3f} {row.motp:>8.3f} {row.draw_watts:>8.1f} {yld}")
 
 # Reports land as CSV (full table), JSON (same rows), and a long-format
-# draw-vs-quality CSV ready for plotting.
-out_dir = Path(tempfile.mkdtemp(prefix="droptrack_sweep_"))
-paths = write_report(report, out_dir)
-print("\nwrote:")
-for name in sorted(paths):
-    print(f"  {paths[name]}")
+# draw-vs-quality CSV ready for plotting. This demo writes them into a
+# temporary directory that is removed when the block ends.
+with tempfile.TemporaryDirectory(prefix="droptrack_sweep_") as out_dir:
+    paths = write_report(report, out_dir)
+    print("\nwrote:")
+    for name in sorted(paths):
+        print(f"  {paths[name].name} ({paths[name].stat().st_size} bytes)")
 
 # Rerunning with the same config reproduces these files byte for byte;
 # see tests/test_acceptance.py.

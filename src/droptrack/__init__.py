@@ -28,7 +28,8 @@ from .scenario import (KITTI_VAL_SEQUENCE_LENGTHS, REFERENCE_CARS,
                        reference_scenario)
 from .pipeline import (CellResult, ComputationError, ConfigError, MetricsRow,
                        RunConfig, SweepReport, config_from_dict,
-                       config_from_json, run_once, run_sweep, write_report)
+                       config_from_json, read_sweep_json, run_once, run_sweep,
+                       write_report)
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 dataset error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,10 +19,10 @@ from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw,
                      read_power_log_csv, summarize_power_log)
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
 from .metrics import SIMILARITY_FNS, NoGroundTruthError, clear_mot, hota
-from .pipeline import (ComputationError, ConfigError, MetricsRow, SweepReport,
-                       config_from_dict, load_sequences, read_config_json,
-                       render_sweep_csv, run_once, run_sweep,
-                       write_cell_outputs, write_report)
+from .pipeline import (ComputationError, ConfigError, SweepReport,
+                       config_from_dict, load_sequences, output_dir,
+                       read_config_json, read_sweep_json, render_sweep_csv,
+                       run_once, run_sweep, write_cell_outputs, write_report)
 from .schedule import build_schedule, parse_pattern
 
 EXIT_OK = 0
@@ -121,8 +120,16 @@ def _load_config(args):
     return config_from_dict(raw)
 
 
+def _check_out(args) -> None:
+    """Fail on an unusable --out before any cell is computed."""
+    if args.out is not None:
+        with output_dir(args.out):
+            pass
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _check_out(args)
     sequences = load_sequences(config)
     rows = []
     for variant in config.variants:
@@ -139,6 +146,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
+    _check_out(args)
     report = run_sweep(config)
     print(render_sweep_csv(report), end="")
     if args.out is not None:
@@ -199,13 +207,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        payload = json.loads(args.sweep.read_text())
-        rows = tuple(MetricsRow(**row) for row in payload["rows"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load sweep report {args.sweep}: {exc}") \
-            from None
-    paths = write_report(SweepReport(rows=rows), args.out)
+    paths = write_report(read_sweep_json(args.sweep), args.out)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     return EXIT_OK

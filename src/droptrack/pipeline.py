@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .kitti_io import SequenceData, load_label_dir, load_manifest, \
     write_frame_outputs
 from . import metrics
 from .metrics import clear_pooled, hota_pooled
-from .schedule import (DropPattern, Schedule, TARGET_PATTERNS, build_schedule,
+from .schedule import (DropPattern, TARGET_PATTERNS, build_schedule,
                        parse_pattern, processed_count)
 from .scenario import reference_scenario
 from .tracker import FrameOutput, Tracker, TrackerConfig
@@ -69,9 +70,10 @@ class RunConfig:
 # for a float; NaN, infinity and booleans pass for nothing.
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a finite number"}
-# The Python type of each dataclass field annotation a config object sets.
+# The Python type of each dataclass field annotation a config object or a
+# report row sets; an optional field also takes null.
 _FIELD_TYPES = {"float": float, "int": int, "str": str,
-                "tuple[float, float]": list}
+                "tuple[float, float]": list, "float | None": float}
 
 
 def _typed(value, kind: type, where: str):
@@ -89,14 +91,19 @@ def _string_array(data: dict, key: str, default: list) -> list[str]:
 
 
 def _from_object(cls, body, where: str):
-    """cls(**body) for a JSON object whose fields are each type-checked."""
-    types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+    """cls(**body) for a JSON object whose fields are each type-checked; an
+    integer given for a float field is stored as a float."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    values = {}
     for name, value in _typed(body, dict, where).items():
-        if name not in types:
+        if name not in annotations:
             raise ConfigError(f"unknown {where} field {name!r}")
-        _typed(value, types[name], f"{where}.{name}")
+        kind = _FIELD_TYPES[annotations[name]]
+        if value is not None or not annotations[name].endswith("| None"):
+            value = kind(_typed(value, kind, f"{where}.{name}"))
+        values[name] = value
     try:
-        return cls(**body)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -254,7 +261,6 @@ class MetricsRow:
 class CellResult:
     row: MetricsRow
     outputs_per_sequence: dict[str, list[FrameOutput]]
-    schedules: dict[str, Schedule]
 
 
 @dataclass(frozen=True)
@@ -285,10 +291,10 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
     try:
         tables_per_seq = []
         outputs_per_sequence: dict[str, list[FrameOutput]] = {}
-        schedules: dict[str, Schedule] = {}
+        schedules = []
         for seq in sequences:
             schedule = build_schedule(pattern, seq.frame_count)
-            schedules[seq.sequence_id] = schedule
+            schedules.append(schedule)
             frames = seq.labels_by_frame()
             scene = scene_context(list(seq.labels))
             tracker = Tracker(tracker_cfg)
@@ -312,11 +318,11 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
         hota_res = hota_pooled(tables_per_seq)
         clear_res = clear_pooled(tables_per_seq, config.clear_threshold)
 
-        total_frames = sum(s.sequence_length for s in schedules.values())
-        total_processed = sum(processed_count(s) for s in schedules.values())
+        total_frames = sum(s.sequence_length for s in schedules)
+        total_processed = sum(processed_count(s) for s in schedules)
 
         params = config.energy.get(variant, config.energy.get("default"))
-        draw = estimate_draw_multi(params, list(schedules.values())) \
+        draw = estimate_draw_multi(params, schedules) \
             if params is not None else None
     except Exception as exc:
         raise ComputationError(f"cell variant={variant} pattern={pattern} "
@@ -335,8 +341,7 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
         processed_frames=total_processed,
         draw_watts=draw,
     )
-    return CellResult(row=row, outputs_per_sequence=outputs_per_sequence,
-                      schedules=schedules)
+    return CellResult(row=row, outputs_per_sequence=outputs_per_sequence)
 
 
 def run_sweep(config: RunConfig,
@@ -413,30 +418,47 @@ def render_sweep_json(report: SweepReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: SweepReport, out_dir) -> dict[str, Path]:
-    """Write sweep.csv, sweep.json and tradeoff.csv; a failure is a ConfigError."""
+def read_sweep_json(path) -> SweepReport:
+    """The report in a sweep.json; a read failure or bad row is a ConfigError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load sweep report {path}: {exc}") from None
+    rows = _typed(_typed(payload, dict, str(path)).get("rows"), list,
+                  f"{path}: rows")
+    return SweepReport(rows=tuple(
+        _from_object(MetricsRow, row, f"{path}: rows[{i}]")
+        for i, row in enumerate(rows)))
+
+
+@contextmanager
+def output_dir(out_dir):
+    """Create out_dir and yield it as a Path; an OSError, whether from the
+    creation or from writes in the with-block, is a ConfigError naming it."""
     out_dir = Path(out_dir)
-    paths = {
-        "sweep_csv": out_dir / "sweep.csv",
-        "sweep_json": out_dir / "sweep.json",
-        "tradeoff_csv": out_dir / "tradeoff.csv",
-    }
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        yield out_dir
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
+
+
+def write_report(report: SweepReport, out_dir) -> dict[str, Path]:
+    """Write sweep.csv, sweep.json and tradeoff.csv; a failure is a ConfigError."""
+    with output_dir(out_dir) as out_dir:
+        paths = {
+            "sweep_csv": out_dir / "sweep.csv",
+            "sweep_json": out_dir / "sweep.json",
+            "tradeoff_csv": out_dir / "tradeoff.csv",
+        }
         paths["sweep_csv"].write_text(render_sweep_csv(report))
         paths["sweep_json"].write_text(render_sweep_json(report))
         paths["tradeoff_csv"].write_text(render_tradeoff_csv(report))
-    except OSError as exc:
-        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
     return paths
 
 
 def write_cell_outputs(result: CellResult, out_dir) -> None:
     """Persist one cell's per-sequence tracker outputs; a failure is a ConfigError."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with output_dir(out_dir) as out_dir:
         for seq_id, outputs in sorted(result.outputs_per_sequence.items()):
             write_frame_outputs(outputs, out_dir / f"{seq_id}.txt")
-    except OSError as exc:
-        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None

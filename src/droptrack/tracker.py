@@ -8,11 +8,17 @@ patterns.
 
 State layout (10,): cx, cy, cz, yaw, length, width, height, vx, vy, vz.
 The first 7 components are observed; yaw and extents follow a random walk.
+
+The observed 7×7 block of every covariance is diagonal: birth, process and
+measurement noise are diagonal, and each velocity couples only to its own
+position. So the innovation covariance S is diagonal too, and `update`
+scales columns of the covariance instead of inverting S. `update` rejects
+a state that breaks this invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -106,8 +112,7 @@ def _transition(dt: float) -> np.ndarray:
     return f
 
 
-_H = np.zeros((N_OBSERVED, N_STATE))
-_H[:N_OBSERVED, :N_OBSERVED] = np.eye(N_OBSERVED)
+_OFF_DIAGONAL = ~np.eye(N_OBSERVED, dtype=bool)
 
 
 def predict(state: TrackState, dt: float, config: TrackerConfig) -> TrackState:
@@ -119,28 +124,7 @@ def predict(state: TrackState, dt: float, config: TrackerConfig) -> TrackState:
     mean[3] = wrap_angle(mean[3])
     cov = f @ state.covariance @ f.T + dt * config.process_noise * np.eye(N_STATE)
     cov = 0.5 * (cov + cov.T)
-    return TrackState(track_id=state.track_id, mean=mean, covariance=cov,
-                      hits=state.hits, consecutive_misses=state.consecutive_misses,
-                      status=state.status, last_score=state.last_score)
-
-
-def _kalman_gain(cov: np.ndarray, innovation_cov: np.ndarray) -> np.ndarray:
-    # solve handles the generic well-conditioned case; the pinv fallback
-    # covers exactly-singular S, which occurs legitimately once a
-    # zero-noise filter has collapsed its covariance.
-    pht = cov @ _H.T
-    # A collapsed S (zero up to rounding residue) means the observed block
-    # is already exact; the exact-arithmetic gain limit is zero. Inverting
-    # the residue instead would blow up on denormal singular values.
-    if float(np.abs(innovation_cov).max()) < 1e-12:
-        return np.zeros_like(pht)
-    try:
-        gain = np.linalg.solve(innovation_cov.T, pht.T).T
-        if not np.all(np.isfinite(gain)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        gain = pht @ np.linalg.pinv(innovation_cov, rcond=1e-12)
-    return gain
+    return replace(state, mean=mean, covariance=cov)
 
 
 def update(state: TrackState, detection: Detection,
@@ -148,23 +132,35 @@ def update(state: TrackState, detection: Detection,
     """Kalman measurement update on the 7 observed components."""
     if state.status == DEAD:
         raise ValueError("cannot update a dead track")
+    p = state.covariance
+    if p[:N_OBSERVED, :N_OBSERVED][_OFF_DIAGONAL].any():
+        raise ValueError("observed covariance block must be diagonal")
     b = detection.box
     z = np.array([b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height])
-    innovation = z - _H @ state.mean
+    innovation = z - state.mean[:N_OBSERVED]
     innovation[3] = wrap_angle(innovation[3])
 
-    r = config.measurement_noise * np.eye(N_OBSERVED)
-    s = _H @ state.covariance @ _H.T + r
-    gain = _kalman_gain(state.covariance, s)
+    # S is diagonal, so each gain column is that column of P over s_i. An
+    # axis with s_i at or below the pseudo-inverse cutoff 1e-12 * max(s) is
+    # already exact and gets no gain; so does every axis once S has
+    # collapsed to rounding residue. Multiplying by the reciprocal, not
+    # dividing, matches an LU solve bit for bit.
+    r = config.measurement_noise
+    s = p.diagonal()[:N_OBSERVED] + r
+    inv_s = np.zeros(N_OBSERVED)
+    if s.max() >= 1e-12:
+        kept = s > 1e-12 * s.max()
+        inv_s[kept] = 1.0 / s[kept]
+    gain = p[:, :N_OBSERVED] * inv_s
 
     mean = state.mean + gain @ innovation
     mean[3] = wrap_angle(mean[3])
-    ikh = np.eye(N_STATE) - gain @ _H
-    cov = ikh @ state.covariance @ ikh.T + gain @ r @ gain.T
+    ikh = np.eye(N_STATE)
+    ikh[:, :N_OBSERVED] -= gain
+    cov = ikh @ p @ ikh.T + (r * gain) @ gain.T
     cov = 0.5 * (cov + cov.T)
-    return TrackState(track_id=state.track_id, mean=mean, covariance=cov,
-                      hits=state.hits + 1, consecutive_misses=0,
-                      status=state.status, last_score=detection.score)
+    return replace(state, mean=mean, covariance=cov, hits=state.hits + 1,
+                   consecutive_misses=0, last_score=detection.score)
 
 
 def solve_assignment(scores: np.ndarray,
@@ -216,12 +212,8 @@ def _birth(track_id: int, detection: Detection,
                   + [config.birth_yaw_var]
                   + [config.birth_extent_var] * 3
                   + [config.birth_velocity_var] * 3)
-    state = TrackState(track_id=track_id, mean=mean, covariance=cov,
-                       hits=1, consecutive_misses=0, status=TENTATIVE,
-                       last_score=detection.score)
-    if state.hits >= config.min_hits_to_confirm:
-        state.status = CONFIRMED
-    return state
+    return TrackState(track_id=track_id, mean=mean, covariance=cov,
+                      last_score=detection.score)
 
 
 class Tracker:

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity the library computes, by a different
 route: Monte-Carlo sampling instead of polygon clipping, permutation
 enumeration instead of the Hungarian solver, per-tick simulation instead
-of the closed-form draw formula. The tracking-metric oracles share only
+of the closed-form draw formula, a general linear solve instead of the
+tracker's per-axis Kalman gain. The tracking-metric oracles share only
 the metric DEFINITION with the library (alpha grid, epsilon slack,
 count-first matching objective, canonical accumulation order); all
 optimization is done by brute force here.
@@ -18,7 +19,7 @@ from collections import defaultdict
 import numpy as np
 
 from droptrack.energy import EnergyParams
-from droptrack.geometry import OrientedBox, iou_3d
+from droptrack.geometry import OrientedBox, iou_3d, wrap_angle
 from droptrack.metrics import ALPHA_GRID, MATCH_EPS
 from droptrack.schedule import Schedule
 
@@ -281,6 +282,43 @@ def simulate_draw_1ms(params: EnergyParams, schedule: Schedule) -> float:
         else:
             ticks.extend([params.idle_draw] * tc)
     return float(np.mean(ticks))
+
+
+# --- tracker: textbook Kalman measurement update --------------------------
+
+def textbook_kalman_update(mean: np.ndarray, covariance: np.ndarray,
+                           z: np.ndarray, measurement_noise: float):
+    """The Kalman update written with the selection matrix H and the full
+    innovation covariance S = H P Hᵀ + R, for any covariance.
+
+    The gain solves K S = P Hᵀ with np.linalg.solve. When S is numerically
+    singular (a singular value at or below 1e-12 times the largest, the
+    pseudo-inverse cutoff) it is P Hᵀ pinv(S, rcond=1e-12) instead: a solve
+    there would divide rounding residue by rounding residue. A collapsed S
+    (every entry below 1e-12) gives zero gain. The covariance update is the
+    Joseph form, symmetrised; yaw (component 3) is wrapped in the
+    innovation and in the posterior mean. Returns (mean, covariance).
+    """
+    n_obs, n_state = len(z), len(mean)
+    h = np.hstack([np.eye(n_obs), np.zeros((n_obs, n_state - n_obs))])
+    r = measurement_noise * np.eye(n_obs)
+    s = h @ covariance @ h.T + r
+    pht = covariance @ h.T
+    if np.abs(s).max() < 1e-12:
+        gain = np.zeros_like(pht)
+    else:
+        singular_values = np.linalg.svd(s, compute_uv=False)
+        if singular_values[-1] > 1e-12 * singular_values[0]:
+            gain = np.linalg.solve(s.T, pht.T).T
+        else:
+            gain = pht @ np.linalg.pinv(s, rcond=1e-12)
+    innovation = z - h @ mean
+    innovation[3] = wrap_angle(innovation[3])
+    new_mean = mean + gain @ innovation
+    new_mean[3] = wrap_angle(new_mean[3])
+    ikh = np.eye(n_state) - gain @ h
+    new_cov = ikh @ covariance @ ikh.T + gain @ r @ gain.T
+    return new_mean, 0.5 * (new_cov + new_cov.T)
 
 
 # --- random tracking instances ---------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from droptrack.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATASET, EXIT_OK,
                            main)
+from droptrack.tracker import Tracker
 
 
 CONFIG = {
@@ -98,6 +99,17 @@ def out_file_argv(tmp_path, command):
     return [command, "--pattern", "1/1", "--out", str(out)]
 
 
+def bad_sweep_row_argv(tmp_path, **fields):
+    """report over a sweep.json whose second row has the given fields."""
+    row = {"variant": "gt", "target": "100", "effective_target": 100.0,
+           "hota": 90.0, "det_a": 90.0, "ass_a": 90.0, "mota": 90.0,
+           "motp": 90.0, "processed_frames": 200, "draw_watts": None,
+           "yield_w_per_pt": None}
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"rows": [row, dict(row, **fields)]}))
+    return ["report", "--sweep", str(sweep), "--out", str(tmp_path / "out")]
+
+
 ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
                 "--inference-time", "0.05"]
 
@@ -175,6 +187,13 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
     (lambda p: out_file_argv(p, "sweep"), EXIT_CONFIG, "out-is-a-file"),
     (lambda p: out_file_argv(p, "run"), EXIT_CONFIG, "out-is-a-file"),
     (lambda p: out_file_argv(p, "report"), EXIT_CONFIG, "out-is-a-file"),
+    # A sweep.json row field of the wrong type, named by file, row and field.
+    (lambda p: bad_sweep_row_argv(p, hota="abc"), EXIT_CONFIG,
+     "sweep.json: rows[1].hota"),
+    (lambda p: bad_sweep_row_argv(p, hota=None), EXIT_CONFIG,
+     "sweep.json: rows[1].hota"),
+    (lambda p: bad_sweep_row_argv(p, processed_frames=1.5), EXIT_CONFIG,
+     "sweep.json: rows[1].processed_frames"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -190,11 +209,25 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",
         "eval-clear-threshold-above-one", "clear-threshold-zero",
         "clear-threshold-above-one", "sweep-out-is-file", "run-out-is-file",
-        "report-out-is-file"])
+        "report-out-is-file", "sweep-row-hota-string", "sweep-row-hota-null",
+        "sweep-row-frames-fraction"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "run"])
+def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch,
+                                            command):
+    def no_cell(*args):
+        raise AssertionError("a cell was computed")
+    monkeypatch.setattr(Tracker, "step", no_cell)
+    argv = out_file_argv(tmp_path, command) + ["--target", "50"]
+    assert exit_code(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out-is-a-file" in captured.err
 
 
 class TestRun:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droptrack.geometry import Detection, OrientedBox
+from droptrack.geometry import Detection, OrientedBox, wrap_angle
 from droptrack.tracker import (
     CONFIRMED,
     DEAD,
@@ -25,7 +25,7 @@ from droptrack.tracker import (
     update,
 )
 
-from oracles import enumerate_assignment
+from oracles import enumerate_assignment, textbook_kalman_update
 
 
 def make_box(cx=0.0, cy=0.0, cz=0.75, yaw=0.0, length=4.5, width=1.8,
@@ -411,3 +411,64 @@ class TestCovariancePsd:
                                      cy=state.mean[1] + rnd.uniform(-1, 1))
                 state = update(state, det, cfg)
                 assert np.linalg.eigvalsh(state.covariance).min() >= -1e-9
+
+
+class TestUpdateMatchesTextbook:
+    """update's per-axis gain against the textbook H/S/solve update."""
+
+    @staticmethod
+    def random_state(data):
+        # Observed block diagonal; each velocity coupled to its own position.
+        var = data.draw(st.lists(st.floats(0.0, 100.0), min_size=10,
+                                 max_size=10))
+        cov = np.diag(var)
+        for k in range(3):
+            rho = data.draw(st.floats(-1.0, 1.0))
+            cov[k, k + 7] = cov[k + 7, k] = rho * math.sqrt(var[k] * var[k + 7])
+        mean = np.array(data.draw(st.lists(st.floats(-50.0, 50.0),
+                                           min_size=10, max_size=10)))
+        mean[3] = data.draw(st.floats(-math.pi, math.pi))
+        return TrackState(track_id=1, mean=mean, covariance=cov)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 1e-3, 0.5]),
+           st.sampled_from([0.0, 1e-6, 0.05, 1.0]))
+    def test_repeated_updates_match_reference(self, data, q, r):
+        # Zero noise collapses updated axes to rounding residue within a
+        # few rounds, so both the pseudo-inverse cutoff and the collapsed-S
+        # rule are reached.
+        cfg = TrackerConfig(process_noise=q, measurement_noise=r)
+        state = self.random_state(data)
+        for _ in range(data.draw(st.integers(1, 8))):
+            if data.draw(st.booleans()):
+                state = predict(state, data.draw(st.sampled_from(
+                    [0.05, 0.1, 0.3])), cfg)
+            offset = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=7,
+                                        max_size=7))
+            box = OrientedBox(*(state.mean[:3] + offset[:3]),
+                              length=max(0.1, state.mean[4] + offset[4]),
+                              width=max(0.1, state.mean[5] + offset[5]),
+                              height=max(0.1, state.mean[6] + offset[6]),
+                              yaw=wrap_angle(state.mean[3] + offset[3]))
+            z = np.array([box.cx, box.cy, box.cz, box.yaw, box.length,
+                          box.width, box.height])
+            want_mean, want_cov = textbook_kalman_update(
+                state.mean, state.covariance, z, r)
+            state = update(state, Detection(box=box, score=1.0), cfg)
+            diff = state.mean - want_mean
+            diff[3] = wrap_angle(diff[3])
+            assert np.abs(diff).max() <= 1e-12
+            assert np.abs(state.covariance - want_cov).max() <= 1e-12
+
+    def test_non_diagonal_observed_block_rejected(self):
+        state = make_state()
+        state.covariance[0, 1] = state.covariance[1, 0] = 0.1
+        with pytest.raises(ValueError, match="diagonal"):
+            update(state, make_detection(), TrackerConfig())
+
+    def test_position_velocity_coupling_accepted(self):
+        # The coupling lies outside the observed block.
+        state = make_state()
+        state.covariance[0, 7] = state.covariance[7, 0] = 0.5
+        out = update(state, make_detection(cx=1.0), TrackerConfig())
+        assert out.mean[7] != 0.0

@@ -15,15 +15,16 @@ import math
 import sys
 from pathlib import Path
 
-from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw,
-                     read_power_log_csv, summarize_power_log)
+from .energy import (ENERGY_PRESETS, estimate_draw, read_power_log_csv,
+                     summarize_power_log)
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
 from .metrics import SIMILARITY_FNS, NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, SweepReport,
-                       config_from_dict, load_sequences, output_dir,
-                       read_config_json, read_sweep_json, render_sweep_csv,
-                       run_once, run_sweep, write_cell_outputs, write_report)
-from .schedule import build_schedule, parse_pattern
+                       clear_threshold, config_from_dict, energy_params,
+                       load_sequences, output_dir, read_config_json,
+                       read_sweep_json, render_sweep_csv, run_once, run_sweep,
+                       write_cell_outputs, write_report)
+from .schedule import TARGET_PATTERNS, build_schedule, parse_pattern
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,14 +43,6 @@ def _positive(convert):
     return parse
 
 
-def _clear_threshold(text):
-    """Argument type: a CLEAR match threshold, which must lie in (0, 1]."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="droptrack",
@@ -62,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pattern", action="append", default=None,
                        metavar="N/M", help="drop pattern, repeatable")
         p.add_argument("--target", action="append", default=None,
-                       choices=["100", "90", "75", "50", "25", "10"],
+                       choices=[str(t) for t in TARGET_PATTERNS],
                        help="named processing target, repeatable")
         p.add_argument("--variant", default=None,
                        help="detector variant (gt or noisy:<profile>)")
@@ -82,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--frame-count", type=_positive(int), default=None)
     eval_p.add_argument("--similarity", default="3d-iou",
                         choices=sorted(SIMILARITY_FNS))
-    eval_p.add_argument("--clear-threshold", type=_clear_threshold, default=0.5)
+    eval_p.add_argument("--clear-threshold", type=float, default=0.5)
 
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
     energy_p.add_argument("--log", type=Path, default=None,
@@ -93,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     energy_p.add_argument("--idle-draw", type=float, default=None)
     energy_p.add_argument("--active-draw", type=float, default=None)
     energy_p.add_argument("--inference-time", type=float, default=None)
-    energy_p.add_argument("--cycle-time", type=float, default=0.1)
+    energy_p.add_argument("--cycle-time", type=float, default=None)
     energy_p.add_argument("--pattern", type=parse_pattern, default="1/1",
                           metavar="N/M")
     energy_p.add_argument("--length", type=_positive(int), default=1000,
@@ -157,14 +150,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    threshold = clear_threshold(args.clear_threshold, "--clear-threshold")
     sequence = parse_kitti_labels(args.labels, sequence_id=args.labels.stem,
                                   frame_count=args.frame_count)
     outputs = read_frame_outputs(args.outputs, args.sidecar,
                                  frame_count=sequence.frame_count)
     labels = list(sequence.labels)
     hota_res = hota(labels, outputs, args.similarity)
-    clear_res = clear_mot(labels, outputs, args.clear_threshold,
-                          args.similarity)
+    clear_res = clear_mot(labels, outputs, threshold, args.similarity)
     print(f"hota {hota_res.hota:.6f}")
     print(f"det_a {hota_res.det_a:.6f}")
     print(f"ass_a {hota_res.ass_a:.6f}")
@@ -175,8 +168,18 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# The energy flags that set the draw model, named as in a config entry.
+_MODEL_FLAGS = ("preset", "idle_draw", "active_draw", "inference_time",
+                "cycle_time")
+
+
 def _cmd_energy(args) -> int:
+    model = {name: getattr(args, name) for name in _MODEL_FLAGS
+             if getattr(args, name) is not None}
+    flags = ", ".join("--" + name.replace("_", "-") for name in model)
     if args.log is not None:
+        if model:
+            raise ConfigError(f"--log takes no model flags, got [{flags}]")
         try:
             log = read_power_log_csv(args.log, sample_rate=args.sample_rate)
         except (OSError, ValueError) as exc:
@@ -184,23 +187,7 @@ def _cmd_energy(args) -> int:
                 from None
         print(f"median_draw_watts {summarize_power_log(log):.6f}")
         return EXIT_OK
-    if args.preset is not None:
-        params = ENERGY_PRESETS[args.preset]
-    else:
-        missing = [name for name in ("idle_draw", "active_draw", "inference_time")
-                   if getattr(args, name) is None]
-        if missing:
-            raise ConfigError(
-                f"energy model needs --preset or explicit {missing}")
-        try:
-            params = EnergyParams(idle_draw=args.idle_draw,
-                                  active_draw=args.active_draw,
-                                  inference_time=args.inference_time,
-                                  cycle_time=args.cycle_time)
-        except ValueError as exc:
-            raise ConfigError(
-                f"--idle-draw/--active-draw/--inference-time/--cycle-time: "
-                f"{exc}") from None
+    params = energy_params(model, f"energy [{flags}]")
     schedule = build_schedule(args.pattern, args.length)
     print(f"estimated_draw_watts {estimate_draw(params, schedule):.6f}")
     return EXIT_OK

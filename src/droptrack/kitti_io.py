@@ -70,7 +70,7 @@ def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:
 def _parse_rows(lines: list[str], origin: str,
                 class_set: frozenset[str] | None = None,
                 frame_count: int | None = None):
-    """Parse 17/18-field rows into (line, frame, track_id, type, box, score).
+    """Parse 17/18-field rows into (frame, track_id, type, box, score).
 
     Blank lines are skipped and the score defaults to 1.0. With a
     class_set, rows of other types and DontCare rows come back with box
@@ -110,7 +110,7 @@ def _parse_rows(lines: list[str], origin: str,
                 box = _box_from_camera(h, w, length, x, y, z, rotation_y)
         except ValueError as exc:
             raise DatasetError(f"{origin}:{lineno}: {exc}") from None
-        yield lineno, frame, track_id, kind, box, score
+        yield frame, track_id, kind, box, score
 
 
 def parse_kitti_labels(source, sequence_id: str = "",
@@ -134,8 +134,8 @@ def parse_kitti_labels(source, sequence_id: str = "",
 
     labels: list[LabeledObject] = []
     max_frame = -1
-    for _, frame, track_id, kind, box, _ in _parse_rows(lines, origin,
-                                                        class_set, frame_count):
+    for frame, track_id, kind, box, _ in _parse_rows(lines, origin, class_set,
+                                                     frame_count):
         max_frame = max(max_frame, frame)
         if box is None:
             continue
@@ -157,12 +157,9 @@ def write_kitti_labels(labels: list[LabeledObject], path) -> None:
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""))
 
 
-def write_frame_outputs(outputs: list[FrameOutput], path,
-                        sidecar_path=None) -> None:
-    """Persist tracker outputs as KITTI rows plus a provenance sidecar."""
+def write_frame_outputs(outputs: list[FrameOutput], path) -> None:
+    """Persist tracker outputs as KITTI rows plus a <path>.meta.json sidecar."""
     path = Path(path)
-    if sidecar_path is None:
-        sidecar_path = path.with_suffix(path.suffix + ".meta.json")
     rows = []
     provenance: dict[str, dict[str, str]] = {}
     frame_count = 0
@@ -177,7 +174,8 @@ def write_frame_outputs(outputs: list[FrameOutput], path,
             provenance[str(out.frame_index)] = frame_prov
     path.write_text("\n".join(rows) + ("\n" if rows else ""))
     sidecar = {"frame_count": frame_count, "provenance": provenance}
-    Path(sidecar_path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    path.with_suffix(path.suffix + ".meta.json").write_text(
+        json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def read_frame_outputs(path, sidecar_path=None,
@@ -211,7 +209,7 @@ def read_frame_outputs(path, sidecar_path=None,
     except OSError as exc:
         raise DatasetError(f"cannot read outputs {path}: {exc}") from None
     entries_by_frame: dict[int, list[TrackEntry]] = {}
-    for _, frame, track_id, _, box, score in _parse_rows(
+    for frame, track_id, _, box, score in _parse_rows(
             text.splitlines(), str(path), frame_count=frame_count):
         prov = provenance.get(str(frame), {}).get(str(track_id),
                                                   PROVENANCE_UPDATED)

@@ -108,8 +108,14 @@ def _from_object(cls, body, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_energy_entry(entry, where: str) -> EnergyParams:
+def energy_params(entry, where: str) -> EnergyParams:
+    """The draw model an entry gives: {"preset": name} alone, or the
+    EnergyParams fields; a bad entry is a ConfigError naming `where`."""
     if isinstance(entry, dict) and "preset" in entry:
+        others = sorted(set(entry) - {"preset"})
+        if others:
+            raise ConfigError(f"{where}: a preset takes no other fields, "
+                              f"got {others}")
         name = _typed(entry["preset"], str, f"{where}.preset")
         if name not in ENERGY_PRESETS:
             raise ConfigError(f"{where}: unknown energy preset {name!r}; "
@@ -118,6 +124,16 @@ def _parse_energy_entry(entry, where: str) -> EnergyParams:
     return _from_object(EnergyParams, entry, where)
 
 
+def clear_threshold(value, where: str) -> float:
+    """A CLEAR match threshold, a number in (0, 1]; else a ConfigError."""
+    value = float(_typed(value, float, where))
+    # At 0 or below, CLEAR's gate would match pairs that do not overlap.
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{where} must lie in (0, 1], got {value!r}")
+    return value
+
+
+_DATASET_FIELDS = {"kind", "path", "manifest"}
 _TRACKER_FIELDS = {f.name for f in fields(TrackerConfig)}
 
 
@@ -129,6 +145,9 @@ def config_from_dict(data: dict) -> RunConfig:
     dataset = data.get("dataset", {"kind": "reference"})
     if not isinstance(dataset, dict) or "kind" not in dataset:
         raise ConfigError("dataset must be an object with a 'kind' field")
+    unknown = set(dataset) - _DATASET_FIELDS
+    if unknown:
+        raise ConfigError(f"dataset: unknown fields {sorted(unknown)}")
     if dataset["kind"] not in ("reference", "kitti"):
         raise ConfigError(f"unknown dataset kind {dataset['kind']!r}")
     if dataset["kind"] == "kitti" and "path" not in dataset:
@@ -178,19 +197,12 @@ def config_from_dict(data: dict) -> RunConfig:
         overrides[pattern] = _from_object(TrackerConfig,
                                           {**asdict(tracker), **body}, where)
 
-    clear_threshold = float(_typed(data.get("clear_threshold", 0.5), float,
-                                   "clear_threshold"))
-    # At 0 or below, CLEAR's gate would match pairs that do not overlap.
-    if not 0.0 < clear_threshold <= 1.0:
-        raise ConfigError(f"clear_threshold must lie in (0, 1], "
-                          f"got {clear_threshold!r}")
-
     similarity = data.get("similarity", "3d-iou")
     known = sorted(SIMILARITY_FNS)
     if similarity not in known:
         raise ConfigError(f"similarity {similarity!r}: expected one of {known}")
 
-    energy = {key: _parse_energy_entry(body, f"energy[{key!r}]")
+    energy = {key: energy_params(body, f"energy[{key!r}]")
               for key, body in _typed(data.get("energy", {}), dict,
                                       "energy").items()}
 
@@ -205,7 +217,8 @@ def config_from_dict(data: dict) -> RunConfig:
         class_set=frozenset(_string_array(data, "class_set",
                                           sorted(DEFAULT_CLASS_SET))),
         similarity=similarity,
-        clear_threshold=clear_threshold,
+        clear_threshold=clear_threshold(data.get("clear_threshold", 0.5),
+                                        "clear_threshold"),
         rng_seed=_typed(data.get("rng_seed", 0), int, "rng_seed"),
     )
 

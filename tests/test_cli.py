@@ -114,6 +114,14 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
                 "--inference-time", "0.05"]
 
 
+def dataset_typo_argv(tmp_path):
+    """sweep over one label file, with the manifest field misspelt."""
+    (tmp_path / "0000.txt").write_text(kitti_label_row(0, 1) + "\n")
+    (tmp_path / "m.json").write_text(json.dumps({"0000": 2}))
+    return sweep_argv(tmp_path, dataset={"kind": "kitti", "path": str(tmp_path),
+                                         "manfest": str(tmp_path / "m.json")})
+
+
 @pytest.mark.parametrize("build, code, needle", [
     (lambda p: sweep_argv(p, similarity="nope"), EXIT_CONFIG, "similarity"),
     (lambda p: sweep_argv(p, tracker_overrides={"bogus": {}}), EXIT_CONFIG,
@@ -194,6 +202,23 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
      "sweep.json: rows[1].hota"),
     (lambda p: bad_sweep_row_argv(p, processed_frames=1.5), EXIT_CONFIG,
      "sweep.json: rows[1].processed_frames"),
+    # Energy flags go through the config's energy reader: a non-finite
+    # value, or a preset beside another model flag, is refused.
+    (lambda p: ["energy", "--idle-draw", "145", "--active-draw", "395",
+                "--inference-time", "inf", "--pattern", "1/2"], EXIT_CONFIG,
+     "inference_time"),
+    (lambda p: ["energy", "--idle-draw", "145", "--active-draw", "inf",
+                "--inference-time", "0.05"], EXIT_CONFIG, "active_draw"),
+    (lambda p: ENERGY_MODEL + ["--cycle-time", "inf"], EXIT_CONFIG,
+     "cycle_time"),
+    (lambda p: ["energy", "--preset", "second", "--idle-draw", "100",
+                "--cycle-time", "0.2"], EXIT_CONFIG, "idle_draw"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
+     + ["--preset", "second", "--idle-draw", "1"], EXIT_CONFIG, "--preset"),
+    (lambda p: sweep_argv(p, energy={"default": {"preset": "second",
+                                                 "cycle_time": 0.5}}),
+     EXIT_CONFIG, "cycle_time"),
+    (dataset_typo_argv, EXIT_CONFIG, "manfest"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -210,7 +235,10 @@ ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
         "eval-clear-threshold-above-one", "clear-threshold-zero",
         "clear-threshold-above-one", "sweep-out-is-file", "run-out-is-file",
         "report-out-is-file", "sweep-row-hota-string", "sweep-row-hota-null",
-        "sweep-row-frames-fraction"])
+        "sweep-row-frames-fraction", "energy-inference-time-inf",
+        "energy-active-draw-inf", "energy-cycle-time-inf",
+        "energy-preset-with-draw", "energy-log-with-preset",
+        "energy-entry-preset-with-field", "dataset-unknown-field"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

@@ -40,6 +40,8 @@ print(f"  TP {clear.tp}, FP {clear.fp}, FN {clear.fn}, "
       f"id switches {clear.id_switches}")
 # 8 matches, 2 switches: MOTA = 1 - (0 + 0 + 2)/8 = 75%.
 print(f"  MOTA {clear.mota:.2f}%  MOTP {clear.motp:.2f}%")
+assert (clear.tp, clear.fp, clear.fn, clear.id_switches) == (8, 0, 0, 2)
+assert abs(clear.mota - 75.0) < 1e-9
 
 result = hota(labels, outputs)
 print("\nHOTA:")
@@ -53,3 +55,10 @@ print(f"  (100 * sqrt(1/3) = {100 * (1 / 3) ** 0.5:.4f})")
 print("\nfirst three alpha rows (alpha, hota, det_a, ass_a):")
 for row in result.per_alpha[:3]:
     print("  " + ", ".join(f"{v:.4f}" for v in row))
+
+# The printed numbers are the hand-derived ones, at every alpha.
+for alpha, hota_a, det_a, ass_a in result.per_alpha:
+    assert det_a == 100.0, alpha
+    assert abs(hota_a - 100 * (1 / 3) ** 0.5) < 1e-9, alpha
+assert result.det_a == 100.0
+assert abs(result.hota - 100 * (1 / 3) ** 0.5) < 1e-9

@@ -80,17 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
     energy_p.add_argument("--log", type=Path, default=None,
                           help="CSV power log (timestamp_s,watts)")
-    energy_p.add_argument("--sample-rate", type=_positive(float), default=100.0)
+    energy_p.add_argument("--sample-rate", type=_positive(float), default=None,
+                          help="log samples per second, with --log "
+                               "(default 100)")
     energy_p.add_argument("--preset", choices=sorted(ENERGY_PRESETS),
                           default=None)
     energy_p.add_argument("--idle-draw", type=float, default=None)
     energy_p.add_argument("--active-draw", type=float, default=None)
     energy_p.add_argument("--inference-time", type=float, default=None)
     energy_p.add_argument("--cycle-time", type=float, default=None)
-    energy_p.add_argument("--pattern", type=parse_pattern, default="1/1",
-                          metavar="N/M")
-    energy_p.add_argument("--length", type=_positive(int), default=1000,
-                          help="schedule length in frames")
+    energy_p.add_argument("--pattern", type=parse_pattern, default=None,
+                          metavar="N/M", help="drop pattern (default 1/1)")
+    energy_p.add_argument("--length", type=_positive(int), default=None,
+                          help="schedule length in frames (default 1000)")
 
     report_p = sub.add_parser("report", help="rewrite the report files "
                                              "from sweep.json")
@@ -173,22 +175,34 @@ _MODEL_FLAGS = ("preset", "idle_draw", "active_draw", "inference_time",
                 "cycle_time")
 
 
+def _given(args, names) -> str:
+    """The flags among `names` that were given, as typed, comma-separated."""
+    return ", ".join("--" + name.replace("_", "-") for name in names
+                     if getattr(args, name) is not None)
+
+
 def _cmd_energy(args) -> int:
     model = {name: getattr(args, name) for name in _MODEL_FLAGS
              if getattr(args, name) is not None}
-    flags = ", ".join("--" + name.replace("_", "-") for name in model)
     if args.log is not None:
-        if model:
-            raise ConfigError(f"--log takes no model flags, got [{flags}]")
+        flags = _given(args, _MODEL_FLAGS + ("pattern", "length"))
+        if flags:
+            raise ConfigError(f"--log takes no model or schedule flags, "
+                              f"got [{flags}]")
+        sample_rate = 100.0 if args.sample_rate is None else args.sample_rate
         try:
-            log = read_power_log_csv(args.log, sample_rate=args.sample_rate)
+            log = read_power_log_csv(args.log, sample_rate=sample_rate)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read power log {args.log}: {exc}") \
                 from None
         print(f"median_draw_watts {summarize_power_log(log):.6f}")
         return EXIT_OK
-    params = energy_params(model, f"energy [{flags}]")
-    schedule = build_schedule(args.pattern, args.length)
+    if args.sample_rate is not None:
+        raise ConfigError("--sample-rate applies only to --log")
+    params = energy_params(model, f"energy [{_given(args, _MODEL_FLAGS)}]")
+    pattern = parse_pattern("1/1") if args.pattern is None else args.pattern
+    schedule = build_schedule(pattern, 1000 if args.length is None
+                              else args.length)
     print(f"estimated_draw_watts {estimate_draw(params, schedule):.6f}")
     return EXIT_OK
 

@@ -14,6 +14,14 @@ Definitional constants shared with the test oracles:
     summed pair score (association-weighted similarity for HOTA, raw
     similarity for CLEAR). Accumulation is canonical: frames ascending,
     ids ascending, so float sums are order-stable.
+
+HOTA settles conflict-free frames without the solver. A frame is
+conflict-free when, at the lowest alpha (`sim >= ALPHA_GRID[0] -
+MATCH_EPS`), every row and every column has at most one eligible pair.
+The eligible mask only shrinks as alpha grows, so on such a frame the
+count-first optimum at every alpha is exactly its eligible pairs, and a
+pair is matched at the first `level` alphas, `level` being the number of
+gates it passes. Only the other frames are solved, once per alpha.
 """
 
 from __future__ import annotations
@@ -115,48 +123,75 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
     if not gt_count:
         raise NoGroundTruthError("no ground truth; HOTA undefined")
 
+    thresholds = np.array(ALPHA_GRID) - MATCH_EPS
     potential: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     tiny = float(np.finfo(float).eps)
+    free_keys = []  # eligible pairs of conflict-free frames, and their sims
+    free_sims: list[float] = []
+    conflicted = []
     for gts, prs, sim in frames:
-        row = sim.sum(axis=1)
-        col = sim.sum(axis=0)
-        for i, g in enumerate(gts):
-            for j, p in enumerate(prs):
-                denom = row[i] + col[j] - sim[i, j]
-                if denom > tiny:
-                    potential[(g, p)] = potential.get((g, p), 0.0) \
-                        + sim[i, j] / denom
+        # A zero ratio adds nothing, so only the others are summed, in the
+        # same row-major order.
+        denom = sim.sum(axis=1)[:, None] + sim.sum(axis=0) - sim
+        ratio = np.divide(sim, denom, out=np.zeros(sim.shape),
+                          where=denom > tiny)
+        rows, cols = np.nonzero(ratio)
+        for i, j, r in zip(rows.tolist(), cols.tolist(),
+                           ratio[rows, cols].tolist()):
+            potential[(gts[i], prs[j])] = \
+                potential.get((gts[i], prs[j]), 0.0) + r
+
+        rows, cols = np.nonzero(sim >= thresholds[0])
+        rows, cols = rows.tolist(), cols.tolist()
+        if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+            conflicted.append((gts, prs, sim))
+        else:
+            free_keys += [(gts[i], prs[j]) for i, j in zip(rows, cols)]
+            free_sims += sim[rows, cols].tolist()
 
     # Jaccard alignment between each (gt id, pred id) pair over the whole
-    # sequence, the association weight inside matching. It does not depend
-    # on alpha, so each frame's weighted score matrix is built once.
+    # sequence, the association weight inside matching. Only conflicted
+    # frames need it: elsewhere the matching does not depend on scores.
     align = {(g, p): pot / (gt_count[g] + pred_count[p] - pot)
              for (g, p), pot in potential.items()}
-    weighted = []
-    for gts, prs, sim in frames:
+    solved = []  # (pair, alpha index) of each match on a conflicted frame
+    for gts, prs, sim in conflicted:
         score = np.zeros(sim.shape)
         for i, g in enumerate(gts):
             for j, p in enumerate(prs):
                 score[i, j] = align.get((g, p), 0.0) * sim[i, j]
-        weighted.append(score)
+        for a, threshold in enumerate(thresholds):
+            solved += [((gts[i], prs[j]), a)
+                       for i, j in solve_assignment(score, sim >= threshold)]
 
+    # A conflict-free pair's level is the number of alphas whose gate it
+    # passes (the same `>=` test), so it is matched at the first `level`.
+    # per_level[n, L] counts the frames on which pair n has level L.
+    keys = sorted(set(free_keys).union(pair for pair, _ in solved))
+    index = {pair: n for n, pair in enumerate(keys)}
+    n_alpha = len(ALPHA_GRID)
+    levels = np.searchsorted(thresholds, free_sims, side="right")
+    flat = np.array([index[pair] for pair in free_keys], dtype=np.intp)
+    per_level = np.bincount(flat * (n_alpha + 1) + levels,
+                            minlength=len(keys) * (n_alpha + 1)) \
+        .reshape(len(keys), n_alpha + 1)
+    # matches[n, a]: frames on which pair n is matched at alpha a, i.e.
+    # has a level above a, plus its matches on conflicted frames.
+    matches = per_level[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+    for pair, a in solved:
+        matches[index[pair], a] += 1
+
+    pair_total = [gt_count[g] + pred_count[p] for g, p in keys]
+    gt_total = sum(gt_count.values())
+    pred_total = sum(pred_count.values())
     per_alpha = []
-    for alpha in ALPHA_GRID:
-        tp = fn = fp = 0
-        matches: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-        for (gts, prs, sim), score in zip(frames, weighted):
-            pairs = solve_assignment(score, sim >= alpha - MATCH_EPS)
-            tp += len(pairs)
-            fn += len(gts) - len(pairs)
-            fp += len(prs) - len(pairs)
-            for i, j in pairs:
-                matches[(gts[i], prs[j])] = matches.get((gts[i], prs[j]), 0) + 1
-
-        det_a = tp / max(1, tp + fn + fp)
+    for alpha, counts in zip(ALPHA_GRID, matches.T.tolist()):
+        tp = sum(counts)
+        det_a = tp / max(1, gt_total + pred_total - tp)
         ass_num = 0.0
-        for (g, p) in sorted(matches):
-            mc = matches[(g, p)]
-            ass_num += mc * (mc / (gt_count[g] + pred_count[p] - mc))
+        for mc, total in zip(counts, pair_total):
+            if mc:
+                ass_num += mc * (mc / (total - mc))
         ass_a = ass_num / max(1, tp)
         det_pct = 100.0 * det_a
         ass_pct = 100.0 * ass_a

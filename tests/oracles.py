@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from droptrack.energy import EnergyParams
 from droptrack.geometry import OrientedBox, iou_3d, wrap_angle
-from droptrack.metrics import ALPHA_GRID, MATCH_EPS
+from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
+                               NoGroundTruthError)
 from droptrack.schedule import Schedule
+from droptrack.tracker import solve_assignment
 
 _DENOM_EPS = float(np.finfo(float).eps)
 
@@ -272,6 +274,76 @@ def oracle_clear(labels, outputs, match_threshold=0.5, similarity=iou_3d):
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total)
     motp = 100.0 * (iou_sum / tp) if tp > 0 else 0.0
     return mota, motp, tp, fp, fn, idsw, gt_total
+
+
+# --- HOTA: one assignment per frame and alpha ------------------------------
+
+# The library's `hota_pooled` as it stood before it settled conflict-free
+# frames without the solver, kept verbatim: it solves every frame at every
+# alpha, so any shortcut in the library must reproduce its results bit for
+# bit.
+def per_alpha_hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
+    """HOTA over all sequences; ids are keyed by (sequence index, id)."""
+    frames = [([(k, gi) for gi in t.gt_ids], [(k, pj) for pj in t.pred_ids],
+               t.sim) for k, tables in enumerate(tables_per_seq) for t in tables]
+    gt_count = Counter(g for gts, _, _ in frames for g in gts)
+    pred_count = Counter(p for _, prs, _ in frames for p in prs)
+    if not gt_count:
+        raise NoGroundTruthError("no ground truth; HOTA undefined")
+
+    potential: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
+    tiny = float(np.finfo(float).eps)
+    for gts, prs, sim in frames:
+        row = sim.sum(axis=1)
+        col = sim.sum(axis=0)
+        for i, g in enumerate(gts):
+            for j, p in enumerate(prs):
+                denom = row[i] + col[j] - sim[i, j]
+                if denom > tiny:
+                    potential[(g, p)] = potential.get((g, p), 0.0) \
+                        + sim[i, j] / denom
+
+    # Jaccard alignment between each (gt id, pred id) pair over the whole
+    # sequence, the association weight inside matching. It does not depend
+    # on alpha, so each frame's weighted score matrix is built once.
+    align = {(g, p): pot / (gt_count[g] + pred_count[p] - pot)
+             for (g, p), pot in potential.items()}
+    weighted = []
+    for gts, prs, sim in frames:
+        score = np.zeros(sim.shape)
+        for i, g in enumerate(gts):
+            for j, p in enumerate(prs):
+                score[i, j] = align.get((g, p), 0.0) * sim[i, j]
+        weighted.append(score)
+
+    per_alpha = []
+    for alpha in ALPHA_GRID:
+        tp = fn = fp = 0
+        matches: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+        for (gts, prs, sim), score in zip(frames, weighted):
+            pairs = solve_assignment(score, sim >= alpha - MATCH_EPS)
+            tp += len(pairs)
+            fn += len(gts) - len(pairs)
+            fp += len(prs) - len(pairs)
+            for i, j in pairs:
+                matches[(gts[i], prs[j])] = matches.get((gts[i], prs[j]), 0) + 1
+
+        det_a = tp / max(1, tp + fn + fp)
+        ass_num = 0.0
+        for (g, p) in sorted(matches):
+            mc = matches[(g, p)]
+            ass_num += mc * (mc / (gt_count[g] + pred_count[p] - mc))
+        ass_a = ass_num / max(1, tp)
+        det_pct = 100.0 * det_a
+        ass_pct = 100.0 * ass_a
+        per_alpha.append((float(alpha), math.sqrt(det_pct * ass_pct),
+                          det_pct, ass_pct))
+
+    hota_val = float(np.mean([row[1] for row in per_alpha]))
+    det_val = float(np.mean([row[2] for row in per_alpha]))
+    ass_val = float(np.mean([row[3] for row in per_alpha]))
+    return HotaResult(hota=hota_val, det_a=det_val, ass_a=ass_val,
+                      per_alpha=tuple(per_alpha))
 
 
 # --- energy: 1 ms time-stepped simulation ----------------------------------

@@ -219,6 +219,13 @@ def dataset_typo_argv(tmp_path):
                                                  "cycle_time": 0.5}}),
      EXIT_CONFIG, "cycle_time"),
     (dataset_typo_argv, EXIT_CONFIG, "manfest"),
+    # energy refuses the flags of the mode it is not in.
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
+     + ["--pattern", "1/2", "--length", "7"], EXIT_CONFIG, "--pattern"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
+     + ["--length", "7"], EXIT_CONFIG, "--length"),
+    (lambda p: ["energy", "--preset", "second", "--sample-rate", "5"],
+     EXIT_CONFIG, "--sample-rate"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -238,7 +245,9 @@ def dataset_typo_argv(tmp_path):
         "sweep-row-frames-fraction", "energy-inference-time-inf",
         "energy-active-draw-inf", "energy-cycle-time-inf",
         "energy-preset-with-draw", "energy-log-with-preset",
-        "energy-entry-preset-with-field", "dataset-unknown-field"])
+        "energy-entry-preset-with-field", "dataset-unknown-field",
+        "energy-log-with-pattern", "energy-log-with-length",
+        "energy-model-with-sample-rate"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

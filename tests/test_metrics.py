@@ -3,11 +3,17 @@ and spot agreement with the exhaustive oracles."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from droptrack import metrics
 from droptrack.geometry import LabeledObject, OrientedBox
 from droptrack.metrics import (
     ALPHA_GRID,
+    MATCH_EPS,
+    FrameTable,
     NoGroundTruthError,
     build_frame_tables,
     clear_mot,
@@ -17,7 +23,8 @@ from droptrack.metrics import (
 )
 from droptrack.tracker import FrameOutput, TrackEntry
 
-from oracles import oracle_clear, oracle_hota, random_tracking_instance
+from oracles import (oracle_clear, oracle_hota, per_alpha_hota_pooled,
+                     random_tracking_instance)
 
 
 def square_box(cx=0.0, cy=0.0):
@@ -327,3 +334,100 @@ class TestOracleSpotChecks:
         assert (cres.mota, cres.motp) == (om, op)
         assert (cres.tp, cres.fp, cres.fn, cres.id_switches, cres.gt_total) \
             == (otp, ofp, ofn, oid, ogt)
+
+
+def has_conflict(table):
+    """Whether a row or column has two pairs at the lowest alpha."""
+    eligible = table.sim >= ALPHA_GRID[0] - MATCH_EPS
+    return bool(eligible.size) and (eligible.sum(axis=0).max() > 1
+                                    or eligible.sum(axis=1).max() > 1)
+
+
+def swap_instance():
+    """demos/04's instance: two lanes, output ids swap after frame 1."""
+    spec = {f: [(1, float(f), 0.0), (2, float(f), 10.0)] for f in range(4)}
+    out_spec = {f: [(11, float(f), 0.0), (12, float(f), 10.0)] if f < 2
+                else [(12, float(f), 0.0), (11, float(f), 10.0)]
+                for f in range(4)}
+    return make_labels(spec), make_outputs(out_spec, 4)
+
+
+class TestConflictFreeFrames:
+    """A frame whose pairs at the lowest alpha share no row or column is
+    settled without the solver; any other frame is solved once per alpha."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+        real = metrics.solve_assignment
+
+        def counting(scores, eligible):
+            calls.append(eligible.shape)
+            return real(scores, eligible)
+        monkeypatch.setattr(metrics, "solve_assignment", counting)
+        return calls
+
+    @pytest.mark.parametrize("instance", [
+        swap_instance, *[lambda seed=seed: random_tracking_instance(seed)
+                         for seed in (0, 1, 2, 3, 7)]],
+        ids=["demo04", "seed0", "seed1", "seed2", "seed3", "seed7"])
+    def test_conflict_free_tables_need_no_solver(self, solver_calls,
+                                                 instance):
+        tables = build_frame_tables(*instance())
+        assert not any(has_conflict(t) for t in tables)
+        res = hota_pooled([tables])
+        assert solver_calls == []
+        assert res == per_alpha_hota_pooled([tables])
+
+    def test_one_conflicted_frame_is_solved_at_each_alpha(self,
+                                                          solver_calls):
+        # Frame 2 has two ground-truth boxes overlapping one prediction.
+        labels = make_labels({f: [(1, 0.0, 0.0)] for f in range(4)}
+                             | {2: [(1, 0.0, 0.0), (2, 0.5, 0.0)]})
+        outputs = make_outputs({f: [(5, 0.1, 0.0)] for f in range(4)}, 4)
+        tables = build_frame_tables(labels, outputs)
+        assert [has_conflict(t) for t in tables] == [False, False, True, False]
+        res = hota_pooled([tables])
+        assert solver_calls == [(2, 1)] * len(ALPHA_GRID)
+        assert res == per_alpha_hota_pooled([tables])
+
+
+# Similarities at each alpha and just below it: the gate admits alpha,
+# alpha - 1e-13 and alpha - MATCH_EPS itself, but not alpha - 1e-11. Also
+# repeated values (tied scores), zero, and anything in [0, 1].
+SIM_VALUES = st.one_of(
+    st.just(0.0),
+    st.sampled_from(ALPHA_GRID).flatmap(lambda a: st.sampled_from(
+        [float(a), a - 1e-13, a - MATCH_EPS, a - 1e-11])),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def frame_table(draw):
+    gt_ids = tuple(sorted(draw(st.sets(st.integers(0, 5), max_size=4))))
+    pred_ids = tuple(sorted(draw(st.sets(st.integers(0, 6), max_size=5))))
+    sim = np.array(draw(st.lists(SIM_VALUES,
+                                 min_size=len(gt_ids) * len(pred_ids),
+                                 max_size=len(gt_ids) * len(pred_ids))),
+                   dtype=float).reshape(len(gt_ids), len(pred_ids))
+    # Blank some rows and columns: ids with no overlap at all. (Slices, so
+    # that an index drawn for an empty axis selects nothing.)
+    for i in draw(st.sets(st.integers(0, max(0, len(gt_ids) - 1)))):
+        sim[i:i + 1, :] = 0.0
+    for j in draw(st.sets(st.integers(0, max(0, len(pred_ids) - 1)))):
+        sim[:, j:j + 1] = 0.0
+    return FrameTable(gt_ids=gt_ids, pred_ids=pred_ids, sim=sim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(frame_table(), min_size=1, max_size=5),
+                min_size=1, max_size=3))
+def test_hota_matches_per_alpha_solver(tables_per_seq):
+    if not any(t.gt_ids for tables in tables_per_seq for t in tables):
+        for fn in (hota_pooled, per_alpha_hota_pooled):
+            with pytest.raises(NoGroundTruthError):
+                fn(tables_per_seq)
+        return
+    # Dataclass equality: hota, det_a, ass_a and every per_alpha row.
+    assert hota_pooled(tables_per_seq) == per_alpha_hota_pooled(tables_per_seq)

@@ -7,6 +7,12 @@ the other (Sutherland-Hodgman) on plain floats: a polygon is a list of
 (x, y) pairs from footprint through clipping to area, and no geometry or
 array library is involved. The 3D overlap is footprint area times
 vertical overlap.
+
+`overlap_bounds` is the one definition of a box's bounds: the bounding
+circle of its footprint and, for the 3D IoU, its vertical interval. The
+exact functions return 0 for a pair whose circles are apart or whose
+intervals do not overlap, so a caller may skip such a pair and score it
+0 without a call.
 """
 
 from __future__ import annotations
@@ -73,6 +79,11 @@ class OrientedBox:
     def z_interval(self) -> tuple[float, float]:
         half = self.height / 2.0
         return self.cz - half, self.cz + half
+
+    @property
+    def footprint_radius(self) -> float:
+        """Radius of the footprint's bounding circle about (cx, cy)."""
+        return math.hypot(self.length, self.width) / 2.0
 
     @property
     def footprint_area(self) -> float:
@@ -158,13 +169,25 @@ def _clip_polygon(subject: list, clipper: list) -> list:
 def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Exact overlap area of the two yaw-rotated footprint rectangles."""
     # Cheap separation test on bounding circles before clipping.
-    ra = math.hypot(a.length, a.width) / 2.0
-    rb = math.hypot(b.length, b.width) / 2.0
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) > ra + rb:
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) > \
+            a.footprint_radius + b.footprint_radius:
         return 0.0
     clipped = _clip_polygon(a.footprint(), b.footprint())
     area = _polygon_area(clipped)
     return area if area > _AREA_EPS else 0.0
+
+
+def overlap_bounds(box: OrientedBox, similarity: str
+                   ) -> tuple[float, float, float, float, float]:
+    """`(cx, cy, r, zlo, zhi)`: bounds outside which a similarity is 0.
+
+    Both similarities return 0 when `hypot(ax - bx, ay - by) > ra + rb`,
+    `r` being the footprint's bounding-circle radius; `3d-iou` also when
+    `min(ahi, bhi) - max(alo, blo) <= 0`. Any other similarity gets an
+    unbounded z interval, so that test passes for it.
+    """
+    zlo, zhi = box.z_interval if similarity == "3d-iou" else (-math.inf, math.inf)
+    return box.cx, box.cy, box.footprint_radius, zlo, zhi
 
 
 def bev_iou(a: OrientedBox, b: OrientedBox) -> float:

@@ -55,7 +55,7 @@ class SequenceData:
 def _box_from_camera(h: float, w: float, length: float, x: float, y: float,
                      z: float, rotation_y: float) -> OrientedBox:
     return OrientedBox(cx=z, cy=-x, cz=h / 2.0 - y, length=length, width=w,
-                       height=h, yaw=wrap_angle(-rotation_y - math.pi / 2.0))
+                       height=h, yaw=-rotation_y - math.pi / 2.0)
 
 
 def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:

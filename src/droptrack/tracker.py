@@ -18,13 +18,14 @@ a state that breaks this invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
-                       wrap_angle)
+                       overlap_bounds, wrap_angle)
 
 N_STATE = 10
 N_OBSERVED = 7
@@ -88,7 +89,7 @@ class TrackState:
             length=max(MIN_EXTENT, float(m[4])),
             width=max(MIN_EXTENT, float(m[5])),
             height=max(MIN_EXTENT, float(m[6])),
-            yaw=wrap_angle(float(m[3])),
+            yaw=float(m[3]),
         )
 
 
@@ -185,15 +186,27 @@ def solve_assignment(scores: np.ndarray,
 
 def associate(tracks: list[TrackState], detections: list[Detection],
               config: TrackerConfig):
-    """Split (tracks × detections) into matches and leftovers."""
+    """Split (tracks × detections) into matches and leftovers.
+
+    A bounds prefilter rejects only pairs whose exact similarity is 0;
+    every other pair is scored by `SIMILARITY_FNS`. It applies the exact
+    functions' own tests, in the same expressions, to `overlap_bounds`
+    taken once per box, so its decisions equal theirs.
+    """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    similarity = SIMILARITY_FNS[config.association_metric]
+    metric = config.association_metric
+    similarity = SIMILARITY_FNS[metric]
+    det_bounds = [overlap_bounds(det.box, metric) for det in detections]
     scores = np.zeros((len(tracks), len(detections)))
     for i, trk in enumerate(tracks):
         tb = trk.box()
-        for j, det in enumerate(detections):
-            scores[i, j] = similarity(tb, det.box)
+        ax, ay, ar, alo, ahi = overlap_bounds(tb, metric)
+        for j, (bx, by, br, blo, bhi) in enumerate(det_bounds):
+            if math.hypot(ax - bx, ay - by) > ar + br \
+                    or min(ahi, bhi) - max(alo, blo) <= 0.0:
+                continue
+            scores[i, j] = similarity(tb, detections[j].box)
     pairs = solve_assignment(scores,
                              scores >= config.gate_iou_min - MATCH_EPS)
     matched_t = {i for i, _ in pairs}

@@ -4,7 +4,8 @@ Each oracle recomputes a quantity the library computes, by a different
 route: Monte-Carlo sampling instead of polygon clipping, permutation
 enumeration instead of the Hungarian solver, per-tick simulation instead
 of the closed-form draw formula, a general linear solve instead of the
-tracker's per-axis Kalman gain. The tracking-metric oracles share only
+tracker's per-axis Kalman gain, a per-pair loop instead of the bounds
+prefilter. The tracking-metric oracles share only
 the metric DEFINITION with the library (alpha grid, epsilon slack,
 count-first matching objective, canonical accumulation order); all
 optimization is done by brute force here.
@@ -19,11 +20,12 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from droptrack.energy import EnergyParams
-from droptrack.geometry import OrientedBox, iou_3d, wrap_angle
+from droptrack.geometry import (MIN_EXTENT, SIMILARITY_FNS, LabeledObject,
+                                OrientedBox, iou_3d, wrap_angle)
 from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
                                NoGroundTruthError)
 from droptrack.schedule import Schedule
-from droptrack.tracker import solve_assignment
+from droptrack.tracker import FrameOutput, TrackEntry, solve_assignment
 
 _DENOM_EPS = float(np.finfo(float).eps)
 
@@ -411,9 +413,6 @@ def random_tracking_instance(seed: int, max_objects: int = 3,
     """A small random (labels, outputs) pair with jittered predictions,
     dropped detections, clutter, and occasional id swaps. Box parameters
     are continuous so metric matchings have no score ties."""
-    from droptrack.geometry import LabeledObject
-    from droptrack.tracker import FrameOutput, TrackEntry
-
     rng = np.random.default_rng(seed)
     n_frames = int(rng.integers(2, max_frames + 1))
     n_objects = int(rng.integers(1, max_objects + 1))
@@ -488,3 +487,70 @@ def random_tracking_instance(seed: int, max_objects: int = 3,
             next_fp_id += 1
         outputs.append(FrameOutput(frame_index=f, entries=tuple(entries)))
     return labels, outputs
+
+
+# --- pair scoring without a prefilter --------------------------------------
+
+def reference_frame_tables(labels: list[LabeledObject],
+                           outputs: list[FrameOutput],
+                           similarity="3d-iou") -> list[FrameTable]:
+    """Canonical per-frame tables, frames ascending, ids sorted."""
+    sim_fn = SIMILARITY_FNS[similarity]
+    by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
+    for lab in labels:
+        frame = by_frame_gt.setdefault(lab.frame_index, {})
+        if lab.track_id in frame:
+            raise ValueError(f"duplicate ground-truth id {lab.track_id} "
+                             f"in frame {lab.frame_index}")
+        frame[lab.track_id] = lab.box
+
+    by_frame_pr: dict[int, dict[int, OrientedBox]] = {}
+    for out in outputs:
+        if out.frame_index in by_frame_pr:
+            raise ValueError(f"duplicate output for frame {out.frame_index}")
+        frame = by_frame_pr[out.frame_index] = {}
+        for entry in out.entries:
+            if entry.track_id in frame:
+                raise ValueError(f"duplicate track id {entry.track_id} "
+                                 f"in frame {out.frame_index}")
+            frame[entry.track_id] = entry.box
+
+    missing = set(by_frame_gt) - set(by_frame_pr)
+    if missing:
+        raise ValueError(f"outputs missing for labeled frames {sorted(missing)}")
+
+    tables = []
+    for frame_index in sorted(by_frame_pr):
+        gt = by_frame_gt.get(frame_index, {})
+        pr = by_frame_pr[frame_index]
+        gt_ids = tuple(sorted(gt))
+        pred_ids = tuple(sorted(pr))
+        sim = np.zeros((len(gt_ids), len(pred_ids)))
+        for i, gi in enumerate(gt_ids):
+            for j, pj in enumerate(pred_ids):
+                sim[i, j] = sim_fn(gt[gi], pr[pj])
+        tables.append(FrameTable(gt_ids=gt_ids, pred_ids=pred_ids, sim=sim))
+    return tables
+
+
+def reference_associate(tracks, detections, config):
+    """(scores, pairs, unmatched tracks, unmatched detections) from a
+    per-pair loop over every (track, detection) pair, each track box
+    built with an explicit yaw wrap."""
+    similarity = SIMILARITY_FNS[config.association_metric]
+    scores = np.zeros((len(tracks), len(detections)))
+    for i, trk in enumerate(tracks):
+        m = trk.mean
+        tb = OrientedBox(cx=float(m[0]), cy=float(m[1]), cz=float(m[2]),
+                         length=max(MIN_EXTENT, float(m[4])),
+                         width=max(MIN_EXTENT, float(m[5])),
+                         height=max(MIN_EXTENT, float(m[6])),
+                         yaw=wrap_angle(float(m[3])))
+        for j, det in enumerate(detections):
+            scores[i, j] = similarity(tb, det.box)
+    pairs = solve_assignment(scores, scores >= config.gate_iou_min - MATCH_EPS)
+    matched_t = {i for i, _ in pairs}
+    matched_d = {j for _, j in pairs}
+    return (scores, pairs,
+            [i for i in range(len(tracks)) if i not in matched_t],
+            [j for j in range(len(detections)) if j not in matched_d])

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droptrack.geometry import (
@@ -16,24 +16,13 @@ from droptrack.geometry import (
     wrap_angle,
 )
 
+from strategies import any_yaw, finite_coord, random_boxes
+
 
 def make_box(cx=0.0, cy=0.0, cz=1.0, length=4.0, width=2.0, height=1.5,
              yaw=0.0):
     return OrientedBox(cx=cx, cy=cy, cz=cz, length=length, width=width,
                        height=height, yaw=yaw)
-
-
-finite_coord = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
-box_dim = st.floats(min_value=0.2, max_value=8.0, allow_nan=False)
-any_yaw = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
-
-random_boxes = st.builds(
-    OrientedBox,
-    cx=finite_coord, cy=finite_coord,
-    cz=st.floats(min_value=-3.0, max_value=3.0),
-    length=box_dim, width=box_dim, height=box_dim,
-    yaw=any_yaw,
-)
 
 
 class TestWrapAngle:
@@ -53,6 +42,19 @@ class TestWrapAngle:
         assert -math.pi < w <= math.pi + 1e-15
         assert math.cos(w) == pytest.approx(math.cos(theta), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(theta), abs=1e-9)
+
+    # OrientedBox wraps its yaw, so callers pass unwrapped angles; that is
+    # safe only because wrapping twice changes nothing.
+    @settings(max_examples=500)
+    @given(st.floats(min_value=-1e6, max_value=1e6))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(3 * math.pi)
+    @example(-3 * math.pi)
+    @example(math.nextafter(-math.pi, 0.0))
+    def test_idempotent(self, theta):
+        w = wrap_angle(theta)
+        assert wrap_angle(w) == w
 
 
 class TestExactCases:

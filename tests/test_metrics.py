@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droptrack import metrics
-from droptrack.geometry import LabeledObject, OrientedBox
+from droptrack import geometry, metrics
+from droptrack.geometry import SIMILARITY_FNS, LabeledObject, OrientedBox
 from droptrack.metrics import (
     ALPHA_GRID,
     MATCH_EPS,
@@ -21,10 +21,13 @@ from droptrack.metrics import (
     hota,
     hota_pooled,
 )
+from droptrack.pipeline import config_from_dict, load_sequences, run_once
+from droptrack.schedule import DropPattern
 from droptrack.tracker import FrameOutput, TrackEntry
 
 from oracles import (oracle_clear, oracle_hota, per_alpha_hota_pooled,
-                     random_tracking_instance)
+                     random_tracking_instance, reference_frame_tables)
+from strategies import box_pairs, random_boxes
 
 
 def square_box(cx=0.0, cy=0.0):
@@ -431,3 +434,94 @@ def test_hota_matches_per_alpha_solver(tables_per_seq):
         return
     # Dataclass equality: hota, det_a, ass_a and every per_alpha row.
     assert hota_pooled(tables_per_seq) == per_alpha_hota_pooled(tables_per_seq)
+
+
+# --- bounds prefilter ----------------------------------------------------
+
+@st.composite
+def box_sequence(draw):
+    """Labels and outputs over 1-4 frames. A frame may be empty, labelled
+    with no output, or hold edge-case pairs among random boxes; ids are
+    drawn, so tables must sort them."""
+    labels, outputs = [], []
+    for f in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(box_pairs(), max_size=3))
+        gt = [a for a, _ in pairs] + draw(st.lists(random_boxes, max_size=2))
+        pred = [b for _, b in pairs] + draw(st.lists(random_boxes, max_size=2))
+        if draw(st.booleans()):
+            pred = []
+        gt_ids = draw(st.lists(st.integers(0, 40), min_size=len(gt),
+                               max_size=len(gt), unique=True))
+        pred_ids = draw(st.lists(st.integers(0, 40), min_size=len(pred),
+                                 max_size=len(pred), unique=True))
+        labels += [LabeledObject(frame_index=f, track_id=i, box=b)
+                   for i, b in zip(gt_ids, gt)]
+        outputs.append(FrameOutput(frame_index=f, entries=tuple(
+            TrackEntry(track_id=j, box=b, score=1.0, provenance="updated")
+            for j, b in zip(pred_ids, pred))))
+    return labels, outputs
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sequence())
+def test_frame_tables_bit_identical_to_per_pair_loop(sequence):
+    labels, outputs = sequence
+    for similarity in SIMILARITY_FNS:
+        got = build_frame_tables(labels, outputs, similarity)
+        want = reference_frame_tables(labels, outputs, similarity)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.gt_ids, g.pred_ids) == (w.gt_ids, w.pred_ids)
+            assert g.sim.shape == w.sim.shape
+            assert np.array_equal(g.sim, w.sim)
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_pairs())
+def test_prefilter_never_rejects_an_overlapping_pair(pair):
+    a, b = pair
+    labels = [LabeledObject(frame_index=0, track_id=0, box=a)]
+    outputs = [FrameOutput(frame_index=0, entries=(
+        TrackEntry(track_id=0, box=b, score=1.0, provenance="updated"),))]
+    overlap = geometry.footprint_intersection_area
+    for similarity, sim_fn in SIMILARITY_FNS.items():
+        exact = sim_fn(a, b)
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return overlap(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "footprint_intersection_area", counting)
+            (table,) = build_frame_tables(labels, outputs, similarity)
+        assert table.sim[0, 0] == exact
+        if exact > 0.0:
+            assert calls == [(a, b)]
+
+
+class TestPrefilterMechanism:
+    def test_exact_overlap_runs_only_on_pairs_within_bounds(self, monkeypatch):
+        cfg = config_from_dict({"dataset": {"kind": "reference"},
+                                "patterns": ["1/2"]})
+        (seq,) = load_sequences(cfg)
+        outputs = run_once(cfg, "gt", DropPattern(1, 2), [seq]) \
+            .outputs_per_sequence[seq.sequence_id]
+        calls = []
+        overlap = geometry.footprint_intersection_area
+
+        def counting(a, b):
+            calls.append((a, b))
+            return overlap(a, b)
+        monkeypatch.setattr(geometry, "footprint_intersection_area", counting)
+        tables = build_frame_tables(list(seq.labels), outputs, "3d-iou")
+
+        pairs = sum(t.sim.size for t in tables)
+        overlapping = sum(int(np.count_nonzero(t.sim)) for t in tables)
+        assert overlapping <= len(calls) < pairs / 4
+        for a, b in calls:
+            reach = (math.hypot(a.length, a.width)
+                     + math.hypot(b.length, b.width)) / 2.0
+            assert math.hypot(a.cx - b.cx, a.cy - b.cy) <= \
+                reach * (1.0 + 1e-9) + 1e-9
+            (alo, ahi), (blo, bhi) = a.z_interval, b.z_interval
+            assert min(ahi, bhi) - max(alo, blo) > 0.0

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droptrack.geometry import Detection, OrientedBox, wrap_angle
+from droptrack import tracker
+from droptrack.geometry import SIMILARITY_FNS, Detection, OrientedBox, wrap_angle
 from droptrack.tracker import (
     CONFIRMED,
     DEAD,
@@ -25,7 +26,9 @@ from droptrack.tracker import (
     update,
 )
 
-from oracles import enumerate_assignment, textbook_kalman_update
+from oracles import (enumerate_assignment, reference_associate,
+                     textbook_kalman_update)
+from strategies import box_pairs, random_boxes
 
 
 def make_box(cx=0.0, cy=0.0, cz=0.75, yaw=0.0, length=4.5, width=1.8,
@@ -472,3 +475,37 @@ class TestUpdateMatchesTextbook:
         state.covariance[0, 7] = state.covariance[7, 0] = 0.5
         out = update(state, make_detection(cx=1.0), TrackerConfig())
         assert out.mean[7] != 0.0
+
+
+class TestAssociatePrefilter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(box_pairs(), max_size=4),
+           st.lists(random_boxes, max_size=3),
+           st.lists(st.sampled_from([0.0, 2 * math.pi, -2 * math.pi,
+                                     4 * math.pi]), min_size=4, max_size=4),
+           st.sampled_from(sorted(SIMILARITY_FNS)),
+           st.sampled_from([0.0, 0.1, 0.5]))
+    def test_matches_per_pair_loop(self, pairs, extra, turns, metric, gate):
+        # Track yaws off by whole turns also pin that `TrackState.box()`
+        # needs no wrap of its own.
+        tracks = [TrackState(track_id=n + 1, covariance=np.eye(10),
+                             mean=np.array([a.cx, a.cy, a.cz, a.yaw + turn,
+                                            a.length, a.width, a.height,
+                                            0.0, 0.0, 0.0]))
+                  for n, ((a, _), turn) in enumerate(zip(pairs, turns))]
+        detections = [Detection(box=b, score=1.0)
+                      for b in [b for _, b in pairs] + extra]
+        cfg = TrackerConfig(association_metric=metric, gate_iou_min=gate)
+        seen = []
+        solve = tracker.solve_assignment
+
+        def capturing(scores, eligible):
+            seen.append(scores.copy())
+            return solve(scores, eligible)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracker, "solve_assignment", capturing)
+            got = associate(tracks, detections, cfg)
+        scores, *want = reference_associate(tracks, detections, cfg)
+        assert list(got) == want
+        if tracks and detections:
+            assert np.array_equal(seen[0], scores)

@@ -16,18 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DEFAULT_CLASS_SET, MIN_EXTENT, Detection,
-                       LabeledObject, OrientedBox, wrap_angle)
+from .geometry import MIN_EXTENT, Detection, LabeledObject, OrientedBox
 
 # Fallback clutter shape when a sequence has no labels to sample from.
 _FALLBACK_EXTENT = (4.5, 1.8, 1.6, 0.8)
 
 
-def gt_detect(labels: list[LabeledObject],
-              class_set: frozenset[str] = DEFAULT_CLASS_SET) -> list[Detection]:
-    """Perfect detector: one score-1.0 detection per in-class label."""
-    return [Detection(box=lab.box, score=1.0, class_label=lab.class_label)
-            for lab in labels if lab.class_label in class_set]
+def gt_detect(labels: list[LabeledObject]) -> list[Detection]:
+    """Perfect detector: one score-1.0 detection per label."""
+    return [Detection(box=lab.box, score=1.0) for lab in labels]
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,10 @@ def _frame_rng(profile: NoiseProfile, sequence_id: str,
 
 def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
                  frame_index: int, sequence_id: str = "",
-                 scene: SceneContext | None = None,
-                 class_set: frozenset[str] = DEFAULT_CLASS_SET) -> list[Detection]:
+                 scene: SceneContext | None = None) -> list[Detection]:
     """Emit perturbed detections for one frame.
 
-    Each in-class label survives with detection_probability; survivors get
+    Each label survives with detection_probability; survivors get
     zero-mean Gaussian jitter on center, extents, and yaw, and a score
     uniform in score_range. Poisson-many false positives are placed
     uniformly in the scene region with shapes drawn from the extent pool.
@@ -111,8 +107,7 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
     out: list[Detection] = []
 
     # Fixed iteration order keeps the draw sequence reproducible.
-    kept = sorted((lab for lab in labels if lab.class_label in class_set),
-                  key=lambda lab: lab.track_id)
+    kept = sorted(labels, key=lambda lab: lab.track_id)
     low, high = profile.score_range
     for lab in kept:
         if rng.uniform() >= profile.detection_probability:
@@ -126,10 +121,9 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
             length=max(MIN_EXTENT, b.length + de[0]),
             width=max(MIN_EXTENT, b.width + de[1]),
             height=max(MIN_EXTENT, b.height + de[2]),
-            yaw=wrap_angle(b.yaw + dyaw),
+            yaw=b.yaw + dyaw,
         )
-        out.append(Detection(box=box, score=float(rng.uniform(low, high)),
-                             class_label=lab.class_label))
+        out.append(Detection(box=box, score=float(rng.uniform(low, high))))
 
     n_fp = int(rng.poisson(profile.false_positives_per_frame)) \
         if profile.false_positives_per_frame > 0.0 else 0
@@ -139,7 +133,6 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
         cy = rng.uniform(*scene.y_range)
         length, width, height, cz = pool[int(rng.integers(len(pool)))]
         box = OrientedBox(cx=cx, cy=cy, cz=cz, length=length, width=width,
-                          height=height, yaw=wrap_angle(rng.uniform(-np.pi, np.pi)))
-        out.append(Detection(box=box, score=float(rng.uniform(low, high)),
-                             class_label="Car"))
+                          height=height, yaw=rng.uniform(-np.pi, np.pi))
+        out.append(Detection(box=box, score=float(rng.uniform(low, high))))
     return out

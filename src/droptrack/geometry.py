@@ -96,11 +96,10 @@ class OrientedBox:
 
 @dataclass(frozen=True)
 class Detection:
-    """A detector output: a box plus confidence and class label."""
+    """A detector output: a box plus confidence."""
 
     box: OrientedBox
     score: float
-    class_label: str = "Car"
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:

@@ -243,7 +243,10 @@ def config_from_json(path) -> RunConfig:
 def load_sequences(config: RunConfig) -> list[SequenceData]:
     dataset = config.dataset
     if dataset["kind"] == "reference":
-        return [reference_scenario()]
+        # The same class scope as the label files get in kitti_io.
+        seq = reference_scenario()
+        return [replace(seq, labels=tuple(
+            lab for lab in seq.labels if lab.class_label in config.class_set))]
     manifest = None
     if dataset.get("manifest"):
         manifest = load_manifest(dataset["manifest"])
@@ -316,12 +319,11 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
                 detections = None
                 if schedule.is_processed(frame_index):
                     if profile is None:
-                        detections = gt_detect(frames[frame_index],
-                                               config.class_set)
+                        detections = gt_detect(frames[frame_index])
                     else:
                         detections = noisy_detect(frames[frame_index], profile,
                                                   frame_index, seq.sequence_id,
-                                                  scene, config.class_set)
+                                                  scene)
                 outputs.append(tracker.step(frame_index, detections))
             outputs_per_sequence[seq.sequence_id] = outputs
             # Looked up at call time, so the benchmark's traced pass sees it.
@@ -361,23 +363,24 @@ def run_sweep(config: RunConfig,
               sequences: list[SequenceData] | None = None) -> SweepReport:
     if sequences is None:
         sequences = load_sequences(config)
+    # Rows only, so each cell's tracker outputs are freed when it ends.
     by_cell = {}
     for variant in config.variants:
         for pattern in config.patterns:
             by_cell[(variant, pattern)] = run_once(config, variant, pattern,
-                                                   sequences)
+                                                   sequences).row
 
     rows = []
     for variant in config.variants:
         baseline = by_cell.get((variant, DropPattern(1, 1)))
         for pattern in config.patterns:
-            row = by_cell[(variant, pattern)].row
+            row = by_cell[(variant, pattern)]
             if (pattern != DropPattern(1, 1) and baseline is not None
                     and row.draw_watts is not None
-                    and baseline.row.draw_watts is not None):
+                    and baseline.draw_watts is not None):
                 try:
                     record = yield_metric(
-                        (baseline.row.draw_watts, baseline.row.hota),
+                        (baseline.draw_watts, baseline.hota),
                         (row.draw_watts, row.hota))
                     row = replace(row, yield_w_per_pt=record.yield_value)
                 except UndefinedYieldError:

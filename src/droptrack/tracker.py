@@ -4,7 +4,9 @@ A constant-velocity Kalman filter carries each track; frames without a
 detector pass still produce output by extrapolating every live track one
 cycle. Lifecycle counters (hits, consecutive misses) move only on frames
 the detector actually processed, so one miss budget works across drop
-patterns.
+patterns. A track is output once it has `min_hits_to_confirm` hits; an
+unmatched track dies while it has fewer, or once its consecutive misses
+exceed `max_misses_to_delete`.
 
 State layout (10,): cx, cy, cz, yaw, length, width, height, vx, vy, vz.
 The first 7 components are observed; yaw and extents follow a random walk.
@@ -29,10 +31,6 @@ from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
 
 N_STATE = 10
 N_OBSERVED = 7
-
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
-DEAD = "dead"
 
 PROVENANCE_UPDATED = "updated"
 PROVENANCE_PREDICTED = "predicted"
@@ -79,7 +77,6 @@ class TrackState:
     covariance: np.ndarray
     hits: int = 1
     consecutive_misses: int = 0
-    status: str = TENTATIVE
     last_score: float = 0.0
 
     def box(self) -> OrientedBox:
@@ -131,8 +128,6 @@ def predict(state: TrackState, dt: float, config: TrackerConfig) -> TrackState:
 def update(state: TrackState, detection: Detection,
            config: TrackerConfig) -> TrackState:
     """Kalman measurement update on the 7 observed components."""
-    if state.status == DEAD:
-        raise ValueError("cannot update a dead track")
     p = state.covariance
     if p[:N_OBSERVED, :N_OBSERVED][_OFF_DIAGONAL].any():
         raise ValueError("observed covariance block must be diagonal")
@@ -261,27 +256,25 @@ class Tracker:
             for ti, dj in pairs:
                 self._tracks[ti] = update(self._tracks[ti], detections[dj], cfg)
                 updated_ids.add(self._tracks[ti].track_id)
+            dead = set()
             for ti in unmatched_t:
                 trk = self._tracks[ti]
                 trk.consecutive_misses += 1
-                if trk.status == TENTATIVE:
-                    trk.status = DEAD
-                elif trk.consecutive_misses > cfg.max_misses_to_delete:
-                    trk.status = DEAD
+                if (trk.hits < cfg.min_hits_to_confirm
+                        or trk.consecutive_misses > cfg.max_misses_to_delete):
+                    dead.add(ti)
             for dj in unmatched_d:
                 self._tracks.append(_birth(self._next_id, detections[dj], cfg))
                 # A birth is detection-backed, not extrapolated.
                 updated_ids.add(self._next_id)
                 self._next_id += 1
-            for trk in self._tracks:
-                if trk.status == TENTATIVE and trk.hits >= cfg.min_hits_to_confirm:
-                    trk.status = CONFIRMED
-            self._tracks = [t for t in self._tracks if t.status != DEAD]
+            self._tracks = [t for i, t in enumerate(self._tracks)
+                            if i not in dead]
 
         entries = tuple(
             TrackEntry(track_id=t.track_id, box=t.box(), score=t.last_score,
                        provenance=(PROVENANCE_UPDATED if t.track_id in updated_ids
                                    else PROVENANCE_PREDICTED))
-            for t in self._tracks if t.status == CONFIRMED
+            for t in self._tracks if t.hits >= cfg.min_hits_to_confirm
         )
         return FrameOutput(frame_index=frame_index, entries=entries)

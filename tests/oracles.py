@@ -5,10 +5,10 @@ route: Monte-Carlo sampling instead of polygon clipping, permutation
 enumeration instead of the Hungarian solver, per-tick simulation instead
 of the closed-form draw formula, a general linear solve instead of the
 tracker's per-axis Kalman gain, a per-pair loop instead of the bounds
-prefilter. The tracking-metric oracles share only
-the metric DEFINITION with the library (alpha grid, epsilon slack,
-count-first matching objective, canonical accumulation order); all
-optimization is done by brute force here.
+prefilter, a stored track status instead of the hit count. The
+tracking-metric oracles share only the metric DEFINITION with the library
+(alpha grid, epsilon slack, count-first matching objective, canonical
+accumulation order); all optimization is done by brute force here.
 """
 
 from __future__ import annotations
@@ -16,16 +16,20 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from droptrack.energy import EnergyParams
-from droptrack.geometry import (MIN_EXTENT, SIMILARITY_FNS, LabeledObject,
-                                OrientedBox, iou_3d, wrap_angle)
+from droptrack.geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection,
+                                LabeledObject, OrientedBox, iou_3d, wrap_angle)
 from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
                                NoGroundTruthError)
 from droptrack.schedule import Schedule
-from droptrack.tracker import FrameOutput, TrackEntry, solve_assignment
+from droptrack.tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED,
+                               FrameOutput, Tracker, TrackEntry, TrackState,
+                               _birth, associate, predict, solve_assignment,
+                               update)
 
 _DENOM_EPS = float(np.finfo(float).eps)
 
@@ -554,3 +558,69 @@ def reference_associate(tracks, detections, config):
     return (scores, pairs,
             [i for i in range(len(tracks)) if i not in matched_t],
             [j for j in range(len(detections)) if j not in matched_d])
+
+
+# --- tracker lifecycle: a stored status ------------------------------------
+
+TENTATIVE = "tentative"
+CONFIRMED = "confirmed"
+DEAD = "dead"
+
+
+@dataclass
+class StatusTrackState(TrackState):
+    """A track that also stores its lifecycle status; `predict` and
+    `update` keep it, since they copy a state with `dataclasses.replace`."""
+
+    status: str = TENTATIVE
+
+
+class StatusTracker(Tracker):
+    """The library's `Tracker` as it stood when each track stored a
+    tentative/confirmed/dead status, its `step` kept verbatim (births wrap
+    the library's `_birth`): confirmation computed from the hit count must
+    reproduce its outputs exactly."""
+
+    def step(self, frame_index: int,
+             detections: list[Detection] | None) -> FrameOutput:
+        if self._last_frame is not None and frame_index <= self._last_frame:
+            raise ValueError(
+                f"frame indices must be strictly increasing "
+                f"(got {frame_index} after {self._last_frame})")
+        self._last_frame = frame_index
+        cfg = self.config
+
+        self._tracks = [predict(t, cfg.cycle_time, cfg) for t in self._tracks]
+        updated_ids: set[int] = set()
+
+        if detections is not None:
+            pairs, unmatched_t, unmatched_d = associate(
+                self._tracks, detections, cfg)
+            for ti, dj in pairs:
+                self._tracks[ti] = update(self._tracks[ti], detections[dj], cfg)
+                updated_ids.add(self._tracks[ti].track_id)
+            for ti in unmatched_t:
+                trk = self._tracks[ti]
+                trk.consecutive_misses += 1
+                if trk.status == TENTATIVE:
+                    trk.status = DEAD
+                elif trk.consecutive_misses > cfg.max_misses_to_delete:
+                    trk.status = DEAD
+            for dj in unmatched_d:
+                self._tracks.append(StatusTrackState(**asdict(
+                    _birth(self._next_id, detections[dj], cfg))))
+                # A birth is detection-backed, not extrapolated.
+                updated_ids.add(self._next_id)
+                self._next_id += 1
+            for trk in self._tracks:
+                if trk.status == TENTATIVE and trk.hits >= cfg.min_hits_to_confirm:
+                    trk.status = CONFIRMED
+            self._tracks = [t for t in self._tracks if t.status != DEAD]
+
+        entries = tuple(
+            TrackEntry(track_id=t.track_id, box=t.box(), score=t.last_score,
+                       provenance=(PROVENANCE_UPDATED if t.track_id in updated_ids
+                                   else PROVENANCE_PREDICTED))
+            for t in self._tracks if t.status == CONFIRMED
+        )
+        return FrameOutput(frame_index=frame_index, entries=entries)

@@ -171,10 +171,10 @@ def test_c05_prediction_bridges_five_frame_gap():
         track_ids = set()
         for frame in range(13):
             if frame in dropped:
-                before = [(t.track_id, t.hits, t.consecutive_misses, t.status)
+                before = [(t.track_id, t.hits, t.consecutive_misses)
                           for t in tracker.live_tracks()]
                 out = tracker.step(frame, None)
-                after = [(t.track_id, t.hits, t.consecutive_misses, t.status)
+                after = [(t.track_id, t.hits, t.consecutive_misses)
                          for t in tracker.live_tracks()]
                 assert before == after
                 assert [e.provenance for e in out.entries] == ["predicted"]

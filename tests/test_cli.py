@@ -177,6 +177,10 @@ def dataset_typo_argv(tmp_path):
     # with no object of the configured class has no ground truth to score.
     (lambda p: ["run", *kitti_sweep_argv(p, class_set=["Van"])[1:]],
      EXIT_COMPUTE, "variant=gt pattern=1/1"),
+    # The reference scenario is scoped to class_set at load like a label
+    # file, so a scope without its cars leaves no ground truth either.
+    (lambda p: ["run", *sweep_argv(p, class_set=["Van"])[1:]],
+     EXIT_COMPUTE, "variant=gt pattern=1/1"),
     # A CLEAR threshold outside (0, 1] would count non-overlapping pairs as
     # matches, or match nothing.
     (lambda p: eval_argv(p, extra=["--clear-threshold", "nan"]), EXIT_CONFIG,
@@ -237,7 +241,8 @@ def dataset_typo_argv(tmp_path):
         "sidecar-provenance-entry-not-object", "energy-pattern",
         "energy-length", "energy-draw-order", "energy-sample-rate",
         "power-log-no-watts", "power-log-bad-watts", "eval-frame-count-zero",
-        "run-cell-failure", "eval-clear-threshold-nan",
+        "run-cell-failure", "reference-class-set-empty",
+        "eval-clear-threshold-nan",
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",
         "eval-clear-threshold-above-one", "clear-threshold-zero",
         "clear-threshold-above-one", "sweep-out-is-file", "run-out-is-file",

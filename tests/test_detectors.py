@@ -15,11 +15,10 @@ from droptrack.detectors import (
 from droptrack.geometry import LabeledObject, OrientedBox, iou_3d
 
 
-def make_label(track_id=1, frame_index=0, cx=0.0, cy=0.0, class_label="Car"):
+def make_label(track_id=1, frame_index=0, cx=0.0, cy=0.0):
     box = OrientedBox(cx=cx, cy=cy, cz=0.75, length=4.2, width=1.8,
                       height=1.5, yaw=0.3)
-    return LabeledObject(frame_index=frame_index, track_id=track_id, box=box,
-                         class_label=class_label)
+    return LabeledObject(frame_index=frame_index, track_id=track_id, box=box)
 
 
 class TestGtDetect:
@@ -35,19 +34,6 @@ class TestGtDetect:
             assert det.score == 1.0
             # Rotated self-clipping is exact only up to rounding.
             assert iou_3d(det.box, lab.box) > 1.0 - 1e-9
-
-    def test_class_filter(self):
-        labels = [make_label(track_id=1), make_label(track_id=2, cx=10.0),
-                  make_label(track_id=3, cx=20.0, class_label="Pedestrian")]
-        dets = gt_detect(labels)
-        assert len(dets) == 2
-        assert all(d.class_label == "Car" for d in dets)
-
-    def test_custom_class_set(self):
-        labels = [make_label(track_id=1),
-                  make_label(track_id=2, cx=9.0, class_label="Cyclist")]
-        dets = gt_detect(labels, class_set=frozenset({"Car", "Cyclist"}))
-        assert len(dets) == 2
 
 
 class TestNoiseProfileValidation:

@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 from droptrack import tracker
 from droptrack.geometry import SIMILARITY_FNS, Detection, OrientedBox, wrap_angle
 from droptrack.tracker import (
-    CONFIRMED,
-    DEAD,
     MATCH_EPS,
     PROVENANCE_PREDICTED,
     PROVENANCE_UPDATED,
-    TENTATIVE,
     Tracker,
     TrackerConfig,
     TrackState,
@@ -26,9 +23,9 @@ from droptrack.tracker import (
     update,
 )
 
-from oracles import (enumerate_assignment, reference_associate,
-                     textbook_kalman_update)
-from strategies import box_pairs, random_boxes
+from oracles import (StatusTracker, enumerate_assignment,
+                     reference_associate, textbook_kalman_update)
+from strategies import any_yaw, box_pairs, finite_coord, random_boxes
 
 
 def make_box(cx=0.0, cy=0.0, cz=0.75, yaw=0.0, length=4.5, width=1.8,
@@ -84,7 +81,7 @@ class TestPredict:
         assert out.mean[0] == pytest.approx(0.2, abs=1e-12)
         assert out.mean[1] == 0.0
         assert out.hits == state.hits
-        assert out.status == state.status
+        assert out.consecutive_misses == state.consecutive_misses
 
     def test_zero_velocity_box_fixed_covariance_grows(self):
         state = make_state()
@@ -164,12 +161,6 @@ class TestUpdate:
         out = update(state, det, cfg)
         from droptrack.geometry import wrap_angle
         assert abs(wrap_angle(out.mean[3] - math.pi)) < 0.06
-
-    def test_dead_track_rejected(self):
-        state = make_state()
-        state.status = DEAD
-        with pytest.raises(ValueError):
-            update(state, make_detection(), TrackerConfig())
 
 
 class TestAssignment:
@@ -301,8 +292,8 @@ class TestStepLifecycle:
     def test_tentative_track_dies_on_first_miss(self):
         cfg = zero_noise_config(min_hits_to_confirm=3)
         tracker = Tracker(cfg)
-        tracker.step(0, [make_detection()])
-        assert tracker.live_tracks()[0].status == TENTATIVE
+        assert tracker.step(0, [make_detection()]).entries == ()
+        assert tracker.live_tracks()[0].hits == 1
         tracker.step(1, [])
         assert tracker.live_tracks() == []
 
@@ -318,11 +309,11 @@ class TestStepLifecycle:
     def test_dropped_frame_changes_no_counters(self):
         tracker = Tracker(zero_noise_config(min_hits_to_confirm=2))
         tracker.step(0, [make_detection()])
-        before = [(t.track_id, t.hits, t.consecutive_misses, t.status)
+        before = [(t.track_id, t.hits, t.consecutive_misses)
                   for t in tracker.live_tracks()]
         tracker.step(1, None)
         tracker.step(2, None)
-        after = [(t.track_id, t.hits, t.consecutive_misses, t.status)
+        after = [(t.track_id, t.hits, t.consecutive_misses)
                  for t in tracker.live_tracks()]
         assert before == after
 
@@ -380,6 +371,54 @@ class TestStepLifecycle:
             by_id = {e.track_id: e.box.cy for e in out.entries}
             assert by_id[first_ids[0]] == pytest.approx(2.0, abs=1e-6)
             assert by_id[first_ids[1]] == pytest.approx(-2.0, abs=1e-6)
+
+
+@st.composite
+def detection_streams(draw):
+    """Frames of detections: each frame is dropped (None) or processed.
+    On a processed frame, each of up to three constant-velocity objects
+    that is present may be detected, with jitter, or missed, and random
+    clutter boxes may join; a processed frame may be empty."""
+    n_frames = draw(st.integers(min_value=1, max_value=14))
+    step = st.floats(min_value=-1.5, max_value=1.5)
+    objects = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=n_frames - 1),
+        st.integers(min_value=1, max_value=n_frames),
+        finite_coord, finite_coord, step, step, any_yaw), max_size=3))
+    jitter = st.floats(min_value=-0.5, max_value=0.5)
+    frames = []
+    for f in range(n_frames):
+        if draw(st.booleans()):
+            frames.append(None)
+            continue
+        dets = []
+        for first, life, x, y, dx, dy, yaw in objects:
+            if first <= f < first + life and draw(st.booleans()):
+                k = f - first
+                dets.append(make_detection(
+                    cx=x + k * dx + draw(jitter), cy=y + k * dy + draw(jitter),
+                    yaw=yaw, score=draw(st.floats(0.0, 1.0))))
+        dets += [Detection(box=b, score=0.5)
+                 for b in draw(st.lists(random_boxes, max_size=2))]
+        frames.append(dets)
+    return frames
+
+
+class TestStatusLifecycleOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(detection_streams(), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3))
+    def test_matches_stored_status_tracker(self, frames, min_hits,
+                                           max_misses):
+        cfg = TrackerConfig(min_hits_to_confirm=min_hits,
+                            max_misses_to_delete=max_misses)
+        got, want = Tracker(cfg), StatusTracker(cfg)
+        for f, dets in enumerate(frames):
+            assert got.step(f, dets) == want.step(f, dets)
+            assert [(t.track_id, t.hits, t.consecutive_misses)
+                    for t in got.live_tracks()] \
+                == [(t.track_id, t.hits, t.consecutive_misses)
+                    for t in want.live_tracks()]
 
 
 class TestVelocityConvergence:

@@ -113,8 +113,9 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
         if rng.uniform() >= profile.detection_probability:
             continue
         b = lab.box
-        dc = rng.normal(0.0, 1.0, size=3) * profile.center_sigma
-        de = rng.normal(0.0, 1.0, size=3) * profile.extent_sigma
+        # Plain floats, so boxes and the tracker do no numpy-scalar math.
+        dc = (rng.normal(0.0, 1.0, size=3) * profile.center_sigma).tolist()
+        de = (rng.normal(0.0, 1.0, size=3) * profile.extent_sigma).tolist()
         dyaw = rng.normal(0.0, 1.0) * profile.yaw_sigma
         box = OrientedBox(
             cx=b.cx + dc[0], cy=b.cy + dc[1], cz=b.cz + dc[2],

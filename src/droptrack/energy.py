@@ -9,6 +9,7 @@ less for them. A dropped frame occupies exactly one idle cycle.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,13 @@ def read_power_log_csv(path, sample_rate: float = 100.0) -> PowerLog:
             raise ValueError(f"{path}: expected header with a 'watts' column")
         for row in reader:
             try:
-                watts.append(float(row["watts"]))
+                value = float(row["watts"])
             except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
                 raise ValueError(f"{path}:{reader.line_num}: bad watts value "
-                                 f"{row['watts']!r}") from None
+                                 f"{row['watts']!r}")
+            watts.append(value)
     return PowerLog(samples=tuple(watts), sample_rate=sample_rate)
 
 

@@ -8,14 +8,14 @@ patterns. A track is output once it has `min_hits_to_confirm` hits; an
 unmatched track dies while it has fewer, or once its consecutive misses
 exceed `max_misses_to_delete`.
 
-State layout (10,): cx, cy, cz, yaw, length, width, height, vx, vy, vz.
-The first 7 components are observed; yaw and extents follow a random walk.
-
-The observed 7×7 block of every covariance is diagonal: birth, process and
-measurement noise are diagonal, and each velocity couples only to its own
-position. So the innovation covariance S is diagonal too, and `update`
-scales columns of the covariance instead of inverting S. `update` rejects
-a state that breaks this invariant.
+State: `mean` is 10 floats, cx, cy, cz, yaw, length, width, height, vx,
+vy, vz; the first 7 are observed, and yaw and extents follow a random
+walk. Birth, process and measurement noise are diagonal and each velocity
+couples only to its own position, so the covariance is one (position,
+velocity) 2×2 block per axis x, y, z plus a variance for yaw and each
+extent: `var` holds the 10 diagonal entries, `cross` the 3 couplings. The
+filter runs per axis on these plain floats with no matrix library, and
+the innovation covariance S is diagonal, so `update` inverts no matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from scipy.optimize import linear_sum_assignment
 from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
                        overlap_bounds, wrap_angle)
 
-N_STATE = 10
 N_OBSERVED = 7
 
 PROVENANCE_UPDATED = "updated"
@@ -73,21 +72,19 @@ class TrackerConfig:
 @dataclass
 class TrackState:
     track_id: int
-    mean: np.ndarray
-    covariance: np.ndarray
+    mean: list[float]
+    var: list[float]
+    cross: list[float]
     hits: int = 1
     consecutive_misses: int = 0
     last_score: float = 0.0
 
     def box(self) -> OrientedBox:
         m = self.mean
-        return OrientedBox(
-            cx=float(m[0]), cy=float(m[1]), cz=float(m[2]),
-            length=max(MIN_EXTENT, float(m[4])),
-            width=max(MIN_EXTENT, float(m[5])),
-            height=max(MIN_EXTENT, float(m[6])),
-            yaw=float(m[3]),
-        )
+        return OrientedBox(cx=m[0], cy=m[1], cz=m[2],
+                           length=max(MIN_EXTENT, m[4]),
+                           width=max(MIN_EXTENT, m[5]),
+                           height=max(MIN_EXTENT, m[6]), yaw=m[3])
 
 
 @dataclass(frozen=True)
@@ -104,59 +101,63 @@ class FrameOutput:
     entries: tuple[TrackEntry, ...]
 
 
-def _transition(dt: float) -> np.ndarray:
-    f = np.eye(N_STATE)
-    f[0, 7] = f[1, 8] = f[2, 9] = dt
-    return f
-
-
-_OFF_DIAGONAL = ~np.eye(N_OBSERVED, dtype=bool)
-
-
 def predict(state: TrackState, dt: float, config: TrackerConfig) -> TrackState:
-    """Constant-velocity extrapolation; lifecycle fields untouched."""
+    """Constant-velocity extrapolation, F P Fᵀ + dt q I per axis with
+    F = [[1, dt], [0, 1]]; lifecycle fields untouched."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    f = _transition(dt)
-    mean = f @ state.mean
-    mean[3] = wrap_angle(mean[3])
-    cov = f @ state.covariance @ f.T + dt * config.process_noise * np.eye(N_STATE)
-    cov = 0.5 * (cov + cov.T)
-    return replace(state, mean=mean, covariance=cov)
+    m, var, cross = state.mean, state.var, state.cross
+    dq = dt * config.process_noise
+    mean, new_var, new_cross = m[:], [v + dq for v in var], cross[:]
+    mean[3] = wrap_angle(m[3])
+    for k in range(3):
+        c, v = cross[k], var[k + N_OBSERVED]
+        mean[k] = m[k] + dt * m[k + N_OBSERVED]
+        new_cross[k] = nc = c + dt * v
+        new_var[k] = var[k] + dt * c + nc * dt + dq
+    return replace(state, mean=mean, var=new_var, cross=new_cross)
 
 
 def update(state: TrackState, detection: Detection,
            config: TrackerConfig) -> TrackState:
     """Kalman measurement update on the 7 observed components."""
-    p = state.covariance
-    if p[:N_OBSERVED, :N_OBSERVED][_OFF_DIAGONAL].any():
-        raise ValueError("observed covariance block must be diagonal")
+    m, var, cross = state.mean, state.var, state.cross
     b = detection.box
-    z = np.array([b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height])
-    innovation = z - state.mean[:N_OBSERVED]
-    innovation[3] = wrap_angle(innovation[3])
-
-    # S is diagonal, so each gain column is that column of P over s_i. An
-    # axis with s_i at or below the pseudo-inverse cutoff 1e-12 * max(s) is
-    # already exact and gets no gain; so does every axis once S has
-    # collapsed to rounding residue. Multiplying by the reciprocal, not
-    # dividing, matches an LU solve bit for bit.
+    innovation = [b.cx - m[0], b.cy - m[1], b.cz - m[2],
+                  wrap_angle(b.yaw - m[3]), b.length - m[4],
+                  b.width - m[5], b.height - m[6]]
+    # S is diagonal, so axis i gets gain g = var_i * (1 / s_i) and its
+    # velocity h = cross_i * (1 / s_i); the reciprocal, not a division,
+    # matches an LU solve bit for bit. An axis with s_i at or below the
+    # pseudo-inverse cutoff 1e-12 * max(s), and every axis once S has
+    # collapsed to rounding residue, is already exact: no gain, state kept.
     r = config.measurement_noise
-    s = p.diagonal()[:N_OBSERVED] + r
-    inv_s = np.zeros(N_OBSERVED)
-    if s.max() >= 1e-12:
-        kept = s > 1e-12 * s.max()
-        inv_s[kept] = 1.0 / s[kept]
-    gain = p[:, :N_OBSERVED] * inv_s
-
-    mean = state.mean + gain @ innovation
+    s = [v + r for v in var[:N_OBSERVED]]
+    top = max(s)
+    cutoff = 1e-12 * top if top >= 1e-12 else math.inf
+    mean, new_var, new_cross = m[:], var[:], cross[:]
+    for i, e in enumerate(innovation):
+        if s[i] <= cutoff:
+            continue
+        inv, p = 1.0 / s[i], var[i]
+        g = p * inv
+        a = 1.0 - g
+        mean[i] = m[i] + g * e
+        # Joseph form entry by entry, terms in the matrix products' order:
+        # I - K H = [[a, 0], [-h, 1]] and K = [g, h] on a (position,
+        # velocity) block; the two cross entries are averaged (symmetrised).
+        new_var[i] = a * p * a + r * g * g
+        if i < 3:
+            c, v, h = cross[i], var[i + N_OBSERVED], cross[i] * inv
+            vp = c - h * p
+            mean[i + N_OBSERVED] = m[i + N_OBSERVED] + h * e
+            new_var[i + N_OBSERVED] = v - h * c - vp * h + r * h * h
+            new_cross[i] = 0.5 * ((a * c - a * p * h + r * g * h)
+                                  + (vp * a + r * h * g))
     mean[3] = wrap_angle(mean[3])
-    ikh = np.eye(N_STATE)
-    ikh[:, :N_OBSERVED] -= gain
-    cov = ikh @ p @ ikh.T + (r * gain) @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    return replace(state, mean=mean, covariance=cov, hits=state.hits + 1,
-                   consecutive_misses=0, last_score=detection.score)
+    return replace(state, mean=mean, var=new_var, cross=new_cross,
+                   hits=state.hits + 1, consecutive_misses=0,
+                   last_score=detection.score)
 
 
 def solve_assignment(scores: np.ndarray,
@@ -214,14 +215,13 @@ def associate(tracks: list[TrackState], detections: list[Detection],
 def _birth(track_id: int, detection: Detection,
            config: TrackerConfig) -> TrackState:
     b = detection.box
-    mean = np.zeros(N_STATE)
-    mean[:N_OBSERVED] = [b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height]
-    cov = np.diag([config.birth_position_var] * 3
-                  + [config.birth_yaw_var]
-                  + [config.birth_extent_var] * 3
-                  + [config.birth_velocity_var] * 3)
-    return TrackState(track_id=track_id, mean=mean, covariance=cov,
-                      last_score=detection.score)
+    return TrackState(
+        track_id=track_id,
+        mean=[b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height,
+              0.0, 0.0, 0.0],
+        var=[config.birth_position_var] * 3 + [config.birth_yaw_var]
+        + [config.birth_extent_var] * 3 + [config.birth_velocity_var] * 3,
+        cross=[0.0] * 3, last_score=detection.score)
 
 
 class Tracker:

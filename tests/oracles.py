@@ -3,12 +3,13 @@
 Each oracle recomputes a quantity the library computes, by a different
 route: Monte-Carlo sampling instead of polygon clipping, permutation
 enumeration instead of the Hungarian solver, per-tick simulation instead
-of the closed-form draw formula, a general linear solve instead of the
-tracker's per-axis Kalman gain, a per-pair loop instead of the bounds
-prefilter, a stored track status instead of the hit count. The
-tracking-metric oracles share only the metric DEFINITION with the library
-(alpha grid, epsilon slack, count-first matching objective, canonical
-accumulation order); all optimization is done by brute force here.
+of the closed-form draw formula, full matrix products and a general
+linear solve instead of the tracker's per-axis Kalman filter, a
+per-pair loop instead of the bounds prefilter, a stored track status
+instead of the hit count. The tracking-metric oracles share only the
+metric DEFINITION with the library (alpha grid, epsilon slack,
+count-first matching objective, canonical accumulation order); all
+optimization is done by brute force here.
 """
 
 from __future__ import annotations
@@ -374,6 +375,27 @@ def simulate_draw_1ms(params: EnergyParams, schedule: Schedule) -> float:
 
 
 # --- tracker: textbook Kalman measurement update --------------------------
+
+def full_covariance(state: TrackState) -> np.ndarray:
+    """The 10×10 covariance a track state's `var` and `cross` stand for."""
+    cov = np.diag(state.var)
+    for k, c in enumerate(state.cross):
+        cov[k, k + 7] = cov[k + 7, k] = c
+    return cov
+
+
+def textbook_kalman_predict(mean: np.ndarray, covariance: np.ndarray,
+                            dt: float, process_noise: float):
+    """The constant-velocity predict written with the full transition F:
+    F x, and F P Fᵀ + dt q I symmetrised; yaw (component 3) is wrapped.
+    Returns (mean, covariance)."""
+    f = np.eye(len(mean))
+    f[0, 7] = f[1, 8] = f[2, 9] = dt
+    new_mean = f @ mean
+    new_mean[3] = wrap_angle(new_mean[3])
+    new_cov = f @ covariance @ f.T + dt * process_noise * np.eye(len(mean))
+    return new_mean, 0.5 * (new_cov + new_cov.T)
+
 
 def textbook_kalman_update(mean: np.ndarray, covariance: np.ndarray,
                            z: np.ndarray, measurement_noise: float):

@@ -171,6 +171,10 @@ def dataset_typo_argv(tmp_path):
      "log.csv"),
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.01,abc\n"),
      EXIT_CONFIG, "log.csv:3:"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.01,nan\n"),
+     EXIT_CONFIG, "log.csv:3:"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,inf\n0.01,1\n"),
+     EXIT_CONFIG, "log.csv:2:"),
     (lambda p: eval_argv(p, extra=["--frame-count", "0"]), EXIT_CONFIG,
      "--frame-count"),
     # A failing cell names itself under `run` as under `sweep`: a label set
@@ -240,7 +244,8 @@ def dataset_typo_argv(tmp_path):
         "output-duplicate-id", "sidecar-not-object",
         "sidecar-provenance-entry-not-object", "energy-pattern",
         "energy-length", "energy-draw-order", "energy-sample-rate",
-        "power-log-no-watts", "power-log-bad-watts", "eval-frame-count-zero",
+        "power-log-no-watts", "power-log-bad-watts",
+        "power-log-nan-watts", "power-log-inf-watts", "eval-frame-count-zero",
         "run-cell-failure", "reference-class-set-empty",
         "eval-clear-threshold-nan",
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",

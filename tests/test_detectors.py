@@ -148,6 +148,23 @@ class TestNoisyDetect:
                 assert det.box.height >= 0.05
                 assert -math.pi < det.box.yaw <= math.pi
 
+    def test_boxes_hold_plain_floats(self):
+        # The tracker runs on plain floats; a numpy scalar in a box would
+        # turn its arithmetic into numpy-scalar arithmetic.
+        profile = NoiseProfile(detection_probability=0.9, center_sigma=0.5,
+                               extent_sigma=0.5, yaw_sigma=0.2,
+                               false_positives_per_frame=2.0,
+                               score_range=(0.5, 1.0), rng_seed=4)
+        labels = [make_label(track_id=i, cx=3.0 * i) for i in range(1, 5)]
+        dets = [det for frame in range(20)
+                for det in noisy_detect(labels, profile, frame, "f")]
+        assert len(dets) > 80
+        for det in dets:
+            assert type(det.score) is float
+            for name in ("cx", "cy", "cz", "length", "width", "height",
+                         "yaw"):
+                assert type(getattr(det.box, name)) is float, name
+
 
 class TestSceneContext:
     def test_bounds_include_margin(self):

@@ -1,5 +1,6 @@
 """Sweep orchestration: config validation, row assembly, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -285,3 +286,39 @@ class TestReports:
         assert len(stored) == len(original) == 200
         provs = {e.provenance for out in stored for e in out.entries}
         assert provs == {"updated", "predicted"}
+
+
+def output_digest(result):
+    """sha256 over every output entry of a cell: (frame, id, provenance,
+    score, cx, cy, cz, length, width, height, yaw), floats by repr, so one
+    changed bit changes it."""
+    h = hashlib.sha256()
+    for seq_id in sorted(result.outputs_per_sequence):
+        for out in result.outputs_per_sequence[seq_id]:
+            for e in out.entries:
+                b = e.box
+                h.update(repr((out.frame_index, e.track_id, e.provenance,
+                               e.score, b.cx, b.cy, b.cz, b.length, b.width,
+                               b.height, b.yaw)).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestOutputsPinned:
+    """Every output bit of two reference cells with the README tracker
+    settings. The filter does plain float arithmetic, so these hold under
+    any BLAS build or kernel (CI reruns them with OPENBLAS_CORETYPE set);
+    `gt` draws no random numbers."""
+
+    @pytest.mark.parametrize("pattern, digest", [
+        ("1/2", "66fb09f302b4ba8550a08f6a"
+                "48edaea7c103881b92d66df90ac55bff63a22692"),
+        ("1/10", "7fe4a2ac91a7c31b7f76c077"
+                 "04faaafdcb84b26b43a3b75c384ca7613f4f0bc8"),
+    ])
+    def test_gt_output_digest(self, pattern, digest):
+        cfg = config_from_dict({
+            "patterns": [pattern],
+            "tracker": {"measurement_noise": 0.05},
+            "tracker_overrides": {"1/10": {"min_hits_to_confirm": 1}}})
+        result = run_once(cfg, "gt", cfg.patterns[0])
+        assert output_digest(result) == digest

@@ -23,8 +23,9 @@ from droptrack.tracker import (
     update,
 )
 
-from oracles import (StatusTracker, enumerate_assignment,
-                     reference_associate, textbook_kalman_update)
+from oracles import (StatusTracker, enumerate_assignment, full_covariance,
+                     reference_associate, textbook_kalman_predict,
+                     textbook_kalman_update)
 from strategies import any_yaw, box_pairs, finite_coord, random_boxes
 
 
@@ -39,8 +40,8 @@ def make_detection(cx=0.0, cy=0.0, cz=0.75, yaw=0.0, score=1.0):
 
 
 def make_state(cx=0.0, cy=0.0, cz=0.75, vx=0.0, vy=0.0, vz=0.0):
-    mean = np.array([cx, cy, cz, 0.0, 4.5, 1.8, 1.5, vx, vy, vz])
-    return TrackState(track_id=1, mean=mean, covariance=np.eye(10))
+    mean = [cx, cy, cz, 0.0, 4.5, 1.8, 1.5, vx, vy, vz]
+    return TrackState(track_id=1, mean=mean, var=[1.0] * 10, cross=[0.0] * 3)
 
 
 def zero_noise_config(**kwargs):
@@ -87,7 +88,7 @@ class TestPredict:
         state = make_state()
         out = predict(state, 0.1, TrackerConfig())
         assert np.allclose(out.mean, state.mean)
-        assert np.trace(out.covariance) > np.trace(state.covariance)
+        assert sum(out.var) > sum(state.var)
 
     def test_five_small_steps_equal_one_large_in_mean(self):
         cfg = TrackerConfig()
@@ -116,9 +117,7 @@ class TestUpdate:
         det = make_detection(cx=3.0, cy=-1.0)
         out = update(state, det, cfg)
         assert np.allclose(out.mean[:7], state.mean[:7], atol=1e-12)
-        obs = slice(0, 7)
-        assert np.trace(out.covariance[obs, obs]) \
-            < np.trace(state.covariance[obs, obs])
+        assert sum(out.var[:7]) < sum(state.var[:7])
 
     def test_counters_after_update(self):
         state = make_state()
@@ -141,10 +140,9 @@ class TestUpdate:
         # One observed component with prior variance 1, measurement noise 1,
         # innovation 1: the posterior moves halfway.
         cfg = TrackerConfig(measurement_noise=1.0, birth_position_var=1.0)
-        mean = np.array([0.0, 0.0, 0.75, 0.0, 4.5, 1.8, 1.5, 0.0, 0.0, 0.0])
-        cov = np.diag([1.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.25,
-                       100.0, 100.0, 100.0])
-        state = TrackState(track_id=1, mean=mean, covariance=cov)
+        mean = [0.0, 0.0, 0.75, 0.0, 4.5, 1.8, 1.5, 0.0, 0.0, 0.0]
+        var = [1.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.25, 100.0, 100.0, 100.0]
+        state = TrackState(track_id=1, mean=mean, var=var, cross=[0.0] * 3)
         det = make_detection(cx=1.0)
         out = update(state, det, cfg)
         assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
@@ -154,9 +152,9 @@ class TestUpdate:
         # must be the short +0.1 rad path, so a partial-gain update stays
         # near the pi boundary instead of swinging toward zero.
         cfg = TrackerConfig(measurement_noise=1.0)
-        mean = np.array([0.0, 0.0, 0.75, math.pi - 0.05,
-                         4.5, 1.8, 1.5, 0.0, 0.0, 0.0])
-        state = TrackState(track_id=1, mean=mean, covariance=np.eye(10))
+        mean = [0.0, 0.0, 0.75, math.pi - 0.05, 4.5, 1.8, 1.5, 0.0, 0.0, 0.0]
+        state = TrackState(track_id=1, mean=mean, var=[1.0] * 10,
+                           cross=[0.0] * 3)
         det = Detection(box=make_box(yaw=-math.pi + 0.05), score=1.0)
         out = update(state, det, cfg)
         from droptrack.geometry import wrap_angle
@@ -447,30 +445,51 @@ class TestCovariancePsd:
         state = make_state(cx=rnd.uniform(-5, 5), vx=rnd.uniform(-3, 3))
         for _ in range(12):
             state = predict(state, 0.1, cfg)
-            assert np.linalg.eigvalsh(state.covariance).min() >= -1e-9
+            assert np.linalg.eigvalsh(full_covariance(state)).min() >= -1e-9
             if rnd.random() < 0.7:
                 det = make_detection(cx=state.mean[0] + rnd.uniform(-1, 1),
                                      cy=state.mean[1] + rnd.uniform(-1, 1))
                 state = update(state, det, cfg)
-                assert np.linalg.eigvalsh(state.covariance).min() >= -1e-9
+                assert np.linalg.eigvalsh(full_covariance(state)).min() \
+                    >= -1e-9
+
+
+def random_filter_state(data):
+    """A track state with random variances, a random position–velocity
+    correlation per axis and a random mean."""
+    var = data.draw(st.lists(st.floats(0.0, 100.0), min_size=10, max_size=10))
+    cross = [data.draw(st.floats(-1.0, 1.0)) * math.sqrt(var[k] * var[k + 7])
+             for k in range(3)]
+    mean = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=10,
+                              max_size=10))
+    mean[3] = data.draw(st.floats(-math.pi, math.pi))
+    return TrackState(track_id=1, mean=mean, var=var, cross=cross)
+
+
+def assert_state_close(state, want_mean, want_cov):
+    diff = np.array(state.mean) - want_mean
+    diff[3] = wrap_angle(diff[3])
+    assert np.abs(diff).max() <= 1e-12
+    assert np.abs(full_covariance(state) - want_cov).max() <= 1e-12
+
+
+class TestPredictMatchesTextbook:
+    """predict's per-axis blocks against the full-matrix F P Fᵀ + dt q I."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([0.05, 0.1, 0.3]),
+           st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_matches_reference(self, data, dt, q):
+        state = random_filter_state(data)
+        want_mean, want_cov = textbook_kalman_predict(
+            np.array(state.mean), full_covariance(state), dt, q)
+        out = predict(state, dt, TrackerConfig(process_noise=q))
+        assert_state_close(out, want_mean, want_cov)
+        assert all(type(x) is float for x in out.mean + out.var + out.cross)
 
 
 class TestUpdateMatchesTextbook:
     """update's per-axis gain against the textbook H/S/solve update."""
-
-    @staticmethod
-    def random_state(data):
-        # Observed block diagonal; each velocity coupled to its own position.
-        var = data.draw(st.lists(st.floats(0.0, 100.0), min_size=10,
-                                 max_size=10))
-        cov = np.diag(var)
-        for k in range(3):
-            rho = data.draw(st.floats(-1.0, 1.0))
-            cov[k, k + 7] = cov[k + 7, k] = rho * math.sqrt(var[k] * var[k + 7])
-        mean = np.array(data.draw(st.lists(st.floats(-50.0, 50.0),
-                                           min_size=10, max_size=10)))
-        mean[3] = data.draw(st.floats(-math.pi, math.pi))
-        return TrackState(track_id=1, mean=mean, covariance=cov)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.sampled_from([0.0, 1e-3, 0.5]),
@@ -480,40 +499,35 @@ class TestUpdateMatchesTextbook:
         # few rounds, so both the pseudo-inverse cutoff and the collapsed-S
         # rule are reached.
         cfg = TrackerConfig(process_noise=q, measurement_noise=r)
-        state = self.random_state(data)
+        state = random_filter_state(data)
         for _ in range(data.draw(st.integers(1, 8))):
             if data.draw(st.booleans()):
                 state = predict(state, data.draw(st.sampled_from(
                     [0.05, 0.1, 0.3])), cfg)
             offset = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=7,
                                         max_size=7))
-            box = OrientedBox(*(state.mean[:3] + offset[:3]),
-                              length=max(0.1, state.mean[4] + offset[4]),
-                              width=max(0.1, state.mean[5] + offset[5]),
-                              height=max(0.1, state.mean[6] + offset[6]),
-                              yaw=wrap_angle(state.mean[3] + offset[3]))
+            m = state.mean
+            box = OrientedBox(m[0] + offset[0], m[1] + offset[1],
+                              m[2] + offset[2],
+                              length=max(0.1, m[4] + offset[4]),
+                              width=max(0.1, m[5] + offset[5]),
+                              height=max(0.1, m[6] + offset[6]),
+                              yaw=wrap_angle(m[3] + offset[3]))
             z = np.array([box.cx, box.cy, box.cz, box.yaw, box.length,
                           box.width, box.height])
             want_mean, want_cov = textbook_kalman_update(
-                state.mean, state.covariance, z, r)
+                np.array(m), full_covariance(state), z, r)
             state = update(state, Detection(box=box, score=1.0), cfg)
-            diff = state.mean - want_mean
-            diff[3] = wrap_angle(diff[3])
-            assert np.abs(diff).max() <= 1e-12
-            assert np.abs(state.covariance - want_cov).max() <= 1e-12
-
-    def test_non_diagonal_observed_block_rejected(self):
-        state = make_state()
-        state.covariance[0, 1] = state.covariance[1, 0] = 0.1
-        with pytest.raises(ValueError, match="diagonal"):
-            update(state, make_detection(), TrackerConfig())
+            assert_state_close(state, want_mean, want_cov)
 
     def test_position_velocity_coupling_accepted(self):
-        # The coupling lies outside the observed block.
+        # A position–velocity covariance moves the velocity on a position
+        # innovation.
         state = make_state()
-        state.covariance[0, 7] = state.covariance[7, 0] = 0.5
+        state.cross[0] = 0.5
         out = update(state, make_detection(cx=1.0), TrackerConfig())
         assert out.mean[7] != 0.0
+        assert out.mean[8] == 0.0
 
 
 class TestAssociatePrefilter:
@@ -527,10 +541,9 @@ class TestAssociatePrefilter:
     def test_matches_per_pair_loop(self, pairs, extra, turns, metric, gate):
         # Track yaws off by whole turns also pin that `TrackState.box()`
         # needs no wrap of its own.
-        tracks = [TrackState(track_id=n + 1, covariance=np.eye(10),
-                             mean=np.array([a.cx, a.cy, a.cz, a.yaw + turn,
-                                            a.length, a.width, a.height,
-                                            0.0, 0.0, 0.0]))
+        tracks = [TrackState(track_id=n + 1, var=[1.0] * 10, cross=[0.0] * 3,
+                             mean=[a.cx, a.cy, a.cz, a.yaw + turn, a.length,
+                                   a.width, a.height, 0.0, 0.0, 0.0])
                   for n, ((a, _), turn) in enumerate(zip(pairs, turns))]
         detections = [Detection(box=b, score=1.0)
                       for b in [b for _, b in pairs] + extra]

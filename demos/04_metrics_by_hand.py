@@ -8,7 +8,7 @@ every number below can be verified with pencil and paper.
 """
 
 from droptrack import (FrameOutput, LabeledObject, OrientedBox, TrackEntry,
-                       clear_mot, hota)
+                       build_frame_tables, clear_mot, hota)
 
 
 def box(cx, cy):
@@ -34,7 +34,7 @@ for frame in range(4):
                    provenance="updated"),
     )))
 
-clear = clear_mot(labels, outputs)
+clear = clear_mot(build_frame_tables(labels, outputs))
 print("CLEAR:")
 print(f"  TP {clear.tp}, FP {clear.fp}, FN {clear.fn}, "
       f"id switches {clear.id_switches}")
@@ -43,7 +43,7 @@ print(f"  MOTA {clear.mota:.2f}%  MOTP {clear.motp:.2f}%")
 assert (clear.tp, clear.fp, clear.fn, clear.id_switches) == (8, 0, 0, 2)
 assert abs(clear.mota - 75.0) < 1e-9
 
-result = hota(labels, outputs)
+result = hota(build_frame_tables(labels, outputs))
 print("\nHOTA:")
 # Every gt id co-occurs with its dominant pred id on 2 of 4 frames:
 # association Jaccard 2/(4+4-2) = 1/3 for all matched pairs, so

@@ -18,6 +18,7 @@ from pathlib import Path
 from .energy import (ENERGY_PRESETS, estimate_draw, read_power_log_csv,
                      summarize_power_log)
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
+from . import metrics
 from .metrics import SIMILARITY_FNS, NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, SweepReport,
                        clear_threshold, config_from_dict, energy_params,
@@ -157,9 +158,10 @@ def _cmd_eval(args) -> int:
                                   frame_count=args.frame_count)
     outputs = read_frame_outputs(args.outputs, args.sidecar,
                                  frame_count=sequence.frame_count)
-    labels = list(sequence.labels)
-    hota_res = hota(labels, outputs, args.similarity)
-    clear_res = clear_mot(labels, outputs, threshold, args.similarity)
+    tables = metrics.build_frame_tables(list(sequence.labels), outputs,
+                                        args.similarity)
+    hota_res = hota(tables)
+    clear_res = clear_mot(tables, threshold)
     print(f"hota {hota_res.hota:.6f}")
     print(f"det_a {hota_res.det_a:.6f}")
     print(f"ass_a {hota_res.ass_a:.6f}")

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import DEFAULT_CLASS_SET, LabeledObject, OrientedBox, wrap_angle
-from .tracker import FrameOutput, TrackEntry, PROVENANCE_UPDATED
+from .tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED, FrameOutput,
+                      TrackEntry)
 
 
 class DatasetError(Exception):
@@ -181,7 +182,12 @@ def write_frame_outputs(outputs: list[FrameOutput], path) -> None:
 def read_frame_outputs(path, sidecar_path=None,
                        frame_count: int | None = None) -> list[FrameOutput]:
     """Load stored tracker outputs; provenance comes from the sidecar when
-    present, defaulting to measurement-updated."""
+    present, defaulting to measurement-updated.
+
+    Every sidecar provenance entry must be "updated" or "predicted" and
+    name the (frame, id) of an output row; otherwise DatasetError names
+    the sidecar, the frame and the id.
+    """
     path = Path(path)
     if sidecar_path is None:
         candidate = path.with_suffix(path.suffix + ".meta.json")
@@ -201,6 +207,13 @@ def read_frame_outputs(path, sidecar_path=None,
                 and type(stored_count) is int and stored_count >= 0):
             raise DatasetError(f"{sidecar_path}: expected an object with an "
                                f"integer frame_count and provenance objects")
+        for frame, ids in provenance.items():
+            for track_id, prov in ids.items():
+                if prov not in (PROVENANCE_UPDATED, PROVENANCE_PREDICTED):
+                    raise DatasetError(
+                        f"{sidecar_path}: frame {frame} id {track_id}: "
+                        f"provenance must be \"{PROVENANCE_UPDATED}\" or "
+                        f"\"{PROVENANCE_PREDICTED}\", got {json.dumps(prov)}")
         if frame_count is None:
             frame_count = sidecar.get("frame_count")
 
@@ -211,10 +224,16 @@ def read_frame_outputs(path, sidecar_path=None,
     entries_by_frame: dict[int, list[TrackEntry]] = {}
     for frame, track_id, _, box, score in _parse_rows(
             text.splitlines(), str(path), frame_count=frame_count):
-        prov = provenance.get(str(frame), {}).get(str(track_id),
+        # Each row takes its sidecar entry out, so what is left names no row.
+        prov = provenance.get(str(frame), {}).pop(str(track_id),
                                                   PROVENANCE_UPDATED)
         entries_by_frame.setdefault(frame, []).append(
             TrackEntry(track_id=track_id, box=box, score=score, provenance=prov))
+    rowless = [(frame, track_id) for frame, ids in provenance.items()
+               for track_id in ids]
+    if rowless:
+        raise DatasetError(f"{sidecar_path}: frame {rowless[0][0]} id "
+                           f"{rowless[0][1]}: provenance for no output row")
 
     if frame_count is None:
         frame_count = max(entries_by_frame) + 1 if entries_by_frame else 1

@@ -3,8 +3,8 @@
 Both metrics consume the tracker's every-frame outputs, so frames whose
 detection step was dropped are judged on predicted boxes.
 
-`hota_pooled` and `clear_pooled` score one `build_frame_tables` list per
-sequence, so both metrics share one table build per sequence.
+`hota` and `clear_mot` score one sequence's `build_frame_tables` list,
+which both can share; `hota_pooled` and `clear_pooled` one per sequence.
 
 Definitional constants shared with the test oracles:
   - ALPHA_GRID: the 19-point localization-threshold grid 0.05..0.95.
@@ -249,9 +249,8 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
                       per_alpha=tuple(per_alpha))
 
 
-def hota(labels: list[LabeledObject], outputs: list[FrameOutput],
-         similarity="3d-iou") -> HotaResult:
-    return hota_pooled([build_frame_tables(labels, outputs, similarity)])
+def hota(tables: list[FrameTable]) -> HotaResult:
+    return hota_pooled([tables])
 
 
 # --- CLEAR --------------------------------------------------------------
@@ -313,7 +312,6 @@ def clear_pooled(tables_per_seq: list[list[FrameTable]],
                        id_switches=idsw, gt_total=gt_total)
 
 
-def clear_mot(labels: list[LabeledObject], outputs: list[FrameOutput],
-              match_threshold: float = 0.5, similarity="3d-iou") -> ClearResult:
-    return clear_pooled([build_frame_tables(labels, outputs, similarity)],
-                        match_threshold)
+def clear_mot(tables: list[FrameTable],
+              match_threshold: float = 0.5) -> ClearResult:
+    return clear_pooled([tables], match_threshold)

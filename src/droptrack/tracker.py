@@ -21,7 +21,7 @@ the innovation covariance S is diagonal, so `update` inverts no matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -115,7 +115,8 @@ def predict(state: TrackState, dt: float, config: TrackerConfig) -> TrackState:
         mean[k] = m[k] + dt * m[k + N_OBSERVED]
         new_cross[k] = nc = c + dt * v
         new_var[k] = var[k] + dt * c + nc * dt + dq
-    return replace(state, mean=mean, var=new_var, cross=new_cross)
+    return TrackState(state.track_id, mean, new_var, new_cross, state.hits,
+                      state.consecutive_misses, state.last_score)
 
 
 def update(state: TrackState, detection: Detection,
@@ -155,9 +156,9 @@ def update(state: TrackState, detection: Detection,
             new_cross[i] = 0.5 * ((a * c - a * p * h + r * g * h)
                                   + (vp * a + r * h * g))
     mean[3] = wrap_angle(mean[3])
-    return replace(state, mean=mean, var=new_var, cross=new_cross,
-                   hits=state.hits + 1, consecutive_misses=0,
-                   last_score=detection.score)
+    return TrackState(state.track_id, mean, new_var, new_cross,
+                      hits=state.hits + 1, consecutive_misses=0,
+                      last_score=detection.score)
 
 
 def solve_assignment(scores: np.ndarray,

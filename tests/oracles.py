@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -589,19 +588,16 @@ CONFIRMED = "confirmed"
 DEAD = "dead"
 
 
-@dataclass
-class StatusTrackState(TrackState):
-    """A track that also stores its lifecycle status; `predict` and
-    `update` keep it, since they copy a state with `dataclasses.replace`."""
-
-    status: str = TENTATIVE
-
-
 class StatusTracker(Tracker):
     """The library's `Tracker` as it stood when each track stored a
-    tentative/confirmed/dead status, its `step` kept verbatim (births wrap
-    the library's `_birth`): confirmation computed from the hit count must
-    reproduce its outputs exactly."""
+    tentative/confirmed/dead status, its `step` kept verbatim but for where
+    the status lives (a dict keyed by track id, beside the library's
+    states): confirmation computed from the hit count must reproduce its
+    outputs exactly."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self._status: dict[int, str] = {}
 
     def step(self, frame_index: int,
              detections: list[Detection] | None) -> FrameOutput:
@@ -611,6 +607,7 @@ class StatusTracker(Tracker):
                 f"(got {frame_index} after {self._last_frame})")
         self._last_frame = frame_index
         cfg = self.config
+        status = self._status
 
         self._tracks = [predict(t, cfg.cycle_time, cfg) for t in self._tracks]
         updated_ids: set[int] = set()
@@ -624,25 +621,27 @@ class StatusTracker(Tracker):
             for ti in unmatched_t:
                 trk = self._tracks[ti]
                 trk.consecutive_misses += 1
-                if trk.status == TENTATIVE:
-                    trk.status = DEAD
+                if status[trk.track_id] == TENTATIVE:
+                    status[trk.track_id] = DEAD
                 elif trk.consecutive_misses > cfg.max_misses_to_delete:
-                    trk.status = DEAD
+                    status[trk.track_id] = DEAD
             for dj in unmatched_d:
-                self._tracks.append(StatusTrackState(**asdict(
-                    _birth(self._next_id, detections[dj], cfg))))
+                self._tracks.append(_birth(self._next_id, detections[dj], cfg))
+                status[self._next_id] = TENTATIVE
                 # A birth is detection-backed, not extrapolated.
                 updated_ids.add(self._next_id)
                 self._next_id += 1
             for trk in self._tracks:
-                if trk.status == TENTATIVE and trk.hits >= cfg.min_hits_to_confirm:
-                    trk.status = CONFIRMED
-            self._tracks = [t for t in self._tracks if t.status != DEAD]
+                if status[trk.track_id] == TENTATIVE \
+                        and trk.hits >= cfg.min_hits_to_confirm:
+                    status[trk.track_id] = CONFIRMED
+            self._tracks = [t for t in self._tracks
+                            if status[t.track_id] != DEAD]
 
         entries = tuple(
             TrackEntry(track_id=t.track_id, box=t.box(), score=t.last_score,
                        provenance=(PROVENANCE_UPDATED if t.track_id in updated_ids
                                    else PROVENANCE_PREDICTED))
-            for t in self._tracks if t.status == CONFIRMED
+            for t in self._tracks if status[t.track_id] == CONFIRMED
         )
         return FrameOutput(frame_index=frame_index, entries=entries)

@@ -13,7 +13,7 @@ import numpy as np
 
 from droptrack.energy import EnergyParams, estimate_draw, yield_metric
 from droptrack.geometry import OrientedBox, bev_iou
-from droptrack.metrics import clear_mot, hota
+from droptrack.metrics import build_frame_tables, clear_mot, hota
 from droptrack.pipeline import (config_from_dict, render_sweep_csv,
                                 render_sweep_json, run_sweep, write_report)
 from droptrack.schedule import (TARGET_PATTERNS, DropPattern, build_schedule,
@@ -43,13 +43,13 @@ def test_c01_metric_oracle_equivalence():
         t0 = time.perf_counter()
         for seed in range(1000):
             labels, outputs = random_tracking_instance(seed)
-            got = hota(labels, outputs)
+            got = hota(build_frame_tables(labels, outputs))
             exp_h, exp_d, exp_a, exp_alpha = oracle_hota(labels, outputs)
             assert got.hota == exp_h
             assert got.det_a == exp_d
             assert got.ass_a == exp_a
             assert got.per_alpha == exp_alpha
-            clr = clear_mot(labels, outputs)
+            clr = clear_mot(build_frame_tables(labels, outputs))
             exp = oracle_clear(labels, outputs)
             assert (clr.mota, clr.motp, clr.tp, clr.fp, clr.fn,
                     clr.id_switches, clr.gt_total) == exp

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from droptrack import metrics
 from droptrack.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATASET, EXIT_OK,
                            main)
+from droptrack.kitti_io import parse_kitti_labels, read_frame_outputs
+from droptrack.metrics import build_frame_tables, clear_pooled, hota_pooled
 from droptrack.tracker import Tracker
 
 
@@ -160,6 +163,14 @@ def dataset_typo_argv(tmp_path):
     (lambda p: eval_argv(p, sidecar=[1]), EXIT_DATASET, "out.txt.meta.json"),
     (lambda p: eval_argv(p, sidecar={"provenance": {"0": 5}}), EXIT_DATASET,
      "out.txt.meta.json"),
+    # A provenance entry must be "updated" or "predicted" and name a row.
+    (lambda p: eval_argv(p, sidecar={"provenance": {"0": {"1": 5}}}),
+     EXIT_DATASET, "out.txt.meta.json: frame 0 id 1:"),
+    (lambda p: eval_argv(p, sidecar={"provenance": {"2": {"1": "bogus"}}}),
+     EXIT_DATASET, "out.txt.meta.json: frame 2 id 1:"),
+    (lambda p: eval_argv(p, sidecar={"frame_count": 4, "provenance": {
+        "0": {"1": "updated", "7": "predicted"}}}),
+     EXIT_DATASET, "out.txt.meta.json: frame 0 id 7:"),
     # Command-line argument errors.
     (lambda p: ENERGY_MODEL + ["--pattern", "3/2"], EXIT_CONFIG, "--pattern"),
     (lambda p: ENERGY_MODEL + ["--length", "0"], EXIT_CONFIG, "--length"),
@@ -242,7 +253,9 @@ def dataset_typo_argv(tmp_path):
         "rng-seed-string", "class-set-string", "label-track-id-negative",
         "frame-count-below-labels", "manifest-count-below-labels",
         "output-duplicate-id", "sidecar-not-object",
-        "sidecar-provenance-entry-not-object", "energy-pattern",
+        "sidecar-provenance-entry-not-object",
+        "sidecar-provenance-not-string", "sidecar-provenance-unknown",
+        "sidecar-provenance-without-row", "energy-pattern",
         "energy-length", "energy-draw-order", "energy-sample-rate",
         "power-log-no-watts", "power-log-bad-watts",
         "power-log-nan-watts", "power-log-inf-watts", "eval-frame-count-zero",
@@ -370,6 +383,43 @@ class TestEval:
         assert "hota 100.000000" in out
         assert "mota 100.000000" in out
         assert "id_switches 0" in out
+
+    def test_frame_tables_built_once(self, tmp_path, capsys, monkeypatch):
+        # HOTA and CLEAR score the same tables.
+        build = metrics.build_frame_tables
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(metrics, "build_frame_tables", counting)
+        assert main(eval_argv(tmp_path)) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_similarity_flag_scores_both_metrics(self, tmp_path, capsys):
+        # Outputs sit 0.3 m beside and 0.6 m below the 1.5 m tall labels:
+        # bird's-eye IoU about 0.84, 3D IoU under the 0.5 CLEAR threshold.
+        labels = tmp_path / "0000.txt"
+        labels.write_text("".join(kitti_label_row(f, 1, x=0.3 * f) + "\n"
+                                  for f in range(4)))
+        outputs = tmp_path / "out.txt"
+        outputs.write_text("".join(
+            kitti_label_row(f, 7, x=0.3 * f + 0.3).replace(" 1.65 ",
+                                                           " 2.25 ") + "\n"
+            for f in range(4)))
+        printed = {}
+        for similarity in ("bev-iou", "3d-iou"):
+            assert main(["eval", "--labels", str(labels), "--outputs",
+                         str(outputs), "--similarity", similarity]) == EXIT_OK
+            printed[similarity] = capsys.readouterr().out
+        tables = build_frame_tables(list(parse_kitti_labels(labels).labels),
+                                    read_frame_outputs(outputs), "bev-iou")
+        h, c = hota_pooled([tables]), clear_pooled([tables])
+        assert printed["bev-iou"] == (
+            f"hota {h.hota:.6f}\ndet_a {h.det_a:.6f}\nass_a {h.ass_a:.6f}\n"
+            f"mota {c.mota:.6f}\nmotp {c.motp:.6f}\n"
+            f"tp {c.tp} fp {c.fp} fn {c.fn} id_switches {c.id_switches}\n")
+        assert printed["3d-iou"] != printed["bev-iou"]
 
     def test_no_ground_truth_is_compute_error(self, tmp_path, capsys):
         labels = tmp_path / "empty.txt"

@@ -65,14 +65,14 @@ def perfect_instance(n_frames=5, n_objects=2):
 class TestPerfectTracking:
     def test_hota_exactly_100(self):
         labels, outputs = perfect_instance()
-        res = hota(labels, outputs)
+        res = hota(build_frame_tables(labels, outputs))
         assert res.hota == 100.0
         assert res.det_a == 100.0
         assert res.ass_a == 100.0
 
     def test_clear_exactly_100(self):
         labels, outputs = perfect_instance()
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert res.mota == 100.0
         assert res.motp == 100.0
         assert res.id_switches == 0
@@ -81,7 +81,7 @@ class TestPerfectTracking:
 
     def test_per_alpha_rows_all_perfect(self):
         labels, outputs = perfect_instance()
-        res = hota(labels, outputs)
+        res = hota(build_frame_tables(labels, outputs))
         assert len(res.per_alpha) == 19
         for alpha, h, d, a in res.per_alpha:
             assert (h, d, a) == (100.0, 100.0, 100.0)
@@ -95,7 +95,7 @@ class TestClearClosedForms:
         out_spec = {f: [(11, 0.0, 0.0), (12, 8.0, 0.0)] for f in range(5)}
         out_spec[3] = [(11, 0.0, 0.0)]
         outputs = make_outputs(out_spec, 5)
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert res.gt_total == 10
         assert res.fn == 1 and res.fp == 0 and res.id_switches == 0
         assert res.mota == pytest.approx(90.0, abs=1e-12)
@@ -106,7 +106,7 @@ class TestClearClosedForms:
                               1: [(1, 0.0, 0.0), (2, 10.0, 0.0)]})
         outputs = make_outputs({0: [(21, 0.0, 0.0), (22, 10.0, 0.0)],
                                 1: [(22, 0.0, 0.0), (21, 10.0, 0.0)]}, 2)
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert res.id_switches == 2
         assert res.tp == 4 and res.fn == 0 and res.fp == 0
         assert res.mota == pytest.approx(50.0, abs=1e-12)
@@ -115,10 +115,11 @@ class TestClearClosedForms:
     def test_below_threshold_is_miss_plus_clutter(self):
         labels = make_labels({0: [(1, 0.0, 0.0)]})
         outputs = make_outputs({0: [(9, 0.8, 0.0)]}, 1)  # IoU 0.4286
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert (res.tp, res.fn, res.fp) == (0, 1, 1)
         assert res.mota == pytest.approx(-100.0, abs=1e-12)
-        loose = clear_mot(labels, outputs, match_threshold=0.4)
+        loose = clear_mot(build_frame_tables(labels, outputs),
+                          match_threshold=0.4)
         assert loose.tp == 1
         assert loose.motp == pytest.approx(100.0 * 1.2 / 2.8, abs=1e-9)
 
@@ -127,7 +128,7 @@ class TestClearClosedForms:
         # keep the boundary case matched despite float rounding.
         labels = make_labels({0: [(1, 0.0, 0.0)]})
         outputs = make_outputs({0: [(9, 2.0 / 3.0, 0.0)]}, 1)
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert res.tp == 1
         assert res.motp == pytest.approx(50.0, abs=1e-9)
 
@@ -138,7 +139,7 @@ class TestClearClosedForms:
         labels = make_labels({0: [(1, 0.0, 0.0)], 1: [(1, 0.0, 0.0)]})
         outputs = make_outputs({0: [(5, 0.4, 0.0)],
                                 1: [(5, 0.5, 0.0), (6, 0.0, 0.0)]}, 2)
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert res.id_switches == 0
         assert (res.tp, res.fp, res.fn) == (2, 1, 0)
         # Frame-1 TP overlap is the carried pair's 1.5/2.5, not 1.0.
@@ -151,7 +152,7 @@ class TestClearClosedForms:
         labels = make_labels({f: [(1, 0.0, 0.0)] for f in range(3)})
         outputs = make_outputs({0: [(5, 0.0, 0.0)],
                                 2: [(6, 0.0, 0.0)]}, 3)
-        res = clear_mot(labels, outputs)
+        res = clear_mot(build_frame_tables(labels, outputs))
         assert res.id_switches == 1
         assert res.fn == 1
 
@@ -160,7 +161,7 @@ class TestHota:
     def test_empty_predictions_score_zero(self):
         labels = make_labels({f: [(1, 0.0, 0.0)] for f in range(4)})
         outputs = make_outputs({}, 4)
-        res = hota(labels, outputs)
+        res = hota(build_frame_tables(labels, outputs))
         assert res.hota == 0.0
         assert res.det_a == 0.0
         assert res.ass_a == 0.0
@@ -171,7 +172,7 @@ class TestHota:
         out_spec = {f: [(21, 0.0, 0.0), (22, 10.0, 0.0)] for f in range(4)}
         out_spec[3] = [(22, 0.0, 0.0), (21, 10.0, 0.0)]
         outputs = make_outputs(out_spec, 4)
-        res = hota(labels, outputs)
+        res = hota(build_frame_tables(labels, outputs))
         oh, od, oa, per_alpha = oracle_hota(labels, outputs)
         assert res.hota == oh
         assert res.det_a == od
@@ -188,7 +189,7 @@ class TestHota:
 
     def test_sqrt_consistency_as_stored(self):
         labels, outputs = random_tracking_instance(404)
-        res = hota(labels, outputs)
+        res = hota(build_frame_tables(labels, outputs))
         for alpha, h, d, a in res.per_alpha:
             assert h == math.sqrt(d * a)
 
@@ -212,13 +213,13 @@ class TestHota:
                                           provenance=e.provenance))
             renamed.append(FrameOutput(frame_index=out.frame_index,
                                        entries=tuple(entries)))
-        a = hota(labels, outputs)
-        b = hota(labels, renamed)
+        a = hota(build_frame_tables(labels, outputs))
+        b = hota(build_frame_tables(labels, renamed))
         assert b.hota == pytest.approx(a.hota, abs=1e-12)
         assert b.det_a == pytest.approx(a.det_a, abs=1e-12)
         assert b.ass_a == pytest.approx(a.ass_a, abs=1e-12)
-        ca = clear_mot(labels, outputs)
-        cb = clear_mot(labels, renamed)
+        ca = clear_mot(build_frame_tables(labels, outputs))
+        cb = clear_mot(build_frame_tables(labels, renamed))
         assert (cb.tp, cb.fp, cb.fn, cb.id_switches) \
             == (ca.tp, ca.fp, ca.fn, ca.id_switches)
         assert cb.motp == pytest.approx(ca.motp, abs=1e-12)
@@ -232,8 +233,8 @@ class TestHota:
                 entries = entries[1:]
             damaged.append(FrameOutput(frame_index=out.frame_index,
                                        entries=entries))
-        full = hota(labels, outputs)
-        less = hota(labels, damaged)
+        full = hota(build_frame_tables(labels, outputs))
+        less = hota(build_frame_tables(labels, damaged))
         for (_, _, d_full, _), (_, _, d_less, _) in zip(full.per_alpha,
                                                         less.per_alpha):
             assert d_less <= d_full
@@ -244,12 +245,12 @@ class TestNoGroundTruth:
     def test_hota_raises(self):
         outputs = make_outputs({0: [(1, 0.0, 0.0)]}, 1)
         with pytest.raises(NoGroundTruthError):
-            hota([], outputs)
+            hota(build_frame_tables([], outputs))
 
     def test_clear_raises(self):
         outputs = make_outputs({0: [(1, 0.0, 0.0)]}, 1)
         with pytest.raises(NoGroundTruthError):
-            clear_mot([], outputs)
+            clear_mot(build_frame_tables([], outputs))
 
 
 class TestTableValidation:
@@ -282,8 +283,8 @@ class TestTableValidation:
 class TestPooling:
     def test_duplicated_sequence_keeps_ratios(self):
         labels, outputs = random_tracking_instance(11)
-        single_h = hota(labels, outputs)
-        single_c = clear_mot(labels, outputs)
+        single_h = hota(build_frame_tables(labels, outputs))
+        single_c = clear_mot(build_frame_tables(labels, outputs))
         tables = build_frame_tables(labels, outputs)
         pooled_h = hota_pooled([tables, tables])
         pooled_c = clear_pooled([tables, tables])
@@ -319,7 +320,7 @@ class TestPooling:
                            provenance=e.provenance) for e in fb.entries]
             merged_outputs.append(FrameOutput(frame_index=fa.frame_index,
                                               entries=tuple(entries)))
-        merged = hota(merged_labels, merged_outputs)
+        merged = hota(build_frame_tables(merged_labels, merged_outputs))
         assert pooled.hota == pytest.approx(merged.hota, abs=1e-12)
         assert pooled.det_a == pytest.approx(merged.det_a, abs=1e-12)
         assert pooled.ass_a == pytest.approx(merged.ass_a, abs=1e-12)
@@ -329,10 +330,10 @@ class TestOracleSpotChecks:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 99, 256])
     def test_exact_agreement(self, seed):
         labels, outputs = random_tracking_instance(seed)
-        res = hota(labels, outputs)
+        res = hota(build_frame_tables(labels, outputs))
         oh, od, oa, _ = oracle_hota(labels, outputs)
         assert (res.hota, res.det_a, res.ass_a) == (oh, od, oa)
-        cres = clear_mot(labels, outputs)
+        cres = clear_mot(build_frame_tables(labels, outputs))
         om, op, otp, ofp, ofn, oid, ogt = oracle_clear(labels, outputs)
         assert (cres.mota, cres.motp) == (om, op)
         assert (cres.tp, cres.fp, cres.fn, cres.id_switches, cres.gt_total) \

@@ -186,13 +186,16 @@ def read_frame_outputs(path, sidecar_path=None,
 
     Every sidecar provenance entry must be "updated" or "predicted" and
     name the (frame, id) of an output row; otherwise DatasetError names
-    the sidecar, the frame and the id.
+    the sidecar, the frame and the id. A stated frame_count must lie past
+    the last output row and not past a given frame_count; trailing frames
+    without rows are allowed.
     """
     path = Path(path)
     if sidecar_path is None:
         candidate = path.with_suffix(path.suffix + ".meta.json")
         sidecar_path = candidate if candidate.exists() else None
     provenance: dict[str, dict[str, str]] = {}
+    stated_count = None
     if sidecar_path is not None:
         try:
             sidecar = json.loads(Path(sidecar_path).read_text())
@@ -201,10 +204,11 @@ def read_frame_outputs(path, sidecar_path=None,
                 f"cannot read sidecar {sidecar_path}: {exc}") from None
         valid = isinstance(sidecar, dict)
         provenance = sidecar.get("provenance", {}) if valid else {}
-        stored_count = sidecar.get("frame_count", 0) if valid else 0
+        stated_count = sidecar.get("frame_count") if valid else None
         if not (valid and isinstance(provenance, dict)
                 and all(isinstance(v, dict) for v in provenance.values())
-                and type(stored_count) is int and stored_count >= 0):
+                and (stated_count is None
+                     or type(stated_count) is int and stated_count >= 0)):
             raise DatasetError(f"{sidecar_path}: expected an object with an "
                                f"integer frame_count and provenance objects")
         for frame, ids in provenance.items():
@@ -214,8 +218,6 @@ def read_frame_outputs(path, sidecar_path=None,
                         f"{sidecar_path}: frame {frame} id {track_id}: "
                         f"provenance must be \"{PROVENANCE_UPDATED}\" or "
                         f"\"{PROVENANCE_PREDICTED}\", got {json.dumps(prov)}")
-        if frame_count is None:
-            frame_count = sidecar.get("frame_count")
 
     try:
         text = path.read_text()
@@ -235,8 +237,17 @@ def read_frame_outputs(path, sidecar_path=None,
         raise DatasetError(f"{sidecar_path}: frame {rowless[0][0]} id "
                            f"{rowless[0][1]}: provenance for no output row")
 
+    last_frame = max(entries_by_frame, default=-1)
+    if stated_count is not None:
+        if stated_count <= last_frame:
+            raise DatasetError(f"{sidecar_path}: frame_count {stated_count} "
+                               f"does not cover output frame {last_frame}")
+        if frame_count is not None and stated_count > frame_count:
+            raise DatasetError(f"{sidecar_path}: frame_count {stated_count} "
+                               f"exceeds the {frame_count} frames read")
     if frame_count is None:
-        frame_count = max(entries_by_frame) + 1 if entries_by_frame else 1
+        frame_count = stated_count if stated_count is not None \
+            else max(last_frame + 1, 1)
     return [FrameOutput(frame_index=f,
                         entries=tuple(entries_by_frame.get(f, ())))
             for f in range(frame_count)]
@@ -251,7 +262,7 @@ def load_manifest(path) -> dict[str, int]:
         raise DatasetError(f"{path}: manifest must be a JSON object")
     out = {}
     for key, value in data.items():
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise DatasetError(f"{path}: bad frame count for {key!r}")
         out[str(key)] = value
     return out
@@ -263,8 +274,13 @@ def load_label_dir(directory, manifest: dict[str, int] | None = None,
     directory = Path(directory)
     if not directory.is_dir():
         raise DatasetError(f"{directory}: not a directory")
+    label_files = sorted(directory.glob("*.txt"))
+    unknown = sorted(set(manifest or ()) - {f.stem for f in label_files})
+    if unknown:
+        raise DatasetError(f"{directory}: manifest key {unknown[0]!r} names "
+                           f"no label file")
     sequences = []
-    for label_file in sorted(directory.glob("*.txt")):
+    for label_file in label_files:
         seq_id = label_file.stem
         count = manifest.get(seq_id) if manifest else None
         sequences.append(parse_kitti_labels(label_file, sequence_id=seq_id,

@@ -3,8 +3,7 @@
 A schedule marks which frames of a sequence get a detector pass. Patterns
 are "process n out of every m consecutive frames"; within each block of m
 the first n indices are processed, so frame 0 is always processed and a
-tracker can initialize. Schedules are immutable; the trigger operation
-returns a new schedule with one extra processed frame.
+tracker can initialize. A schedule is just its pattern and length.
 """
 
 from __future__ import annotations
@@ -58,71 +57,37 @@ def parse_pattern(text: str) -> DropPattern:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-sequence processing flags (True = run the detector)."""
+    """A pattern applied to a sequence of `sequence_length` frames."""
 
     pattern: DropPattern
-    flags: tuple[bool, ...]
     sequence_length: int
 
     def __post_init__(self):
         if self.sequence_length < 1:
             raise ValueError("sequence_length must be positive")
-        if len(self.flags) != self.sequence_length:
-            raise ValueError("flags length must equal sequence_length")
 
     def is_processed(self, frame_index: int) -> bool:
-        return self.flags[frame_index]
+        """True when frame_index gets a detector pass: (i mod m) < n."""
+        return frame_index % self.pattern.m < self.pattern.n
 
 
 def build_schedule(pattern: DropPattern, sequence_length: int) -> Schedule:
-    """Deterministic schedule: frame i is processed iff (i mod m) < n."""
-    if sequence_length < 1:
-        raise ValueError("sequence_length must be positive")
-    flags = tuple((i % pattern.m) < pattern.n for i in range(sequence_length))
-    return Schedule(pattern=pattern, flags=flags, sequence_length=sequence_length)
+    """The schedule of `pattern` over `sequence_length` frames."""
+    return Schedule(pattern=pattern, sequence_length=sequence_length)
 
 
 def processed_count(schedule: Schedule) -> int:
-    """Number of processed frames in the schedule."""
-    return sum(schedule.flags)
-
-
-def processed_count_closed_form(pattern: DropPattern, sequence_length: int) -> int:
-    """Processed-frame count without materializing flags.
+    """Number of processed frames in the schedule.
 
     Each full block of m frames contributes n processed frames; a trailing
     partial block of r frames contributes min(r, n) because the processed
     indices sit at the front of the block.
     """
-    if sequence_length < 1:
-        raise ValueError("sequence_length must be positive")
-    full, rem = divmod(sequence_length, pattern.m)
-    return full * pattern.n + min(rem, pattern.n)
+    full, rem = divmod(schedule.sequence_length, schedule.pattern.m)
+    return full * schedule.pattern.n + min(rem, schedule.pattern.n)
 
 
 def effective_target(schedule: Schedule) -> float:
     """Achieved processing percentage, which block remainders can shift
     away from the nominal target (e.g. 90.48% for 9/10 over 21 frames)."""
     return 100.0 * processed_count(schedule) / schedule.sequence_length
-
-
-def trigger_next(schedule: Schedule, current_frame: int) -> Schedule:
-    """Force processing of the frame after `current_frame`.
-
-    Hook for situation-driven escalation: an external monitor can demand
-    that the next available frame gets a detector pass. Idempotent when
-    that frame is already processed.
-    """
-    if current_frame < 0:
-        raise ValueError("current_frame must be nonnegative")
-    if current_frame >= schedule.sequence_length - 1:
-        raise ValueError(
-            f"cannot trigger past the end of the sequence "
-            f"(frame {current_frame} of {schedule.sequence_length})"
-        )
-    if schedule.flags[current_frame + 1]:
-        return schedule
-    flags = list(schedule.flags)
-    flags[current_frame + 1] = True
-    return Schedule(pattern=schedule.pattern, flags=tuple(flags),
-                    sequence_length=schedule.sequence_length)

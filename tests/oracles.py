@@ -363,8 +363,8 @@ def simulate_draw_1ms(params: EnergyParams, schedule: Schedule) -> float:
     ti = int(round(params.inference_time * 1000))
     tc = int(round(params.cycle_time * 1000))
     ticks: list[float] = []
-    for processed in schedule.flags:
-        if processed:
+    for i in range(schedule.sequence_length):
+        if schedule.is_processed(i):
             slot = max(tc, ti)
             ticks.extend([params.active_draw] * ti)
             ticks.extend([params.idle_draw] * (slot - ti))

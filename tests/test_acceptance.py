@@ -17,8 +17,7 @@ from droptrack.metrics import build_frame_tables, clear_mot, hota
 from droptrack.pipeline import (config_from_dict, render_sweep_csv,
                                 render_sweep_json, run_sweep, write_report)
 from droptrack.schedule import (TARGET_PATTERNS, DropPattern, build_schedule,
-                                parse_pattern, processed_count,
-                                processed_count_closed_form)
+                                parse_pattern, processed_count)
 from droptrack.tracker import (MATCH_EPS, Detection, Tracker, TrackerConfig,
                                solve_assignment)
 
@@ -223,8 +222,11 @@ def test_c07_scheduler_closed_form_and_named_targets():
                     schedule = build_schedule(pattern, length)
                     expected = (length // m) * n + min(length % m, n)
                     assert processed_count(schedule) == expected
-                    assert processed_count_closed_form(pattern, length) \
-                        == expected
+                    processed = [i for i in range(length)
+                                 if schedule.is_processed(i)]
+                    assert processed == [i for i in range(length)
+                                         if i % m < n]
+                    assert len(processed) == expected
         assert TARGET_PATTERNS == {100: (1, 1), 90: (9, 10), 75: (3, 4),
                                    50: (1, 2), 25: (1, 4), 10: (1, 10)}
         for target, (n, m) in TARGET_PATTERNS.items():

@@ -171,6 +171,18 @@ def dataset_typo_argv(tmp_path):
     (lambda p: eval_argv(p, sidecar={"frame_count": 4, "provenance": {
         "0": {"1": "updated", "7": "predicted"}}}),
      EXIT_DATASET, "out.txt.meta.json: frame 0 id 7:"),
+    # A sidecar's frame_count must cover the output rows and stay within
+    # the frames read.
+    (lambda p: eval_argv(p, sidecar={"frame_count": 2}), EXIT_DATASET,
+     "out.txt.meta.json: frame_count 2"),
+    (lambda p: eval_argv(p, sidecar={"frame_count": 99}), EXIT_DATASET,
+     "out.txt.meta.json: frame_count 99"),
+    # A manifest frame count must be an integer, not a boolean, and every
+    # manifest key must name a label file.
+    (lambda p: kitti_sweep_argv(p, manifest={"0000": True}), EXIT_DATASET,
+     "manifest.json: bad frame count for '0000'"),
+    (lambda p: kitti_sweep_argv(p, manifest={"000": 50}), EXIT_DATASET,
+     "manifest key '000'"),
     # Command-line argument errors.
     (lambda p: ENERGY_MODEL + ["--pattern", "3/2"], EXIT_CONFIG, "--pattern"),
     (lambda p: ENERGY_MODEL + ["--length", "0"], EXIT_CONFIG, "--length"),
@@ -255,7 +267,9 @@ def dataset_typo_argv(tmp_path):
         "output-duplicate-id", "sidecar-not-object",
         "sidecar-provenance-entry-not-object",
         "sidecar-provenance-not-string", "sidecar-provenance-unknown",
-        "sidecar-provenance-without-row", "energy-pattern",
+        "sidecar-provenance-without-row", "sidecar-frame-count-below-rows",
+        "sidecar-frame-count-above-frames", "manifest-count-boolean",
+        "manifest-key-without-labels", "energy-pattern",
         "energy-length", "energy-draw-order", "energy-sample-rate",
         "power-log-no-watts", "power-log-bad-watts",
         "power-log-nan-watts", "power-log-inf-watts", "eval-frame-count-zero",

@@ -193,6 +193,20 @@ class TestRoundTrips:
                         == pytest.approx(getattr(a.box, attr), abs=1e-4)
                 assert b.box.yaw == pytest.approx(a.box.yaw, abs=1e-4)
 
+    def test_sidecar_frame_count_bounds(self, tmp_path):
+        # Rows reach frame 1 and the sidecar states 3: frame 2 is a trailing
+        # empty frame, allowed up to the frame count being read.
+        path = tmp_path / "track.txt"
+        write_frame_outputs(self.make_outputs(), path)
+        assert len(read_frame_outputs(path, frame_count=3)) == 3
+        assert len(read_frame_outputs(path, frame_count=5)) == 5
+        with pytest.raises(DatasetError, match="meta.json: frame_count 3"):
+            read_frame_outputs(path, frame_count=2)
+        sidecar = tmp_path / "track.txt.meta.json"
+        sidecar.write_text(json.dumps({"frame_count": 1}))
+        with pytest.raises(DatasetError, match="meta.json: frame_count 1"):
+            read_frame_outputs(path)
+
     def test_empty_outputs_write_valid_sidecar(self, tmp_path):
         path = tmp_path / "empty.txt"
         write_frame_outputs([], path)
@@ -235,6 +249,9 @@ class TestManifestAndDirs:
             load_manifest(path)
         path.write_text(json.dumps([1, 2]))
         with pytest.raises(DatasetError):
+            load_manifest(path)
+        path.write_text(json.dumps({"0001": True}))
+        with pytest.raises(DatasetError, match="'0001'"):
             load_manifest(path)
 
     def test_load_label_dir(self, tmp_path):

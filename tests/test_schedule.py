@@ -1,4 +1,4 @@
-"""Frame-drop schedules: stated examples, closed form, triggers, invariants."""
+"""Frame-drop schedules: stated examples, closed form, invariants."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +12,12 @@ from droptrack.schedule import (
     effective_target,
     parse_pattern,
     processed_count,
-    processed_count_closed_form,
-    trigger_next,
 )
 
 
 def processed_indices(schedule):
-    return {i for i, f in enumerate(schedule.flags) if f}
+    return {i for i in range(schedule.sequence_length)
+            if schedule.is_processed(i)}
 
 
 @st.composite
@@ -82,15 +81,15 @@ class TestBuildSchedule:
     def test_frame_zero_always_processed(self):
         for n, m in [(1, 10), (1, 2), (3, 4), (9, 10)]:
             s = build_schedule(DropPattern(n, m), 5)
-            assert s.flags[0]
+            assert 0 in processed_indices(s)
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             build_schedule(DropPattern(1, 2), 0)
 
-    def test_flags_length_invariant(self):
+    def test_schedule_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
-            Schedule(pattern=DropPattern(1, 2), flags=(True,), sequence_length=3)
+            Schedule(DropPattern(1, 2), 0)
 
 
 class TestCounts:
@@ -113,75 +112,32 @@ class TestCounts:
 
     @settings(max_examples=200, deadline=None)
     @given(valid_patterns(), st.integers(min_value=1, max_value=400))
-    def test_closed_form_matches_flags(self, pattern, length):
+    def test_count_matches_per_frame_rule(self, pattern, length):
         s = build_schedule(pattern, length)
-        assert processed_count_closed_form(pattern, length) == processed_count(s)
+        assert processed_count(s) == len(processed_indices(s))
 
     @settings(max_examples=150, deadline=None)
     @given(valid_patterns(), st.integers(min_value=1, max_value=200))
     def test_count_monotone_in_n(self, pattern, length):
         if pattern.n < pattern.m:
             bigger = DropPattern(pattern.n + 1, pattern.m)
-            assert processed_count_closed_form(bigger, length) \
-                >= processed_count_closed_form(pattern, length)
+            assert processed_count(build_schedule(bigger, length)) \
+                >= processed_count(build_schedule(pattern, length))
 
     @settings(max_examples=150, deadline=None)
     @given(valid_patterns(), st.integers(min_value=1, max_value=200))
     def test_count_antitone_in_m(self, pattern, length):
         wider = DropPattern(pattern.n, pattern.m + 1)
-        assert processed_count_closed_form(wider, length) \
-            <= processed_count_closed_form(pattern, length)
+        assert processed_count(build_schedule(wider, length)) \
+            <= processed_count(build_schedule(pattern, length))
 
     @settings(max_examples=150, deadline=None)
     @given(valid_patterns(), st.integers(min_value=1, max_value=300))
     def test_gap_bound(self, pattern, length):
         s = build_schedule(pattern, length)
         gap = worst = 0
-        for flag in s.flags:
-            gap = 0 if flag else gap + 1
+        for i in range(length):
+            gap = 0 if s.is_processed(i) else gap + 1
             worst = max(worst, gap)
         assert worst <= pattern.m - pattern.n
 
-
-class TestTrigger:
-    def test_trigger_forces_next_frame(self):
-        s = build_schedule(DropPattern(1, 10), 10)
-        t = trigger_next(s, 3)
-        assert processed_indices(t) == {0, 4}
-
-    def test_trigger_idempotent_on_processed_frame(self):
-        s = build_schedule(DropPattern(1, 10), 10)
-        t = trigger_next(s, 3)
-        again = trigger_next(t, 3)
-        assert again == t
-
-    def test_two_triggers(self):
-        s = build_schedule(DropPattern(1, 10), 10)
-        t = trigger_next(trigger_next(s, 3), 4)
-        assert processed_indices(t) == {0, 4, 5}
-
-    def test_trigger_past_end_rejected(self):
-        s = build_schedule(DropPattern(1, 2), 5)
-        with pytest.raises(ValueError):
-            trigger_next(s, 4)
-        with pytest.raises(ValueError):
-            trigger_next(s, 99)
-        with pytest.raises(ValueError):
-            trigger_next(s, -1)
-
-    def test_original_schedule_not_mutated(self):
-        s = build_schedule(DropPattern(1, 10), 10)
-        trigger_next(s, 3)
-        assert processed_indices(s) == {0}
-
-    @settings(max_examples=150, deadline=None)
-    @given(valid_patterns(), st.integers(min_value=2, max_value=100),
-           st.data())
-    def test_trigger_never_unsets(self, pattern, length, data):
-        s = build_schedule(pattern, length)
-        frame = data.draw(st.integers(min_value=0, max_value=length - 2))
-        t = trigger_next(s, frame)
-        assert processed_count(t) >= processed_count(s)
-        for before, after in zip(s.flags, t.flags):
-            assert after or not before
-        assert effective_target(t) >= effective_target(s)

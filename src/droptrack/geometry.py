@@ -8,6 +8,12 @@ the other (Sutherland-Hodgman) on plain floats: a polygon is a list of
 array library is involved. The 3D overlap is footprint area times
 vertical overlap.
 
+Every overlap is a fixed sequence of IEEE double operations, so its bits
+do not depend on the interpreter. In particular the shoelace area adds
+its terms one at a time, left to right from 0.0, in vertex order: it
+does not call `sum()`, which uses compensated summation from Python 3.12
+on and would give other last bits there.
+
 `overlap_bounds` is the one definition of a box's bounds: the bounding
 circle of its footprint and, for the 3D IoU, its vertical interval. The
 exact functions return 0 for a pair whose circles are apart or whose
@@ -18,7 +24,7 @@ intervals do not overlap, so a caller may skip such a pair and score it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Intersection areas below this are treated as zero: polygon clipping on
 # touching edges produces slivers of this magnitude.
@@ -32,6 +38,8 @@ DEFAULT_CLASS_SET = frozenset({"Car"})
 # OrientedBox.
 MIN_EXTENT = 0.05
 
+_INF = math.inf
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle in radians to (-pi, pi]."""
@@ -41,13 +49,23 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OrientedBox:
     """A yaw-rotated 3D bounding box, center convention on all axes.
 
     The vertical extent spans [cz - height/2, cz + height/2]. Length runs
     along the heading (yaw), width across it. Dimensions must be strictly
     positive and finite; yaw is normalized to (-pi, pi] at construction.
+
+    Validation is one chained comparison, which NaN fails like any
+    out-of-range value; only a box that fails it has its fields walked for
+    the message. For floats and ints within float range this accepts and
+    refuses exactly what a per-field `math.isfinite` test would, with the
+    same `ValueError` messages. Other inputs may fare differently: an int
+    beyond float range, which `isfinite` refused with `OverflowError`, now
+    passes as a dimension or coordinate (as a yaw it still raises
+    `OverflowError`, from the wrap), and a non-number raises the
+    comparison's `TypeError` instead of `isfinite`'s.
     """
 
     cx: float
@@ -58,22 +76,33 @@ class OrientedBox:
     height: float
     yaw: float
 
-    def __post_init__(self):
-        for name in ("length", "width", "height"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
-        for name in ("cx", "cy", "cz", "yaw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+    def __init__(self, cx, cy, cz, length, width, height, yaw):
+        if not (0.0 < length < _INF and 0.0 < width < _INF
+                and 0.0 < height < _INF and -_INF < cx < _INF
+                and -_INF < cy < _INF and -_INF < cz < _INF
+                and -_INF < yaw < _INF):
+            _check_fields(cx, cy, cz, length, width, height, yaw)
+        _set_cx(self, cx)
+        _set_cy(self, cy)
+        _set_cz(self, cz)
+        _set_length(self, length)
+        _set_width(self, width)
+        _set_height(self, height)
+        _set_yaw(self, wrap_angle(yaw))
 
     def footprint(self) -> list[tuple[float, float]]:
-        """The four (x, y) corners of the ground-plane rectangle, counter-clockwise."""
+        """The four (x, y) corners of the ground-plane rectangle, counter-clockwise.
+
+        Corner k is (cx + x c - y s, cy + x s + y c) for the local corner
+        (x, y) = (±dx, ±dy). Negation is exact, so the four products of
+        dx and dy with c and s give every corner's terms.
+        """
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         dx, dy = self.length / 2.0, self.width / 2.0
-        return [(self.cx + x * c - y * s, self.cy + x * s + y * c)
-                for x, y in ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))]
+        dxc, dxs, dyc, dys = dx * c, dx * s, dy * c, dy * s
+        cx, cy = self.cx, self.cy
+        return [(cx + dxc - dys, cy + dxs + dyc), (cx - dxc - dys, cy - dxs + dyc),
+                (cx - dxc + dys, cy - dxs - dyc), (cx + dxc + dys, cy + dxs - dyc)]
 
     @property
     def z_interval(self) -> tuple[float, float]:
@@ -94,7 +123,24 @@ class OrientedBox:
         return self.length * self.width * self.height
 
 
-@dataclass(frozen=True)
+# Slot setters for OrientedBox.__init__: the frozen class refuses attribute
+# assignment, and a setter skips the lookup `object.__setattr__` makes.
+(_set_cx, _set_cy, _set_cz, _set_length, _set_width, _set_height,
+ _set_yaw) = (OrientedBox.__dict__[f.name].__set__ for f in fields(OrientedBox))
+
+
+def _check_fields(cx, cy, cz, length, width, height, yaw) -> None:
+    """Raise the ValueError that names the first invalid field of a box."""
+    for name, value in (("length", length), ("width", width),
+                        ("height", height)):
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+    for name, value in (("cx", cx), ("cy", cy), ("cz", cz), ("yaw", yaw)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A detector output: a box plus confidence."""
 
@@ -106,7 +152,7 @@ class Detection:
             raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledObject:
     """One ground-truth annotation: a box with identity at a frame."""
 
@@ -122,57 +168,51 @@ class LabeledObject:
             raise ValueError("track_id must be nonnegative")
 
 
-def _polygon_area(poly: list[tuple[float, float]]) -> float:
-    """Shoelace area of a simple polygon given as (x, y) vertices."""
-    if len(poly) < 3:
-        return 0.0
-    pairs = zip(poly, poly[1:] + poly[:1])
-    return 0.5 * abs(sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in pairs))
-
-
-def _clip_polygon(subject: list, clipper: list) -> list:
-    """Sutherland-Hodgman clip of `subject` against convex `clipper`.
-
-    Both polygons are lists of (x, y) vertices with counter-clockwise
-    winding. Returns the clipped polygon vertices, possibly empty.
-    """
-    output = subject
-    n = len(clipper)
-    for i in range(n):
-        if not output:
-            break
-        ax, ay = clipper[i]
-        bx, by = clipper[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        input_pts = output
-        output = []
-        prev = input_pts[-1]
-        # Signed distance proxy: positive means left of (inside) the edge.
-        f_prev = ex * (prev[1] - ay) - ey * (prev[0] - ax)
-        for cur in input_pts:
-            f_cur = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            if f_cur >= 0.0:
-                if f_prev < 0.0:
-                    t = f_prev / (f_prev - f_cur)
-                    output.append((prev[0] + t * (cur[0] - prev[0]),
-                                   prev[1] + t * (cur[1] - prev[1])))
-                output.append(cur)
-            elif f_prev >= 0.0:
-                t = f_prev / (f_prev - f_cur)
-                output.append((prev[0] + t * (cur[0] - prev[0]),
-                               prev[1] + t * (cur[1] - prev[1])))
-            prev, f_prev = cur, f_cur
-    return output
-
-
 def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact overlap area of the two yaw-rotated footprint rectangles."""
+    """Exact overlap area of the two yaw-rotated footprint rectangles.
+
+    Clips a's footprint against each edge of b's in turn (Sutherland-
+    Hodgman; both are counter-clockwise), then takes the shoelace area of
+    what is left, its terms summed left to right.
+    """
     # Cheap separation test on bounding circles before clipping.
     if math.hypot(a.cx - b.cx, a.cy - b.cy) > \
             a.footprint_radius + b.footprint_radius:
         return 0.0
-    clipped = _clip_polygon(a.footprint(), b.footprint())
-    area = _polygon_area(clipped)
+    poly = a.footprint()
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = b.footprint()
+    for ax, ay, bx, by in ((x0, y0, x1, y1), (x1, y1, x2, y2),
+                           (x2, y2, x3, y3), (x3, y3, x0, y0)):
+        ex, ey = bx - ax, by - ay
+        clipped = []
+        px, py = poly[-1]
+        # Signed distance proxy: positive means left of (inside) the edge.
+        fp = ex * (py - ay) - ey * (px - ax)
+        for cur in poly:
+            qx, qy = cur
+            fq = ex * (qy - ay) - ey * (qx - ax)
+            if fq >= 0.0:
+                if fp < 0.0:
+                    t = fp / (fp - fq)
+                    clipped.append((px + t * (qx - px), py + t * (qy - py)))
+                clipped.append(cur)
+            elif fp >= 0.0:
+                t = fp / (fp - fq)
+                clipped.append((px + t * (qx - px), py + t * (qy - py)))
+            px, py, fp = qx, qy, fq
+        if not clipped:
+            return 0.0
+        poly = clipped
+    if len(poly) < 3:
+        return 0.0
+    # Shoelace terms over the vertex pairs (0, 1), (1, 2), ..., (n-1, 0).
+    first_x, first_y = px, py = poly[0]
+    twice_area = 0.0
+    for qx, qy in poly[1:]:
+        twice_area += px * qy - py * qx
+        px, py = qx, qy
+    twice_area += px * first_y - py * first_x
+    area = 0.5 * abs(twice_area)
     return area if area > _AREA_EPS else 0.0
 
 

@@ -27,6 +27,9 @@ from .tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED, FrameOutput,
                       TrackEntry)
 
 
+_HALF_PI = math.pi / 2.0
+
+
 class DatasetError(Exception):
     """Malformed or inconsistent dataset input."""
 
@@ -53,16 +56,11 @@ class SequenceData:
         return frames
 
 
-def _box_from_camera(h: float, w: float, length: float, x: float, y: float,
-                     z: float, rotation_y: float) -> OrientedBox:
-    return OrientedBox(cx=z, cy=-x, cz=h / 2.0 - y, length=length, width=w,
-                       height=h, yaw=-rotation_y - math.pi / 2.0)
-
-
 def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:
-    """The 17 KITTI label fields of one box, inverting _box_from_camera."""
+    """The 17 KITTI label fields of one box, inverting the camera-to-ground
+    map `_parse_rows` applies."""
     x, y = -box.cy, box.height / 2.0 - box.cz
-    rotation_y = wrap_angle(-box.yaw - math.pi / 2.0)
+    rotation_y = wrap_angle(-box.yaw - _HALF_PI)
     return (f"{frame} {track_id} {kind} 0 0 0 -1 -1 -1 -1 "
             f"{box.height:.6f} {box.width:.6f} {box.length:.6f} "
             f"{x:.6f} {y:.6f} {box.cx:.6f} {rotation_y:.6f}")
@@ -70,7 +68,8 @@ def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:
 
 def _parse_rows(lines: list[str], origin: str,
                 class_set: frozenset[str] | None = None,
-                frame_count: int | None = None):
+                frame_count: int | None = None
+                ) -> list[tuple[int, int, str, OrientedBox | None, float]]:
     """Parse 17/18-field rows into (frame, track_id, type, box, score).
 
     Blank lines are skipped and the score defaults to 1.0. With a
@@ -79,6 +78,7 @@ def _parse_rows(lines: list[str], origin: str,
     A malformed row, a row at or past frame_count or a repeated (frame,
     track id) raises DatasetError naming origin:line.
     """
+    rows = []
     seen = set()
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
@@ -108,10 +108,13 @@ def _parse_rows(lines: list[str], origin: str,
                 if (frame, track_id) in seen:
                     raise ValueError(f"duplicate (frame, id) {(frame, track_id)}")
                 seen.add((frame, track_id))
-                box = _box_from_camera(h, w, length, x, y, z, rotation_y)
+                # cx, cy, cz, length, width, height, yaw (module docstring).
+                box = OrientedBox(z, -x, h / 2.0 - y, length, w, h,
+                                  -rotation_y - _HALF_PI)
         except ValueError as exc:
             raise DatasetError(f"{origin}:{lineno}: {exc}") from None
-        yield frame, track_id, kind, box, score
+        rows.append((frame, track_id, kind, box, score))
+    return rows
 
 
 def parse_kitti_labels(source, sequence_id: str = "",
@@ -133,22 +136,17 @@ def parse_kitti_labels(source, sequence_id: str = "",
         except OSError as exc:
             raise DatasetError(f"cannot read labels {origin}: {exc}") from None
 
-    labels: list[LabeledObject] = []
-    max_frame = -1
-    for frame, track_id, kind, box, _ in _parse_rows(lines, origin, class_set,
-                                                     frame_count):
-        max_frame = max(max_frame, frame)
-        if box is None:
-            continue
-        labels.append(LabeledObject(frame_index=frame, track_id=track_id,
-                                    box=box, class_label=kind))
-
-    labels.sort(key=lambda lab: (lab.frame_index, lab.track_id))
+    rows = _parse_rows(lines, origin, class_set, frame_count)
+    # (frame, id) is unique among kept rows, so sorting never compares boxes.
+    kept = sorted((frame, track_id, box, kind)
+                  for frame, track_id, kind, box, _ in rows if box is not None)
+    labels = tuple(LabeledObject(frame, track_id, box, kind)
+                   for frame, track_id, box, kind in kept)
 
     if frame_count is None:
-        frame_count = max_frame + 1 if max_frame >= 0 else 1
+        frame_count = max((row[0] for row in rows), default=0) + 1
     return SequenceData(sequence_id=sequence_id, frame_count=frame_count,
-                        labels=tuple(labels))
+                        labels=labels)
 
 
 def write_kitti_labels(labels: list[LabeledObject], path) -> None:

@@ -133,6 +133,7 @@ def clear_threshold(value, where: str) -> float:
     return value
 
 
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _DATASET_FIELDS = {"kind", "path", "manifest"}
 _TRACKER_FIELDS = {f.name for f in fields(TrackerConfig)}
 
@@ -141,6 +142,13 @@ def config_from_dict(data: dict) -> RunConfig:
     """Validate a JSON config object; every bad field is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    # `"jobs": 1` asks for the one thread every run uses; configs written
+    # while a thread pool existed carry it.
+    unknown = set(data) - _CONFIG_KEYS
+    if type(data.get("jobs")) is int and data["jobs"] == 1:
+        unknown.discard("jobs")
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
     dataset = data.get("dataset", {"kind": "reference"})
     if not isinstance(dataset, dict) or "kind" not in dataset:

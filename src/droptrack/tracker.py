@@ -87,7 +87,7 @@ class TrackState:
                            height=max(MIN_EXTENT, m[6]), yaw=m[3])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackEntry:
     track_id: int
     box: OrientedBox

@@ -6,10 +6,13 @@ enumeration instead of the Hungarian solver, per-tick simulation instead
 of the closed-form draw formula, full matrix products and a general
 linear solve instead of the tracker's per-axis Kalman filter, a
 per-pair loop instead of the bounds prefilter, a stored track status
-instead of the hit count. The tracking-metric oracles share only the
-metric DEFINITION with the library (alpha grid, epsilon slack,
-count-first matching objective, canonical accumulation order); all
-optimization is done by brute force here.
+instead of the hit count, a per-field `isfinite` walk instead of the
+box's one chained comparison, and list-of-vertex clipping with sixteen
+corner products instead of the clip on unpacked locals. The
+tracking-metric oracles share only the metric DEFINITION with the
+library (alpha grid, epsilon slack, count-first matching objective,
+canonical accumulation order); all optimization is done by brute force
+here.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from droptrack.energy import EnergyParams
-from droptrack.geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection,
-                                LabeledObject, OrientedBox, iou_3d, wrap_angle)
+from droptrack.geometry import (_AREA_EPS, MIN_EXTENT, SIMILARITY_FNS,
+                                Detection, LabeledObject, OrientedBox, iou_3d,
+                                wrap_angle)
 from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
                                NoGroundTruthError)
 from droptrack.schedule import Schedule
@@ -78,6 +83,93 @@ def mc_bev_iou(a: OrientedBox, b: OrientedBox, n_samples: int = 10**6,
     if union == 0:
         return 0.0
     return inter / union
+
+
+# --- geometry: per-field box check and list-based clip --------------------
+
+@dataclass(frozen=True)
+class ReferenceBox:
+    """OrientedBox with its field check as a per-field `math.isfinite` walk,
+    run after the fields are set."""
+
+    cx: float
+    cy: float
+    cz: float
+    length: float
+    width: float
+    height: float
+    yaw: float
+
+    def __post_init__(self):
+        for name in ("length", "width", "height"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+        for name in ("cx", "cy", "cz", "yaw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+
+
+def reference_footprint(box) -> list[tuple[float, float]]:
+    """The four corners, each from its own rotation of (±dx, ±dy)."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    dx, dy = box.length / 2.0, box.width / 2.0
+    return [(box.cx + x * c - y * s, box.cy + x * s + y * c)
+            for x, y in ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))]
+
+
+def reference_clip_polygon(subject: list, clipper: list) -> list:
+    """Sutherland-Hodgman clip of `subject` against convex `clipper`, both
+    counter-clockwise lists of (x, y) vertices."""
+    output = subject
+    n = len(clipper)
+    for i in range(n):
+        if not output:
+            break
+        ax, ay = clipper[i]
+        bx, by = clipper[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        input_pts = output
+        output = []
+        prev = input_pts[-1]
+        f_prev = ex * (prev[1] - ay) - ey * (prev[0] - ax)
+        for cur in input_pts:
+            f_cur = ex * (cur[1] - ay) - ey * (cur[0] - ax)
+            if f_cur >= 0.0:
+                if f_prev < 0.0:
+                    t = f_prev / (f_prev - f_cur)
+                    output.append((prev[0] + t * (cur[0] - prev[0]),
+                                   prev[1] + t * (cur[1] - prev[1])))
+                output.append(cur)
+            elif f_prev >= 0.0:
+                t = f_prev / (f_prev - f_cur)
+                output.append((prev[0] + t * (cur[0] - prev[0]),
+                               prev[1] + t * (cur[1] - prev[1])))
+            prev, f_prev = cur, f_cur
+    return output
+
+
+def reference_polygon_area(poly: list[tuple[float, float]]) -> float:
+    """Shoelace area, its terms added left to right from 0.0 (what `sum()`
+    did before Python 3.12 made it compensated)."""
+    if len(poly) < 3:
+        return 0.0
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
+        total += x0 * y1 - y0 * x1
+    return 0.5 * abs(total)
+
+
+def reference_intersection_area(a, b) -> float:
+    """`footprint_intersection_area` through the three helpers above."""
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) > \
+            a.footprint_radius + b.footprint_radius:
+        return 0.0
+    clipped = reference_clip_polygon(reference_footprint(a),
+                                     reference_footprint(b))
+    area = reference_polygon_area(clipped)
+    return area if area > _AREA_EPS else 0.0
 
 
 # --- assignment: exhaustive permutation search -----------------------------

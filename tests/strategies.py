@@ -3,7 +3,9 @@
 `box_pairs` draws (a, b) pairs that sit where a bounds test could go
 wrong: identical boxes, centres exactly (up to rounding) the sum of the
 bounding-circle radii apart, vertical intervals that just touch, and
-rotated footprints whose edges just touch.
+rotated footprints whose edges just touch. `clip_pairs` adds the pairs
+where a rectangle clip could go wrong: corners that coincide, a box
+turned by pi/2 or pi against the other, and tiny or large extents.
 """
 
 import math
@@ -71,3 +73,30 @@ def box_pairs(draw):
         return a, replace(b, cx=a.cx + dx, cy=a.cy + dy, cz=a.cz,
                           yaw=a.yaw + twist)
     return a, b
+
+
+@st.composite
+def clip_pairs(draw):
+    a = draw(random_boxes)
+    b = draw(random_boxes)
+    kind = draw(st.sampled_from(["bounds", "corner", "turn", "extent"]))
+    if kind == "bounds":
+        return draw(box_pairs())
+    if kind == "corner":
+        # A corner of b moved onto a corner of a, up to an edge offset.
+        ax, ay = a.footprint()[draw(st.integers(0, 3))]
+        bx, by = b.footprint()[draw(st.integers(0, 3))]
+        return a, replace(b, cx=b.cx + (ax - bx) + draw(EDGE_OFFSETS),
+                          cy=b.cy + (ay - by))
+    if kind == "turn":
+        # a copy of a, or b on a's centre, turned against a by pi/2 or pi
+        # and shifted along x by nothing or by half of one of a's extents.
+        turn = draw(st.sampled_from([math.pi / 2, -math.pi / 2, math.pi]))
+        shift = draw(st.sampled_from([0.0, a.length / 2.0, a.width / 2.0]))
+        return a, replace(b if draw(st.booleans()) else a,
+                          cx=a.cx + shift, cy=a.cy, yaw=a.yaw + turn)
+    # Both footprints scaled by one factor about a's centre.
+    k = draw(st.sampled_from([1e-6, 1e-3, 1e3, 1e5]))
+    return (replace(a, length=a.length * k, width=a.width * k),
+            replace(b, cx=a.cx + (b.cx - a.cx) * k, cy=a.cy + (b.cy - a.cy) * k,
+                    length=b.length * k, width=b.width * k))

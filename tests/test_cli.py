@@ -257,6 +257,12 @@ def dataset_typo_argv(tmp_path):
      + ["--length", "7"], EXIT_CONFIG, "--length"),
     (lambda p: ["energy", "--preset", "second", "--sample-rate", "5"],
      EXIT_CONFIG, "--sample-rate"),
+    # A misspelt top-level key is refused by name, not run without it; of
+    # `jobs`, only the value 1 every run uses is accepted.
+    (lambda p: sweep_argv(p, tracker_overide={"1/2": {"min_hits_to_confirm": 1}}),
+     EXIT_CONFIG, "unknown config keys ['tracker_overide']"),
+    (lambda p: sweep_argv(p, jobs=2), EXIT_CONFIG,
+     "unknown config keys ['jobs']"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -284,7 +290,8 @@ def dataset_typo_argv(tmp_path):
         "energy-preset-with-draw", "energy-log-with-preset",
         "energy-entry-preset-with-field", "dataset-unknown-field",
         "energy-log-with-pattern", "energy-log-with-length",
-        "energy-model-with-sample-rate"])
+        "energy-model-with-sample-rate", "config-unknown-key",
+        "config-jobs-not-one"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

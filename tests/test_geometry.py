@@ -1,5 +1,6 @@
 """Overlap geometry: exact hand cases, one frozen rotation value, invariants."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,8 +16,11 @@ from droptrack.geometry import (
     iou_3d,
     wrap_angle,
 )
+from droptrack.tracker import TrackEntry
 
-from strategies import any_yaw, finite_coord, random_boxes
+from oracles import (ReferenceBox, reference_footprint,
+                     reference_intersection_area)
+from strategies import any_yaw, clip_pairs, finite_coord, random_boxes
 
 
 def make_box(cx=0.0, cy=0.0, cz=1.0, length=4.0, width=2.0, height=1.5,
@@ -210,3 +214,94 @@ class TestFootprint:
         assert signed == pytest.approx(box.length * box.width, rel=1e-12)
         assert sum(x for x, _ in corners) / 4 == pytest.approx(box.cx, abs=1e-12)
         assert sum(y for _, y in corners) / 4 == pytest.approx(box.cy, abs=1e-12)
+
+
+def _hex_corners(corners):
+    return [(x.hex(), y.hex()) for x, y in corners]
+
+
+class TestListClipOracle:
+    """The clip on unpacked locals against the list-of-vertex clip, bit for
+    bit: the same IEEE operations in the same order."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(clip_pairs())
+    def test_area_bits(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            assert footprint_intersection_area(x, y).hex() == \
+                reference_intersection_area(x, y).hex()
+
+    @settings(max_examples=500, deadline=None)
+    @given(clip_pairs())
+    def test_footprint_bits(self, pair):
+        for box in pair:
+            assert _hex_corners(box.footprint()) == \
+                _hex_corners(reference_footprint(box))
+
+
+# Values a box field may be given: NaN, infinities, signed zeros, negatives,
+# subnormals, the float extremes, ordinary values and ints.
+_FIELD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324,
+                 5e-324, 1e-310, 2.2250738585072014e-308, 1.5, -7.25,
+                 1.7976931348623157e308, -1.7976931348623157e308, 3 * math.pi,
+                 0, 2, -3, True]
+_FIELDS = ("cx", "cy", "cz", "length", "width", "height", "yaw")
+
+
+def _outcome(cls, values):
+    """(fields, None) for an accepted box, (None, message) for a refusal."""
+    try:
+        box = cls(*values)
+    except ValueError as exc:
+        return None, str(exc)
+    return [getattr(box, name) for name in _FIELDS], None
+
+
+class TestFieldWalkOracle:
+    """The one chained comparison accepts and refuses what the per-field
+    `isfinite` walk did, with the same message."""
+
+    @pytest.mark.parametrize("field", range(len(_FIELDS)))
+    def test_each_value_in_each_field(self, field):
+        for value in _FIELD_VALUES:
+            values = [1.0, -2.0, 0.5, 4.0, 1.8, 1.5, 0.3]
+            values[field] = value
+            assert repr(_outcome(OrientedBox, values)) == \
+                repr(_outcome(ReferenceBox, values)), (field, value)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_FIELD_VALUES), st.floats()),
+                    min_size=7, max_size=7))
+    def test_any_floats(self, values):
+        assert repr(_outcome(OrientedBox, values)) == \
+            repr(_outcome(ReferenceBox, values))
+
+
+class TestRecords:
+    def test_replace_wraps_and_validates(self):
+        box = make_box()
+        turned = dataclasses.replace(box, yaw=7.0)
+        assert turned.yaw == wrap_angle(7.0)
+        assert (turned.cx, turned.length) == (box.cx, box.length)
+        with pytest.raises(ValueError, match="length must be strictly positive"):
+            dataclasses.replace(box, length=-1.0)
+        with pytest.raises(ValueError, match="cy must be finite"):
+            dataclasses.replace(box, cy=math.nan)
+
+    def test_fields_are_frozen(self):
+        box = make_box()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.yaw = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del box.cx
+
+    def test_slotted(self):
+        box = make_box()
+        records = [box, Detection(box=box, score=0.5),
+                   LabeledObject(frame_index=0, track_id=1, box=box),
+                   TrackEntry(track_id=1, box=box, score=0.5,
+                              provenance="updated")]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        assert box == make_box() and hash(box) == hash(make_box())

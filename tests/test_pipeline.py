@@ -100,6 +100,17 @@ class TestConfigParsing:
                 "profiles": {"bad": {"detection_probability": 2.0}},
             })
 
+    def test_jobs_one_is_the_only_tolerated_extra_key(self):
+        cfg = config_from_dict({"patterns": ["1/1"], "jobs": 1})
+        assert cfg == config_from_dict({"patterns": ["1/1"]})
+        for jobs in (2, True, 1.0, "1"):
+            with pytest.raises(ConfigError, match=r"unknown config keys \['jobs'\]"):
+                config_from_dict({"patterns": ["1/1"], "jobs": jobs})
+        with pytest.raises(ConfigError,
+                           match=r"unknown config keys \['seed', 'variant'\]"):
+            config_from_dict({"patterns": ["1/1"], "jobs": 1, "variant": "gt",
+                              "seed": 1})
+
     def test_unknown_tracker_field(self):
         with pytest.raises(ConfigError, match="unknown tracker"):
             config_from_dict({"patterns": ["1/1"],

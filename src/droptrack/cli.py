@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .energy import (ENERGY_PRESETS, estimate_draw, read_power_log_csv,
                      summarize_power_log)
+from .geometry import SIMILARITY_FNS
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
 from . import metrics
-from .metrics import SIMILARITY_FNS, NoGroundTruthError, clear_mot, hota
+from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, SweepReport,
                        clear_threshold, config_from_dict, energy_params,
                        load_sequences, output_dir, read_config_json,

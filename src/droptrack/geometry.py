@@ -14,11 +14,12 @@ its terms one at a time, left to right from 0.0, in vertex order: it
 does not call `sum()`, which uses compensated summation from Python 3.12
 on and would give other last bits there.
 
-`overlap_bounds` is the one definition of a box's bounds: the bounding
-circle of its footprint and, for the 3D IoU, its vertical interval. The
-exact functions return 0 for a pair whose circles are apart or whose
-intervals do not overlap, so a caller may skip such a pair and score it
-0 without a call.
+`pair_similarities` scores every (row, column) pair of two box lists,
+for association and for evaluation alike, and is the one place a pair is
+skipped by its bounds: a pair whose footprints' bounding circles are
+apart scores 0 without an exact call. The exact functions only clip;
+`iou_3d` first takes the vertical overlap, which its volume needs, and
+returns 0 without clipping when there is none.
 """
 
 from __future__ import annotations
@@ -175,10 +176,6 @@ def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     Hodgman; both are counter-clockwise), then takes the shoelace area of
     what is left, its terms summed left to right.
     """
-    # Cheap separation test on bounding circles before clipping.
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) > \
-            a.footprint_radius + b.footprint_radius:
-        return 0.0
     poly = a.footprint()
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = b.footprint()
     for ax, ay, bx, by in ((x0, y0, x1, y1), (x1, y1, x2, y2),
@@ -216,19 +213,6 @@ def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     return area if area > _AREA_EPS else 0.0
 
 
-def overlap_bounds(box: OrientedBox, similarity: str
-                   ) -> tuple[float, float, float, float, float]:
-    """`(cx, cy, r, zlo, zhi)`: bounds outside which a similarity is 0.
-
-    Both similarities return 0 when `hypot(ax - bx, ay - by) > ra + rb`,
-    `r` being the footprint's bounding-circle radius; `3d-iou` also when
-    `min(ahi, bhi) - max(alo, blo) <= 0`. Any other similarity gets an
-    unbounded z interval, so that test passes for it.
-    """
-    zlo, zhi = box.z_interval if similarity == "3d-iou" else (-math.inf, math.inf)
-    return box.cx, box.cy, box.footprint_radius, zlo, zhi
-
-
 def bev_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection-over-union of the two ground-plane footprints.
 
@@ -263,3 +247,22 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
 
 # Box similarity functions by the name configs and the command line use.
 SIMILARITY_FNS = {"3d-iou": iou_3d, "bev-iou": bev_iou}
+
+
+def pair_similarities(rows: list[OrientedBox], cols: list[OrientedBox],
+                      similarity: str) -> list[float]:
+    """`SIMILARITY_FNS[similarity]` of every (row, column) pair, row-major.
+
+    A pair whose footprints' bounding circles are apart,
+    `hypot(ax - bx, ay - by) > ra + rb`, scores 0 without an exact call;
+    its exact similarity is 0 too.
+    """
+    sim_fn = SIMILARITY_FNS[similarity]
+    hypot = math.hypot
+    col_circles = [(b, b.cx, b.cy, b.footprint_radius) for b in cols]
+    sims = []
+    for a in rows:
+        ax, ay, ar = a.cx, a.cy, a.footprint_radius
+        sims += [0.0 if hypot(ax - bx, ay - by) > ar + br else sim_fn(a, b)
+                 for b, bx, by, br in col_circles]
+    return sims

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SIMILARITY_FNS, LabeledObject, OrientedBox, overlap_bounds
+from .geometry import LabeledObject, OrientedBox, pair_similarities
 from .tracker import MATCH_EPS, FrameOutput, solve_assignment
 
 ALPHA_GRID = tuple(np.arange(1, 20) / 20.0)
@@ -73,14 +73,8 @@ class FrameTable:
 def build_frame_tables(labels: list[LabeledObject],
                        outputs: list[FrameOutput],
                        similarity="3d-iou") -> list[FrameTable]:
-    """Canonical per-frame tables, frames ascending, ids sorted.
-
-    A bounds prefilter rejects only pairs whose exact similarity is 0;
-    every other pair is scored by `SIMILARITY_FNS`. It runs once per
-    sequence on arrays of `overlap_bounds`, and every table's `sim` is a
-    slice of one buffer.
-    """
-    sim_fn = SIMILARITY_FNS[similarity]
+    """Canonical per-frame tables, frames ascending, ids sorted, each
+    `sim` scored by `pair_similarities`."""
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
     for lab in labels:
         frame = by_frame_gt.setdefault(lab.frame_index, {})
@@ -104,56 +98,16 @@ def build_frame_tables(labels: list[LabeledObject],
     if missing:
         raise ValueError(f"outputs missing for labeled frames {sorted(missing)}")
 
-    frames = sorted(by_frame_pr)
-    gts = [by_frame_gt.get(f, {}) for f in frames]
-    prs = [by_frame_pr[f] for f in frames]
-    gt_ids = [tuple(sorted(gt)) for gt in gts]
-    pred_ids = [tuple(sorted(pr)) for pr in prs]
-    gt_boxes = [gt[i] for gt, ids in zip(gts, gt_ids) for i in ids]
-    pr_boxes = [pr[j] for pr, ids in zip(prs, pred_ids) for j in ids]
-
-    n_gt = np.array([len(ids) for ids in gt_ids], dtype=np.intp)
-    n_pr = np.array([len(ids) for ids in pred_ids], dtype=np.intp)
-    ends = np.cumsum(n_gt * n_pr)
-    rows, cols = _frame_pairs(n_gt, n_pr)
-
-    # Bounds prefilter, conservative by a relative and absolute 1e-9 since
-    # np.hypot may differ from math.hypot in the last bit; the exact
-    # function re-applies its own tests to every kept pair.
-    gx, gy, gr, glo, ghi = _bound_arrays(gt_boxes, similarity)
-    px, py, pr_r, plo, phi = _bound_arrays(pr_boxes, similarity)
-    reach = (gr[rows] + pr_r[cols]) * (1.0 + 1e-9) + 1e-9
-    keep = np.hypot(gx[rows] - px[cols], gy[rows] - py[cols]) <= reach
-    keep &= (np.minimum(ghi[rows], phi[cols])
-             - np.maximum(glo[rows], plo[cols])) >= -1e-9
-    kept = np.flatnonzero(keep)
-    sim = np.zeros(len(keep))
-    sim[kept] = [sim_fn(gt_boxes[i], pr_boxes[j])
-                 for i, j in zip(rows[kept].tolist(), cols[kept].tolist())]
-
-    return [FrameTable(gt_ids=g, pred_ids=p,
-                       sim=sim[end - len(g) * len(p):end].reshape(len(g), len(p)))
-            for g, p, end in zip(gt_ids, pred_ids, ends.tolist())]
-
-
-def _frame_pairs(n_gt: np.ndarray, n_pr: np.ndarray):
-    """Flat gt and predicted box indices of every frame's (gt, pred) pairs.
-
-    Frames ascending, row-major within a frame: pair k of a frame with m
-    predictions joins its (k // m)-th gt box and (k % m)-th predicted box.
-    """
-    sizes = n_gt * n_pr
-    starts = np.cumsum(sizes) - sizes
-    local = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
-    per_row = np.repeat(n_pr, sizes)
-    return (np.repeat(np.cumsum(n_gt) - n_gt, sizes) + local // per_row,
-            np.repeat(np.cumsum(n_pr) - n_pr, sizes) + local % per_row)
-
-
-def _bound_arrays(boxes: list[OrientedBox], similarity: str) -> np.ndarray:
-    """`overlap_bounds` of each box as five arrays: cx, cy, r, zlo, zhi."""
-    return np.array([overlap_bounds(b, similarity) for b in boxes],
-                    dtype=float).reshape(len(boxes), 5).T
+    tables = []
+    for f in sorted(by_frame_pr):
+        gt, pr = by_frame_gt.get(f, {}), by_frame_pr[f]
+        gt_ids, pred_ids = tuple(sorted(gt)), tuple(sorted(pr))
+        sim = pair_similarities([gt[i] for i in gt_ids],
+                                [pr[j] for j in pred_ids], similarity)
+        tables.append(FrameTable(gt_ids=gt_ids, pred_ids=pred_ids,
+                                 sim=np.array(sim).reshape(len(gt_ids),
+                                                           len(pred_ids))))
+    return tables
 
 
 # --- HOTA ---------------------------------------------------------------

@@ -167,15 +167,23 @@ def config_from_dict(data: dict) -> RunConfig:
     raw_patterns = data.get("patterns")
     if not raw_patterns:
         raise ConfigError("config requires at least one pattern")
-    try:
-        patterns = tuple(parse_pattern(str(p))
-                         for p in _typed(raw_patterns, list, "patterns"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    patterns = []
+    for i, raw in enumerate(_typed(raw_patterns, list, "patterns")):
+        try:
+            pattern = parse_pattern(str(raw))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if pattern in patterns:
+            raise ConfigError(f"patterns[{i}]: {str(raw)!r} repeats "
+                              f"pattern {pattern}")
+        patterns.append(pattern)
 
-    variants = tuple(_string_array(data, "variants", ["gt"]))
+    variants = _string_array(data, "variants", ["gt"])
     if not variants:
         raise ConfigError("config requires at least one variant")
+    for i, variant in enumerate(variants):
+        if variant in variants[:i]:
+            raise ConfigError(f"variants[{i}]: {variant!r} is named twice")
 
     profiles = {name: _from_object(NoiseProfile, body, f"profiles[{name!r}]")
                 for name, body in _typed(data.get("profiles", {}), dict,
@@ -199,6 +207,9 @@ def config_from_dict(data: dict) -> RunConfig:
             pattern = parse_pattern(str(key))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
+        if pattern in overrides:
+            raise ConfigError(f"{where}: pattern {pattern} already has an "
+                              f"override")
         unknown = set(_typed(body, dict, where)) - _TRACKER_FIELDS
         if unknown:
             raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
@@ -210,14 +221,19 @@ def config_from_dict(data: dict) -> RunConfig:
     if similarity not in known:
         raise ConfigError(f"similarity {similarity!r}: expected one of {known}")
 
-    energy = {key: energy_params(body, f"energy[{key!r}]")
-              for key, body in _typed(data.get("energy", {}), dict,
-                                      "energy").items()}
+    # A draw model for every variant, or for one variant.
+    energy_keys = {"default", "gt"} | {f"noisy:{name}" for name in profiles}
+    energy = {}
+    for key, body in _typed(data.get("energy", {}), dict, "energy").items():
+        if key not in energy_keys:
+            raise ConfigError(f"energy[{key!r}]: expected 'default', 'gt' "
+                              f"or 'noisy:<profile>' of a defined profile")
+        energy[key] = energy_params(body, f"energy[{key!r}]")
 
     return RunConfig(
         dataset=dataset,
-        variants=variants,
-        patterns=patterns,
+        variants=tuple(variants),
+        patterns=tuple(patterns),
         profiles=profiles,
         tracker=tracker,
         tracker_overrides=overrides,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
-                       overlap_bounds, wrap_angle)
+                       pair_similarities, wrap_angle)
 
 N_OBSERVED = 7
 
@@ -183,27 +183,13 @@ def solve_assignment(scores: np.ndarray,
 
 def associate(tracks: list[TrackState], detections: list[Detection],
               config: TrackerConfig):
-    """Split (tracks × detections) into matches and leftovers.
-
-    A bounds prefilter rejects only pairs whose exact similarity is 0;
-    every other pair is scored by `SIMILARITY_FNS`. It applies the exact
-    functions' own tests, in the same expressions, to `overlap_bounds`
-    taken once per box, so its decisions equal theirs.
-    """
+    """Split (tracks × detections) into matches and leftovers, scored by
+    `pair_similarities`."""
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    metric = config.association_metric
-    similarity = SIMILARITY_FNS[metric]
-    det_bounds = [overlap_bounds(det.box, metric) for det in detections]
-    scores = np.zeros((len(tracks), len(detections)))
-    for i, trk in enumerate(tracks):
-        tb = trk.box()
-        ax, ay, ar, alo, ahi = overlap_bounds(tb, metric)
-        for j, (bx, by, br, blo, bhi) in enumerate(det_bounds):
-            if math.hypot(ax - bx, ay - by) > ar + br \
-                    or min(ahi, bhi) - max(alo, blo) <= 0.0:
-                continue
-            scores[i, j] = similarity(tb, detections[j].box)
+    scores = np.array(pair_similarities(
+        [t.box() for t in tracks], [d.box for d in detections],
+        config.association_metric)).reshape(len(tracks), len(detections))
     pairs = solve_assignment(scores,
                              scores >= config.gate_iou_min - MATCH_EPS)
     matched_t = {i for i, _ in pairs}

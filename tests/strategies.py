@@ -27,8 +27,8 @@ random_boxes = st.builds(
     yaw=any_yaw,
 )
 
-# Offsets from an edge: none, rounding-sized, and around the 1e-9 slack
-# of the vectorised prefilter in `metrics`.
+# Offsets from an edge, either way: none, rounding-sized, and small gaps
+# or overlaps from 5e-10 to 1e-6.
 EDGE_OFFSETS = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 5e-10,
                                 -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -1e-6])
 

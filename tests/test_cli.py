@@ -263,6 +263,21 @@ def dataset_typo_argv(tmp_path):
      EXIT_CONFIG, "unknown config keys ['tracker_overide']"),
     (lambda p: sweep_argv(p, jobs=2), EXIT_CONFIG,
      "unknown config keys ['jobs']"),
+    # An energy key must name a variant: default, gt or a defined profile.
+    (lambda p: sweep_argv(p, energy={"defualt": {"preset": "second"}}),
+     EXIT_CONFIG, "energy['defualt']"),
+    (lambda p: sweep_argv(p, energy={"noisy:field": {"preset": "second"}}),
+     EXIT_CONFIG, "energy['noisy:field']"),
+    # A pattern or variant named twice would run or override it twice.
+    (lambda p: sweep_argv(p, patterns=["1/2", "50"]), EXIT_CONFIG,
+     "patterns[1]: '50' repeats pattern 1/2"),
+    (lambda p: ["sweep", "--pattern", "1/2", "--target", "50"], EXIT_CONFIG,
+     "'50' repeats pattern 1/2"),
+    (lambda p: sweep_argv(p, variants=["gt", "gt"]), EXIT_CONFIG,
+     "variants[1]: 'gt'"),
+    (lambda p: sweep_argv(p, tracker_overrides={
+        "1/2": {"min_hits_to_confirm": 3}, "50": {"min_hits_to_confirm": 1}}),
+     EXIT_CONFIG, "tracker_overrides['50']: pattern 1/2"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -291,7 +306,9 @@ def dataset_typo_argv(tmp_path):
         "energy-entry-preset-with-field", "dataset-unknown-field",
         "energy-log-with-pattern", "energy-log-with-length",
         "energy-model-with-sample-rate", "config-unknown-key",
-        "config-jobs-not-one"])
+        "config-jobs-not-one", "energy-key-typo",
+        "energy-key-undefined-profile", "patterns-repeat",
+        "pattern-flags-repeat", "variants-repeat", "overrides-repeat"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

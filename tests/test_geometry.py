@@ -14,6 +14,7 @@ from droptrack.geometry import (
     bev_iou,
     footprint_intersection_area,
     iou_3d,
+    pair_similarities,
     wrap_angle,
 )
 from droptrack.tracker import TrackEntry
@@ -222,7 +223,9 @@ def _hex_corners(corners):
 
 class TestListClipOracle:
     """The clip on unpacked locals against the list-of-vertex clip, bit for
-    bit: the same IEEE operations in the same order."""
+    bit: the same IEEE operations in the same order. The oracle still
+    returns 0 early for footprints whose bounding circles are apart, so the
+    clip must give 0 on those pairs by itself."""
 
     @settings(max_examples=3000, deadline=None)
     @given(clip_pairs())
@@ -238,6 +241,13 @@ class TestListClipOracle:
         for box in pair:
             assert _hex_corners(box.footprint()) == \
                 _hex_corners(reference_footprint(box))
+
+
+# `pair_similarities`' scores are checked against per-pair exact calls
+# through both of its callers, in test_metrics and test_tracker.
+def test_pair_similarities_refuses_an_unknown_name():
+    with pytest.raises(KeyError):
+        pair_similarities([], [], "nope")
 
 
 # Values a box field may be given: NaN, infinities, signed zeros, negatives,

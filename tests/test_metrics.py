@@ -520,9 +520,7 @@ class TestPrefilterMechanism:
         overlapping = sum(int(np.count_nonzero(t.sim)) for t in tables)
         assert overlapping <= len(calls) < pairs / 4
         for a, b in calls:
-            reach = (math.hypot(a.length, a.width)
-                     + math.hypot(b.length, b.width)) / 2.0
             assert math.hypot(a.cx - b.cx, a.cy - b.cy) <= \
-                reach * (1.0 + 1e-9) + 1e-9
+                a.footprint_radius + b.footprint_radius
             (alo, ahi), (blo, bhi) = a.z_interval, b.z_interval
             assert min(ahi, bhi) - max(alo, blo) > 0.0

@@ -24,7 +24,7 @@ from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, SweepReport,
                        clear_threshold, config_from_dict, energy_params,
                        load_sequences, output_dir, read_config_json,
-                       read_sweep_json, render_sweep_csv, run_once, run_sweep,
+                       read_sweep_json, render_sweep_csv, run_cells, run_sweep,
                        write_cell_outputs, write_report)
 from .schedule import TARGET_PATTERNS, build_schedule, parse_pattern
 
@@ -129,14 +129,12 @@ def _cmd_run(args) -> int:
     _check_out(args)
     sequences = load_sequences(config)
     rows = []
-    for variant in config.variants:
-        for pattern in config.patterns:
-            result = run_once(config, variant, pattern, sequences)
-            rows.append(result.row)
-            if args.out is not None:
-                cell_dir = Path(args.out) / variant.replace(":", "_") / \
-                    f"{pattern.n}of{pattern.m}"
-                write_cell_outputs(result, cell_dir)
+    for variant, pattern, result in run_cells(config, sequences):
+        rows.append(result.row)
+        if args.out is not None:
+            cell_dir = Path(args.out) / variant.replace(":", "_") / \
+                f"{pattern.n}of{pattern.m}"
+            write_cell_outputs(result, cell_dir)
     print(render_sweep_csv(SweepReport(rows=tuple(rows))), end="")
     return EXIT_OK
 

@@ -3,7 +3,8 @@
 A cell = (detector variant, drop pattern) evaluated over every sequence of
 the dataset: schedule → per-frame detect/track loop → pooled metrics →
 modeled draw. A sweep is the cross-product of configured variants and
-patterns, with yield computed against the same variant's full-rate row.
+patterns, with yield computed against the same variant's full-rate row;
+the cells of a variant detect each frame once between them.
 
 Reports are byte-deterministic: fixed float formatting, sorted JSON keys,
 no timestamps. Two runs with the same config and seed produce identical
@@ -23,7 +24,7 @@ from pathlib import Path
 from .detectors import NoiseProfile, gt_detect, noisy_detect, scene_context
 from .energy import (ENERGY_PRESETS, EnergyParams, UndefinedYieldError,
                      estimate_draw_multi, yield_metric)
-from .geometry import DEFAULT_CLASS_SET, SIMILARITY_FNS
+from .geometry import DEFAULT_CLASS_SET, SIMILARITY_FNS, Detection
 from .kitti_io import SequenceData, load_label_dir, load_manifest, \
     write_frame_outputs
 from . import metrics
@@ -71,9 +72,10 @@ class RunConfig:
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a finite number"}
 # The Python type of each dataclass field annotation a config object or a
-# report row sets; an optional field also takes null.
+# report row sets; an optional field also takes null, and a pair is an
+# array of two numbers.
 _FIELD_TYPES = {"float": float, "int": int, "str": str,
-                "tuple[float, float]": list, "float | None": float}
+                "tuple[float, float]": tuple, "float | None": float}
 
 
 def _typed(value, kind: type, where: str):
@@ -90,18 +92,31 @@ def _string_array(data: dict, key: str, default: list) -> list[str]:
             for i, v in enumerate(_typed(data.get(key, default), list, key))]
 
 
+def _field_value(value, annotation: str, where: str):
+    """A JSON field value as its dataclass field stores it: an integer given
+    for a float is a float, a pair is a tuple of two floats."""
+    if value is None and annotation.endswith("| None"):
+        return None
+    kind = _FIELD_TYPES[annotation]
+    if kind is not tuple:
+        return kind(_typed(value, kind, where))
+    items = _typed(value, list, where)
+    if len(items) != 2:
+        raise ConfigError(f"{where}: expected an array of 2 numbers, "
+                          f"got {json.dumps(value)}")
+    return tuple(float(_typed(item, float, f"{where}[{i}]"))
+                 for i, item in enumerate(items))
+
+
 def _from_object(cls, body, where: str):
-    """cls(**body) for a JSON object whose fields are each type-checked; an
-    integer given for a float field is stored as a float."""
+    """cls(**body) for a JSON object whose fields are each type-checked."""
     annotations = {f.name: f.type for f in fields(cls)}
     values = {}
     for name, value in _typed(body, dict, where).items():
         if name not in annotations:
             raise ConfigError(f"unknown {where} field {name!r}")
-        kind = _FIELD_TYPES[annotations[name]]
-        if value is not None or not annotations[name].endswith("| None"):
-            value = kind(_typed(value, kind, f"{where}.{name}"))
-        values[name] = value
+        values[name] = _field_value(value, annotations[name],
+                                    f"{where}.{name}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
@@ -315,10 +330,23 @@ def _profile_rng_seed(profile: NoiseProfile, config: RunConfig) -> NoiseProfile:
 
 
 def run_once(config: RunConfig, variant: str, pattern: DropPattern,
-             sequences: list[SequenceData] | None = None) -> CellResult:
-    """One (variant, pattern) cell; a failure in it is a ComputationError."""
+             sequences: list[SequenceData] | None = None,
+             detections: dict[tuple[str, int], list[Detection]] | None = None,
+             ) -> CellResult:
+    """One (variant, pattern) cell; a failure in it is a ComputationError.
+
+    `detections` maps (sequence_id, frame_index) to the variant's
+    detections on that frame. A processed frame reads them from it, or
+    detects them and stores them there; without a mapping the cell uses a
+    fresh one. Detections depend on the variant, the config and the
+    sequences but never on the pattern, so the cells of one variant under
+    one config, over the same sequences, may share a mapping. Cells of
+    another variant or config must not.
+    """
     if sequences is None:
         sequences = load_sequences(config)
+    if detections is None:
+        detections = {}
     tracker_cfg = tracker_config_for(config, pattern)
 
     profile = None
@@ -336,19 +364,27 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
             schedule = build_schedule(pattern, seq.frame_count)
             schedules.append(schedule)
             frames = seq.labels_by_frame()
-            scene = scene_context(list(seq.labels))
+            # Only noisy_detect reads it, and only on a miss; it comes from
+            # the whole sequence's labels, never from one frame's.
+            scene = None
             tracker = Tracker(tracker_cfg)
             outputs: list[FrameOutput] = []
             for frame_index in range(seq.frame_count):
-                detections = None
+                dets = None
                 if schedule.is_processed(frame_index):
-                    if profile is None:
-                        detections = gt_detect(frames[frame_index])
-                    else:
-                        detections = noisy_detect(frames[frame_index], profile,
-                                                  frame_index, seq.sequence_id,
-                                                  scene)
-                outputs.append(tracker.step(frame_index, detections))
+                    key = (seq.sequence_id, frame_index)
+                    dets = detections.get(key)
+                    if dets is None:
+                        if profile is None:
+                            dets = gt_detect(frames[frame_index])
+                        else:
+                            if scene is None:
+                                scene = scene_context(list(seq.labels))
+                            dets = noisy_detect(frames[frame_index], profile,
+                                                frame_index, seq.sequence_id,
+                                                scene)
+                        detections[key] = dets
+                outputs.append(tracker.step(frame_index, dets))
             outputs_per_sequence[seq.sequence_id] = outputs
             # Looked up at call time, so the benchmark's traced pass sees it.
             tables_per_seq.append(metrics.build_frame_tables(
@@ -383,16 +419,29 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
     return CellResult(row=row, outputs_per_sequence=outputs_per_sequence)
 
 
+def run_cells(config: RunConfig, sequences: list[SequenceData]):
+    """(variant, pattern, CellResult) for every cell, in config order.
+
+    The cells of a variant share one detection mapping (see run_once), so
+    each processed frame is detected once per variant; the mapping is
+    freed before the next variant's first cell.
+    """
+    for variant in config.variants:
+        detections = {}
+        for pattern in config.patterns:
+            yield variant, pattern, run_once(config, variant, pattern,
+                                             sequences, detections)
+
+
 def run_sweep(config: RunConfig,
               sequences: list[SequenceData] | None = None) -> SweepReport:
+    """Every cell's row, with yield against its variant's 1/1 row. A
+    variant's cells share its detections (run_cells)."""
     if sequences is None:
         sequences = load_sequences(config)
     # Rows only, so each cell's tracker outputs are freed when it ends.
-    by_cell = {}
-    for variant in config.variants:
-        for pattern in config.patterns:
-            by_cell[(variant, pattern)] = run_once(config, variant, pattern,
-                                                   sequences).row
+    by_cell = {(variant, pattern): cell.row for variant, pattern, cell
+               in run_cells(config, sequences)}
 
     rows = []
     for variant in config.variants:

@@ -10,6 +10,7 @@ from droptrack.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATASET, EXIT_OK,
 from droptrack.kitti_io import parse_kitti_labels, read_frame_outputs
 from droptrack.metrics import build_frame_tables, clear_pooled, hota_pooled
 from droptrack.tracker import Tracker
+from test_pipeline import README_CONFIG
 
 
 CONFIG = {
@@ -46,6 +47,12 @@ def exit_code(argv):
 
 def sweep_argv(tmp_path, **overrides):
     return ["sweep", "--config", str(write_config(tmp_path, **overrides))]
+
+
+def score_range_argv(tmp_path, score_range):
+    """sweep with a noisy variant whose profile has this score_range."""
+    return sweep_argv(tmp_path, variants=["noisy:p"],
+                      profiles={"p": {"score_range": score_range}})
 
 
 def bad_manifest_argv(tmp_path):
@@ -278,6 +285,15 @@ def dataset_typo_argv(tmp_path):
     (lambda p: sweep_argv(p, tracker_overrides={
         "1/2": {"min_hits_to_confirm": 3}, "50": {"min_hits_to_confirm": 1}}),
      EXIT_CONFIG, "tracker_overrides['50']: pattern 1/2"),
+    # A score range is an array of exactly two numbers.
+    (lambda p: score_range_argv(p, [True, True]), EXIT_CONFIG,
+     "profiles['p'].score_range[0]: expected a finite number, got true"),
+    (lambda p: score_range_argv(p, [0.5]), EXIT_CONFIG,
+     "profiles['p'].score_range: expected an array of 2 numbers"),
+    (lambda p: score_range_argv(p, [0.5, 1.0, 1.0]), EXIT_CONFIG,
+     "profiles['p'].score_range: expected an array of 2 numbers"),
+    (lambda p: score_range_argv(p, ["a", 1.0]), EXIT_CONFIG,
+     "profiles['p'].score_range[0]: expected a finite number"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -308,7 +324,9 @@ def dataset_typo_argv(tmp_path):
         "energy-model-with-sample-rate", "config-unknown-key",
         "config-jobs-not-one", "energy-key-typo",
         "energy-key-undefined-profile", "patterns-repeat",
-        "pattern-flags-repeat", "variants-repeat", "overrides-repeat"])
+        "pattern-flags-repeat", "variants-repeat", "overrides-repeat",
+        "score-range-booleans", "score-range-short", "score-range-long",
+        "score-range-string"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -346,6 +364,19 @@ class TestRun:
         assert out_file.exists()
         assert (tmp_path / "cells" / "gt" / "1of2"
                 / "reference.txt.meta.json").exists()
+
+    def test_grid_prints_the_sweep_rows(self, tmp_path, capsys):
+        # run shares a variant's detections across its cells as sweep does,
+        # and leaves only the yield column blank.
+        cfg = str(write_config(tmp_path, **README_CONFIG))
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        run_lines = capsys.readouterr().out.splitlines()
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        sweep_lines = capsys.readouterr().out.splitlines()
+        assert len(run_lines) == len(sweep_lines) == 13
+        assert [line.rsplit(",", 1)[0] for line in run_lines] \
+            == [line.rsplit(",", 1)[0] for line in sweep_lines]
+        assert all(line.endswith(",") for line in run_lines[1:])
 
     def test_named_target_flag(self, capsys):
         code = main(["run", "--target", "50", "--variant", "gt"])

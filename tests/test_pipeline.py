@@ -22,6 +22,7 @@ from droptrack.pipeline import (
     tracker_config_for,
     write_report,
 )
+from droptrack.detectors import NoiseProfile
 from droptrack.kitti_io import read_frame_outputs
 from droptrack.pipeline import write_cell_outputs
 from droptrack.schedule import DropPattern
@@ -33,6 +34,22 @@ BASE_CONFIG = {
     "variants": ["gt"],
     "tracker": {"process_noise": 0.0, "measurement_noise": 0.0},
     "energy": {"default": {"preset": "second"}},
+}
+
+
+# The config in README's "Config file" section.
+README_CONFIG = {
+    "dataset": {"kind": "reference"},
+    "patterns": ["1/1", "9/10", "3/4", "1/2", "1/4", "1/10"],
+    "variants": ["gt", "noisy:field"],
+    "profiles": {
+        "field": {"detection_probability": 0.92, "center_sigma": 0.15,
+                  "false_positives_per_frame": 0.1, "score_range": [0.5, 1.0]}
+    },
+    "tracker": {"measurement_noise": 0.05},
+    "tracker_overrides": {"1/10": {"min_hits_to_confirm": 1}},
+    "energy": {"default": {"preset": "second"}},
+    "rng_seed": 7,
 }
 
 
@@ -92,6 +109,19 @@ class TestConfigParsing:
                                  "center_sigma": 0.2}},
         })
         assert cfg.profiles["mid"].detection_probability == 0.9
+
+    def test_score_range_is_a_pair_of_floats(self):
+        # A frozen profile from a config hashes, and equals the same
+        # profile built in code.
+        cfg = config_from_dict(README_CONFIG)
+        field = cfg.profiles["field"]
+        assert field.score_range == (0.5, 1.0)
+        assert type(field.score_range[1]) is float
+        coded = NoiseProfile(detection_probability=0.92, center_sigma=0.15,
+                             false_positives_per_frame=0.1,
+                             score_range=(0.5, 1.0))
+        assert field == coded
+        assert hash(field) == hash(coded)
 
     def test_bad_profile_field_value(self):
         with pytest.raises(ConfigError, match="profile"):
@@ -256,6 +286,70 @@ class TestRunSweep:
         cfg = make_config(patterns=["1/2"])
         with pytest.raises(ComputationError, match=r"variant=gt pattern=1/2"):
             run_sweep(cfg)
+
+
+class TestSharedDetections:
+    """A variant's cells share its detections, which do not depend on the
+    pattern."""
+
+    def test_sweep_equals_cells_detected_alone(self, monkeypatch):
+        cfg = config_from_dict(dict(README_CONFIG,
+                                    patterns=["1/1", "9/10", "1/2", "1/10"]))
+        shared = render_sweep_json(run_sweep(cfg))
+        cells = {(variant, pattern): output_digest(cell)
+                 for variant, pattern, cell
+                 in pipeline.run_cells(cfg, pipeline.load_sequences(cfg))}
+
+        alone = pipeline.run_once
+
+        def without_mapping(config, variant, pattern, sequences=None,
+                            detections=None):
+            return alone(config, variant, pattern, sequences)
+        monkeypatch.setattr(pipeline, "run_once", without_mapping)
+        assert render_sweep_json(run_sweep(cfg)) == shared
+        for (variant, pattern), digest in cells.items():
+            assert output_digest(alone(cfg, variant, pattern)) == digest
+
+    @pytest.mark.parametrize("patterns, frames", [
+        (README_CONFIG["patterns"], 200), (["1/2", "1/4"], 100)])
+    def test_each_processed_frame_detected_once(self, monkeypatch, patterns,
+                                                frames):
+        calls = {"gt": [], "noisy": []}
+
+        def counting(name, detect):
+            def wrapper(labels, *args):
+                calls[name].append(args[1] if args else None)
+                return detect(labels, *args)
+            return wrapper
+        monkeypatch.setattr(pipeline, "gt_detect",
+                            counting("gt", pipeline.gt_detect))
+        monkeypatch.setattr(pipeline, "noisy_detect",
+                            counting("noisy", pipeline.noisy_detect))
+        run_sweep(config_from_dict(dict(README_CONFIG, patterns=patterns)))
+        # Frames no pattern processes are never detected.
+        assert len(calls["gt"]) == frames
+        assert len(calls["noisy"]) == frames
+        assert len(set(calls["noisy"])) == frames
+
+    def test_scene_context_only_for_noisy_misses(self, monkeypatch):
+        built = []
+        context = pipeline.scene_context
+
+        def counting(labels):
+            built.append(labels)
+            return context(labels)
+        monkeypatch.setattr(pipeline, "scene_context", counting)
+        cfg = config_from_dict(README_CONFIG)
+        sequences = pipeline.load_sequences(cfg)
+        run_once(cfg, "gt", DropPattern(1, 2), sequences)
+        assert built == []
+        run_once(cfg, "noisy:field", DropPattern(1, 2), sequences)
+        # From the whole sequence's labels, never from one frame's.
+        assert built == [list(sequences[0].labels)]
+        detections = {}
+        run_once(cfg, "noisy:field", DropPattern(1, 2), sequences, detections)
+        run_once(cfg, "noisy:field", DropPattern(1, 4), sequences, detections)
+        assert len(built) == 2
 
 
 class TestReports:

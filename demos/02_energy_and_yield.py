@@ -9,7 +9,7 @@ exceeds the cycle time stretch their slot instead of overlapping work.
 """
 
 from droptrack import (ENERGY_PRESETS, DropPattern, EnergyParams,
-                       build_schedule, estimate_draw, yield_metric)
+                       build_schedule, estimate_draw_multi, yield_metric)
 
 LENGTH = 1000
 TARGETS = [(100, DropPattern(1, 1)), (90, DropPattern(9, 10)),
@@ -18,7 +18,7 @@ TARGETS = [(100, DropPattern(1, 1)), (90, DropPattern(9, 10)),
 
 print(f"{'model':<14}" + "".join(f"{t:>8}%" for t, _ in TARGETS))
 for name, params in sorted(ENERGY_PRESETS.items()):
-    draws = [estimate_draw(params, build_schedule(p, LENGTH))
+    draws = [estimate_draw_multi(params, [build_schedule(p, LENGTH)])
              for _, p in TARGETS]
     print(f"{name:<14}" + "".join(f"{d:>9.1f}" for d in draws))
 
@@ -27,8 +27,8 @@ for name, params in sorted(ENERGY_PRESETS.items()):
 heavy = EnergyParams(idle_draw=145.0, active_draw=314.0, inference_time=0.15)
 light = EnergyParams(idle_draw=145.0, active_draw=395.0, inference_time=0.05)
 for tag, params in (("stretching 150ms", heavy), ("within-cycle 50ms", light)):
-    full = estimate_draw(params, build_schedule(DropPattern(1, 1), LENGTH))
-    half = estimate_draw(params, build_schedule(DropPattern(1, 2), LENGTH))
+    full, half = (estimate_draw_multi(params, [build_schedule(p, LENGTH)])
+                  for p in (DropPattern(1, 1), DropPattern(1, 2)))
     print(f"{tag}: {full:.1f} W -> {half:.1f} W at 50% "
           f"({100 * (full - half) / full:.1f}% saved)")
 
@@ -36,7 +36,7 @@ for tag, params in (("stretching 150ms", heavy), ("within-cycle 50ms", light)):
 # against the same model's own full-rate row. Example numbers from a
 # published measurement of the SECOND detector at 50%: draw fell from
 # 270 W to 194 W while HOTA fell from 77.1 to 72.0.
-record = yield_metric((270.0, 77.1), (194.0, 72.0))
-print(f"\nyield example: ({record.baseline_draw:.0f} - "
-      f"{record.variant_draw:.0f}) / ({record.baseline_hota:.1f} - "
-      f"{record.variant_hota:.1f}) = {record.yield_value:.2f} W per point")
+baseline, variant = (270.0, 77.1), (194.0, 72.0)
+print(f"\nyield example: ({baseline[0]:.0f} - {variant[0]:.0f}) / "
+      f"({baseline[1]:.1f} - {variant[1]:.1f}) = "
+      f"{yield_metric(baseline, variant):.2f} W per point")

@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .energy import (ENERGY_PRESETS, estimate_draw, read_power_log_csv,
+from .energy import (ENERGY_PRESETS, estimate_draw_multi, read_power_log_csv,
                      summarize_power_log)
 from .geometry import SIMILARITY_FNS
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
@@ -204,7 +204,7 @@ def _cmd_energy(args) -> int:
     pattern = parse_pattern("1/1") if args.pattern is None else args.pattern
     schedule = build_schedule(pattern, 1000 if args.length is None
                               else args.length)
-    print(f"estimated_draw_watts {estimate_draw(params, schedule):.6f}")
+    print(f"estimated_draw_watts {estimate_draw_multi(params, [schedule]):.6f}")
     return EXIT_OK
 
 

@@ -25,12 +25,12 @@ class EnergyParams:
     cycle_time: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.idle_draw <= self.active_draw:
-            raise ValueError("need 0 <= idle_draw <= active_draw")
-        if self.inference_time <= 0.0:
-            raise ValueError("inference_time must be positive")
-        if self.cycle_time <= 0.0:
-            raise ValueError("cycle_time must be positive")
+        # Every check is written so that NaN fails it.
+        if not 0.0 <= self.idle_draw <= self.active_draw < math.inf:
+            raise ValueError("need 0 <= idle_draw <= active_draw < inf")
+        for name in ("inference_time", "cycle_time"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # Documentation fixtures for the four detector-class presets used in the
@@ -57,14 +57,10 @@ def frame_energy_and_time(params: EnergyParams, is_processed: bool) -> tuple[flo
     return params.idle_draw * params.cycle_time, params.cycle_time
 
 
-def estimate_draw(params: EnergyParams, schedule: Schedule) -> float:
-    """Average system draw in watts over the schedule's wall clock."""
-    return estimate_draw_multi(params, [schedule])
-
-
 def estimate_draw_multi(params: EnergyParams,
                         schedules: list[Schedule]) -> float:
-    """Pooled average draw over several sequences run back to back.
+    """Average system draw in watts over the wall clock of the schedules,
+    run back to back.
 
     Always within [idle_draw, active_draw]; the division can round a hair
     outside the mathematical sandwich, so the result is clamped.
@@ -129,22 +125,10 @@ def read_power_log_csv(path, sample_rate: float = 100.0) -> PowerLog:
     return PowerLog(samples=tuple(watts), sample_rate=sample_rate)
 
 
-class UndefinedYieldError(ValueError):
-    """Raised when baseline and variant HOTA coincide (zero denominator)."""
-
-
-@dataclass(frozen=True)
-class YieldRecord:
-    baseline_draw: float
-    variant_draw: float
-    baseline_hota: float
-    variant_hota: float
-    yield_value: float
-
-
 def yield_metric(baseline: tuple[float, float],
-                 variant: tuple[float, float]) -> YieldRecord:
-    """Watts saved per HOTA point given (draw, hota) pairs.
+                 variant: tuple[float, float]) -> float | None:
+    """Watts saved per HOTA point given (draw, hota) pairs; None when the
+    two HOTA values are equal.
 
     The baseline is the same variant's full-rate row by construction of
     the caller.
@@ -152,9 +136,5 @@ def yield_metric(baseline: tuple[float, float],
     baseline_draw, baseline_hota = baseline
     variant_draw, variant_hota = variant
     if baseline_hota == variant_hota:
-        raise UndefinedYieldError(
-            "yield undefined: baseline and variant HOTA are equal")
-    value = (baseline_draw - variant_draw) / (baseline_hota - variant_hota)
-    return YieldRecord(baseline_draw=baseline_draw, variant_draw=variant_draw,
-                       baseline_hota=baseline_hota, variant_hota=variant_hota,
-                       yield_value=value)
+        return None
+    return (baseline_draw - variant_draw) / (baseline_hota - variant_hota)

@@ -255,9 +255,12 @@ def clear_pooled(tables_per_seq: list[list[FrameTable]],
                  match_threshold: float = 0.5) -> ClearResult:
     """CLEAR over all sequences: each sequence's counts, summed."""
     counts = [_clear_counts(t, match_threshold) for t in tables_per_seq]
-    # Column sums, from a zero row so that no sequences means no ground truth.
-    tp, fp, fn, idsw, gt_total, iou_sum = map(
-        sum, zip((0, 0, 0, 0, 0, 0.0), *counts))
+    # Column sums left to right, from a zero row so that no sequences means
+    # no ground truth. Not sum(): from Python 3.12 it compensates floats.
+    totals = (0, 0, 0, 0, 0, 0.0)
+    for row in counts:
+        totals = tuple(a + b for a, b in zip(totals, row))
+    tp, fp, fn, idsw, gt_total, iou_sum = totals
     if gt_total == 0:
         raise NoGroundTruthError("no ground truth; MOTA undefined")
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total)

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .detectors import NoiseProfile, gt_detect, noisy_detect, scene_context
-from .energy import (ENERGY_PRESETS, EnergyParams, UndefinedYieldError,
-                     estimate_draw_multi, yield_metric)
+from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
+                     yield_metric)
 from .geometry import DEFAULT_CLASS_SET, SIMILARITY_FNS, Detection
 from .kitti_io import SequenceData, load_label_dir, load_manifest, \
     write_frame_outputs
@@ -451,13 +451,9 @@ def run_sweep(config: RunConfig,
             if (pattern != DropPattern(1, 1) and baseline is not None
                     and row.draw_watts is not None
                     and baseline.draw_watts is not None):
-                try:
-                    record = yield_metric(
-                        (baseline.draw_watts, baseline.hota),
-                        (row.draw_watts, row.hota))
-                    row = replace(row, yield_w_per_pt=record.yield_value)
-                except UndefinedYieldError:
-                    pass
+                row = replace(row, yield_w_per_pt=yield_metric(
+                    (baseline.draw_watts, baseline.hota),
+                    (row.draw_watts, row.hota)))
             rows.append(row)
     return SweepReport(rows=tuple(rows))
 
@@ -475,36 +471,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_sweep_csv(report: SweepReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in _CSV_COLUMNS])
-    return buf.getvalue()
+# tradeoff.csv: the long-format performance-vs-draw table for plotting.
+_TRADEOFF_COLUMNS = ("variant", "target", "draw_watts", "hota")
 
 
-def render_tradeoff_csv(report: SweepReport) -> str:
-    """Long-format performance-vs-draw table for plotting."""
+def render_sweep_csv(report: SweepReport,
+                     columns: tuple[str, ...] = _CSV_COLUMNS) -> str:
+    """The report's rows as CSV, one column per MetricsRow field named."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("variant", "target", "draw_watts", "hota"))
+    writer.writerow(columns)
     for row in report.rows:
-        writer.writerow((row.variant, row.target, _fmt(row.draw_watts),
-                         _fmt(row.hota)))
+        writer.writerow([_fmt(getattr(row, col)) for col in columns])
     return buf.getvalue()
 
 
 def render_sweep_json(report: SweepReport) -> str:
-    payload = {"rows": [
-        {col: (None if getattr(row, col) is None
-               else (float(_fmt(getattr(row, col)))
-                     if isinstance(getattr(row, col), float)
-                     else getattr(row, col)))
-         for col in _CSV_COLUMNS}
-        for row in report.rows
-    ]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Every row field, a float rounded as the CSV prints it."""
+    rows = [{col: float(_fmt(value)) if isinstance(value, float) else value
+             for col, value in asdict(row).items()} for row in report.rows]
+    return json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
 
 
 def read_sweep_json(path) -> SweepReport:
@@ -542,7 +528,8 @@ def write_report(report: SweepReport, out_dir) -> dict[str, Path]:
         }
         paths["sweep_csv"].write_text(render_sweep_csv(report))
         paths["sweep_json"].write_text(render_sweep_json(report))
-        paths["tradeoff_csv"].write_text(render_tradeoff_csv(report))
+        paths["tradeoff_csv"].write_text(
+            render_sweep_csv(report, _TRADEOFF_COLUMNS))
     return paths
 
 

@@ -56,8 +56,9 @@ class TrackerConfig:
     birth_velocity_var: float = 100.0
 
     def __post_init__(self):
-        if self.cycle_time <= 0.0:
-            raise ValueError("cycle_time must be positive")
+        # Every check is written so that NaN fails it.
+        if not 0.0 < self.cycle_time < math.inf:
+            raise ValueError("cycle_time must be positive and finite")
         if self.min_hits_to_confirm < 1 or self.max_misses_to_delete < 1:
             raise ValueError("lifecycle thresholds must be >= 1")
         if not 0.0 <= self.gate_iou_min <= 1.0:
@@ -65,8 +66,9 @@ class TrackerConfig:
         if self.association_metric not in SIMILARITY_FNS:
             raise ValueError(f"association_metric must be one of "
                              f"{sorted(SIMILARITY_FNS)}")
-        if self.process_noise < 0.0 or self.measurement_noise < 0.0:
-            raise ValueError("noise scales must be nonnegative")
+        for name in ("process_noise", "measurement_noise"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass
@@ -227,9 +229,11 @@ class Tracker:
 
     def step(self, frame_index: int,
              detections: list[Detection] | None) -> FrameOutput:
-        if self._last_frame is not None and frame_index <= self._last_frame:
+        # Each step predicts one cycle ahead, so a skipped index would
+        # extrapolate one cycle where it needs several.
+        if self._last_frame is not None and frame_index != self._last_frame + 1:
             raise ValueError(
-                f"frame indices must be strictly increasing "
+                f"frame indices must be consecutive "
                 f"(got {frame_index} after {self._last_frame})")
         self._last_frame = frame_index
         cfg = self.config

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from droptrack.energy import EnergyParams, estimate_draw, yield_metric
+from droptrack.energy import EnergyParams, estimate_draw_multi, yield_metric
 from droptrack.geometry import OrientedBox, bev_iou
 from droptrack.metrics import build_frame_tables, clear_mot, hota
 from droptrack.pipeline import (config_from_dict, render_sweep_csv,
@@ -123,10 +123,9 @@ def test_c03_yield_arithmetic_matches_reported_rows():
                     continue
                 got = yield_metric(baseline,
                                    (rows["draw"][k], rows["hota"][k]))
-                assert abs(got.yield_value - printed) <= 1.5, \
-                    (model, k, got.yield_value, printed)
+                assert abs(got - printed) <= 1.5, (model, k, got, printed)
         second_half = yield_metric((270.0, 77.1), (194.0, 72.0))
-        assert abs(second_half.yield_value - 14.9) <= 0.1
+        assert abs(second_half - 14.9) <= 0.1
 
 
 def test_c04_gt_trend_on_reference_scenario():
@@ -208,7 +207,7 @@ def test_c06_energy_model_matches_simulation():
             m = int(rng.integers(1, 11))
             pattern = DropPattern(int(rng.integers(1, m + 1)), m)
             schedule = build_schedule(pattern, int(rng.integers(10, 200)))
-            draw = estimate_draw(params, schedule)
+            draw = estimate_draw_multi(params, [schedule])
             assert abs(draw - simulate_draw_1ms(params, schedule)) <= 0.1
             assert idle <= draw <= active
 

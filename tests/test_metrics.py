@@ -296,6 +296,20 @@ class TestPooling:
         assert pooled_c.tp == 2 * single_c.tp
         assert pooled_c.gt_total == 2 * single_c.gt_total
 
+    def test_motp_sums_sequences_left_to_right(self):
+        # One matched pair per sequence, so each sequence's IoU sum is its
+        # one IoU. A compensated sum (Python 3.12's sum() of floats) gives
+        # the correctly rounded 8.54 here; left to right gives 8.54 + 1 ulp.
+        ious = [0.76, 0.822, 0.798, 0.78, 0.81, 0.97, 0.754, 0.716, 0.86,
+                0.619, 0.651]
+        tables = [[FrameTable(gt_ids=(1,), pred_ids=(1,),
+                              sim=np.array([[iou]]))] for iou in ious]
+        result = clear_pooled(tables)
+        assert result.tp == 11
+        assert math.fsum(ious) == 8.54
+        assert result.motp == 77.63636363636365  # 100 * 8.540000000000001 / 11
+        assert result.motp != 100.0 * (math.fsum(ious) / 11)
+
     def test_id_collisions_across_sequences_stay_separate(self):
         # Both sequences reuse gt id 1 / pred id 5. Pooling must treat them
         # as different identities: the result has to match a single merged

@@ -15,7 +15,6 @@ from droptrack.pipeline import (
     config_from_json,
     render_sweep_csv,
     render_sweep_json,
-    render_tradeoff_csv,
     run_once,
     run_sweep,
     target_label,
@@ -359,7 +358,9 @@ class TestReports:
         b = run_sweep(make_config())
         assert render_sweep_csv(a) == render_sweep_csv(b)
         assert render_sweep_json(a) == render_sweep_json(b)
-        assert render_tradeoff_csv(a) == render_tradeoff_csv(b)
+        tradeoff = [write_report(r, tmp_path / name)["tradeoff_csv"]
+                    for r, name in ((a, "a"), (b, "b"))]
+        assert tradeoff[0].read_bytes() == tradeoff[1].read_bytes()
 
     def test_write_report_files(self, tmp_path):
         report = run_sweep(make_config(patterns=["1/1"]))
@@ -373,6 +374,9 @@ class TestReports:
         assert row["yield_w_per_pt"] is None
         header = paths["sweep_csv"].read_text().splitlines()[0]
         assert header.startswith("variant,target,effective_target,hota")
+        assert paths["tradeoff_csv"].read_text() == (
+            "variant,target,draw_watts,hota\n"
+            f"gt,100,270.000000,{row['hota']:.6f}\n")
 
     def test_csv_blank_for_missing_yield(self):
         row = MetricsRow(variant="gt", target="100", effective_target=100.0,

@@ -56,6 +56,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrackerConfig(cycle_time=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("cycle_time", math.nan), ("cycle_time", math.inf),
+        ("process_noise", math.nan), ("measurement_noise", math.inf),
+    ])
+    def test_non_finite_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(**{field: value})
+
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             TrackerConfig(min_hits_to_confirm=0)
@@ -341,9 +349,19 @@ class TestStepLifecycle:
         tracker.step(0, [make_detection()])
         with pytest.raises(ValueError):
             tracker.step(0, [make_detection()])
-        tracker.step(5, None)
+        tracker.step(1, None)
         with pytest.raises(ValueError):
-            tracker.step(3, None)
+            tracker.step(0, None)
+
+    def test_skipped_frame_rejected(self):
+        # Each step extrapolates one cycle, so frame 5 after frame 1 would
+        # stand where frame 2 belongs.
+        tracker = Tracker(zero_noise_config())
+        tracker.step(0, [make_detection(cx=0.0)])
+        tracker.step(1, [make_detection(cx=0.3)])
+        with pytest.raises(ValueError, match=r"got 5 after 1"):
+            tracker.step(5, None)
+        assert tracker.step(2, None).frame_index == 2
 
     def test_full_rate_restoration_under_drops(self):
         tracker = Tracker(zero_noise_config())

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: run (single cell), sweep (variant × pattern grid), eval
-(metrics on stored outputs), energy (log summarization or model
-estimation), report (rewrite a stored sweep's report files).
+Subcommands: run (every cell's row; --out writes each cell's outputs),
+sweep (the grid and its report files), eval (metrics on stored
+outputs), energy (power log or draw model), report (re-render sweep.json).
 
 Exit codes: 0 success, 2 configuration error, 3 dataset error,
 4 computation error.
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, metavar="U64")
         p.add_argument("--out", type=Path, default=None, metavar="DIR")
 
-    run_p = sub.add_parser("run", help="evaluate one (variant, pattern) cell")
+    run_p = sub.add_parser("run", help="evaluate every (variant, pattern) cell")
     add_common(run_p)
 
     sweep_p = sub.add_parser("sweep", help="evaluate the full grid")

@@ -11,6 +11,7 @@ regardless of which other frames were dropped.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -42,10 +43,11 @@ class NoiseProfile:
     def __post_init__(self):
         if not 0.0 <= self.detection_probability <= 1.0:
             raise ValueError("detection_probability must lie in [0, 1]")
+        # Written so that NaN fails it.
         for name in ("false_positives_per_frame", "center_sigma",
                      "extent_sigma", "yaw_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         low, high = self.score_range
         if not (0.0 <= low <= high <= 1.0):
             raise ValueError("score_range must be an ordered pair within [0, 1]")

@@ -4,7 +4,7 @@ A cell = (detector variant, drop pattern) evaluated over every sequence of
 the dataset: schedule → per-frame detect/track loop → pooled metrics →
 modeled draw. A sweep is the cross-product of configured variants and
 patterns, with yield computed against the same variant's full-rate row;
-the cells of a variant detect each frame once between them.
+the cells of a variant share one detector, which detects each frame once.
 
 Reports are byte-deterministic: fixed float formatting, sorted JSON keys,
 no timestamps. Two runs with the same config and seed produce identical
@@ -203,16 +203,6 @@ def config_from_dict(data: dict) -> RunConfig:
     profiles = {name: _from_object(NoiseProfile, body, f"profiles[{name!r}]")
                 for name, body in _typed(data.get("profiles", {}), dict,
                                          "profiles").items()}
-    for variant in variants:
-        if variant == "gt":
-            continue
-        if not variant.startswith("noisy:"):
-            raise ConfigError(f"variant {variant!r} must be 'gt' or 'noisy:<profile>'")
-        profile = variant.split(":", 1)[1]
-        if profile not in profiles:
-            raise ConfigError(f"variant {variant!r} references undefined "
-                              f"profile {profile!r}")
-
     tracker = _from_object(TrackerConfig, data.get("tracker", {}), "tracker")
     overrides = {}
     for key, body in _typed(data.get("tracker_overrides", {}), dict,
@@ -245,7 +235,7 @@ def config_from_dict(data: dict) -> RunConfig:
                               f"or 'noisy:<profile>' of a defined profile")
         energy[key] = energy_params(body, f"energy[{key!r}]")
 
-    return RunConfig(
+    config = RunConfig(
         dataset=dataset,
         variants=tuple(variants),
         patterns=tuple(patterns),
@@ -260,6 +250,9 @@ def config_from_dict(data: dict) -> RunConfig:
                                         "clear_threshold"),
         rng_seed=_typed(data.get("rng_seed", 0), int, "rng_seed"),
     )
+    for variant in config.variants:
+        variant_detector(config, variant)  # a bad variant is a ConfigError
+    return config
 
 
 def read_config_json(path) -> dict:
@@ -293,10 +286,6 @@ def load_sequences(config: RunConfig) -> list[SequenceData]:
                           class_set=config.class_set)
 
 
-def tracker_config_for(config: RunConfig, pattern: DropPattern) -> TrackerConfig:
-    return config.tracker_overrides.get(pattern, config.tracker)
-
-
 @dataclass(frozen=True)
 class MetricsRow:
     variant: str
@@ -323,68 +312,67 @@ class SweepReport:
     rows: tuple[MetricsRow, ...]
 
 
-def _profile_rng_seed(profile: NoiseProfile, config: RunConfig) -> NoiseProfile:
-    # The run-level seed shifts every profile stream so sweeps with a new
-    # seed redraw noise without editing each profile.
-    return replace(profile, rng_seed=(profile.rng_seed + config.rng_seed) % 2**64)
+def variant_detector(config: RunConfig, variant: str):
+    """detect(seq, frame_index): the variant's detections on that frame.
+
+    Detections never depend on the drop pattern, so the cells of a variant
+    over the same sequences share one detector, which detects each frame
+    and builds each sequence's per-frame labels once. A bad variant is a
+    ConfigError naming it."""
+    profile = None
+    if variant.startswith("noisy:"):
+        name = variant.split(":", 1)[1]
+        if name not in config.profiles:
+            raise ConfigError(f"variant {variant!r} references undefined "
+                              f"profile {name!r}")
+        # The run-level seed shifts every profile stream so sweeps with a
+        # new seed redraw noise without editing each profile.
+        seed = (config.profiles[name].rng_seed + config.rng_seed) % 2**64
+        profile = replace(config.profiles[name], rng_seed=seed)
+    elif variant != "gt":
+        raise ConfigError(f"variant {variant!r} must be 'gt' or 'noisy:<profile>'")
+    detected: dict[tuple[str, int], list[Detection]] = {}
+    per_sequence = {}  # sequence_id -> (labels by frame, scene)
+
+    def detect(seq: SequenceData, frame_index: int) -> list[Detection]:
+        key = (seq.sequence_id, frame_index)
+        if key not in detected:
+            # The scene comes from the whole sequence's labels, never from
+            # one frame's; only a noisy variant builds it.
+            if seq.sequence_id not in per_sequence:
+                scene = None if profile is None \
+                    else scene_context(list(seq.labels))
+                per_sequence[seq.sequence_id] = (seq.labels_by_frame(), scene)
+            frames, scene = per_sequence[seq.sequence_id]
+            # Looked up at call time, so the benchmark's traced pass sees them.
+            detected[key] = gt_detect(frames[frame_index]) if profile is None \
+                else noisy_detect(frames[frame_index], profile, frame_index,
+                                  seq.sequence_id, scene)
+        return detected[key]
+    return detect
 
 
 def run_once(config: RunConfig, variant: str, pattern: DropPattern,
              sequences: list[SequenceData] | None = None,
-             detections: dict[tuple[str, int], list[Detection]] | None = None,
-             ) -> CellResult:
+             detect=None) -> CellResult:
     """One (variant, pattern) cell; a failure in it is a ComputationError.
-
-    `detections` maps (sequence_id, frame_index) to the variant's
-    detections on that frame. A processed frame reads them from it, or
-    detects them and stores them there; without a mapping the cell uses a
-    fresh one. Detections depend on the variant, the config and the
-    sequences but never on the pattern, so the cells of one variant under
-    one config, over the same sequences, may share a mapping. Cells of
-    another variant or config must not.
-    """
+    `detect` is the variant's detector (variant_detector), else a new one."""
     if sequences is None:
         sequences = load_sequences(config)
-    if detections is None:
-        detections = {}
-    tracker_cfg = tracker_config_for(config, pattern)
-
-    profile = None
-    if variant.startswith("noisy:"):
-        profile = _profile_rng_seed(config.profiles[variant.split(":", 1)[1]],
-                                    config)
-    elif variant != "gt":
-        raise ConfigError(f"unknown variant {variant!r}")
+    if detect is None:
+        detect = variant_detector(config, variant)
+    tracker_cfg = config.tracker_overrides.get(pattern, config.tracker)
 
     try:
-        tables_per_seq = []
+        schedules = [build_schedule(pattern, seq.frame_count)
+                     for seq in sequences]
         outputs_per_sequence: dict[str, list[FrameOutput]] = {}
-        schedules = []
-        for seq in sequences:
-            schedule = build_schedule(pattern, seq.frame_count)
-            schedules.append(schedule)
-            frames = seq.labels_by_frame()
-            # Only noisy_detect reads it, and only on a miss; it comes from
-            # the whole sequence's labels, never from one frame's.
-            scene = None
+        tables_per_seq = []
+        for seq, schedule in zip(sequences, schedules):
             tracker = Tracker(tracker_cfg)
-            outputs: list[FrameOutput] = []
-            for frame_index in range(seq.frame_count):
-                dets = None
-                if schedule.is_processed(frame_index):
-                    key = (seq.sequence_id, frame_index)
-                    dets = detections.get(key)
-                    if dets is None:
-                        if profile is None:
-                            dets = gt_detect(frames[frame_index])
-                        else:
-                            if scene is None:
-                                scene = scene_context(list(seq.labels))
-                            dets = noisy_detect(frames[frame_index], profile,
-                                                frame_index, seq.sequence_id,
-                                                scene)
-                        detections[key] = dets
-                outputs.append(tracker.step(frame_index, dets))
+            outputs = [tracker.step(i, detect(seq, i)
+                                    if schedule.is_processed(i) else None)
+                       for i in range(seq.frame_count)]
             outputs_per_sequence[seq.sequence_id] = outputs
             # Looked up at call time, so the benchmark's traced pass sees it.
             tables_per_seq.append(metrics.build_frame_tables(
@@ -420,23 +408,19 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
 
 
 def run_cells(config: RunConfig, sequences: list[SequenceData]):
-    """(variant, pattern, CellResult) for every cell, in config order.
-
-    The cells of a variant share one detection mapping (see run_once), so
-    each processed frame is detected once per variant; the mapping is
-    freed before the next variant's first cell.
-    """
+    """(variant, pattern, CellResult) for every cell, in config order; a
+    variant's cells share one detector, dropped when the next variant starts."""
     for variant in config.variants:
-        detections = {}
+        detect = variant_detector(config, variant)
         for pattern in config.patterns:
             yield variant, pattern, run_once(config, variant, pattern,
-                                             sequences, detections)
+                                             sequences, detect)
 
 
 def run_sweep(config: RunConfig,
               sequences: list[SequenceData] | None = None) -> SweepReport:
     """Every cell's row, with yield against its variant's 1/1 row. A
-    variant's cells share its detections (run_cells)."""
+    variant's cells share one detector (run_cells)."""
     if sequences is None:
         sequences = load_sequences(config)
     # Rows only, so each cell's tracker outputs are freed when it ends.

@@ -66,7 +66,9 @@ class TrackerConfig:
         if self.association_metric not in SIMILARITY_FNS:
             raise ValueError(f"association_metric must be one of "
                              f"{sorted(SIMILARITY_FNS)}")
-        for name in ("process_noise", "measurement_noise"):
+        for name in ("process_noise", "measurement_noise",
+                     "birth_position_var", "birth_yaw_var",
+                     "birth_extent_var", "birth_velocity_var"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
 

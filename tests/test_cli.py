@@ -294,6 +294,14 @@ def dataset_typo_argv(tmp_path):
      "profiles['p'].score_range: expected an array of 2 numbers"),
     (lambda p: score_range_argv(p, ["a", 1.0]), EXIT_CONFIG,
      "profiles['p'].score_range[0]: expected a finite number"),
+    # A negative birth variance gives the filter a covariance no state has.
+    (lambda p: sweep_argv(p, tracker={"birth_velocity_var": -100}),
+     EXIT_CONFIG, "tracker: birth_velocity_var must be nonnegative and finite"),
+    # A variant is refused before any cell runs.
+    (lambda p: sweep_argv(p, variants=["noisy:nope"]), EXIT_CONFIG,
+     "variant 'noisy:nope' references undefined profile 'nope'"),
+    (lambda p: sweep_argv(p, variants=["oracle"]), EXIT_CONFIG,
+     "variant 'oracle' must be 'gt' or 'noisy:<profile>'"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -326,7 +334,8 @@ def dataset_typo_argv(tmp_path):
         "energy-key-undefined-profile", "patterns-repeat",
         "pattern-flags-repeat", "variants-repeat", "overrides-repeat",
         "score-range-booleans", "score-range-short", "score-range-long",
-        "score-range-string"])
+        "score-range-string", "tracker-birth-variance-negative",
+        "variant-undefined-profile", "variant-unknown"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code

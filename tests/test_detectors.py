@@ -49,6 +49,16 @@ class TestNoiseProfileValidation:
         with pytest.raises(ValueError):
             NoiseProfile(center_sigma=-0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("center_sigma", math.nan), ("yaw_sigma", math.inf),
+        ("false_positives_per_frame", math.nan),
+        ("false_positives_per_frame", math.inf),
+    ])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be nonnegative and finite"):
+            NoiseProfile(**{field: value})
+
     def test_score_range_ordering(self):
         with pytest.raises(ValueError):
             NoiseProfile(score_range=(0.9, 0.1))

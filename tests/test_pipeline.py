@@ -18,7 +18,7 @@ from droptrack.pipeline import (
     run_once,
     run_sweep,
     target_label,
-    tracker_config_for,
+    variant_detector,
     write_report,
 )
 from droptrack.detectors import NoiseProfile
@@ -172,8 +172,9 @@ class TestConfigParsing:
             "tracker": {"min_hits_to_confirm": 3},
             "tracker_overrides": {"1/4": {"min_hits_to_confirm": 1}},
         })
-        assert tracker_config_for(cfg, DropPattern(1, 1)).min_hits_to_confirm == 3
-        assert tracker_config_for(cfg, DropPattern(1, 4)).min_hits_to_confirm == 1
+        for pattern, hits in ((DropPattern(1, 1), 3), (DropPattern(1, 4), 1)):
+            tracker = cfg.tracker_overrides.get(pattern, cfg.tracker)
+            assert tracker.min_hits_to_confirm == hits
         with pytest.raises(ConfigError, match="unknown fields"):
             config_from_dict({"patterns": ["1/1"],
                               "tracker_overrides": {"1/4": {"nope": 1}}})
@@ -207,10 +208,11 @@ class TestRunOnce:
         cell = run_once(cfg, "gt", DropPattern(1, 1))
         assert cell.row.draw_watts is None
 
-    def test_unknown_variant_rejected(self):
+    @pytest.mark.parametrize("variant", ["oracle", "noisy:nope"])
+    def test_unknown_variant_rejected(self, variant):
         cfg = make_config()
-        with pytest.raises(ConfigError, match="variant"):
-            run_once(cfg, "oracle", DropPattern(1, 1))
+        with pytest.raises(ConfigError, match=f"variant {variant!r}"):
+            run_once(cfg, variant, DropPattern(1, 1))
 
     def test_half_rate_processes_half(self):
         cfg = make_config()
@@ -288,8 +290,8 @@ class TestRunSweep:
 
 
 class TestSharedDetections:
-    """A variant's cells share its detections, which do not depend on the
-    pattern."""
+    """A variant's cells share its detector, whose detections do not depend
+    on the pattern."""
 
     def test_sweep_equals_cells_detected_alone(self, monkeypatch):
         cfg = config_from_dict(dict(README_CONFIG,
@@ -301,10 +303,10 @@ class TestSharedDetections:
 
         alone = pipeline.run_once
 
-        def without_mapping(config, variant, pattern, sequences=None,
-                            detections=None):
+        def own_detector(config, variant, pattern, sequences=None,
+                         detect=None):
             return alone(config, variant, pattern, sequences)
-        monkeypatch.setattr(pipeline, "run_once", without_mapping)
+        monkeypatch.setattr(pipeline, "run_once", own_detector)
         assert render_sweep_json(run_sweep(cfg)) == shared
         for (variant, pattern), digest in cells.items():
             assert output_digest(alone(cfg, variant, pattern)) == digest
@@ -345,9 +347,9 @@ class TestSharedDetections:
         run_once(cfg, "noisy:field", DropPattern(1, 2), sequences)
         # From the whole sequence's labels, never from one frame's.
         assert built == [list(sequences[0].labels)]
-        detections = {}
-        run_once(cfg, "noisy:field", DropPattern(1, 2), sequences, detections)
-        run_once(cfg, "noisy:field", DropPattern(1, 4), sequences, detections)
+        detect = variant_detector(cfg, "noisy:field")
+        run_once(cfg, "noisy:field", DropPattern(1, 2), sequences, detect)
+        run_once(cfg, "noisy:field", DropPattern(1, 4), sequences, detect)
         assert len(built) == 2
 
 

@@ -64,6 +64,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrackerConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("birth_velocity_var", -100.0), ("birth_position_var", math.nan),
+        ("birth_yaw_var", math.inf), ("birth_extent_var", -0.25),
+    ])
+    def test_bad_birth_variance_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be nonnegative and finite"):
+            TrackerConfig(**{field: value})
+
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             TrackerConfig(min_hits_to_confirm=0)

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: run (every cell's row; --out writes each cell's outputs),
-sweep (the grid and its report files), eval (metrics on stored
-outputs), energy (power log or draw model), report (re-render sweep.json).
+Subcommands: sweep (the grid, its report files and, with --outputs, each
+cell's tracker outputs), eval (metrics on stored outputs), energy (power
+log or draw model), report (re-render sweep.json).
 
 Exit codes: 0 success, 2 configuration error, 3 dataset error,
 4 computation error.
@@ -21,12 +21,11 @@ from .geometry import SIMILARITY_FNS
 from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
 from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
-from .pipeline import (ComputationError, ConfigError, SweepReport,
-                       clear_threshold, config_from_dict, energy_params,
-                       load_sequences, output_dir, read_config_json,
-                       read_sweep_json, render_sweep_csv, run_cells, run_sweep,
-                       write_cell_outputs, write_report)
-from .schedule import TARGET_PATTERNS, build_schedule, parse_pattern
+from .pipeline import (ComputationError, ConfigError, clear_threshold,
+                       config_from_dict, energy_params, output_dir,
+                       read_config_json, read_sweep_json, render_sweep_csv,
+                       run_sweep, write_report)
+from .schedule import build_schedule, parse_pattern
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,24 +50,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tracking-under-frame-dropping evaluation pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=Path, default=None,
-                       help="JSON run configuration")
-        p.add_argument("--pattern", action="append", default=None,
-                       metavar="N/M", help="drop pattern, repeatable")
-        p.add_argument("--target", action="append", default=None,
-                       choices=[str(t) for t in TARGET_PATTERNS],
-                       help="named processing target, repeatable")
-        p.add_argument("--variant", default=None,
-                       help="detector variant (gt or noisy:<profile>)")
-        p.add_argument("--seed", type=int, default=None, metavar="U64")
-        p.add_argument("--out", type=Path, default=None, metavar="DIR")
-
-    run_p = sub.add_parser("run", help="evaluate every (variant, pattern) cell")
-    add_common(run_p)
-
     sweep_p = sub.add_parser("sweep", help="evaluate the full grid")
-    add_common(sweep_p)
+    sweep_p.add_argument("--config", type=Path, default=None,
+                         help="JSON run configuration")
+    sweep_p.add_argument("--pattern", action="append", default=None,
+                         metavar="N/M", help="drop pattern or named target, "
+                                             "repeatable")
+    sweep_p.add_argument("--variant", default=None,
+                         help="detector variant (gt or noisy:<profile>)")
+    sweep_p.add_argument("--seed", type=int, default=None, metavar="U64")
+    sweep_p.add_argument("--out", type=Path, default=None, metavar="DIR",
+                         help="write sweep.csv, sweep.json and tradeoff.csv")
+    sweep_p.add_argument("--outputs", type=Path, default=None, metavar="DIR",
+                         help="write each cell's tracker outputs to "
+                              "DIR/<variant>/<n>of<m>/<sequence>.txt")
 
     eval_p = sub.add_parser("eval", help="metrics for stored outputs")
     eval_p.add_argument("--labels", type=Path, required=True)
@@ -107,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     """Merge the JSON config (if any) with command-line overrides."""
     raw = read_config_json(args.config) if args.config is not None else {}
-    if args.pattern or args.target:
-        raw["patterns"] = list(args.pattern or []) + list(args.target or [])
+    if args.pattern:
+        raw["patterns"] = args.pattern
     raw.setdefault("patterns", ["1/1"])
     if args.variant:
         raw["variants"] = [args.variant]
@@ -118,31 +113,17 @@ def _load_config(args):
 
 
 def _check_out(args) -> None:
-    """Fail on an unusable --out before any cell is computed."""
-    if args.out is not None:
-        with output_dir(args.out):
-            pass
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    _check_out(args)
-    sequences = load_sequences(config)
-    rows = []
-    for variant, pattern, result in run_cells(config, sequences):
-        rows.append(result.row)
-        if args.out is not None:
-            cell_dir = Path(args.out) / variant.replace(":", "_") / \
-                f"{pattern.n}of{pattern.m}"
-            write_cell_outputs(result, cell_dir)
-    print(render_sweep_csv(SweepReport(rows=tuple(rows))), end="")
-    return EXIT_OK
+    """Fail on an unusable --out or --outputs before any cell is computed."""
+    for out in (args.out, args.outputs):
+        if out is not None:
+            with output_dir(out):
+                pass
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     _check_out(args)
-    report = run_sweep(config)
+    report = run_sweep(config, outputs_dir=args.outputs)
     print(render_sweep_csv(report), end="")
     if args.out is not None:
         paths = write_report(report, args.out)
@@ -216,7 +197,6 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
     "sweep": _cmd_sweep,
     "eval": _cmd_eval,
     "energy": _cmd_energy,

@@ -1,10 +1,11 @@
-"""Run and sweep orchestration.
+"""Sweep orchestration.
 
 A cell = (detector variant, drop pattern) evaluated over every sequence of
 the dataset: schedule → per-frame detect/track loop → pooled metrics →
 modeled draw. A sweep is the cross-product of configured variants and
 patterns, with yield computed against the same variant's full-rate row;
 the cells of a variant share one detector, which detects each frame once.
+A sweep may also write each cell's tracker outputs as the cell ends.
 
 Reports are byte-deterministic: fixed float formatting, sorted JSON keys,
 no timestamps. Two runs with the same config and seed produce identical
@@ -200,9 +201,17 @@ def config_from_dict(data: dict) -> RunConfig:
         if variant in variants[:i]:
             raise ConfigError(f"variants[{i}]: {variant!r} is named twice")
 
-    profiles = {name: _from_object(NoiseProfile, body, f"profiles[{name!r}]")
-                for name, body in _typed(data.get("profiles", {}), dict,
-                                         "profiles").items()}
+    profiles = {}
+    for name, body in _typed(data.get("profiles", {}), dict,
+                             "profiles").items():
+        where = f"profiles[{name!r}]"
+        # The name becomes one directory of a sweep's cell outputs, with
+        # ':' written as '_': a path separator or ':' would let two
+        # variants share a directory, or leave the outputs directory.
+        if any(char in name for char in "/\\:\0"):
+            raise ConfigError(f"{where}: a profile name may not contain "
+                              f"'/', '\\', ':' or a NUL character")
+        profiles[name] = _from_object(NoiseProfile, body, where)
     tracker = _from_object(TrackerConfig, data.get("tracker", {}), "tracker")
     overrides = {}
     for key, body in _typed(data.get("tracker_overrides", {}), dict,
@@ -407,31 +416,28 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
     return CellResult(row=row, outputs_per_sequence=outputs_per_sequence)
 
 
-def run_cells(config: RunConfig, sequences: list[SequenceData]):
-    """(variant, pattern, CellResult) for every cell, in config order; a
-    variant's cells share one detector, dropped when the next variant starts."""
-    for variant in config.variants:
-        detect = variant_detector(config, variant)
-        for pattern in config.patterns:
-            yield variant, pattern, run_once(config, variant, pattern,
-                                             sequences, detect)
-
-
-def run_sweep(config: RunConfig,
-              sequences: list[SequenceData] | None = None) -> SweepReport:
+def run_sweep(config: RunConfig, sequences: list[SequenceData] | None = None,
+              outputs_dir=None) -> SweepReport:
     """Every cell's row, with yield against its variant's 1/1 row. A
-    variant's cells share one detector (run_cells)."""
+    variant's cells share one detector, dropped when the next variant
+    starts. With outputs_dir, each cell's tracker outputs are written to
+    outputs_dir/<variant, ':' as '_'>/<n>of<m>/ as the cell ends."""
     if sequences is None:
         sequences = load_sequences(config)
-    # Rows only, so each cell's tracker outputs are freed when it ends.
-    by_cell = {(variant, pattern): cell.row for variant, pattern, cell
-               in run_cells(config, sequences)}
-
     rows = []
     for variant in config.variants:
-        baseline = by_cell.get((variant, DropPattern(1, 1)))
+        detect = variant_detector(config, variant)
+        # Rows only, so each cell's tracker outputs are freed when it ends.
+        by_pattern = {}
         for pattern in config.patterns:
-            row = by_cell[(variant, pattern)]
+            cell = run_once(config, variant, pattern, sequences, detect)
+            if outputs_dir is not None:
+                cell_dir = Path(outputs_dir) / variant.replace(":", "_") \
+                    / f"{pattern.n}of{pattern.m}"
+                write_cell_outputs(cell, cell_dir)
+            by_pattern[pattern] = cell.row
+        baseline = by_pattern.get(DropPattern(1, 1))
+        for pattern, row in by_pattern.items():
             if (pattern != DropPattern(1, 1) and baseline is not None
                     and row.draw_watts is not None
                     and baseline.draw_watts is not None):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,6 @@ from droptrack.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATASET, EXIT_OK,
 from droptrack.kitti_io import parse_kitti_labels, read_frame_outputs
 from droptrack.metrics import build_frame_tables, clear_pooled, hota_pooled
 from droptrack.tracker import Tracker
-from test_pipeline import README_CONFIG
 
 
 CONFIG = {
@@ -98,15 +99,24 @@ def power_log_argv(tmp_path, text):
     return ["energy", "--log", str(log)]
 
 
-def out_file_argv(tmp_path, command):
-    """`command` with --out naming an existing regular file."""
+def out_file_argv(tmp_path, command, flag="--out"):
+    """`command` with `flag` naming an existing regular file."""
     out = tmp_path / "out-is-a-file"
     out.write_text("")
     if command == "report":
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"rows": []}))
         return ["report", "--sweep", str(sweep), "--out", str(out)]
-    return [command, "--pattern", "1/1", "--out", str(out)]
+    return [command, "--pattern", "1/1", flag, str(out)]
+
+
+def profile_argv(tmp_path, *names):
+    """sweep over one noisy variant per profile name, writing each cell's
+    outputs under tmp_path/out/cells."""
+    profiles = {name: {"detection_probability": 0.5} for name in names}
+    return [*sweep_argv(tmp_path, variants=[f"noisy:{n}" for n in names],
+                        profiles=profiles),
+            "--outputs", str(tmp_path / "out" / "cells")]
 
 
 def bad_sweep_row_argv(tmp_path, **fields):
@@ -207,13 +217,13 @@ def dataset_typo_argv(tmp_path):
      EXIT_CONFIG, "log.csv:2:"),
     (lambda p: eval_argv(p, extra=["--frame-count", "0"]), EXIT_CONFIG,
      "--frame-count"),
-    # A failing cell names itself under `run` as under `sweep`: a label set
-    # with no object of the configured class has no ground truth to score.
-    (lambda p: ["run", *kitti_sweep_argv(p, class_set=["Van"])[1:]],
+    # A failing cell names itself: a label set with no object of the
+    # configured class has no ground truth to score.
+    (lambda p: kitti_sweep_argv(p, class_set=["Van"]),
      EXIT_COMPUTE, "variant=gt pattern=1/1"),
     # The reference scenario is scoped to class_set at load like a label
     # file, so a scope without its cars leaves no ground truth either.
-    (lambda p: ["run", *sweep_argv(p, class_set=["Van"])[1:]],
+    (lambda p: sweep_argv(p, class_set=["Van"]),
      EXIT_COMPUTE, "variant=gt pattern=1/1"),
     # A CLEAR threshold outside (0, 1] would count non-overlapping pairs as
     # matches, or match nothing.
@@ -231,7 +241,8 @@ def dataset_typo_argv(tmp_path):
      "clear_threshold"),
     # An --out that cannot be written is a bad argument.
     (lambda p: out_file_argv(p, "sweep"), EXIT_CONFIG, "out-is-a-file"),
-    (lambda p: out_file_argv(p, "run"), EXIT_CONFIG, "out-is-a-file"),
+    (lambda p: out_file_argv(p, "sweep", "--outputs"), EXIT_CONFIG,
+     "out-is-a-file"),
     (lambda p: out_file_argv(p, "report"), EXIT_CONFIG, "out-is-a-file"),
     # A sweep.json row field of the wrong type, named by file, row and field.
     (lambda p: bad_sweep_row_argv(p, hota="abc"), EXIT_CONFIG,
@@ -278,7 +289,7 @@ def dataset_typo_argv(tmp_path):
     # A pattern or variant named twice would run or override it twice.
     (lambda p: sweep_argv(p, patterns=["1/2", "50"]), EXIT_CONFIG,
      "patterns[1]: '50' repeats pattern 1/2"),
-    (lambda p: ["sweep", "--pattern", "1/2", "--target", "50"], EXIT_CONFIG,
+    (lambda p: ["sweep", "--pattern", "1/2", "--pattern", "50"], EXIT_CONFIG,
      "'50' repeats pattern 1/2"),
     (lambda p: sweep_argv(p, variants=["gt", "gt"]), EXIT_CONFIG,
      "variants[1]: 'gt'"),
@@ -302,6 +313,12 @@ def dataset_typo_argv(tmp_path):
      "variant 'noisy:nope' references undefined profile 'nope'"),
     (lambda p: sweep_argv(p, variants=["oracle"]), EXIT_CONFIG,
      "variant 'oracle' must be 'gt' or 'noisy:<profile>'"),
+    # A profile name is one directory of the cell outputs: with ':' as '_',
+    # "a:b" would share "a_b"'s, and a path would leave --outputs.
+    (lambda p: profile_argv(p, "a:b", "a_b"), EXIT_CONFIG,
+     "profiles['a:b']: a profile name may not contain"),
+    (lambda p: profile_argv(p, "../../../escaped"), EXIT_CONFIG,
+     "profiles['../../../escaped']: a profile name may not contain"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -322,7 +339,7 @@ def dataset_typo_argv(tmp_path):
         "eval-clear-threshold-nan",
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",
         "eval-clear-threshold-above-one", "clear-threshold-zero",
-        "clear-threshold-above-one", "sweep-out-is-file", "run-out-is-file",
+        "clear-threshold-above-one", "sweep-out-is-file", "outputs-is-file",
         "report-out-is-file", "sweep-row-hota-string", "sweep-row-hota-null",
         "sweep-row-frames-fraction", "energy-inference-time-inf",
         "energy-active-draw-inf", "energy-cycle-time-inf",
@@ -335,20 +352,22 @@ def dataset_typo_argv(tmp_path):
         "pattern-flags-repeat", "variants-repeat", "overrides-repeat",
         "score-range-booleans", "score-range-short", "score-range-long",
         "score-range-string", "tracker-birth-variance-negative",
-        "variant-undefined-profile", "variant-unknown"])
+        "variant-undefined-profile", "variant-unknown",
+        "profile-name-colon", "profile-name-path"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
     assert needle in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["sweep", "run"])
+@pytest.mark.parametrize("flag", ["--out", "--outputs"],
+                         ids=["out", "outputs"])
 def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch,
-                                            command):
+                                            flag):
     def no_cell(*args):
         raise AssertionError("a cell was computed")
     monkeypatch.setattr(Tracker, "step", no_cell)
-    argv = out_file_argv(tmp_path, command) + ["--target", "50"]
+    argv = out_file_argv(tmp_path, "sweep", flag) + ["--pattern", "50"]
     assert exit_code(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -356,8 +375,10 @@ def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch,
 
 
 class TestRun:
+    """Cells run by the sweep command, and its flags."""
+
     def test_single_cell(self, capsys):
-        code = main(["run", "--pattern", "1/1", "--variant", "gt"])
+        code = main(["sweep", "--pattern", "1/1", "--variant", "gt"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("variant,target,")
@@ -366,7 +387,7 @@ class TestRun:
 
     def test_writes_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, patterns=["1/2"])
-        code = main(["run", "--config", str(cfg), "--out",
+        code = main(["sweep", "--config", str(cfg), "--outputs",
                      str(tmp_path / "cells")])
         assert code == EXIT_OK
         out_file = tmp_path / "cells" / "gt" / "1of2" / "reference.txt"
@@ -374,32 +395,44 @@ class TestRun:
         assert (tmp_path / "cells" / "gt" / "1of2"
                 / "reference.txt.meta.json").exists()
 
-    def test_grid_prints_the_sweep_rows(self, tmp_path, capsys):
-        # run shares a variant's detections across its cells as sweep does,
-        # and leaves only the yield column blank.
-        cfg = str(write_config(tmp_path, **README_CONFIG))
-        assert main(["run", "--config", cfg]) == EXIT_OK
-        run_lines = capsys.readouterr().out.splitlines()
-        assert main(["sweep", "--config", cfg]) == EXIT_OK
-        sweep_lines = capsys.readouterr().out.splitlines()
-        assert len(run_lines) == len(sweep_lines) == 13
-        assert [line.rsplit(",", 1)[0] for line in run_lines] \
-            == [line.rsplit(",", 1)[0] for line in sweep_lines]
-        assert all(line.endswith(",") for line in run_lines[1:])
-
     def test_named_target_flag(self, capsys):
-        code = main(["run", "--target", "50", "--variant", "gt"])
+        code = main(["sweep", "--pattern", "50", "--variant", "gt"])
         assert code == EXIT_OK
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert row.split(",")[1] == "50"
 
-    def test_bad_target_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--target", "42"])
+    def test_bad_target_rejected_by_parser(self, capsys):
+        assert main(["sweep", "--pattern", "42"]) == EXIT_CONFIG
+        assert "unknown target 42; named targets are" \
+            in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# sha256 of the README config's sweep.json: the seed-7 ref-sweep digest.
+README_SWEEP_SHA256 = \
+    "07bc1527210a5323375ef15552efae75281457edfd68566945d84b7818801a25"
+
+
+def test_readme_sweep_reproduces_its_report_and_cell_outputs(tmp_path,
+                                                             capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    trees = []
+    for run in ("r1", "r2"):
+        out = tmp_path / run
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--outputs", str(out / "cells")]) == EXIT_OK
+        trees.append({path.relative_to(out): path.read_bytes()
+                      for path in out.rglob("*") if path.is_file()})
+    assert hashlib.sha256(trees[0][Path("sweep.json")]).hexdigest() \
+        == README_SWEEP_SHA256
+    # 12 cells, each one sequence's outputs and their sidecar.
+    assert len(trees[0]) == 3 + 12 * 2
+    assert trees[0] == trees[1]
 
 
 class TestSweep:
@@ -450,7 +483,7 @@ class TestEval:
         run_out = tmp_path / "run"
         cfg = write_config(tmp_path, patterns=["1/1"],
                            dataset={"kind": "kitti", "path": str(tmp_path)})
-        assert main(["run", "--config", str(cfg), "--out",
+        assert main(["sweep", "--config", str(cfg), "--outputs",
                      str(run_out)]) == EXIT_OK
         capsys.readouterr()
         code = main(["eval",

@@ -85,12 +85,13 @@ class PowerLog:
     sample_rate: float
 
     def __post_init__(self):
+        # Every check is written so that NaN fails it.
         if not self.samples:
             raise ValueError("power log must be nonempty")
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        if any(s < 0.0 for s in self.samples):
-            raise ValueError("power samples must be nonnegative")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
+        if not all(0.0 <= s < math.inf for s in self.samples):
+            raise ValueError("power samples must be nonnegative and finite")
 
 
 def summarize_power_log(log: PowerLog) -> float:

@@ -15,13 +15,15 @@ Definitional constants shared with the test oracles:
     similarity for CLEAR). Accumulation is canonical: frames ascending,
     ids ascending, so float sums are order-stable.
 
-HOTA settles conflict-free frames without the solver. A frame is
-conflict-free when, at the lowest alpha (`sim >= ALPHA_GRID[0] -
-MATCH_EPS`), every row and every column has at most one eligible pair.
-The eligible mask only shrinks as alpha grows, so on such a frame the
-count-first optimum at every alpha is exactly its eligible pairs, and a
-pair is matched at the first `level` alphas, `level` being the number of
-gates it passes. Only the other frames are solved, once per alpha.
+Both match through the tracker's `gated_assignment` front door, which
+settles a conflict-free set of eligible pairs (no row and no column
+twice) without the Hungarian solver: the count-first optimum is then all
+of them. HOTA tests each frame once, at the lowest alpha (`sim >=
+ALPHA_GRID[0] - MATCH_EPS`). The eligible mask only shrinks as alpha
+grows, so on a conflict-free frame the optimum at every alpha is exactly
+its eligible pairs, and a pair is matched at the first `level` alphas,
+`level` being the number of gates it passes. Only the other frames go
+through the front door, once per alpha.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LabeledObject, OrientedBox, pair_similarities
-from .tracker import MATCH_EPS, FrameOutput, solve_assignment
+from .tracker import MATCH_EPS, FrameOutput, conflict_free, gated_assignment
 
 ALPHA_GRID = tuple(np.arange(1, 20) / 20.0)
 
@@ -121,31 +123,31 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
     if not gt_count:
         raise NoGroundTruthError("no ground truth; HOTA undefined")
 
-    thresholds = np.array(ALPHA_GRID) - MATCH_EPS
+    thresholds = (np.array(ALPHA_GRID) - MATCH_EPS).tolist()
     potential: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     tiny = float(np.finfo(float).eps)
     free_keys = []  # eligible pairs of conflict-free frames, and their sims
     free_sims: list[float] = []
     conflicted = []
     for gts, prs, sim in frames:
-        # A zero ratio adds nothing, so only the others are summed, in the
-        # same row-major order.
-        denom = sim.sum(axis=1)[:, None] + sim.sum(axis=0) - sim
-        ratio = np.divide(sim, denom, out=np.zeros(sim.shape),
-                          where=denom > tiny)
-        rows, cols = np.nonzero(ratio)
-        for i, j, r in zip(rows.tolist(), cols.tolist(),
-                           ratio[rows, cols].tolist()):
-            potential[(gts[i], prs[j])] = \
-                potential.get((gts[i], prs[j]), 0.0) + r
+        # numpy's row and column sums, whose order sets the last bit of a
+        # denominator. A pair with a zero similarity, or a denominator at
+        # or below eps, has a zero ratio and adds nothing; the others are
+        # summed in row-major order.
+        rows = sim.tolist()
+        col_sums = sim.sum(axis=0).tolist()
+        for g, row, r in zip(gts, rows, sim.sum(axis=1).tolist()):
+            for p, x, c in zip(prs, row, col_sums):
+                if x and (denom := r + c - x) > tiny:
+                    potential[(g, p)] = potential.get((g, p), 0.0) + x / denom
 
-        rows, cols = np.nonzero(sim >= thresholds[0])
-        rows, cols = rows.tolist(), cols.tolist()
-        if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
-            conflicted.append((gts, prs, sim))
+        pairs = [(i, j, x) for i, row in enumerate(rows)
+                 for j, x in enumerate(row) if x >= thresholds[0]]
+        if conflict_free(pairs):
+            free_keys += [(gts[i], prs[j]) for i, j, _ in pairs]
+            free_sims += [x for _, _, x in pairs]
         else:
-            free_keys += [(gts[i], prs[j]) for i, j in zip(rows, cols)]
-            free_sims += sim[rows, cols].tolist()
+            conflicted.append((gts, prs, pairs))
 
     # Jaccard alignment between each (gt id, pred id) pair over the whole
     # sequence, the association weight inside matching. Only conflicted
@@ -153,14 +155,14 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
     align = {(g, p): pot / (gt_count[g] + pred_count[p] - pot)
              for (g, p), pot in potential.items()}
     solved = []  # (pair, alpha index) of each match on a conflicted frame
-    for gts, prs, sim in conflicted:
-        score = np.zeros(sim.shape)
-        for i, g in enumerate(gts):
-            for j, p in enumerate(prs):
-                score[i, j] = align.get((g, p), 0.0) * sim[i, j]
+    for gts, prs, pairs in conflicted:
+        shape = (len(gts), len(prs))
+        weighted = [(i, j, x, align.get((gts[i], prs[j]), 0.0) * x)
+                    for i, j, x in pairs]
         for a, threshold in enumerate(thresholds):
-            solved += [((gts[i], prs[j]), a)
-                       for i, j in solve_assignment(score, sim >= threshold)]
+            solved += [((gts[i], prs[j]), a) for i, j in gated_assignment(
+                shape, [(i, j, w) for i, j, x, w in weighted
+                        if x >= threshold])]
 
     # A conflict-free pair's level is the number of alphas whose gate it
     # passes (the same `>=` test), so it is matched at the first `level`.
@@ -210,6 +212,7 @@ def hota(tables: list[FrameTable]) -> HotaResult:
 # --- CLEAR --------------------------------------------------------------
 
 def _clear_counts(tables: list[FrameTable], match_threshold: float):
+    gate = match_threshold - MATCH_EPS
     tp = fp = fn = idsw = 0
     gt_total = 0
     iou_sum = 0.0
@@ -217,25 +220,25 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
     last: dict[int, int] = {}
     for t in tables:
         gt_total += len(t.gt_ids)
-        gt_index = {gi: i for i, gi in enumerate(t.gt_ids)}
+        sim = dict(zip(t.gt_ids, t.sim.tolist()))
         pr_index = {pj: j for j, pj in enumerate(t.pred_ids)}
 
         # Keep last frame's pairs that still exist and still overlap.
         pairs: dict[int, int] = {}
         for gi in t.gt_ids:
             pj = prev.get(gi)
-            if pj in pr_index and t.sim[gt_index[gi], pr_index[pj]] \
-                    >= match_threshold - MATCH_EPS:
+            if pj in pr_index and sim[gi][pr_index[pj]] >= gate:
                 pairs[gi] = pj
 
         rem_g = [gi for gi in t.gt_ids if gi not in pairs]
         used = set(pairs.values())
         rem_p = [pj for pj in t.pred_ids if pj not in used]
         if rem_g and rem_p:
-            sub = t.sim[np.ix_([gt_index[gi] for gi in rem_g],
-                               [pr_index[pj] for pj in rem_p])]
-            for i, j in solve_assignment(sub,
-                                         sub >= match_threshold - MATCH_EPS):
+            cols = [pr_index[pj] for pj in rem_p]
+            eligible = [(i, j, x) for i, gi in enumerate(rem_g)
+                        for j, x in enumerate([sim[gi][c] for c in cols])
+                        if x >= gate]
+            for i, j in gated_assignment((len(rem_g), len(rem_p)), eligible):
                 pairs[rem_g[i]] = rem_p[j]
 
         tp += len(pairs)
@@ -243,7 +246,7 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
         fp += len(t.pred_ids) - len(pairs)
         for gi in sorted(pairs):
             pj = pairs[gi]
-            iou_sum += t.sim[gt_index[gi], pr_index[pj]]
+            iou_sum += sim[gi][pr_index[pj]]
             if gi in last and last[gi] != pj:
                 idsw += 1
             last[gi] = pj

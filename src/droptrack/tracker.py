@@ -167,15 +167,17 @@ def update(state: TrackState, detection: Detection,
 
 def solve_assignment(scores: np.ndarray,
                      eligible: np.ndarray) -> list[tuple[int, int]]:
-    """Gated assignment maximizing (match count, total score), in that order.
+    """Gated assignment maximizing (match count, total score), in that order,
+    by the Hungarian solver; `gated_assignment` is the front door to it.
 
     Only pairs marked in the boolean mask `eligible` (same shape as
-    `scores`) are matched; callers gate with `x >= threshold - MATCH_EPS`.
-    The mask may come from another matrix than the score: HOTA gates on raw
-    similarity but maximizes association-weighted similarity. The
-    count-first objective is encoded by offsetting every eligible score
-    with a constant larger than any achievable score sum, so the Hungarian
-    solver cannot trade a match away for score.
+    `scores`) are matched, and only their scores are read; callers gate
+    with `x >= threshold - MATCH_EPS`. The mask may come from another
+    matrix than the score: HOTA gates on raw similarity but maximizes
+    association-weighted similarity. The count-first objective is encoded
+    by offsetting every eligible score with a constant larger than any
+    achievable score sum, so the solver cannot trade a match away for
+    score.
     """
     if not eligible.any():
         return []
@@ -185,17 +187,50 @@ def solve_assignment(scores: np.ndarray,
     return [(int(r), int(c)) for r, c in zip(rows, cols) if eligible[r, c]]
 
 
+def conflict_free(pairs) -> bool:
+    """True when no row and no column repeats among `pairs`, each a
+    (row, column, ...) tuple."""
+    return (len({p[0] for p in pairs}) == len(pairs)
+            == len({p[1] for p in pairs}))
+
+
+def gated_assignment(shape: tuple[int, int],
+                     pairs: list[tuple[int, int, float]]
+                     ) -> list[tuple[int, int]]:
+    """`solve_assignment` on a `shape` matrix whose eligible entries are
+    `pairs`, (row, column, score) triples in row-major order.
+
+    When the pairs are conflict-free, every eligible pair fits in one
+    matching, so the count-first optimum is all of them: they are returned
+    as they come, rows ascending, as the solver would return them, with
+    no matrix built. Otherwise the scores and the mask are filled from the
+    triples; the solver reads only eligible entries, so the other zeros
+    change no bit of its input.
+    """
+    if conflict_free(pairs):
+        return [(i, j) for i, j, _ in pairs]
+    scores = np.zeros(shape)
+    eligible = np.zeros(shape, dtype=bool)
+    for i, j, x in pairs:
+        scores[i, j] = x
+        eligible[i, j] = True
+    return solve_assignment(scores, eligible)
+
+
 def associate(tracks: list[TrackState], detections: list[Detection],
               config: TrackerConfig):
     """Split (tracks × detections) into matches and leftovers, scored by
     `pair_similarities`."""
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    scores = np.array(pair_similarities(
-        [t.box() for t in tracks], [d.box for d in detections],
-        config.association_metric)).reshape(len(tracks), len(detections))
-    pairs = solve_assignment(scores,
-                             scores >= config.gate_iou_min - MATCH_EPS)
+    n = len(detections)
+    gate = config.gate_iou_min - MATCH_EPS
+    scores = pair_similarities([t.box() for t in tracks],
+                               [d.box for d in detections],
+                               config.association_metric)
+    pairs = gated_assignment((len(tracks), n),
+                             [(k // n, k % n, x)
+                              for k, x in enumerate(scores) if x >= gate])
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]

@@ -168,6 +168,14 @@ class TestPowerLog:
         with pytest.raises(ValueError):
             PowerLog(samples=(1.0,), sample_rate=0.0)
 
+    @pytest.mark.parametrize("samples, sample_rate", [
+        ((1.0, 2.0), math.nan), ((1.0, 2.0), math.inf),
+        ((math.nan, 2.0), 1.0), ((math.inf, 2.0), 1.0)],
+        ids=["rate-nan", "rate-inf", "sample-nan", "sample-inf"])
+    def test_non_finite_values_rejected(self, samples, sample_rate):
+        with pytest.raises(ValueError, match="finite"):
+            PowerLog(samples=samples, sample_rate=sample_rate)
+
     def test_constant_log(self):
         log = PowerLog(samples=(200.0,) * 500, sample_rate=100.0)
         assert summarize_power_log(log) == 200.0

@@ -370,44 +370,65 @@ def swap_instance():
     return make_labels(spec), make_outputs(out_spec, 4)
 
 
+def conflicted_instance():
+    """Four frames; on frame 2 two ground-truth boxes overlap one
+    prediction."""
+    labels = make_labels({f: [(1, 0.0, 0.0)] for f in range(4)}
+                         | {2: [(1, 0.0, 0.0), (2, 0.5, 0.0)]})
+    return labels, make_outputs({f: [(5, 0.1, 0.0)] for f in range(4)}, 4)
+
+
 class TestConflictFreeFrames:
     """A frame whose pairs at the lowest alpha share no row or column is
-    settled without the solver; any other frame is solved once per alpha."""
+    settled without the assignment front door; any other frame goes
+    through it once per alpha."""
 
     @pytest.fixture
-    def solver_calls(self, monkeypatch):
+    def front_door_calls(self, monkeypatch):
         calls = []
-        real = metrics.solve_assignment
+        real = metrics.gated_assignment
 
-        def counting(scores, eligible):
-            calls.append(eligible.shape)
-            return real(scores, eligible)
-        monkeypatch.setattr(metrics, "solve_assignment", counting)
+        def counting(shape, pairs):
+            calls.append(shape)
+            return real(shape, pairs)
+        monkeypatch.setattr(metrics, "gated_assignment", counting)
         return calls
 
     @pytest.mark.parametrize("instance", [
         swap_instance, *[lambda seed=seed: random_tracking_instance(seed)
                          for seed in (0, 1, 2, 3, 7)]],
         ids=["demo04", "seed0", "seed1", "seed2", "seed3", "seed7"])
-    def test_conflict_free_tables_need_no_solver(self, solver_calls,
+    def test_conflict_free_tables_need_no_solver(self, front_door_calls,
                                                  instance):
         tables = build_frame_tables(*instance())
         assert not any(has_conflict(t) for t in tables)
         res = hota_pooled([tables])
-        assert solver_calls == []
+        assert front_door_calls == []
         assert res == per_alpha_hota_pooled([tables])
 
     def test_one_conflicted_frame_is_solved_at_each_alpha(self,
-                                                          solver_calls):
-        # Frame 2 has two ground-truth boxes overlapping one prediction.
-        labels = make_labels({f: [(1, 0.0, 0.0)] for f in range(4)}
-                             | {2: [(1, 0.0, 0.0), (2, 0.5, 0.0)]})
-        outputs = make_outputs({f: [(5, 0.1, 0.0)] for f in range(4)}, 4)
-        tables = build_frame_tables(labels, outputs)
+                                                          front_door_calls):
+        tables = build_frame_tables(*conflicted_instance())
         assert [has_conflict(t) for t in tables] == [False, False, True, False]
         res = hota_pooled([tables])
-        assert solver_calls == [(2, 1)] * len(ALPHA_GRID)
+        assert front_door_calls == [(2, 1)] * len(ALPHA_GRID)
         assert res == per_alpha_hota_pooled([tables])
+
+    def test_hungarian_runs_only_while_a_conflict_stays(self,
+                                                        hungarian_runs):
+        # demos/04: each frame's pairs share no row or column, in HOTA and
+        # in CLEAR's rematching after the swap.
+        tables = build_frame_tables(*swap_instance())
+        hota(tables)
+        clear_mot(tables)
+        assert hungarian_runs == []
+        # The conflicted frame needs the solver at each alpha that both of
+        # its pairs pass, and at no other.
+        tables = build_frame_tables(*conflicted_instance())
+        hota(tables)
+        both = sum(tables[2].sim.min() >= a - MATCH_EPS for a in ALPHA_GRID)
+        assert both >= 1
+        assert hungarian_runs == [(2, 1)] * both
 
 
 # Similarities at each alpha and just below it: the gate admits alpha,

@@ -362,6 +362,14 @@ class TestSharedDetections:
         assert len(built) == 2
 
 
+def test_readme_sweep_runs_no_hungarian(hungarian_runs):
+    # Every frame the README sweep matches, in the tracker, HOTA and
+    # CLEAR, is conflict-free, so the gated assignment never needs the
+    # solver.
+    assert len(run_sweep(config_from_dict(README_CONFIG)).rows) == 12
+    assert hungarian_runs == []
+
+
 class TestReports:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = make_config()

@@ -18,6 +18,8 @@ from droptrack.tracker import (
     TrackerConfig,
     TrackState,
     associate,
+    conflict_free,
+    gated_assignment,
     predict,
     solve_assignment,
     update,
@@ -178,6 +180,30 @@ class TestUpdate:
         assert abs(wrap_angle(out.mean[3] - math.pi)) < 0.06
 
 
+@st.composite
+def score_matrices(draw):
+    """(scores, sparse): up to 6×6 scores with zeros, ties, a negative
+    score and values at and just below each gate. A sparse draw keeps at
+    most one entry per row and column and sets the others to -1, below
+    every gate, so its eligible pairs are conflict-free."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.5, 0.1, 0.1 - MATCH_EPS, 0.1 - 1e-11,
+                         0.35, 0.35 - 1e-13, 0.5, 0.9]),
+        st.floats(min_value=0.0, max_value=1.0))
+    scores = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m)),
+                      dtype=float).reshape(n, m)
+    sparse = draw(st.booleans())
+    if sparse:
+        cols = draw(st.permutations(range(m)))
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        mask = np.zeros((n, m), dtype=bool)
+        for i, j in zip(range(n), cols):
+            mask[i, j] = keep[i]
+        scores[~mask] = -1.0
+    return scores, sparse
+
+
 class TestAssignment:
     def test_singleton_above_gate(self):
         scores = np.array([[0.9]])
@@ -226,6 +252,22 @@ class TestAssignment:
         got_total = sum(scores[i][j] for i, j in got)
         exp_total = sum(scores[i][j] for i, j in expected)
         assert got_total == pytest.approx(exp_total, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(score_matrices(), st.sampled_from([0.0, 0.1, 0.35]))
+    def test_front_door_equals_solver(self, drawn, gate):
+        # The front door returns the solver's pair list, order included,
+        # whether or not it settles the pairs without the solver.
+        scores, sparse = drawn
+        eligible = scores >= gate - MATCH_EPS
+        rows, cols = np.nonzero(eligible)
+        values = scores.tolist()
+        pairs = [(i, j, values[i][j])
+                 for i, j in zip(rows.tolist(), cols.tolist())]
+        if sparse:
+            assert conflict_free(pairs)
+        assert gated_assignment(scores.shape, pairs) \
+            == solve_assignment(scores, eligible)
 
     def test_associate_splits_leftovers(self):
         cfg = TrackerConfig()
@@ -576,15 +618,19 @@ class TestAssociatePrefilter:
                       for b in [b for _, b in pairs] + extra]
         cfg = TrackerConfig(association_metric=metric, gate_iou_min=gate)
         seen = []
-        solve = tracker.solve_assignment
+        front_door = tracker.gated_assignment
 
-        def capturing(scores, eligible):
-            seen.append(scores.copy())
-            return solve(scores, eligible)
+        def capturing(shape, triples):
+            seen.append((shape, triples))
+            return front_door(shape, triples)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tracker, "solve_assignment", capturing)
+            mp.setattr(tracker, "gated_assignment", capturing)
             got = associate(tracks, detections, cfg)
         scores, *want = reference_associate(tracks, detections, cfg)
         assert list(got) == want
         if tracks and detections:
-            assert np.array_equal(seen[0], scores)
+            # The oracle's matrix, gated, row-major.
+            rows, cols = np.nonzero(scores >= gate - MATCH_EPS)
+            assert seen == [(scores.shape, [
+                (i, j, scores[i, j]) for i, j in zip(rows.tolist(),
+                                                     cols.tolist())])]

@@ -29,11 +29,11 @@ config = config_from_dict({
     "rng_seed": 7,
 })
 
-report = run_sweep(config)
+rows = run_sweep(config)
 
 print(f"{'variant':<12} {'target':>6} {'hota':>8} {'mota':>8} {'motp':>8} "
       f"{'draw W':>8} {'yield':>7}")
-for row in report.rows:
+for row in rows:
     yld = f"{row.yield_w_per_pt:7.2f}" if row.yield_w_per_pt is not None \
         else "      -"
     print(f"{row.variant:<12} {row.target:>6} {row.hota:>8.3f} "
@@ -43,7 +43,7 @@ for row in report.rows:
 # draw-vs-quality CSV ready for plotting. This demo writes them into a
 # temporary directory that is removed when the block ends.
 with tempfile.TemporaryDirectory(prefix="droptrack_sweep_") as out_dir:
-    paths = write_report(report, out_dir)
+    paths = write_report(rows, out_dir)
     print("\nwrote:")
     for name in sorted(paths):
         print(f"  {paths[name].name} ({paths[name].stat().st_size} bytes)")

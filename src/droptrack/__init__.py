@@ -24,10 +24,9 @@ from .kitti_io import (DatasetError, SequenceData, load_label_dir,
                        write_frame_outputs, write_kitti_labels)
 from .scenario import (KITTI_VAL_SEQUENCE_LENGTHS, REFERENCE_CARS,
                        reference_scenario)
-from .pipeline import (CellResult, ComputationError, ConfigError, MetricsRow,
-                       RunConfig, SweepReport, config_from_dict,
-                       config_from_json, read_sweep_json, run_once, run_sweep,
-                       variant_detector, write_report)
+from .pipeline import (ComputationError, ConfigError, MetricsRow, RunConfig,
+                       config_from_dict, config_from_json, read_sweep_json,
+                       run_once, run_sweep, variant_detector, write_report)
 
 __version__ = "0.1.0"
 

@@ -94,17 +94,16 @@ def _frame_rng(profile: NoiseProfile, sequence_id: str,
 
 
 def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
-                 frame_index: int, sequence_id: str = "",
-                 scene: SceneContext | None = None) -> list[Detection]:
+                 frame_index: int, sequence_id: str,
+                 scene: SceneContext) -> list[Detection]:
     """Emit perturbed detections for one frame.
 
     Each label survives with detection_probability; survivors get
     zero-mean Gaussian jitter on center, extents, and yaw, and a score
     uniform in score_range. Poisson-many false positives are placed
-    uniformly in the scene region with shapes drawn from the extent pool.
+    uniformly in `scene`, built once from the whole sequence's labels, with
+    shapes drawn from its extent pool.
     """
-    if scene is None:
-        scene = scene_context(labels)
     rng = _frame_rng(profile, sequence_id, frame_index)
     out: list[Detection] = []
 

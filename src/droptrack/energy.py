@@ -108,21 +108,30 @@ def summarize_power_log(log: PowerLog) -> float:
 
 
 def read_power_log_csv(path, sample_rate: float = 100.0) -> PowerLog:
-    """Load `timestamp_s,watts` rows (header required)."""
+    """Load `timestamp_s,watts` rows (header required): finite numbers, with
+    no timestamp below the one before; else a ValueError naming path:line."""
     watts = []
+    previous = -math.inf
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "watts" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected header with a 'watts' column")
+        if not {"timestamp_s", "watts"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}: expected header with 'timestamp_s' "
+                             f"and 'watts' columns")
         for row in reader:
-            try:
-                value = float(row["watts"])
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{reader.line_num}: bad watts value "
-                                 f"{row['watts']!r}")
-            watts.append(value)
+            for key in ("timestamp_s", "watts"):
+                try:
+                    number = float(row[key])
+                except (TypeError, ValueError):
+                    number = math.nan
+                if not math.isfinite(number):
+                    raise ValueError(f"{path}:{reader.line_num}: bad {key} "
+                                     f"value {row[key]!r}")
+                row[key] = number
+            if row["timestamp_s"] < previous:
+                raise ValueError(f"{path}:{reader.line_num}: timestamp_s "
+                                 f"{row['timestamp_s']} is below {previous}")
+            previous = row["timestamp_s"]
+            watts.append(row["watts"])
     return PowerLog(samples=tuple(watts), sample_rate=sample_rate)
 
 

@@ -75,8 +75,9 @@ def _parse_rows(lines: list[str], origin: str,
     Blank lines are skipped and the score defaults to 1.0. With a
     class_set, rows of other types and DontCare rows come back with box
     None: their geometry and track id (-1 for DontCare) go unchecked.
-    A malformed row, a row at or past frame_count or a repeated (frame,
-    track id) raises DatasetError naming origin:line.
+    A malformed row, a row at or past frame_count, a kept row with a
+    non-finite score or a repeated (frame, track id) raises DatasetError
+    naming origin:line.
     """
     rows = []
     seen = set()
@@ -105,6 +106,8 @@ def _parse_rows(lines: list[str], origin: str,
             if class_set is None or (kind != "DontCare" and kind in class_set):
                 if track_id < 0:
                     raise ValueError("negative track id")
+                if not -math.inf < score < math.inf:  # NaN fails it too
+                    raise ValueError(f"score {score} is not finite")
                 if (frame, track_id) in seen:
                     raise ValueError(f"duplicate (frame, id) {(frame, track_id)}")
                 seen.add((frame, track_id))

@@ -2,8 +2,8 @@
 
 A cell = (detector variant, drop pattern) evaluated over every sequence of
 the dataset: schedule → per-frame detect/track loop → pooled metrics →
-modeled draw. A sweep is the cross-product of configured variants and
-patterns, with yield computed against the same variant's full-rate row;
+modeled draw, giving one MetricsRow. A sweep is the rows of the configured
+variants × patterns, with yield against the same variant's full-rate row;
 the cells of a variant share one detector, which detects each frame once.
 A sweep may also write each cell's tracker outputs as the cell ends.
 
@@ -310,17 +310,6 @@ class MetricsRow:
     yield_w_per_pt: float | None = None
 
 
-@dataclass(frozen=True)
-class CellResult:
-    row: MetricsRow
-    outputs_per_sequence: dict[str, list[FrameOutput]]
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[MetricsRow, ...]
-
-
 def variant_detector(config: RunConfig, variant: str):
     """detect(seq, frame_index): the variant's detections on that frame.
 
@@ -363,9 +352,9 @@ def variant_detector(config: RunConfig, variant: str):
 
 def run_once(config: RunConfig, variant: str, pattern: DropPattern,
              sequences: list[SequenceData] | None = None,
-             detect=None) -> CellResult:
-    """One (variant, pattern) cell; a failure in it is a ComputationError.
-    `detect` is the variant's detector (variant_detector), else a new one."""
+             detect=None) -> tuple[MetricsRow, dict[str, list[FrameOutput]]]:
+    """One cell: its row and tracker outputs by sequence id, or a
+    ComputationError. `detect` is from variant_detector, else made here."""
     if sequences is None:
         sequences = load_sequences(config)
     if detect is None:
@@ -413,11 +402,11 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
         processed_frames=total_processed,
         draw_watts=draw,
     )
-    return CellResult(row=row, outputs_per_sequence=outputs_per_sequence)
+    return row, outputs_per_sequence
 
 
 def run_sweep(config: RunConfig, sequences: list[SequenceData] | None = None,
-              outputs_dir=None) -> SweepReport:
+              outputs_dir=None) -> tuple[MetricsRow, ...]:
     """Every cell's row, with yield against its variant's 1/1 row. A
     variant's cells share one detector, dropped when the next variant
     starts. With outputs_dir, each cell's tracker outputs are written to
@@ -430,12 +419,13 @@ def run_sweep(config: RunConfig, sequences: list[SequenceData] | None = None,
         # Rows only, so each cell's tracker outputs are freed when it ends.
         by_pattern = {}
         for pattern in config.patterns:
-            cell = run_once(config, variant, pattern, sequences, detect)
+            row, outputs = run_once(config, variant, pattern, sequences,
+                                    detect)
             if outputs_dir is not None:
                 cell_dir = Path(outputs_dir) / variant.replace(":", "_") \
                     / f"{pattern.n}of{pattern.m}"
-                write_cell_outputs(cell, cell_dir)
-            by_pattern[pattern] = cell.row
+                write_cell_outputs(outputs, cell_dir)
+            by_pattern[pattern] = row
         baseline = by_pattern.get(DropPattern(1, 1))
         for pattern, row in by_pattern.items():
             if (pattern != DropPattern(1, 1) and baseline is not None
@@ -445,7 +435,7 @@ def run_sweep(config: RunConfig, sequences: list[SequenceData] | None = None,
                     (baseline.draw_watts, baseline.hota),
                     (row.draw_watts, row.hota)))
             rows.append(row)
-    return SweepReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # --- report persistence ---------------------------------------------------
@@ -465,35 +455,34 @@ def _fmt(value) -> str:
 _TRADEOFF_COLUMNS = ("variant", "target", "draw_watts", "hota")
 
 
-def render_sweep_csv(report: SweepReport,
+def render_sweep_csv(rows: tuple[MetricsRow, ...],
                      columns: tuple[str, ...] = _CSV_COLUMNS) -> str:
-    """The report's rows as CSV, one column per MetricsRow field named."""
+    """The rows as CSV, one column per MetricsRow field named."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in report.rows:
+    for row in rows:
         writer.writerow([_fmt(getattr(row, col)) for col in columns])
     return buf.getvalue()
 
 
-def render_sweep_json(report: SweepReport) -> str:
+def render_sweep_json(rows: tuple[MetricsRow, ...]) -> str:
     """Every row field, a float rounded as the CSV prints it."""
-    rows = [{col: float(_fmt(value)) if isinstance(value, float) else value
-             for col, value in asdict(row).items()} for row in report.rows]
-    return json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+    records = [{col: float(_fmt(value)) if isinstance(value, float) else value
+                for col, value in asdict(row).items()} for row in rows]
+    return json.dumps({"rows": records}, sort_keys=True, indent=2) + "\n"
 
 
-def read_sweep_json(path) -> SweepReport:
-    """The report in a sweep.json; a read failure or bad row is a ConfigError."""
+def read_sweep_json(path) -> tuple[MetricsRow, ...]:
+    """The rows of a sweep.json; a read failure or bad row is a ConfigError."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load sweep report {path}: {exc}") from None
     rows = _typed(_typed(payload, dict, str(path)).get("rows"), list,
                   f"{path}: rows")
-    return SweepReport(rows=tuple(
-        _from_object(MetricsRow, row, f"{path}: rows[{i}]")
-        for i, row in enumerate(rows)))
+    return tuple(_from_object(MetricsRow, row, f"{path}: rows[{i}]")
+                 for i, row in enumerate(rows))
 
 
 @contextmanager
@@ -508,7 +497,7 @@ def output_dir(out_dir):
         raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
 
 
-def write_report(report: SweepReport, out_dir) -> dict[str, Path]:
+def write_report(rows: tuple[MetricsRow, ...], out_dir) -> dict[str, Path]:
     """Write sweep.csv, sweep.json and tradeoff.csv; a failure is a ConfigError."""
     with output_dir(out_dir) as out_dir:
         paths = {
@@ -516,15 +505,16 @@ def write_report(report: SweepReport, out_dir) -> dict[str, Path]:
             "sweep_json": out_dir / "sweep.json",
             "tradeoff_csv": out_dir / "tradeoff.csv",
         }
-        paths["sweep_csv"].write_text(render_sweep_csv(report))
-        paths["sweep_json"].write_text(render_sweep_json(report))
+        paths["sweep_csv"].write_text(render_sweep_csv(rows))
+        paths["sweep_json"].write_text(render_sweep_json(rows))
         paths["tradeoff_csv"].write_text(
-            render_sweep_csv(report, _TRADEOFF_COLUMNS))
+            render_sweep_csv(rows, _TRADEOFF_COLUMNS))
     return paths
 
 
-def write_cell_outputs(result: CellResult, out_dir) -> None:
-    """Persist one cell's per-sequence tracker outputs; a failure is a ConfigError."""
+def write_cell_outputs(outputs: dict[str, list[FrameOutput]], out_dir) -> None:
+    """Write each sequence's tracker outputs to out_dir/<sequence id>.txt,
+    with its sidecar; a failure is a ConfigError."""
     with output_dir(out_dir) as out_dir:
-        for seq_id, outputs in sorted(result.outputs_per_sequence.items()):
-            write_frame_outputs(outputs, out_dir / f"{seq_id}.txt")
+        for seq_id, frames in sorted(outputs.items()):
+            write_frame_outputs(frames, out_dir / f"{seq_id}.txt")

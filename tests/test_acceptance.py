@@ -137,7 +137,7 @@ def test_c04_gt_trend_on_reference_scenario():
             "variants": ["gt"],
             "tracker": {"process_noise": 0.0, "measurement_noise": 0.0},
         })
-        rows = run_sweep(config).rows
+        rows = run_sweep(config)
         assert [row.target for row in rows] \
             == ["100", "90", "75", "50", "25", "10"]
 

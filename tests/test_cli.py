@@ -177,6 +177,13 @@ def dataset_typo_argv(tmp_path):
      "0000.txt:3:"),
     (lambda p: eval_argv(p, kitti_label_row(3, 1)), EXIT_DATASET,
      "out.txt:5:"),
+    # A score, the 18th field, must be finite on every kept row.
+    (lambda p: eval_argv(p, kitti_label_row(3, 2) + " nan"), EXIT_DATASET,
+     "out.txt:5: score nan is not finite"),
+    (lambda p: eval_argv(p, kitti_label_row(3, 2) + " -inf"), EXIT_DATASET,
+     "out.txt:5: score -inf is not finite"),
+    (lambda p: eval_argv(p, label_row=kitti_label_row(3, 2) + " inf"),
+     EXIT_DATASET, "0000.txt:5: score inf is not finite"),
     (lambda p: eval_argv(p, sidecar=[1]), EXIT_DATASET, "out.txt.meta.json"),
     (lambda p: eval_argv(p, sidecar={"provenance": {"0": 5}}), EXIT_DATASET,
      "out.txt.meta.json"),
@@ -215,6 +222,17 @@ def dataset_typo_argv(tmp_path):
      EXIT_CONFIG, "log.csv:3:"),
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,inf\n0.01,1\n"),
      EXIT_CONFIG, "log.csv:2:"),
+    # Timestamps are read: each a finite number, none below the one before.
+    (lambda p: power_log_argv(p, "watts\n1\n2\n"), EXIT_CONFIG,
+     "log.csv: expected header with 'timestamp_s' and 'watts' columns"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\nabc,1\n"),
+     EXIT_CONFIG, "log.csv:3: bad timestamp_s value 'abc'"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n,1\n0.01,1\n"),
+     EXIT_CONFIG, "log.csv:2: bad timestamp_s value ''"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\nnan,1\n"),
+     EXIT_CONFIG, "log.csv:3: bad timestamp_s value 'nan'"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0.02,1\n0.01,1\n"),
+     EXIT_CONFIG, "log.csv:3: timestamp_s 0.01 is below 0.02"),
     (lambda p: eval_argv(p, extra=["--frame-count", "0"]), EXIT_CONFIG,
      "--frame-count"),
     # A failing cell names itself: a label set with no object of the
@@ -326,7 +344,8 @@ def dataset_typo_argv(tmp_path):
         "profiles-not-object", "energy-not-object", "clear-threshold-string",
         "rng-seed-string", "class-set-string", "label-track-id-negative",
         "frame-count-below-labels", "manifest-count-below-labels",
-        "output-duplicate-id", "sidecar-not-object",
+        "output-duplicate-id", "output-score-nan", "output-score-minus-inf",
+        "label-score-inf", "sidecar-not-object",
         "sidecar-provenance-entry-not-object",
         "sidecar-provenance-not-string", "sidecar-provenance-unknown",
         "sidecar-provenance-without-row", "sidecar-frame-count-below-rows",
@@ -334,7 +353,10 @@ def dataset_typo_argv(tmp_path):
         "manifest-key-without-labels", "energy-pattern",
         "energy-length", "energy-draw-order", "energy-sample-rate",
         "power-log-no-watts", "power-log-bad-watts",
-        "power-log-nan-watts", "power-log-inf-watts", "eval-frame-count-zero",
+        "power-log-nan-watts", "power-log-inf-watts",
+        "power-log-no-timestamp", "power-log-bad-timestamp",
+        "power-log-empty-timestamp", "power-log-nan-timestamp",
+        "power-log-timestamp-decreases", "eval-frame-count-zero",
         "run-cell-failure", "reference-class-set-empty",
         "eval-clear-threshold-nan",
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",

@@ -71,14 +71,15 @@ class TestNoisyDetect:
         labels = sorted((make_label(track_id=i, cx=6.0 * i)
                          for i in range(1, 5)), key=lambda lab: lab.track_id)
         profile = NoiseProfile()
-        dets = noisy_detect(labels, profile, frame_index=7, sequence_id="s")
+        dets = noisy_detect(labels, profile, 7, "s", scene_context(labels))
         ref = gt_detect(labels)
         assert dets == ref
 
     def test_zero_probability_empty(self):
         labels = [make_label(track_id=i) for i in range(1, 4)]
         profile = NoiseProfile(detection_probability=0.0)
-        assert noisy_detect(labels, profile, frame_index=0) == []
+        assert noisy_detect(labels, profile, 0, "",
+                            scene_context(labels)) == []
 
     def test_reproducible_byte_for_byte(self):
         labels = [make_label(track_id=i, cx=4.0 * i) for i in range(1, 6)]
@@ -151,8 +152,9 @@ class TestNoisyDetect:
         profile = NoiseProfile(center_sigma=1.0, extent_sigma=3.0,
                                yaw_sigma=4.0, rng_seed=8)
         labels = [make_label(track_id=i) for i in range(1, 4)]
+        scene = scene_context(labels)
         for frame in range(200):
-            for det in noisy_detect(labels, profile, frame, "v"):
+            for det in noisy_detect(labels, profile, frame, "v", scene):
                 assert det.box.length >= 0.05
                 assert det.box.width >= 0.05
                 assert det.box.height >= 0.05
@@ -166,8 +168,9 @@ class TestNoisyDetect:
                                false_positives_per_frame=2.0,
                                score_range=(0.5, 1.0), rng_seed=4)
         labels = [make_label(track_id=i, cx=3.0 * i) for i in range(1, 5)]
+        scene = scene_context(labels)
         dets = [det for frame in range(20)
-                for det in noisy_detect(labels, profile, frame, "f")]
+                for det in noisy_detect(labels, profile, frame, "f", scene)]
         assert len(dets) > 80
         for det in dets:
             assert type(det.score) is float

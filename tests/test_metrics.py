@@ -540,8 +540,8 @@ class TestPrefilterMechanism:
         cfg = config_from_dict({"dataset": {"kind": "reference"},
                                 "patterns": ["1/2"]})
         (seq,) = load_sequences(cfg)
-        outputs = run_once(cfg, "gt", DropPattern(1, 2), [seq]) \
-            .outputs_per_sequence[seq.sequence_id]
+        _, by_sequence = run_once(cfg, "gt", DropPattern(1, 2), [seq])
+        outputs = by_sequence[seq.sequence_id]
         calls = []
         overlap = geometry.footprint_intersection_area
 

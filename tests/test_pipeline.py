@@ -189,8 +189,7 @@ class TestConfigParsing:
 class TestRunOnce:
     def test_reference_full_rate(self):
         cfg = make_config(patterns=["1/1"])
-        cell = run_once(cfg, "gt", DropPattern(1, 1))
-        row = cell.row
+        row, outputs = run_once(cfg, "gt", DropPattern(1, 1))
         assert row.variant == "gt"
         assert row.target == "100"
         assert row.effective_target == 100.0
@@ -199,15 +198,15 @@ class TestRunOnce:
         assert row.mota > 99.0
         assert row.draw_watts == pytest.approx(270.0, abs=1e-9)
         assert row.yield_w_per_pt is None
-        assert set(cell.outputs_per_sequence) == {"reference"}
-        assert len(cell.outputs_per_sequence["reference"]) == 200
+        assert set(outputs) == {"reference"}
+        assert len(outputs["reference"]) == 200
 
     def test_draw_absent_without_energy_config(self):
         cfg = config_from_dict({"patterns": ["1/1"],
                                 "tracker": {"process_noise": 0.0,
                                             "measurement_noise": 0.0}})
-        cell = run_once(cfg, "gt", DropPattern(1, 1))
-        assert cell.row.draw_watts is None
+        row, _ = run_once(cfg, "gt", DropPattern(1, 1))
+        assert row.draw_watts is None
 
     @pytest.mark.parametrize("variant", ["oracle", "noisy:nope"])
     def test_unknown_variant_rejected(self, variant):
@@ -217,10 +216,10 @@ class TestRunOnce:
 
     def test_half_rate_processes_half(self):
         cfg = make_config()
-        cell = run_once(cfg, "gt", DropPattern(1, 2))
-        assert cell.row.processed_frames == 100
-        assert cell.row.effective_target == 50.0
-        assert cell.row.hota < 100.0
+        row, _ = run_once(cfg, "gt", DropPattern(1, 2))
+        assert row.processed_frames == 100
+        assert row.effective_target == 50.0
+        assert row.hota < 100.0
 
     def test_frame_tables_built_once_per_sequence(self, monkeypatch):
         # HOTA and CLEAR score the same tables; the reference scenario is
@@ -239,9 +238,9 @@ class TestRunOnce:
 class TestRunSweep:
     def test_row_grid_and_yield_placement(self):
         cfg = make_config(patterns=["1/1", "1/2", "1/4"])
-        report = run_sweep(cfg)
-        assert len(report.rows) == 3
-        by_target = {row.target: row for row in report.rows}
+        rows = run_sweep(cfg)
+        assert len(rows) == 3
+        by_target = {row.target: row for row in rows}
         assert set(by_target) == {"100", "50", "25"}
         assert by_target["100"].yield_w_per_pt is None
         for target in ("50", "25"):
@@ -253,16 +252,16 @@ class TestRunSweep:
 
     def test_row_order_follows_config(self):
         cfg = make_config(patterns=["1/2", "1/1"])
-        report = run_sweep(cfg)
-        assert [row.target for row in report.rows] == ["50", "100"]
+        rows = run_sweep(cfg)
+        assert [row.target for row in rows] == ["50", "100"]
 
     def test_yield_needs_energy(self):
         cfg = config_from_dict({"patterns": ["1/1", "1/2"],
                                 "tracker": {"process_noise": 0.0,
                                             "measurement_noise": 0.0}})
-        report = run_sweep(cfg)
-        assert all(row.yield_w_per_pt is None for row in report.rows)
-        assert all(row.draw_watts is None for row in report.rows)
+        rows = run_sweep(cfg)
+        assert all(row.yield_w_per_pt is None for row in rows)
+        assert all(row.draw_watts is None for row in rows)
 
     def test_noisy_sweep_deterministic_and_seed_sensitive(self):
         noisy = {
@@ -279,7 +278,7 @@ class TestRunSweep:
         assert render_sweep_json(a) == render_sweep_json(b)
         reseeded = dict(noisy, rng_seed=99)
         c = run_sweep(config_from_dict(reseeded))
-        assert c.rows[0].hota != a.rows[0].hota
+        assert c[0].hota != a[0].hota
 
     def test_cell_failure_names_the_cell(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -301,10 +300,10 @@ class TestSharedDetections:
         digests = {"shared": {}, "alone": {}}
         write = pipeline.write_cell_outputs
 
-        def digesting(cell, out_dir):
+        def digesting(outputs, out_dir):
             root, *cell_dir = out_dir.relative_to(tmp_path).parts
-            digests[root][tuple(cell_dir)] = output_digest(cell)
-            write(cell, out_dir)
+            digests[root][tuple(cell_dir)] = output_digest(outputs)
+            write(outputs, out_dir)
         monkeypatch.setattr(pipeline, "write_cell_outputs", digesting)
         shared = render_sweep_json(run_sweep(cfg,
                                              outputs_dir=tmp_path / "shared"))
@@ -366,7 +365,7 @@ def test_readme_sweep_runs_no_hungarian(hungarian_runs):
     # Every frame the README sweep matches, in the tracker, HOTA and
     # CLEAR, is conflict-free, so the gated assignment never needs the
     # solver.
-    assert len(run_sweep(config_from_dict(README_CONFIG)).rows) == 12
+    assert len(run_sweep(config_from_dict(README_CONFIG))) == 12
     assert hungarian_runs == []
 
 
@@ -382,8 +381,8 @@ class TestReports:
         assert tradeoff[0].read_bytes() == tradeoff[1].read_bytes()
 
     def test_write_report_files(self, tmp_path):
-        report = run_sweep(make_config(patterns=["1/1"]))
-        paths = write_report(report, tmp_path / "out")
+        rows = run_sweep(make_config(patterns=["1/1"]))
+        paths = write_report(rows, tmp_path / "out")
         assert sorted(p.name for p in paths.values()) \
             == ["sweep.csv", "sweep.json", "tradeoff.csv"]
         payload = json.loads(paths["sweep_json"].read_text())
@@ -401,28 +400,27 @@ class TestReports:
         row = MetricsRow(variant="gt", target="100", effective_target=100.0,
                          hota=99.5, det_a=99.5, ass_a=99.5, mota=99.0,
                          motp=100.0, processed_frames=200, draw_watts=None)
-        report = pipeline.SweepReport(rows=(row,))
-        body = render_sweep_csv(report).splitlines()[1]
+        body = render_sweep_csv((row,)).splitlines()[1]
         assert body.endswith(",,")
 
     def test_cell_outputs_round_trip(self, tmp_path):
         cfg = make_config(patterns=["1/2"])
-        cell = run_once(cfg, "gt", DropPattern(1, 2))
-        write_cell_outputs(cell, tmp_path)
+        _, outputs = run_once(cfg, "gt", DropPattern(1, 2))
+        write_cell_outputs(outputs, tmp_path)
         stored = read_frame_outputs(tmp_path / "reference.txt")
-        original = cell.outputs_per_sequence["reference"]
+        original = outputs["reference"]
         assert len(stored) == len(original) == 200
         provs = {e.provenance for out in stored for e in out.entries}
         assert provs == {"updated", "predicted"}
 
 
-def output_digest(result):
+def output_digest(outputs_per_sequence):
     """sha256 over every output entry of a cell: (frame, id, provenance,
     score, cx, cy, cz, length, width, height, yaw), floats by repr, so one
     changed bit changes it."""
     h = hashlib.sha256()
-    for seq_id in sorted(result.outputs_per_sequence):
-        for out in result.outputs_per_sequence[seq_id]:
+    for seq_id in sorted(outputs_per_sequence):
+        for out in outputs_per_sequence[seq_id]:
             for e in out.entries:
                 b = e.box
                 h.update(repr((out.frame_index, e.track_id, e.provenance,
@@ -448,5 +446,5 @@ class TestOutputsPinned:
             "patterns": [pattern],
             "tracker": {"measurement_noise": 0.05},
             "tracker_overrides": {"1/10": {"min_hits_to_confirm": 1}}})
-        result = run_once(cfg, "gt", cfg.patterns[0])
-        assert output_digest(result) == digest
+        _, outputs = run_once(cfg, "gt", cfg.patterns[0])
+        assert output_digest(outputs) == digest

@@ -77,9 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
     energy_p.add_argument("--log", type=Path, default=None,
                           help="CSV power log (timestamp_s,watts)")
-    energy_p.add_argument("--sample-rate", type=_positive(float), default=None,
-                          help="log samples per second, with --log "
-                               "(default 100)")
     energy_p.add_argument("--preset", choices=sorted(ENERGY_PRESETS),
                           default=None)
     energy_p.add_argument("--idle-draw", type=float, default=None)
@@ -171,16 +168,13 @@ def _cmd_energy(args) -> int:
         if flags:
             raise ConfigError(f"--log takes no model or schedule flags, "
                               f"got [{flags}]")
-        sample_rate = 100.0 if args.sample_rate is None else args.sample_rate
         try:
-            log = read_power_log_csv(args.log, sample_rate=sample_rate)
+            log = read_power_log_csv(args.log)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read power log {args.log}: {exc}") \
                 from None
         print(f"median_draw_watts {summarize_power_log(log):.6f}")
         return EXIT_OK
-    if args.sample_rate is not None:
-        raise ConfigError("--sample-rate applies only to --log")
     params = energy_params(model, f"energy [{_given(args, _MODEL_FLAGS)}]")
     pattern = parse_pattern("1/1") if args.pattern is None else args.pattern
     schedule = build_schedule(pattern, 1000 if args.length is None

@@ -81,37 +81,41 @@ def estimate_draw_multi(params: EnergyParams,
 
 @dataclass(frozen=True)
 class PowerLog:
+    """Power samples in watts and their times in seconds, in log order."""
     samples: tuple[float, ...]
-    sample_rate: float
+    timestamps: tuple[float, ...]
 
     def __post_init__(self):
         # Every check is written so that NaN fails it.
         if not self.samples:
             raise ValueError("power log must be nonempty")
-        if not 0.0 < self.sample_rate < math.inf:
-            raise ValueError("sample_rate must be positive and finite")
+        if len(self.timestamps) != len(self.samples):
+            raise ValueError("need one timestamp per power sample")
         if not all(0.0 <= s < math.inf for s in self.samples):
             raise ValueError("power samples must be nonnegative and finite")
+        if not all(-math.inf < b < math.inf and a <= b for a, b
+                   in zip((-math.inf,) + self.timestamps, self.timestamps)):
+            raise ValueError("timestamps must be finite and nondecreasing")
 
 
 def summarize_power_log(log: PowerLog) -> float:
-    """Median of 1-second window averages.
+    """Median of 1-second window means.
 
-    The median makes the summary robust to short spikes; a trailing
-    partial window is averaged over its own length.
+    Window k holds the samples with floor(timestamp_s) == k: a second with
+    no sample has no window, and a partial window at either end is
+    averaged over its own samples. The median shrugs off short spikes.
     """
-    window = max(1, int(round(log.sample_rate)))
-    samples = np.asarray(log.samples, dtype=float)
-    means = [float(samples[start:start + window].mean())
-             for start in range(0, len(samples), window)]
+    seconds = np.floor(log.timestamps)
+    starts = np.flatnonzero(seconds[1:] != seconds[:-1]) + 1
+    means = [float(window.mean())
+             for window in np.split(np.asarray(log.samples), starts)]
     return float(np.median(means))
 
 
-def read_power_log_csv(path, sample_rate: float = 100.0) -> PowerLog:
+def read_power_log_csv(path) -> PowerLog:
     """Load `timestamp_s,watts` rows (header required): finite numbers, with
     no timestamp below the one before; else a ValueError naming path:line."""
-    watts = []
-    previous = -math.inf
+    watts, times = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not {"timestamp_s", "watts"} <= set(reader.fieldnames or ()):
@@ -127,12 +131,12 @@ def read_power_log_csv(path, sample_rate: float = 100.0) -> PowerLog:
                     raise ValueError(f"{path}:{reader.line_num}: bad {key} "
                                      f"value {row[key]!r}")
                 row[key] = number
-            if row["timestamp_s"] < previous:
+            if times and row["timestamp_s"] < times[-1]:
                 raise ValueError(f"{path}:{reader.line_num}: timestamp_s "
-                                 f"{row['timestamp_s']} is below {previous}")
-            previous = row["timestamp_s"]
+                                 f"{row['timestamp_s']} is below {times[-1]}")
+            times.append(row["timestamp_s"])
             watts.append(row["watts"])
-    return PowerLog(samples=tuple(watts), sample_rate=sample_rate)
+    return PowerLog(samples=tuple(watts), timestamps=tuple(times))
 
 
 def yield_metric(baseline: tuple[float, float],

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
                        pair_similarities, wrap_angle)
@@ -165,10 +164,70 @@ def update(state: TrackState, detection: Detection,
                       last_score=detection.score)
 
 
+def _max_sum_assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Pairs of a maximum-weight assignment of a nonempty matrix of finite
+    weights: scipy's `linear_sum_assignment(weights, maximize=True)`, pair
+    for pair.
+
+    A port of scipy's solver, Crouse's shortest augmenting path (D. F.
+    Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016), in its loop and arithmetic order: the weights are negated
+    and minimised, a tall matrix is transposed and its pairs sorted back by
+    row, and each row's search fills `remaining` in reverse and, among
+    columns tied at the lowest path cost, takes a free one.
+    """
+    transpose = len(weights[0]) < len(weights)
+    cost = [[-w for w in row]
+            for row in (zip(*weights) if transpose else weights)]
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        remaining = list(range(n_cols - 1, -1, -1))
+        shortest = [math.inf] * n_cols
+        seen_cols = []
+        i, sink, min_val = cur, -1, 0.0
+        while sink == -1:
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest
+                                            and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Dual update: every row the search passed is matched to one of its
+        # columns, all but the sink.
+        u[cur] += min_val
+        for j in seen_cols:
+            if j != sink:
+                u[row4col[j]] += min_val - shortest[j]
+            v[j] -= min_val - shortest[j]
+        i, j = -1, sink
+        while i != cur:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    if transpose:
+        return sorted((i, j) for j, i in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
 def solve_assignment(scores: np.ndarray,
                      eligible: np.ndarray) -> list[tuple[int, int]]:
     """Gated assignment maximizing (match count, total score), in that order,
-    by the Hungarian solver; `gated_assignment` is the front door to it.
+    by `_max_sum_assignment`; `gated_assignment` is the front door to it.
 
     Only pairs marked in the boolean mask `eligible` (same shape as
     `scores`) are matched, and only their scores are read; callers gate
@@ -177,14 +236,16 @@ def solve_assignment(scores: np.ndarray,
     association-weighted similarity. The count-first objective is encoded
     by offsetting every eligible score with a constant larger than any
     achievable score sum, so the solver cannot trade a match away for
-    score.
+    score. The solver, Crouse's shortest augmenting path, returns scipy's
+    pairs, rows ascending: a free column wins a tied path cost, and each
+    row scans columns last to first, so a constant matrix gives the identity.
     """
     if not eligible.any():
         return []
     base = 1.0 + float(scores[eligible].sum())
     weights = np.where(eligible, base + scores, 0.0)
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if eligible[r, c]]
+    return [(r, c) for r, c in _max_sum_assignment(weights.tolist())
+            if eligible[r, c]]
 
 
 def conflict_free(pairs) -> bool:

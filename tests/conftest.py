@@ -7,12 +7,12 @@ from droptrack import tracker
 
 @pytest.fixture
 def hungarian_runs(monkeypatch):
-    """The weight-matrix shape of each Hungarian solver run, in order."""
+    """The weight-matrix shape of each assignment solver run, in order."""
     runs = []
-    real = tracker.linear_sum_assignment
+    real = tracker._max_sum_assignment
 
-    def counting(weights, maximize):
-        runs.append(weights.shape)
-        return real(weights, maximize=maximize)
-    monkeypatch.setattr(tracker, "linear_sum_assignment", counting)
+    def counting(weights):
+        runs.append((len(weights), len(weights[0])))
+        return real(weights)
+    monkeypatch.setattr(tracker, "_max_sum_assignment", counting)
     return runs

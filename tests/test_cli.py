@@ -212,8 +212,6 @@ def dataset_typo_argv(tmp_path):
     (lambda p: ENERGY_MODEL + ["--length", "0"], EXIT_CONFIG, "--length"),
     (lambda p: ["energy", "--idle-draw", "300", "--active-draw", "100",
                 "--inference-time", "0.05"], EXIT_CONFIG, "--idle-draw"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
-     + ["--sample-rate", "0"], EXIT_CONFIG, "--sample-rate"),
     (lambda p: power_log_argv(p, "timestamp_s,power\n0,1\n"), EXIT_CONFIG,
      "log.csv"),
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.01,abc\n"),
@@ -291,8 +289,6 @@ def dataset_typo_argv(tmp_path):
      + ["--pattern", "1/2", "--length", "7"], EXIT_CONFIG, "--pattern"),
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
      + ["--length", "7"], EXIT_CONFIG, "--length"),
-    (lambda p: ["energy", "--preset", "second", "--sample-rate", "5"],
-     EXIT_CONFIG, "--sample-rate"),
     # A misspelt top-level key is refused by name, not run without it; of
     # `jobs`, only the value 1 every run uses is accepted.
     (lambda p: sweep_argv(p, tracker_overide={"1/2": {"min_hits_to_confirm": 1}}),
@@ -351,8 +347,8 @@ def dataset_typo_argv(tmp_path):
         "sidecar-provenance-without-row", "sidecar-frame-count-below-rows",
         "sidecar-frame-count-above-frames", "manifest-count-boolean",
         "manifest-key-without-labels", "energy-pattern",
-        "energy-length", "energy-draw-order", "energy-sample-rate",
-        "power-log-no-watts", "power-log-bad-watts",
+        "energy-length", "energy-draw-order", "power-log-no-watts",
+        "power-log-bad-watts",
         "power-log-nan-watts", "power-log-inf-watts",
         "power-log-no-timestamp", "power-log-bad-timestamp",
         "power-log-empty-timestamp", "power-log-nan-timestamp",
@@ -368,7 +364,7 @@ def dataset_typo_argv(tmp_path):
         "energy-preset-with-draw", "energy-log-with-preset",
         "energy-entry-preset-with-field", "dataset-unknown-field",
         "energy-log-with-pattern", "energy-log-with-length",
-        "energy-model-with-sample-rate", "config-unknown-key",
+        "config-unknown-key",
         "config-jobs-not-one", "energy-key-typo",
         "energy-key-undefined-profile", "patterns-repeat",
         "pattern-flags-repeat", "variants-repeat", "overrides-repeat",
@@ -613,6 +609,17 @@ class TestEnergy:
         out = capsys.readouterr().out
         assert out.startswith("median_draw_watts ")
         assert float(out.split()[1]) == pytest.approx(200.5, abs=0.5)
+
+    def test_log_windows_come_from_timestamps(self, tmp_path, capsys):
+        # 10 Hz, 3 s at 100 W then 1 s at 1000 W, twice: six of the eight
+        # 1 s windows read 100 W. Windows of 100 samples read 325 W.
+        log = tmp_path / "log.csv"
+        rows = ["timestamp_s,watts"]
+        rows += [f"{i / 10:.1f},{1000 if i % 40 >= 30 else 100}"
+                 for i in range(80)]
+        log.write_text("\n".join(rows) + "\n")
+        assert main(["energy", "--log", str(log)]) == EXIT_OK
+        assert capsys.readouterr().out == "median_draw_watts 100.000000\n"
 
     def test_missing_log_is_config_error(self, tmp_path, capsys):
         code = main(["energy", "--log", str(tmp_path / "absent.csv")])

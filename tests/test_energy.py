@@ -159,43 +159,58 @@ class TestEstimateDraw:
                 == pytest.approx(level, abs=1e-9)
 
 
+def power_log(samples):
+    """A log sampled at 100 Hz from t = 0."""
+    return PowerLog(samples=tuple(samples),
+                    timestamps=tuple(i / 100 for i in range(len(samples))))
+
+
 class TestPowerLog:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerLog(samples=(), sample_rate=100.0)
+            PowerLog(samples=(), timestamps=())
         with pytest.raises(ValueError):
-            PowerLog(samples=(1.0, -2.0), sample_rate=100.0)
-        with pytest.raises(ValueError):
-            PowerLog(samples=(1.0,), sample_rate=0.0)
+            PowerLog(samples=(1.0, -2.0), timestamps=(0.0, 0.01))
+        with pytest.raises(ValueError, match="one timestamp per"):
+            PowerLog(samples=(1.0, 2.0), timestamps=(0.0,))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PowerLog(samples=(1.0, 2.0), timestamps=(0.02, 0.01))
 
-    @pytest.mark.parametrize("samples, sample_rate", [
-        ((1.0, 2.0), math.nan), ((1.0, 2.0), math.inf),
-        ((math.nan, 2.0), 1.0), ((math.inf, 2.0), 1.0)],
-        ids=["rate-nan", "rate-inf", "sample-nan", "sample-inf"])
-    def test_non_finite_values_rejected(self, samples, sample_rate):
+    @pytest.mark.parametrize("samples, timestamps", [
+        ((1.0, 2.0), (0.0, math.nan)), ((1.0, 2.0), (0.0, math.inf)),
+        ((math.nan, 2.0), (0.0, 1.0)), ((math.inf, 2.0), (0.0, 1.0))],
+        ids=["timestamp-nan", "timestamp-inf", "sample-nan", "sample-inf"])
+    def test_non_finite_values_rejected(self, samples, timestamps):
         with pytest.raises(ValueError, match="finite"):
-            PowerLog(samples=samples, sample_rate=sample_rate)
+            PowerLog(samples=samples, timestamps=timestamps)
 
     def test_constant_log(self):
-        log = PowerLog(samples=(200.0,) * 500, sample_rate=100.0)
-        assert summarize_power_log(log) == 200.0
+        assert summarize_power_log(power_log((200.0,) * 500)) == 200.0
 
     def test_median_of_three_windows(self):
         samples = (100.0,) * 100 + (300.0,) * 100 + (200.0,) * 100
-        log = PowerLog(samples=samples, sample_rate=100.0)
-        assert summarize_power_log(log) == 200.0
+        assert summarize_power_log(power_log(samples)) == 200.0
 
     def test_spike_window_ignored(self):
         base = [250.0] * 1000
         base[300:400] = [5000.0] * 100
-        log = PowerLog(samples=tuple(base), sample_rate=100.0)
-        assert summarize_power_log(log) == 250.0
+        assert summarize_power_log(power_log(base)) == 250.0
 
     def test_partial_trailing_window(self):
         samples = (100.0,) * 100 + (400.0,) * 50
-        log = PowerLog(samples=samples, sample_rate=100.0)
         # Windows average to {100, 400}; even count takes the midpoint.
-        assert summarize_power_log(log) == 250.0
+        assert summarize_power_log(power_log(samples)) == 250.0
+
+    def test_windows_are_whole_seconds_of_timestamps(self):
+        # 10 Hz from t = 0.5 s with no sample in [2, 4): windows 0 (five
+        # samples) and 1 at 100 W, window 4 (five samples) at 1000 W, and no
+        # window for 2 or 3 s. Windows of ten samples from the start would
+        # give {100, 550} and a median of 325.
+        timestamps = [0.5 + i / 10 for i in range(15)] \
+            + [4 + i / 10 for i in range(5)]
+        samples = [100.0] * 15 + [1000.0] * 5
+        log = PowerLog(samples=tuple(samples), timestamps=tuple(timestamps))
+        assert summarize_power_log(log) == 100.0
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "power.csv"
@@ -204,6 +219,7 @@ class TestPowerLog:
         log = read_power_log_csv(path)
         assert len(log.samples) == 250
         assert log.samples[0] == 200.0
+        assert log.timestamps[:2] == (0.0, 0.01)
 
     def test_csv_requires_watts_column(self, tmp_path):
         path = tmp_path / "bad.csv"

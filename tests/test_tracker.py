@@ -2,6 +2,9 @@
 lifecycle, and the prediction-only output path."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +207,16 @@ def score_matrices(draw):
     return scores, sparse
 
 
+@st.composite
+def tied_matrices(draw):
+    """Up to 8×8 scores from four values, tall, wide and square, so many
+    pair lists tie on (count, total)."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+                           min_size=n * m, max_size=n * m))
+    return np.array(values).reshape(n, m)
+
+
 class TestAssignment:
     def test_singleton_above_gate(self):
         scores = np.array([[0.9]])
@@ -268,6 +281,56 @@ class TestAssignment:
             assert conflict_free(pairs)
         assert gated_assignment(scores.shape, pairs) \
             == solve_assignment(scores, eligible)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
+    def test_constant_matrix_gives_identity(self, shape):
+        scores = np.full(shape, 0.5)
+        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) \
+            == [(i, i) for i in range(min(shape))]
+
+    def test_tall_tied_matrix_gives_scipys_pairs(self):
+        # Four pair lists tie on (count, total); scipy 1.17.1 returns this
+        # one.
+        scores = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.9]])
+        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) \
+            == [(1, 1), (2, 0)]
+
+    def test_pairs_equal_scipys(self):
+        # scipy is a test oracle only: the pair list, order included, is
+        # the one its linear_sum_assignment gives on the same weights.
+        lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+        @settings(max_examples=500, deadline=None)
+        @given(st.one_of(score_matrices().map(lambda drawn: drawn[0]),
+                         tied_matrices()),
+               st.sampled_from([0.0, 0.1, 0.35, 0.5]))
+        def check(scores, gate):
+            eligible = scores >= gate - MATCH_EPS
+            want = []
+            if eligible.any():
+                base = 1.0 + float(scores[eligible].sum())
+                weights = np.where(eligible, base + scores, 0.0)
+                rows, cols = lsa(weights, maximize=True)
+                want = [(int(r), int(c)) for r, c in zip(rows, cols)
+                        if eligible[r, c]]
+            assert solve_assignment(scores, eligible) == want
+        check()
+
+    def test_runtime_imports_no_scipy(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import droptrack.cli\n"
+                "from droptrack.tracker import solve_assignment\n"
+                "scores = np.array([[0.9, 0.8], [0.7, 0.0]])\n"
+                "assert solve_assignment(scores, scores > 0) "
+                "== [(0, 1), (1, 0)]\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))\n")
+        src = Path(tracker.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_associate_splits_leftovers(self):
         cfg = TrackerConfig()

@@ -113,8 +113,9 @@ def summarize_power_log(log: PowerLog) -> float:
 
 
 def read_power_log_csv(path) -> PowerLog:
-    """Load `timestamp_s,watts` rows (header required): finite numbers, with
-    no timestamp below the one before; else a ValueError naming path:line."""
+    """Load `timestamp_s,watts` rows (header required): finite numbers, no
+    watts below 0 and no timestamp below the one before; else a ValueError
+    naming path:line."""
     watts, times = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -131,6 +132,9 @@ def read_power_log_csv(path) -> PowerLog:
                     raise ValueError(f"{path}:{reader.line_num}: bad {key} "
                                      f"value {row[key]!r}")
                 row[key] = number
+            if row["watts"] < 0.0:
+                raise ValueError(f"{path}:{reader.line_num}: watts "
+                                 f"{row['watts']} is below 0")
             if times and row["timestamp_s"] < times[-1]:
                 raise ValueError(f"{path}:{reader.line_num}: timestamp_s "
                                  f"{row['timestamp_s']} is below {times[-1]}")

@@ -6,6 +6,22 @@ detection step was dropped are judged on predicted boxes.
 `hota` and `clear_mot` score one sequence's `build_frame_tables` list,
 which both can share; `hota_pooled` and `clear_pooled` one per sequence.
 
+A frame table is sparse: it holds the (row, column, sim) triples of the
+pairs that overlap, `sim > 0`, as `pair_similarities` returns them, and
+no entry for any other pair. A pair that does not overlap is never a
+match candidate, whatever the threshold. The scoring reads only the
+triples, in plain Python, with no array built per frame.
+
+HOTA's denominators need each frame's row and column sums, whose order
+sets their last bit. They are numpy's `sim.sum(axis=1)` and
+`sim.sum(axis=0)` of the dense matrix, bit for bit: a row is summed
+pairwise as numpy's `pairwise_sum` does it (left to right from 0.0 below
+8 entries), a column left to right, except in a one-column matrix, which
+numpy sums pairwise. Adding +0.0 is exact, so a left-to-right sum over
+the triples alone is the dense one; only a row of 8 or more entries, or
+the column of a one-column table of 8 or more rows, is summed with its
+zeros in place. The tests check these sums against the installed numpy.
+
 Definitional constants shared with the test oracles:
   - ALPHA_GRID: the 19-point localization-threshold grid 0.05..0.95.
   - MATCH_EPS: slack on similarity-vs-threshold comparisons (defined
@@ -65,18 +81,30 @@ class HotaResult:
 
 @dataclass(frozen=True)
 class FrameTable:
-    """One frame's matching problem: sorted ids and their similarity matrix."""
+    """One frame's matching problem: sorted ids and the (row, column, sim)
+    triples of the pairs that overlap, row-major; a row indexes `gt_ids`,
+    a column `pred_ids`."""
 
     gt_ids: tuple[int, ...]
     pred_ids: tuple[int, ...]
-    sim: np.ndarray
+    pairs: list[tuple[int, int, float]]
+
+    @property
+    def sim(self) -> np.ndarray:
+        """The dense similarity matrix, zero where a pair does not overlap,
+        built on each read. Only the benchmark's pair count and the tests
+        read it; the metrics read `pairs`."""
+        sim = np.zeros((len(self.gt_ids), len(self.pred_ids)))
+        for i, j, x in self.pairs:
+            sim[i, j] = x
+        return sim
 
 
 def build_frame_tables(labels: list[LabeledObject],
                        outputs: list[FrameOutput],
                        similarity="3d-iou") -> list[FrameTable]:
     """Canonical per-frame tables, frames ascending, ids sorted, each
-    `sim` scored by `pair_similarities`."""
+    table's `pairs` scored by `pair_similarities`."""
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
     for lab in labels:
         frame = by_frame_gt.setdefault(lab.frame_index, {})
@@ -104,12 +132,60 @@ def build_frame_tables(labels: list[LabeledObject],
     for f in sorted(by_frame_pr):
         gt, pr = by_frame_gt.get(f, {}), by_frame_pr[f]
         gt_ids, pred_ids = tuple(sorted(gt)), tuple(sorted(pr))
-        sim = pair_similarities([gt[i] for i in gt_ids],
-                                [pr[j] for j in pred_ids], similarity)
-        tables.append(FrameTable(gt_ids=gt_ids, pred_ids=pred_ids,
-                                 sim=np.array(sim).reshape(len(gt_ids),
-                                                           len(pred_ids))))
+        tables.append(FrameTable(gt_ids, pred_ids, pair_similarities(
+            [gt[i] for i in gt_ids], [pr[j] for j in pred_ids], similarity)))
     return tables
+
+
+def _sequential_sum(values) -> float:
+    """Left to right from 0.0. Not sum(): from Python 3.12 it compensates
+    floats."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's `pairwise_sum` of float64 values, in its order: below 8
+    values left to right; up to its 128-value block, 8 running sums over
+    every eighth value, added as a tree, then the leftover values; above,
+    the halves, split at a multiple of 8, each summed so and added."""
+    n = len(values)
+    if n < 8:
+        return _sequential_sum(values)
+    if n <= 128:
+        end = n - n % 8
+        r = [_sequential_sum(values[k:end:8]) for k in range(8)]
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        for x in values[end:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _axis_sums(n_rows: int, n_cols: int,
+               pairs: list[tuple[int, int, float]]
+               ) -> tuple[list[float], list[float]]:
+    """A table's row and column sums, bit for bit numpy's `sum(axis=1)`
+    and `sum(axis=0)` of its dense matrix (see the module docstring)."""
+    rows, cols = [0.0] * n_rows, [0.0] * n_cols
+    for i, j, x in pairs:
+        rows[i] += x
+        cols[j] += x
+    if n_cols >= 8:
+        dense = [[0.0] * n_cols for _ in range(n_rows)]
+        for i, j, x in pairs:
+            dense[i][j] = x
+        rows = [_pairwise_sum(row) for row in dense]
+    elif n_cols == 1 and n_rows >= 8:
+        column = [0.0] * n_rows
+        for i, _, x in pairs:
+            column[i] = x
+        cols = [_pairwise_sum(column)]
+    return rows, cols
 
 
 # --- HOTA ---------------------------------------------------------------
@@ -117,7 +193,7 @@ def build_frame_tables(labels: list[LabeledObject],
 def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
     """HOTA over all sequences; ids are keyed by (sequence index, id)."""
     frames = [([(k, gi) for gi in t.gt_ids], [(k, pj) for pj in t.pred_ids],
-               t.sim) for k, tables in enumerate(tables_per_seq) for t in tables]
+               t.pairs) for k, tables in enumerate(tables_per_seq) for t in tables]
     gt_count = Counter(g for gts, _, _ in frames for g in gts)
     pred_count = Counter(p for _, prs, _ in frames for p in prs)
     if not gt_count:
@@ -129,20 +205,17 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
     free_keys = []  # eligible pairs of conflict-free frames, and their sims
     free_sims: list[float] = []
     conflicted = []
-    for gts, prs, sim in frames:
-        # numpy's row and column sums, whose order sets the last bit of a
-        # denominator. A pair with a zero similarity, or a denominator at
-        # or below eps, has a zero ratio and adds nothing; the others are
-        # summed in row-major order.
-        rows = sim.tolist()
-        col_sums = sim.sum(axis=0).tolist()
-        for g, row, r in zip(gts, rows, sim.sum(axis=1).tolist()):
-            for p, x, c in zip(prs, row, col_sums):
-                if x and (denom := r + c - x) > tiny:
-                    potential[(g, p)] = potential.get((g, p), 0.0) + x / denom
+    for gts, prs, triples in frames:
+        # A pair that does not overlap, or has a denominator at or below
+        # eps, has a zero ratio and adds nothing; the others are summed in
+        # row-major order.
+        row_sums, col_sums = _axis_sums(len(gts), len(prs), triples)
+        for i, j, x in triples:
+            if (denom := row_sums[i] + col_sums[j] - x) > tiny:
+                key = (gts[i], prs[j])
+                potential[key] = potential.get(key, 0.0) + x / denom
 
-        pairs = [(i, j, x) for i, row in enumerate(rows)
-                 for j, x in enumerate(row) if x >= thresholds[0]]
+        pairs = [p for p in triples if p[2] >= thresholds[0]]
         if conflict_free(pairs):
             free_keys += [(gts[i], prs[j]) for i, j, _ in pairs]
             free_sims += [x for _, _, x in pairs]
@@ -219,34 +292,33 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
     prev: dict[int, int] = {}
     last: dict[int, int] = {}
     for t in tables:
-        gt_total += len(t.gt_ids)
-        sim = dict(zip(t.gt_ids, t.sim.tolist()))
-        pr_index = {pj: j for j, pj in enumerate(t.pred_ids)}
+        gt_ids, pred_ids = t.gt_ids, t.pred_ids
+        gt_total += len(gt_ids)
+        # The pairs that pass the gate, by (gt id, pred id), row-major.
+        gated = {(gt_ids[i], pred_ids[j]): x for i, j, x in t.pairs
+                 if x >= gate}
 
-        # Keep last frame's pairs that still exist and still overlap.
-        pairs: dict[int, int] = {}
-        for gi in t.gt_ids:
-            pj = prev.get(gi)
-            if pj in pr_index and sim[gi][pr_index[pj]] >= gate:
-                pairs[gi] = pj
+        # Keep last frame's pairs that still exist and still pass.
+        pairs = {gi: pj for gi, pj in prev.items() if (gi, pj) in gated}
 
-        rem_g = [gi for gi in t.gt_ids if gi not in pairs]
+        rem_g = [gi for gi in gt_ids if gi not in pairs]
         used = set(pairs.values())
-        rem_p = [pj for pj in t.pred_ids if pj not in used]
+        rem_p = [pj for pj in pred_ids if pj not in used]
         if rem_g and rem_p:
-            cols = [pr_index[pj] for pj in rem_p]
-            eligible = [(i, j, x) for i, gi in enumerate(rem_g)
-                        for j, x in enumerate([sim[gi][c] for c in cols])
-                        if x >= gate]
+            row = {gi: i for i, gi in enumerate(rem_g)}
+            col = {pj: j for j, pj in enumerate(rem_p)}
+            eligible = [(row[gi], col[pj], x)
+                        for (gi, pj), x in gated.items()
+                        if gi in row and pj in col]
             for i, j in gated_assignment((len(rem_g), len(rem_p)), eligible):
                 pairs[rem_g[i]] = rem_p[j]
 
         tp += len(pairs)
-        fn += len(t.gt_ids) - len(pairs)
-        fp += len(t.pred_ids) - len(pairs)
+        fn += len(gt_ids) - len(pairs)
+        fp += len(pred_ids) - len(pairs)
         for gi in sorted(pairs):
             pj = pairs[gi]
-            iou_sum += sim[gi][pr_index[pj]]
+            iou_sum += gated[(gi, pj)]
             if gi in last and last[gi] != pj:
                 idsw += 1
             last[gi] = pj

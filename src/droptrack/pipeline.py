@@ -143,7 +143,7 @@ def energy_params(entry, where: str) -> EnergyParams:
 def clear_threshold(value, where: str) -> float:
     """A CLEAR match threshold, a number in (0, 1]; else a ConfigError."""
     value = float(_typed(value, float, where))
-    # At 0 or below, CLEAR's gate would match pairs that do not overlap.
+    # At 0 or below, CLEAR's gate would admit every overlapping pair.
     if not 0.0 < value <= 1.0:
         raise ConfigError(f"{where} must lie in (0, 1], got {value!r}")
     return value

@@ -281,17 +281,16 @@ def gated_assignment(shape: tuple[int, int],
 def associate(tracks: list[TrackState], detections: list[Detection],
               config: TrackerConfig):
     """Split (tracks × detections) into matches and leftovers, scored by
-    `pair_similarities`."""
+    `pair_similarities`: a track and a detection that do not overlap are
+    never matched, whatever the gate."""
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    n = len(detections)
     gate = config.gate_iou_min - MATCH_EPS
-    scores = pair_similarities([t.box() for t in tracks],
-                               [d.box for d in detections],
-                               config.association_metric)
-    pairs = gated_assignment((len(tracks), n),
-                             [(k // n, k % n, x)
-                              for k, x in enumerate(scores) if x >= gate])
+    triples = pair_similarities([t.box() for t in tracks],
+                                [d.box for d in detections],
+                                config.association_metric)
+    pairs = gated_assignment((len(tracks), len(detections)),
+                             [p for p in triples if p[2] >= gate])
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]

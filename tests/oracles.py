@@ -646,8 +646,16 @@ def reference_frame_tables(labels: list[LabeledObject],
         for i, gi in enumerate(gt_ids):
             for j, pj in enumerate(pred_ids):
                 sim[i, j] = sim_fn(gt[gi], pr[pj])
-        tables.append(FrameTable(gt_ids=gt_ids, pred_ids=pred_ids, sim=sim))
+        tables.append(dense_frame_table(gt_ids, pred_ids, sim))
     return tables
+
+
+def dense_frame_table(gt_ids, pred_ids, sim) -> FrameTable:
+    """The FrameTable of a dense similarity matrix: its nonzero entries,
+    as (row, column, sim) triples in row-major order."""
+    return FrameTable(gt_ids, pred_ids, [
+        (i, j, x) for i, row in enumerate(np.asarray(sim, dtype=float).tolist())
+        for j, x in enumerate(row) if x != 0.0])
 
 
 def reference_associate(tracks, detections, config):
@@ -665,7 +673,8 @@ def reference_associate(tracks, detections, config):
                          yaw=wrap_angle(float(m[3])))
         for j, det in enumerate(detections):
             scores[i, j] = similarity(tb, det.box)
-    pairs = solve_assignment(scores, scores >= config.gate_iou_min - MATCH_EPS)
+    pairs = solve_assignment(scores, (scores > 0)
+                             & (scores >= config.gate_iou_min - MATCH_EPS))
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     return (scores, pairs,

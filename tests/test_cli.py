@@ -220,6 +220,8 @@ def dataset_typo_argv(tmp_path):
      EXIT_CONFIG, "log.csv:3:"),
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,inf\n0.01,1\n"),
      EXIT_CONFIG, "log.csv:2:"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.5,-5\n"),
+     EXIT_CONFIG, "log.csv:3: watts -5.0 is below 0"),
     # Timestamps are read: each a finite number, none below the one before.
     (lambda p: power_log_argv(p, "watts\n1\n2\n"), EXIT_CONFIG,
      "log.csv: expected header with 'timestamp_s' and 'watts' columns"),
@@ -241,8 +243,8 @@ def dataset_typo_argv(tmp_path):
     # file, so a scope without its cars leaves no ground truth either.
     (lambda p: sweep_argv(p, class_set=["Van"]),
      EXIT_COMPUTE, "variant=gt pattern=1/1"),
-    # A CLEAR threshold outside (0, 1] would count non-overlapping pairs as
-    # matches, or match nothing.
+    # A CLEAR threshold outside (0, 1] would gate nothing, every
+    # overlapping pair passing it, or would match nothing.
     (lambda p: eval_argv(p, extra=["--clear-threshold", "nan"]), EXIT_CONFIG,
      "--clear-threshold"),
     (lambda p: eval_argv(p, extra=["--clear-threshold", "-1"]), EXIT_CONFIG,
@@ -350,6 +352,7 @@ def dataset_typo_argv(tmp_path):
         "energy-length", "energy-draw-order", "power-log-no-watts",
         "power-log-bad-watts",
         "power-log-nan-watts", "power-log-inf-watts",
+        "power-log-negative-watts",
         "power-log-no-timestamp", "power-log-bad-timestamp",
         "power-log-empty-timestamp", "power-log-nan-timestamp",
         "power-log-timestamp-decreases", "eval-frame-count-zero",
@@ -549,6 +552,20 @@ class TestEval:
             f"mota {c.mota:.6f}\nmotp {c.motp:.6f}\n"
             f"tp {c.tp} fp {c.fp} fn {c.fn} id_switches {c.id_switches}\n")
         assert printed["3d-iou"] != printed["bev-iou"]
+
+    def test_boxes_that_do_not_overlap_never_match(self, tmp_path, capsys):
+        # The prediction sits 50 m behind the ground truth: their IoU is
+        # 0, which the gate 1e-12 - MATCH_EPS would admit.
+        labels = tmp_path / "0000.txt"
+        labels.write_text(kitti_label_row(0, 1, z=10.0) + "\n")
+        outputs = tmp_path / "out.txt"
+        outputs.write_text(kitti_label_row(0, 1, z=60.0) + "\n")
+        assert main(["eval", "--labels", str(labels), "--outputs",
+                     str(outputs), "--frame-count", "1",
+                     "--clear-threshold", "1e-12"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "mota -100.000000" in out
+        assert "tp 0 fp 1 fn 1 id_switches 0" in out
 
     def test_no_ground_truth_is_compute_error(self, tmp_path, capsys):
         labels = tmp_path / "empty.txt"

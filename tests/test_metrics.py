@@ -13,7 +13,6 @@ from droptrack.geometry import SIMILARITY_FNS, LabeledObject, OrientedBox
 from droptrack.metrics import (
     ALPHA_GRID,
     MATCH_EPS,
-    FrameTable,
     NoGroundTruthError,
     build_frame_tables,
     clear_mot,
@@ -25,8 +24,9 @@ from droptrack.pipeline import config_from_dict, load_sequences, run_once
 from droptrack.schedule import DropPattern
 from droptrack.tracker import FrameOutput, TrackEntry
 
-from oracles import (oracle_clear, oracle_hota, per_alpha_hota_pooled,
-                     random_tracking_instance, reference_frame_tables)
+from oracles import (dense_frame_table, oracle_clear, oracle_hota,
+                     per_alpha_hota_pooled, random_tracking_instance,
+                     reference_frame_tables)
 from strategies import box_pairs, random_boxes
 
 
@@ -302,8 +302,8 @@ class TestPooling:
         # the correctly rounded 8.54 here; left to right gives 8.54 + 1 ulp.
         ious = [0.76, 0.822, 0.798, 0.78, 0.81, 0.97, 0.754, 0.716, 0.86,
                 0.619, 0.651]
-        tables = [[FrameTable(gt_ids=(1,), pred_ids=(1,),
-                              sim=np.array([[iou]]))] for iou in ious]
+        tables = [[dense_frame_table((1,), (1,), np.array([[iou]]))]
+                  for iou in ious]
         result = clear_pooled(tables)
         assert result.tp == 11
         assert math.fsum(ious) == 8.54
@@ -446,6 +446,24 @@ SIM_VALUES = st.one_of(
 def frame_table(draw):
     gt_ids = tuple(sorted(draw(st.sets(st.integers(0, 5), max_size=4))))
     pred_ids = tuple(sorted(draw(st.sets(st.integers(0, 6), max_size=5))))
+    return draw(table_of(gt_ids, pred_ids))
+
+
+@st.composite
+def wide_frame_table(draw):
+    """A table whose HOTA sums numpy takes pairwise: 1-3 rows of 8-20
+    columns, or one column of 8-20 rows."""
+    n, m = draw(st.sampled_from([((1, 3), (8, 20)), ((8, 20), (1, 1))]))
+    n, m = draw(st.integers(*n)), draw(st.integers(*m))
+    gt_ids = tuple(sorted(draw(st.sets(st.integers(0, 24), min_size=n,
+                                       max_size=n))))
+    pred_ids = tuple(sorted(draw(st.sets(st.integers(0, 24), min_size=m,
+                                         max_size=m))))
+    return draw(table_of(gt_ids, pred_ids))
+
+
+@st.composite
+def table_of(draw, gt_ids, pred_ids):
     sim = np.array(draw(st.lists(SIM_VALUES,
                                  min_size=len(gt_ids) * len(pred_ids),
                                  max_size=len(gt_ids) * len(pred_ids))),
@@ -456,7 +474,7 @@ def frame_table(draw):
         sim[i:i + 1, :] = 0.0
     for j in draw(st.sets(st.integers(0, max(0, len(pred_ids) - 1)))):
         sim[:, j:j + 1] = 0.0
-    return FrameTable(gt_ids=gt_ids, pred_ids=pred_ids, sim=sim)
+    return dense_frame_table(gt_ids, pred_ids, sim)
 
 
 @settings(max_examples=300, deadline=None)
@@ -470,6 +488,48 @@ def test_hota_matches_per_alpha_solver(tables_per_seq):
         return
     # Dataclass equality: hota, det_a, ass_a and every per_alpha row.
     assert hota_pooled(tables_per_seq) == per_alpha_hota_pooled(tables_per_seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(frame_table(), wide_frame_table()),
+                         min_size=1, max_size=4), min_size=1, max_size=2)
+       .filter(lambda seqs: any(t.gt_ids for ts in seqs for t in ts)))
+def test_hota_matches_per_alpha_solver_on_wide_tables(tables_per_seq):
+    assert hota_pooled(tables_per_seq) == per_alpha_hota_pooled(tables_per_seq)
+
+
+# Values for numpy's sum order: zeros, which a table leaves out, and
+# values over many magnitudes, so that another order changes last bits.
+SUM_VALUES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0),
+                       st.floats(min_value=1e-9, max_value=1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.lists(
+           SUM_VALUES, min_size=n, max_size=n)),
+       st.sampled_from(["row", "column", "rows", "columns"]))
+def test_sums_match_numpy_bit_for_bit(values, layout):
+    """`_pairwise_sum` is np.sum; `_axis_sums` of a table's triples is
+    `sum(axis=1)` and `sum(axis=0)` of its dense matrix, in a one-row and
+    a one-column matrix, and in a 3-row and a 2-column one, from 1 to 300
+    entries a line (numpy's pairwise block is 128)."""
+    assert metrics._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+    dense = np.array(values)
+    if layout == "row":
+        dense = dense.reshape(1, -1)
+    elif layout == "column":
+        dense = dense.reshape(-1, 1)
+    elif layout == "rows":
+        dense = np.stack([dense, dense[::-1], np.roll(dense, 1)])
+    else:
+        dense = np.stack([dense, dense[::-1]], axis=1)
+    table = dense_frame_table(tuple(range(dense.shape[0])),
+                              tuple(range(dense.shape[1])), dense)
+    rows, cols = metrics._axis_sums(*dense.shape, table.pairs)
+    assert [x.hex() for x in rows] == \
+        [x.hex() for x in dense.sum(axis=1).tolist()]
+    assert [x.hex() for x in cols] == \
+        [x.hex() for x in dense.sum(axis=0).tolist()]
 
 
 # --- bounds prefilter ----------------------------------------------------

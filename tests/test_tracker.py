@@ -342,6 +342,21 @@ class TestAssignment:
         assert un_t == [1]
         assert un_d == [1]
 
+    def test_gate_zero_never_pairs_boxes_that_do_not_overlap(self):
+        # Detection 1 is 50 m from both tracks; detection 2 sits on track
+        # 2's footprint, 10 m above it, so the two overlap from above but
+        # not in 3D. A pair that does not overlap scores 0, which a gate of
+        # 0 would admit; it is still never matched.
+        tracks = [make_state(cx=0.0), make_state(cx=20.0)]
+        tracks[1].track_id = 2
+        detections = [make_detection(cx=0.2), make_detection(cx=50.0),
+                      make_detection(cx=20.0, cz=10.75)]
+        cfg = TrackerConfig(gate_iou_min=0.0)
+        assert associate(tracks, detections, cfg) == ([(0, 0)], [1], [1, 2])
+        cfg = TrackerConfig(gate_iou_min=0.0, association_metric="bev-iou")
+        assert associate(tracks, detections, cfg) == ([(0, 0), (1, 2)], [],
+                                                      [1])
+
     def test_associate_empty_inputs(self):
         cfg = TrackerConfig()
         pairs, un_t, un_d = associate([], [make_detection()], cfg)
@@ -692,8 +707,9 @@ class TestAssociatePrefilter:
         scores, *want = reference_associate(tracks, detections, cfg)
         assert list(got) == want
         if tracks and detections:
-            # The oracle's matrix, gated, row-major.
-            rows, cols = np.nonzero(scores >= gate - MATCH_EPS)
+            # The oracle's matrix, gated, row-major; a pair that does not
+            # overlap is never eligible.
+            rows, cols = np.nonzero((scores > 0) & (scores >= gate - MATCH_EPS))
             assert seen == [(scores.shape, [
                 (i, j, scores[i, j]) for i, j in zip(rows.tolist(),
                                                      cols.tolist())])]

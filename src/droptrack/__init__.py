@@ -13,7 +13,7 @@ from .schedule import (DropPattern, Schedule, TARGET_PATTERNS, build_schedule,
 from .detectors import (NoiseProfile, SceneContext, gt_detect, noisy_detect,
                         scene_context)
 from .tracker import (FrameOutput, TrackEntry, Tracker, TrackerConfig,
-                      TrackState, associate, predict, solve_assignment, update)
+                      TrackState, associate, gated_assignment, predict, update)
 from .metrics import (ALPHA_GRID, ClearResult, HotaResult, NoGroundTruthError,
                       build_frame_tables, clear_mot, clear_pooled, hota,
                       hota_pooled)

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LabeledObject, OrientedBox, pair_similarities
-from .tracker import MATCH_EPS, FrameOutput, conflict_free, gated_assignment
+from .tracker import (MATCH_EPS, FrameOutput, _pairwise_sum, conflict_free,
+                      gated_assignment)
 
 ALPHA_GRID = tuple(np.arange(1, 20) / 20.0)
 
@@ -135,35 +136,6 @@ def build_frame_tables(labels: list[LabeledObject],
         tables.append(FrameTable(gt_ids, pred_ids, pair_similarities(
             [gt[i] for i in gt_ids], [pr[j] for j in pred_ids], similarity)))
     return tables
-
-
-def _sequential_sum(values) -> float:
-    """Left to right from 0.0. Not sum(): from Python 3.12 it compensates
-    floats."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's `pairwise_sum` of float64 values, in its order: below 8
-    values left to right; up to its 128-value block, 8 running sums over
-    every eighth value, added as a tree, then the leftover values; above,
-    the halves, split at a multiple of 8, each summed so and added."""
-    n = len(values)
-    if n < 8:
-        return _sequential_sum(values)
-    if n <= 128:
-        end = n - n % 8
-        r = [_sequential_sum(values[k:end:8]) for k in range(8)]
-        total = (((r[0] + r[1]) + (r[2] + r[3]))
-                 + ((r[4] + r[5]) + (r[6] + r[7])))
-        for x in values[end:]:
-            total += x
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _axis_sums(n_rows: int, n_cols: int,

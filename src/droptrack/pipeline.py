@@ -174,11 +174,18 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"dataset: unknown fields {sorted(unknown)}")
     if dataset["kind"] not in ("reference", "kitti"):
         raise ConfigError(f"unknown dataset kind {dataset['kind']!r}")
-    if dataset["kind"] == "kitti" and "path" not in dataset:
-        raise ConfigError("kitti dataset requires a 'path' field")
-    for key in ("path", "manifest"):
-        if dataset.get(key) is not None:
-            _typed(dataset[key], str, f"dataset.{key}")
+    # The reference scenario is built in code, so a file it would not read
+    # is refused rather than ignored.
+    files = sorted(set(dataset) - {"kind"})
+    if dataset["kind"] == "reference" and files:
+        raise ConfigError(f"dataset.{files[0]}: a reference dataset reads "
+                          f"no files")
+    if dataset["kind"] == "kitti":
+        if "path" not in dataset:
+            raise ConfigError("dataset.path: a kitti dataset requires a path")
+        _typed(dataset["path"], str, "dataset.path")
+        if dataset.get("manifest") is not None:
+            _typed(dataset["manifest"], str, "dataset.manifest")
 
     raw_patterns = data.get("patterns")
     if not raw_patterns:

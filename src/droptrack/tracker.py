@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
                        pair_similarities, wrap_angle)
 
@@ -224,28 +222,33 @@ def _max_sum_assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
     return list(enumerate(col4row))
 
 
-def solve_assignment(scores: np.ndarray,
-                     eligible: np.ndarray) -> list[tuple[int, int]]:
-    """Gated assignment maximizing (match count, total score), in that order,
-    by `_max_sum_assignment`; `gated_assignment` is the front door to it.
+def _sequential_sum(values) -> float:
+    """Left to right from 0.0. Not sum(): from Python 3.12 it compensates
+    floats."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
-    Only pairs marked in the boolean mask `eligible` (same shape as
-    `scores`) are matched, and only their scores are read; callers gate
-    with `x >= threshold - MATCH_EPS`. The mask may come from another
-    matrix than the score: HOTA gates on raw similarity but maximizes
-    association-weighted similarity. The count-first objective is encoded
-    by offsetting every eligible score with a constant larger than any
-    achievable score sum, so the solver cannot trade a match away for
-    score. The solver, Crouse's shortest augmenting path, returns scipy's
-    pairs, rows ascending: a free column wins a tied path cost, and each
-    row scans columns last to first, so a constant matrix gives the identity.
-    """
-    if not eligible.any():
-        return []
-    base = 1.0 + float(scores[eligible].sum())
-    weights = np.where(eligible, base + scores, 0.0)
-    return [(r, c) for r, c in _max_sum_assignment(weights.tolist())
-            if eligible[r, c]]
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's `pairwise_sum` of float64 values, in its order: below 8
+    values left to right; up to its 128-value block, 8 running sums over
+    every eighth value, added as a tree, then the leftover values; above,
+    the halves, split at a multiple of 8, each summed so and added."""
+    n = len(values)
+    if n < 8:
+        return _sequential_sum(values)
+    if n <= 128:
+        end = n - n % 8
+        r = [_sequential_sum(values[k:end:8]) for k in range(8)]
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        for x in values[end:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def conflict_free(pairs) -> bool:
@@ -258,24 +261,27 @@ def conflict_free(pairs) -> bool:
 def gated_assignment(shape: tuple[int, int],
                      pairs: list[tuple[int, int, float]]
                      ) -> list[tuple[int, int]]:
-    """`solve_assignment` on a `shape` matrix whose eligible entries are
-    `pairs`, (row, column, score) triples in row-major order.
+    """Pairs of a gated assignment maximizing (match count, total score), in
+    that order, on a `shape` matrix whose eligible entries are `pairs`,
+    (row, column, score) triples in row-major order. Callers gate with `x
+    >= threshold - MATCH_EPS`; HOTA gates on raw similarity but scores
+    association-weighted similarity.
 
-    When the pairs are conflict-free, every eligible pair fits in one
-    matching, so the count-first optimum is all of them: they are returned
-    as they come, rows ascending, as the solver would return them, with
-    no matrix built. Otherwise the scores and the mask are filled from the
-    triples; the solver reads only eligible entries, so the other zeros
-    change no bit of its input.
+    Conflict-free pairs all fit in one matching, the count-first optimum,
+    and are returned as they come, rows ascending. Otherwise
+    `_max_sum_assignment` weighs each pair base + score, the base (1 plus
+    the scores' sum, in numpy's order) outweighing any score sum, and
+    every other entry 0.0; its eligible pairs are scipy's, rows ascending,
+    and a constant matrix gives the identity.
     """
     if conflict_free(pairs):
         return [(i, j) for i, j, _ in pairs]
-    scores = np.zeros(shape)
-    eligible = np.zeros(shape, dtype=bool)
+    base = 1.0 + _pairwise_sum([x for _, _, x in pairs])
+    weights = [[0.0] * shape[1] for _ in range(shape[0])]
     for i, j, x in pairs:
-        scores[i, j] = x
-        eligible[i, j] = True
-    return solve_assignment(scores, eligible)
+        weights[i][j] = base + x
+    eligible = {(i, j) for i, j, _ in pairs}
+    return [p for p in _max_sum_assignment(weights) if p in eligible]
 
 
 def associate(tracks: list[TrackState], detections: list[Detection],

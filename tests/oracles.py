@@ -33,7 +33,7 @@ from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
 from droptrack.schedule import Schedule
 from droptrack.tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED,
                                FrameOutput, Tracker, TrackEntry, TrackState,
-                               _birth, associate, predict, solve_assignment,
+                               _birth, associate, gated_assignment, predict,
                                update)
 
 _DENOM_EPS = float(np.finfo(float).eps)
@@ -419,7 +419,8 @@ def per_alpha_hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
         tp = fn = fp = 0
         matches: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
         for (gts, prs, sim), score in zip(frames, weighted):
-            pairs = solve_assignment(score, sim >= alpha - MATCH_EPS)
+            pairs = gated_assignment(sim.shape, eligible_triples(
+                score, sim >= alpha - MATCH_EPS))
             tp += len(pairs)
             fn += len(gts) - len(pairs)
             fp += len(prs) - len(pairs)
@@ -658,6 +659,16 @@ def dense_frame_table(gt_ids, pred_ids, sim) -> FrameTable:
         for j, x in enumerate(row) if x != 0.0])
 
 
+def eligible_triples(scores, eligible) -> list[tuple[int, int, float]]:
+    """The (row, column, score) triples of the entries the boolean mask
+    `eligible` marks, in row-major order: `gated_assignment`'s pairs for a
+    dense score matrix."""
+    values = np.asarray(scores, dtype=float).tolist()
+    return [(i, j, values[i][j])
+            for i, row in enumerate(np.asarray(eligible).tolist())
+            for j, keep in enumerate(row) if keep]
+
+
 def reference_associate(tracks, detections, config):
     """(scores, pairs, unmatched tracks, unmatched detections) from a
     per-pair loop over every (track, detection) pair, each track box
@@ -673,8 +684,8 @@ def reference_associate(tracks, detections, config):
                          yaw=wrap_angle(float(m[3])))
         for j, det in enumerate(detections):
             scores[i, j] = similarity(tb, det.box)
-    pairs = solve_assignment(scores, (scores > 0)
-                             & (scores >= config.gate_iou_min - MATCH_EPS))
+    pairs = gated_assignment(scores.shape, eligible_triples(
+        scores, (scores > 0) & (scores >= config.gate_iou_min - MATCH_EPS)))
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     return (scores, pairs,

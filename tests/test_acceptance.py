@@ -19,10 +19,11 @@ from droptrack.pipeline import (config_from_dict, render_sweep_csv,
 from droptrack.schedule import (TARGET_PATTERNS, DropPattern, build_schedule,
                                 parse_pattern, processed_count)
 from droptrack.tracker import (MATCH_EPS, Detection, Tracker, TrackerConfig,
-                               solve_assignment)
+                               gated_assignment)
 
-from oracles import (enumerate_assignment, mc_bev_iou, oracle_clear,
-                     oracle_hota, random_tracking_instance, simulate_draw_1ms)
+from oracles import (eligible_triples, enumerate_assignment, mc_bev_iou,
+                     oracle_clear, oracle_hota, random_tracking_instance,
+                     simulate_draw_1ms)
 
 
 @contextmanager
@@ -264,5 +265,6 @@ def test_c09_assignment_matches_permutation_search():
             shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
             scores = rng.uniform(0.0, 1.0, shape)
             gate = 0.0 if seed % 2 == 0 else 0.35
-            assert set(solve_assignment(scores, scores >= gate - MATCH_EPS)) \
+            assert set(gated_assignment(scores.shape, eligible_triples(
+                scores, scores >= gate - MATCH_EPS))) \
                 == enumerate_assignment(scores, gate)

@@ -286,6 +286,15 @@ def dataset_typo_argv(tmp_path):
                                                  "cycle_time": 0.5}}),
      EXIT_CONFIG, "cycle_time"),
     (dataset_typo_argv, EXIT_CONFIG, "manfest"),
+    # A kitti dataset reads its path; the reference scenario reads no file,
+    # so a path or manifest given for it is refused, not ignored.
+    (lambda p: sweep_argv(p, dataset={"kind": "kitti", "path": None}),
+     EXIT_CONFIG, "dataset.path: expected a string, got null"),
+    (lambda p: sweep_argv(p, dataset={"kind": "reference", "path": "zzz"}),
+     EXIT_CONFIG, "dataset.path: a reference dataset reads no files"),
+    (lambda p: sweep_argv(p, dataset={"kind": "reference",
+                                      "manifest": "m.json"}),
+     EXIT_CONFIG, "dataset.manifest: a reference dataset reads no files"),
     # energy refuses the flags of the mode it is not in.
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
      + ["--pattern", "1/2", "--length", "7"], EXIT_CONFIG, "--pattern"),
@@ -366,6 +375,8 @@ def dataset_typo_argv(tmp_path):
         "energy-active-draw-inf", "energy-cycle-time-inf",
         "energy-preset-with-draw", "energy-log-with-preset",
         "energy-entry-preset-with-field", "dataset-unknown-field",
+        "dataset-kitti-path-null", "dataset-reference-path",
+        "dataset-reference-manifest",
         "energy-log-with-pattern", "energy-log-with-length",
         "config-unknown-key",
         "config-jobs-not-one", "energy-key-typo",

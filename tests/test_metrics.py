@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droptrack import geometry, metrics
+from droptrack import geometry, metrics, tracker
 from droptrack.geometry import SIMILARITY_FNS, LabeledObject, OrientedBox
 from droptrack.metrics import (
     ALPHA_GRID,
@@ -513,7 +513,7 @@ def test_sums_match_numpy_bit_for_bit(values, layout):
     `sum(axis=1)` and `sum(axis=0)` of its dense matrix, in a one-row and
     a one-column matrix, and in a 3-row and a 2-column one, from 1 to 300
     entries a line (numpy's pairwise block is 128)."""
-    assert metrics._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+    assert tracker._pairwise_sum(values).hex() == float(np.sum(values)).hex()
     dense = np.array(values)
     if layout == "row":
         dense = dense.reshape(1, -1)

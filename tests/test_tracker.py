@@ -24,13 +24,12 @@ from droptrack.tracker import (
     conflict_free,
     gated_assignment,
     predict,
-    solve_assignment,
     update,
 )
 
-from oracles import (StatusTracker, enumerate_assignment, full_covariance,
-                     reference_associate, textbook_kalman_predict,
-                     textbook_kalman_update)
+from oracles import (StatusTracker, eligible_triples, enumerate_assignment,
+                     full_covariance, reference_associate,
+                     textbook_kalman_predict, textbook_kalman_update)
 from strategies import any_yaw, box_pairs, finite_coord, random_boxes
 
 
@@ -220,21 +219,25 @@ def tied_matrices(draw):
 class TestAssignment:
     def test_singleton_above_gate(self):
         scores = np.array([[0.9]])
-        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) == [(0, 0)]
+        assert gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)) == [(0, 0)]
 
     def test_singleton_below_gate(self):
         scores = np.array([[0.05]])
-        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) == []
+        assert gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)) == []
 
     def test_empty(self):
         scores = np.zeros((0, 3))
-        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) == []
+        assert gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)) == []
 
     def test_known_three_by_three(self):
         scores = np.array([[0.9, 0.3, 0.0],
                            [0.4, 0.8, 0.2],
                            [0.0, 0.25, 0.7]])
-        got = set(solve_assignment(scores, scores >= 0.1 - MATCH_EPS))
+        got = set(gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)))
         assert got == enumerate_assignment(scores, 0.1)
         assert got == {(0, 0), (1, 1), (2, 2)}
 
@@ -243,7 +246,8 @@ class TestAssignment:
         # row; the count-first objective must find two matches.
         scores = np.array([[0.6, 0.5],
                            [0.55, 0.0]])
-        got = set(solve_assignment(scores, scores >= 0.1 - MATCH_EPS))
+        got = set(gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)))
         assert got == {(0, 1), (1, 0)}
 
     @settings(max_examples=120, deadline=None)
@@ -256,7 +260,8 @@ class TestAssignment:
         # validity rather than the exact pair set.
         scores = np.array([[rnd.random() for _ in range(m)]
                            for _ in range(n)])
-        got = solve_assignment(scores, scores >= 0.3 - MATCH_EPS)
+        got = gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.3 - MATCH_EPS))
         expected = enumerate_assignment(scores, 0.3)
         assert len({i for i, _ in got}) == len(got)
         assert len({j for _, j in got}) == len(got)
@@ -269,30 +274,35 @@ class TestAssignment:
     @settings(max_examples=300, deadline=None)
     @given(score_matrices(), st.sampled_from([0.0, 0.1, 0.35]))
     def test_front_door_equals_solver(self, drawn, gate):
-        # The front door returns the solver's pair list, order included,
-        # whether or not it settles the pairs without the solver.
+        # The front door returns the solver's pair list on count-first
+        # weights built here with numpy, order included, whether or not it
+        # settles the pairs without the solver.
         scores, sparse = drawn
         eligible = scores >= gate - MATCH_EPS
-        rows, cols = np.nonzero(eligible)
-        values = scores.tolist()
-        pairs = [(i, j, values[i][j])
-                 for i, j in zip(rows.tolist(), cols.tolist())]
+        pairs = eligible_triples(scores, eligible)
         if sparse:
             assert conflict_free(pairs)
-        assert gated_assignment(scores.shape, pairs) \
-            == solve_assignment(scores, eligible)
+        want = []
+        if pairs:
+            base = 1.0 + float(scores[eligible].sum())
+            weights = np.where(eligible, base + scores, 0.0).tolist()
+            want = [(r, c) for r, c in tracker._max_sum_assignment(weights)
+                    if eligible[r, c]]
+        assert gated_assignment(scores.shape, pairs) == want
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
     def test_constant_matrix_gives_identity(self, shape):
         scores = np.full(shape, 0.5)
-        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) \
+        assert gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)) \
             == [(i, i) for i in range(min(shape))]
 
     def test_tall_tied_matrix_gives_scipys_pairs(self):
         # Four pair lists tie on (count, total); scipy 1.17.1 returns this
         # one.
         scores = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.9]])
-        assert solve_assignment(scores, scores >= 0.1 - MATCH_EPS) \
+        assert gated_assignment(scores.shape, eligible_triples(
+            scores, scores >= 0.1 - MATCH_EPS)) \
             == [(1, 1), (2, 0)]
 
     def test_pairs_equal_scipys(self):
@@ -313,17 +323,16 @@ class TestAssignment:
                 rows, cols = lsa(weights, maximize=True)
                 want = [(int(r), int(c)) for r, c in zip(rows, cols)
                         if eligible[r, c]]
-            assert solve_assignment(scores, eligible) == want
+            assert gated_assignment(scores.shape,
+                                    eligible_triples(scores, eligible)) == want
         check()
 
     def test_runtime_imports_no_scipy(self):
         code = ("import sys\n"
-                "import numpy as np\n"
                 "import droptrack.cli\n"
-                "from droptrack.tracker import solve_assignment\n"
-                "scores = np.array([[0.9, 0.8], [0.7, 0.0]])\n"
-                "assert solve_assignment(scores, scores > 0) "
-                "== [(0, 1), (1, 0)]\n"
+                "from droptrack.tracker import gated_assignment\n"
+                "pairs = [(0, 0, 0.9), (0, 1, 0.8), (1, 0, 0.7)]\n"
+                "assert gated_assignment((2, 2), pairs) == [(0, 1), (1, 0)]\n"
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))\n")
         src = Path(tracker.__file__).resolve().parents[1]

@@ -35,16 +35,19 @@ Both match through the tracker's `gated_assignment` front door, which
 settles a conflict-free set of eligible pairs (no row and no column
 twice) without the Hungarian solver: the count-first optimum is then all
 of them. HOTA tests each frame once, at the lowest alpha (`sim >=
-ALPHA_GRID[0] - MATCH_EPS`). The eligible mask only shrinks as alpha
+ALPHA_GRID[0] - MATCH_EPS`). The eligible set only shrinks as alpha
 grows, so on a conflict-free frame the optimum at every alpha is exactly
-its eligible pairs, and a pair is matched at the first `level` alphas,
-`level` being the number of gates it passes. Only the other frames go
-through the front door, once per alpha.
+its eligible pairs. Each pair keeps its similarities on those frames,
+sorted once; its match count at an alpha is how many pass that alpha's
+gate, found by bisection. Only the other frames go through the front
+door, once per alpha.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -54,7 +57,7 @@ from .geometry import LabeledObject, OrientedBox, pair_similarities
 from .tracker import (MATCH_EPS, FrameOutput, _pairwise_sum, conflict_free,
                       gated_assignment)
 
-ALPHA_GRID = tuple(np.arange(1, 20) / 20.0)
+ALPHA_GRID = tuple(k / 20.0 for k in range(1, 20))
 
 
 class NoGroundTruthError(ValueError):
@@ -171,11 +174,12 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
     if not gt_count:
         raise NoGroundTruthError("no ground truth; HOTA undefined")
 
-    thresholds = (np.array(ALPHA_GRID) - MATCH_EPS).tolist()
+    thresholds = [alpha - MATCH_EPS for alpha in ALPHA_GRID]
     potential: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-    tiny = float(np.finfo(float).eps)
-    free_keys = []  # eligible pairs of conflict-free frames, and their sims
-    free_sims: list[float] = []
+    tiny = sys.float_info.epsilon
+    # matches[pair]: its sims on the conflict-free frames it is eligible on;
+    # after the frame loop, the frames on which it is matched at each alpha.
+    matches: dict[tuple[tuple[int, int], tuple[int, int]], list] = {}
     conflicted = []
     for gts, prs, triples in frames:
         # A pair that does not overlap, or has a denominator at or below
@@ -189,63 +193,51 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
 
         pairs = [p for p in triples if p[2] >= thresholds[0]]
         if conflict_free(pairs):
-            free_keys += [(gts[i], prs[j]) for i, j, _ in pairs]
-            free_sims += [x for _, _, x in pairs]
+            for i, j, x in pairs:
+                matches.setdefault((gts[i], prs[j]), []).append(x)
         else:
             conflicted.append((gts, prs, pairs))
+
+    # On a conflict-free frame a pair is matched at each alpha whose gate
+    # its similarity passes (the same `>=` test).
+    for pair, sims in matches.items():
+        sims.sort()
+        matches[pair] = [len(sims) - bisect_left(sims, threshold)
+                         for threshold in thresholds]
 
     # Jaccard alignment between each (gt id, pred id) pair over the whole
     # sequence, the association weight inside matching. Only conflicted
     # frames need it: elsewhere the matching does not depend on scores.
     align = {(g, p): pot / (gt_count[g] + pred_count[p] - pot)
              for (g, p), pot in potential.items()}
-    solved = []  # (pair, alpha index) of each match on a conflicted frame
     for gts, prs, pairs in conflicted:
-        shape = (len(gts), len(prs))
         weighted = [(i, j, x, align.get((gts[i], prs[j]), 0.0) * x)
                     for i, j, x in pairs]
         for a, threshold in enumerate(thresholds):
-            solved += [((gts[i], prs[j]), a) for i, j in gated_assignment(
-                shape, [(i, j, w) for i, j, x, w in weighted
-                        if x >= threshold])]
+            for i, j in gated_assignment((len(gts), len(prs)), [
+                    (i, j, w) for i, j, x, w in weighted if x >= threshold]):
+                matches.setdefault((gts[i], prs[j]),
+                                   [0] * len(thresholds))[a] += 1
 
-    # A conflict-free pair's level is the number of alphas whose gate it
-    # passes (the same `>=` test), so it is matched at the first `level`.
-    # per_level[n, L] counts the frames on which pair n has level L.
-    keys = sorted(set(free_keys).union(pair for pair, _ in solved))
-    index = {pair: n for n, pair in enumerate(keys)}
-    n_alpha = len(ALPHA_GRID)
-    levels = np.searchsorted(thresholds, free_sims, side="right")
-    flat = np.array([index[pair] for pair in free_keys], dtype=np.intp)
-    per_level = np.bincount(flat * (n_alpha + 1) + levels,
-                            minlength=len(keys) * (n_alpha + 1)) \
-        .reshape(len(keys), n_alpha + 1)
-    # matches[n, a]: frames on which pair n is matched at alpha a, i.e.
-    # has a level above a, plus its matches on conflicted frames.
-    matches = per_level[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
-    for pair, a in solved:
-        matches[index[pair], a] += 1
-
+    keys = sorted(matches)
     pair_total = [gt_count[g] + pred_count[p] for g, p in keys]
     gt_total = sum(gt_count.values())
     pred_total = sum(pred_count.values())
     per_alpha = []
-    for alpha, counts in zip(ALPHA_GRID, matches.T.tolist()):
+    for a, alpha in enumerate(ALPHA_GRID):
+        counts = [matches[pair][a] for pair in keys]
         tp = sum(counts)
-        det_a = tp / max(1, gt_total + pred_total - tp)
+        det_pct = 100.0 * (tp / max(1, gt_total + pred_total - tp))
         ass_num = 0.0
         for mc, total in zip(counts, pair_total):
             if mc:
                 ass_num += mc * (mc / (total - mc))
-        ass_a = ass_num / max(1, tp)
-        det_pct = 100.0 * det_a
-        ass_pct = 100.0 * ass_a
-        per_alpha.append((float(alpha), math.sqrt(det_pct * ass_pct),
+        ass_pct = 100.0 * (ass_num / max(1, tp))
+        per_alpha.append((alpha, math.sqrt(det_pct * ass_pct),
                           det_pct, ass_pct))
 
-    hota_val = float(np.mean([row[1] for row in per_alpha]))
-    det_val = float(np.mean([row[2] for row in per_alpha]))
-    ass_val = float(np.mean([row[3] for row in per_alpha]))
+    hota_val, det_val, ass_val = (_pairwise_sum(column) / len(ALPHA_GRID)
+                                  for column in list(zip(*per_alpha))[1:])
     return HotaResult(hota=hota_val, det_a=det_val, ass_a=ass_val,
                       per_alpha=tuple(per_alpha))
 

@@ -186,6 +186,12 @@ def config_from_dict(data: dict) -> RunConfig:
         _typed(dataset["path"], str, "dataset.path")
         if dataset.get("manifest") is not None:
             _typed(dataset["manifest"], str, "dataset.manifest")
+        # An empty path would read the current directory, and an empty
+        # manifest would be no manifest: neither names a file.
+        for field in ("path", "manifest"):
+            if dataset.get(field) == "":
+                raise ConfigError(f'dataset.{field}: expected a non-empty '
+                                  f'string, got ""')
 
     raw_patterns = data.get("patterns")
     if not raw_patterns:
@@ -296,7 +302,7 @@ def load_sequences(config: RunConfig) -> list[SequenceData]:
         return [replace(seq, labels=tuple(
             lab for lab in seq.labels if lab.class_label in config.class_set))]
     manifest = None
-    if dataset.get("manifest"):
+    if dataset.get("manifest") is not None:
         manifest = load_manifest(dataset["manifest"])
     return load_label_dir(dataset["path"], manifest=manifest,
                           class_set=config.class_set)

@@ -142,6 +142,13 @@ def dataset_typo_argv(tmp_path):
                                          "manfest": str(tmp_path / "m.json")})
 
 
+def label_file_argv(tmp_path, **fields):
+    """sweep over one label file in tmp_path, with these dataset fields."""
+    (tmp_path / "0000.txt").write_text(kitti_label_row(0, 1) + "\n")
+    return sweep_argv(tmp_path, dataset={"kind": "kitti", "path": str(tmp_path),
+                                         **fields})
+
+
 @pytest.mark.parametrize("build, code, needle", [
     (lambda p: sweep_argv(p, similarity="nope"), EXIT_CONFIG, "similarity"),
     (lambda p: sweep_argv(p, tracker_overrides={"bogus": {}}), EXIT_CONFIG,
@@ -295,6 +302,12 @@ def dataset_typo_argv(tmp_path):
     (lambda p: sweep_argv(p, dataset={"kind": "reference",
                                       "manifest": "m.json"}),
      EXIT_CONFIG, "dataset.manifest: a reference dataset reads no files"),
+    # An empty kitti path would read the current directory, and an empty
+    # manifest would be dropped as no manifest.
+    (lambda p: label_file_argv(p, path=""), EXIT_CONFIG,
+     'dataset.path: expected a non-empty string, got ""'),
+    (lambda p: label_file_argv(p, manifest=""), EXIT_CONFIG,
+     'dataset.manifest: expected a non-empty string, got ""'),
     # energy refuses the flags of the mode it is not in.
     (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
      + ["--pattern", "1/2", "--length", "7"], EXIT_CONFIG, "--pattern"),
@@ -376,7 +389,8 @@ def dataset_typo_argv(tmp_path):
         "energy-preset-with-draw", "energy-log-with-preset",
         "energy-entry-preset-with-field", "dataset-unknown-field",
         "dataset-kitti-path-null", "dataset-reference-path",
-        "dataset-reference-manifest",
+        "dataset-reference-manifest", "dataset-kitti-path-empty",
+        "dataset-kitti-manifest-empty",
         "energy-log-with-pattern", "energy-log-with-length",
         "config-unknown-key",
         "config-jobs-not-one", "energy-key-typo",

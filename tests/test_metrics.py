@@ -194,11 +194,9 @@ class TestHota:
             assert h == math.sqrt(d * a)
 
     def test_alpha_grid(self):
-        assert len(ALPHA_GRID) == 19
-        assert ALPHA_GRID[0] == pytest.approx(0.05)
-        assert ALPHA_GRID[-1] == pytest.approx(0.95)
-        steps = [round(b - a, 10) for a, b in zip(ALPHA_GRID, ALPHA_GRID[1:])]
-        assert set(steps) == {0.05}
+        # Exactly k/20 for k = 1..19, as plain floats.
+        assert ALPHA_GRID == tuple(k / 20.0 for k in range(1, 20))
+        assert all(type(a) is float for a in ALPHA_GRID)
 
     def test_permutation_invariance(self):
         labels, outputs = random_tracking_instance(7)

@@ -30,4 +30,6 @@ from .pipeline import (ComputationError, ConfigError, MetricsRow, RunConfig,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, leaving out the submodules the imports above bind.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], type(geometry))]

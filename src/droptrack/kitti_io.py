@@ -212,13 +212,6 @@ def read_frame_outputs(path, sidecar_path=None,
                      or type(stated_count) is int and stated_count >= 0)):
             raise DatasetError(f"{sidecar_path}: expected an object with an "
                                f"integer frame_count and provenance objects")
-        for frame, ids in provenance.items():
-            for track_id, prov in ids.items():
-                if prov not in (PROVENANCE_UPDATED, PROVENANCE_PREDICTED):
-                    raise DatasetError(
-                        f"{sidecar_path}: frame {frame} id {track_id}: "
-                        f"provenance must be \"{PROVENANCE_UPDATED}\" or "
-                        f"\"{PROVENANCE_PREDICTED}\", got {json.dumps(prov)}")
 
     try:
         text = path.read_text()
@@ -230,6 +223,11 @@ def read_frame_outputs(path, sidecar_path=None,
         # Each row takes its sidecar entry out, so what is left names no row.
         prov = provenance.get(str(frame), {}).pop(str(track_id),
                                                   PROVENANCE_UPDATED)
+        if prov not in (PROVENANCE_UPDATED, PROVENANCE_PREDICTED):
+            raise DatasetError(
+                f"{sidecar_path}: frame {frame} id {track_id}: provenance "
+                f"must be \"{PROVENANCE_UPDATED}\" or "
+                f"\"{PROVENANCE_PREDICTED}\", got {json.dumps(prov)}")
         entries_by_frame.setdefault(frame, []).append(
             TrackEntry(track_id=track_id, box=box, score=score, provenance=prov))
     rowless = [(frame, track_id) for frame, ids in provenance.items()

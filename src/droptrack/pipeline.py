@@ -243,6 +243,11 @@ def config_from_dict(data: dict) -> RunConfig:
         overrides[pattern] = _from_object(TrackerConfig,
                                           {**asdict(tracker), **body}, where)
 
+    class_set = _string_array(data, "class_set", sorted(DEFAULT_CLASS_SET))
+    if "DontCare" in class_set:
+        raise ConfigError(f"class_set[{class_set.index('DontCare')}]: "
+                          f"DontCare rows are never tracked")
+
     similarity = data.get("similarity", "3d-iou")
     known = sorted(SIMILARITY_FNS)
     if similarity not in known:
@@ -265,8 +270,7 @@ def config_from_dict(data: dict) -> RunConfig:
         tracker=tracker,
         tracker_overrides=overrides,
         energy=energy,
-        class_set=frozenset(_string_array(data, "class_set",
-                                          sorted(DEFAULT_CLASS_SET))),
+        class_set=frozenset(class_set),
         similarity=similarity,
         clear_threshold=clear_threshold(data.get("clear_threshold", 0.5),
                                         "clear_threshold"),

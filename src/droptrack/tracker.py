@@ -6,7 +6,9 @@ cycle. Lifecycle counters (hits, consecutive misses) move only on frames
 the detector actually processed, so one miss budget works across drop
 patterns. A track is output once it has `min_hits_to_confirm` hits; an
 unmatched track dies while it has fewer, or once its consecutive misses
-exceed `max_misses_to_delete`.
+exceed `max_misses_to_delete`. An output entry is `updated` on a
+processed frame where its track has no miss, meaning it was matched or
+born there, and `predicted` otherwise.
 
 State: `mean` is 10 floats, cx, cy, cz, yaw, length, width, height, vx,
 vy, vz; the first 7 are observed, and yaw and extents follow a random
@@ -289,8 +291,6 @@ def associate(tracks: list[TrackState], detections: list[Detection],
     """Split (tracks × detections) into matches and leftovers, scored by
     `pair_similarities`: a track and a detection that do not overlap are
     never matched, whatever the gate."""
-    if not tracks or not detections:
-        return [], list(range(len(tracks))), list(range(len(detections)))
     gate = config.gate_iou_min - MATCH_EPS
     triples = pair_similarities([t.box() for t in tracks],
                                 [d.box for d in detections],
@@ -342,32 +342,27 @@ class Tracker:
         cfg = self.config
 
         self._tracks = [predict(t, cfg.cycle_time, cfg) for t in self._tracks]
-        updated_ids: set[int] = set()
-
         if detections is not None:
             pairs, unmatched_t, unmatched_d = associate(
                 self._tracks, detections, cfg)
             for ti, dj in pairs:
                 self._tracks[ti] = update(self._tracks[ti], detections[dj], cfg)
-                updated_ids.add(self._tracks[ti].track_id)
-            dead = set()
             for ti in unmatched_t:
-                trk = self._tracks[ti]
-                trk.consecutive_misses += 1
-                if (trk.hits < cfg.min_hits_to_confirm
-                        or trk.consecutive_misses > cfg.max_misses_to_delete):
-                    dead.add(ti)
+                self._tracks[ti].consecutive_misses += 1
             for dj in unmatched_d:
                 self._tracks.append(_birth(self._next_id, detections[dj], cfg))
-                # A birth is detection-backed, not extrapolated.
-                updated_ids.add(self._next_id)
                 self._next_id += 1
-            self._tracks = [t for i, t in enumerate(self._tracks)
-                            if i not in dead]
+            # Matched and born tracks are the ones with no miss.
+            self._tracks = [
+                t for t in self._tracks if t.consecutive_misses == 0
+                or (t.hits >= cfg.min_hits_to_confirm
+                    and t.consecutive_misses <= cfg.max_misses_to_delete)]
 
         entries = tuple(
             TrackEntry(track_id=t.track_id, box=t.box(), score=t.last_score,
-                       provenance=(PROVENANCE_UPDATED if t.track_id in updated_ids
+                       provenance=(PROVENANCE_UPDATED
+                                   if detections is not None
+                                   and t.consecutive_misses == 0
                                    else PROVENANCE_PREDICTED))
             for t in self._tracks if t.hits >= cfg.min_hits_to_confirm
         )

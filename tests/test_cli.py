@@ -142,6 +142,13 @@ def dataset_typo_argv(tmp_path):
                                          "manfest": str(tmp_path / "m.json")})
 
 
+def config_root_argv(tmp_path):
+    """sweep over a config file whose JSON root is an array."""
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    return ["sweep", "--config", str(path)]
+
+
 def label_file_argv(tmp_path, **fields):
     """sweep over one label file in tmp_path, with these dataset fields."""
     (tmp_path / "0000.txt").write_text(kitti_label_row(0, 1) + "\n")
@@ -175,6 +182,13 @@ def label_file_argv(tmp_path, **fields):
      "clear_threshold"),
     (lambda p: sweep_argv(p, rng_seed="x"), EXIT_CONFIG, "rng_seed"),
     (lambda p: sweep_argv(p, class_set="Car"), EXIT_CONFIG, "class_set"),
+    # DontCare rows are skipped whatever the scope, so naming the type
+    # would drop it silently.
+    (lambda p: sweep_argv(p, class_set=["Car", "DontCare"]), EXIT_CONFIG,
+     "class_set[1]: DontCare rows are never tracked"),
+    (config_root_argv, EXIT_CONFIG, "config root must be a JSON object"),
+    (lambda p: ["report", "--sweep", str(p / "missing.json"), "--out",
+                str(p / "out")], EXIT_CONFIG, "cannot load sweep report "),
     # Dataset errors.
     (lambda p: eval_argv(p, label_row=kitti_label_row(1, -1)), EXIT_DATASET,
      "0000.txt:5:"),
@@ -362,7 +376,9 @@ def label_file_argv(tmp_path, **fields):
         "output-frame-not-int", "tracker-not-object",
         "override-body-not-object", "overrides-not-object",
         "profiles-not-object", "energy-not-object", "clear-threshold-string",
-        "rng-seed-string", "class-set-string", "label-track-id-negative",
+        "rng-seed-string", "class-set-string", "class-set-dontcare",
+        "config-root-not-object", "report-sweep-missing",
+        "label-track-id-negative",
         "frame-count-below-labels", "manifest-count-below-labels",
         "output-duplicate-id", "output-score-nan", "output-score-minus-inf",
         "label-score-inf", "sidecar-not-object",

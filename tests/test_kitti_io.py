@@ -125,6 +125,10 @@ class TestSequenceData:
         with pytest.raises(ValueError):
             SequenceData(sequence_id="x", frame_count=3, labels=seq.labels)
 
+    def test_frame_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="frame_count must be positive"):
+            SequenceData("x", 0, ())
+
     def test_labels_by_frame(self):
         text = "\n".join([car_row(frame=0), car_row(frame=2, track_id=2)])
         seq = parse_kitti_labels(io.StringIO(text))

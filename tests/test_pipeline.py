@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import types
 
 import pytest
 
+import droptrack
 import droptrack.metrics as metrics
 import droptrack.pipeline as pipeline
 from droptrack.pipeline import (
@@ -59,6 +61,12 @@ def make_config(**overrides):
     return config_from_dict(data)
 
 
+def test_star_import_binds_no_module():
+    # A star import would otherwise shadow a caller's own `metrics`.
+    assert not [name for name in droptrack.__all__
+                if isinstance(getattr(droptrack, name), types.ModuleType)]
+
+
 class TestConfigParsing:
     def test_minimal_config(self):
         cfg = config_from_dict({"patterns": ["1/1"]})
@@ -71,6 +79,11 @@ class TestConfigParsing:
     def test_named_targets_accepted(self):
         cfg = config_from_dict({"patterns": [90, "75"]})
         assert cfg.patterns == (DropPattern(9, 10), DropPattern(3, 4))
+
+    def test_config_root_must_be_object(self):
+        with pytest.raises(ConfigError,
+                           match="config root must be a JSON object"):
+            config_from_dict([1])
 
     def test_patterns_required(self):
         with pytest.raises(ConfigError, match="pattern"):
@@ -430,10 +443,13 @@ def output_digest(outputs_per_sequence):
 
 
 class TestOutputsPinned:
-    """Every output bit of two reference cells with the README tracker
-    settings. The filter does plain float arithmetic, so these hold under
-    any BLAS build or kernel (CI reruns them with OPENBLAS_CORETYPE set);
-    `gt` draws no random numbers."""
+    """Every output bit of three reference cells: two `gt` cells with the
+    README tracker settings, and a cell with the README noise profile and
+    `min_hits_to_confirm` 2, whose clutter starts tentative tracks that
+    die. The filter does plain float arithmetic, so these hold under any
+    BLAS build or kernel (CI reruns them with OPENBLAS_CORETYPE set); `gt`
+    draws no random numbers, and the noisy detector draws from numpy's
+    seeded generator, not through BLAS."""
 
     @pytest.mark.parametrize("pattern, digest", [
         ("1/2", "66fb09f302b4ba8550a08f6a"
@@ -448,3 +464,20 @@ class TestOutputsPinned:
             "tracker_overrides": {"1/10": {"min_hits_to_confirm": 1}}})
         _, outputs = run_once(cfg, "gt", cfg.patterns[0])
         assert output_digest(outputs) == digest
+
+    def test_noisy_output_digest(self):
+        # Confirmation after 2 hits, so a clutter track dies tentative
+        # (14 do here) and its one-hit frames are never output.
+        cfg = config_from_dict({
+            "patterns": ["1/2"],
+            "variants": ["noisy:field"],
+            "profiles": README_CONFIG["profiles"],
+            "tracker": {"measurement_noise": 0.05, "min_hits_to_confirm": 2},
+            "rng_seed": 7})
+        _, outputs = run_once(cfg, "noisy:field", cfg.patterns[0])
+        entries = [e for frames in outputs.values() for out in frames
+                   for e in out.entries]
+        assert len(entries) == 1180
+        assert sum(e.provenance == "predicted" for e in entries) == 637
+        assert output_digest(outputs) == (
+            "040dea68c044fe976e2a0f518ad80d9f35098711aabb26b529fc233541fdeb8e")

@@ -15,8 +15,6 @@ import math
 import zlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import MIN_EXTENT, Detection, LabeledObject, OrientedBox
 
 # Fallback clutter shape when a sequence has no labels to sample from.
@@ -51,6 +49,8 @@ class NoiseProfile:
         low, high = self.score_range
         if not (0.0 <= low <= high <= 1.0):
             raise ValueError("score_range must be an ordered pair within [0, 1]")
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
+            raise ValueError("rng_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def scene_context(sequence_labels: list[LabeledObject],
     )
 
 
-def _frame_rng(profile: NoiseProfile, sequence_id: str,
-               frame_index: int) -> np.random.Generator:
+def _frame_rng(profile: NoiseProfile, sequence_id: str, frame_index: int):
+    import numpy as np  # here, so that only a noisy draw loads numpy
     seq_key = zlib.crc32(sequence_id.encode("utf-8"))
     ss = np.random.SeedSequence(entropy=profile.rng_seed,
                                 spawn_key=(seq_key, frame_index))
@@ -135,6 +135,6 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
         cy = rng.uniform(*scene.y_range)
         length, width, height, cz = pool[int(rng.integers(len(pool)))]
         box = OrientedBox(cx=cx, cy=cy, cz=cz, length=length, width=width,
-                          height=height, yaw=rng.uniform(-np.pi, np.pi))
+                          height=height, yaw=rng.uniform(-math.pi, math.pi))
         out.append(Detection(box=box, score=float(rng.uniform(low, high))))
     return out

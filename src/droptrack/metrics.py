@@ -51,8 +51,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import LabeledObject, OrientedBox, pair_similarities
 from .tracker import (MATCH_EPS, FrameOutput, _pairwise_sum, conflict_free,
                       gated_assignment)
@@ -94,10 +92,11 @@ class FrameTable:
     pairs: list[tuple[int, int, float]]
 
     @property
-    def sim(self) -> np.ndarray:
-        """The dense similarity matrix, zero where a pair does not overlap,
-        built on each read. Only the benchmark's pair count and the tests
-        read it; the metrics read `pairs`."""
+    def sim(self):
+        """The dense similarity matrix as a numpy array, zero where a pair
+        does not overlap, built on each read. Only the benchmark's pair
+        count and the tests read it; the metrics read `pairs`."""
+        import numpy as np
         sim = np.zeros((len(self.gt_ids), len(self.pred_ids)))
         for i, j, x in self.pairs:
             sim[i, j] = x

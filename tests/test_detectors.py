@@ -59,6 +59,15 @@ class TestNoiseProfileValidation:
                            match=f"{field} must be nonnegative and finite"):
             NoiseProfile(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_rng_seed_names_the_field(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            NoiseProfile(rng_seed=seed)
+
+    def test_rng_seed_bounds(self):
+        assert NoiseProfile(rng_seed=0).rng_seed == 0
+        assert NoiseProfile(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+
     def test_score_range_ordering(self):
         with pytest.raises(ValueError):
             NoiseProfile(score_range=(0.9, 0.1))

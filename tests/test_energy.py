@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droptrack.energy import (
@@ -165,6 +165,15 @@ def power_log(samples):
                     timestamps=tuple(i / 100 for i in range(len(samples))))
 
 
+# One window per entry: the seconds it starts after the previous window's
+# start (above 1 leaves seconds with no sample), its sample count, and
+# values its samples cycle through.
+power_windows = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 300),
+              st.lists(st.floats(0.0, 1e4), min_size=1, max_size=16)),
+    min_size=1, max_size=6)
+
+
 class TestPowerLog:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -211,6 +220,26 @@ class TestPowerLog:
         samples = [100.0] * 15 + [1000.0] * 5
         log = PowerLog(samples=tuple(samples), timestamps=tuple(timestamps))
         assert summarize_power_log(log) == 100.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-40, 40), power_windows)
+    @example(-5, [(1, 300, [0.1, 7.3, 250.9])])
+    @example(-2, [(1, 129, [0.3, 1e4, 2.2]), (3, 7, [5.5, 0.7])])
+    @example(0, [(2, 200, [1.1, 3.3]), (1, 1, [4.4]), (2, 150, [0.2, 9.9])])
+    def test_summary_is_numpys_median_of_window_means(self, first, windows):
+        # numpy is the oracle here, as scipy is for the assignment solver.
+        np = pytest.importorskip("numpy")
+        timestamps, samples, second = [], [], first
+        for step, count, values in windows:
+            second += step
+            timestamps += [second + i / count for i in range(count)]
+            samples += [values[i % len(values)] for i in range(count)]
+        seconds = np.floor(timestamps)
+        starts = np.flatnonzero(seconds[1:] != seconds[:-1]) + 1
+        want = np.median([w.mean() for w in np.split(np.asarray(samples),
+                                                      starts)])
+        log = PowerLog(samples=tuple(samples), timestamps=tuple(timestamps))
+        assert summarize_power_log(log).hex() == float(want).hex()
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "power.csv"

@@ -1,6 +1,7 @@
 """Kalman tracking through dropped frames: filter math, association,
 lifecycle, and the prediction-only output path."""
 
+import json
 import math
 import subprocess
 import sys
@@ -327,19 +328,47 @@ class TestAssignment:
                                     eligible_triples(scores, eligible)) == want
         check()
 
-    def test_runtime_imports_no_scipy(self):
-        code = ("import sys\n"
-                "import droptrack.cli\n"
-                "from droptrack.tracker import gated_assignment\n"
-                "pairs = [(0, 0, 0.9), (0, 1, 0.8), (1, 0, 0.7)]\n"
-                "assert gated_assignment((2, 2), pairs) == [(0, 1), (1, 0)]\n"
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))\n")
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # scipy is never loaded, and numpy only on a noisy variant's first
+        # draw: eval, energy, report and a gt-only sweep run without it.
+        # The noisy sweep at the end shows numpy is seen when it is loaded.
+        row = "Car 0 0 -10 0 0 50 50 1.50 1.80 4.20 2.00 1.65 10.00 0.10"
+        rows = "".join(f"{f} 1 {row}\n" for f in range(4))
+        (tmp_path / "0000.txt").write_text(rows)
+        (tmp_path / "out.txt").write_text(rows)
+        (tmp_path / "log.csv").write_text(
+            "timestamp_s,watts\n0.0,200\n0.5,300\n1.2,250\n")
+        (tmp_path / "noisy.json").write_text(json.dumps({
+            "variants": ["noisy:p"],
+            "profiles": {"p": {"center_sigma": 0.1}}}))
+        code = """
+import contextlib, io, sys
+from pathlib import Path
+import droptrack.cli
+from droptrack.tracker import gated_assignment
+pairs = [(0, 0, 0.9), (0, 1, 0.8), (1, 0, 0.7)]
+assert gated_assignment((2, 2), pairs) == [(0, 1), (1, 0)]
+work = Path(sys.argv[1])
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert droptrack.cli.main([str(a) for a in argv]) == 0, argv
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+run("eval", "--labels", work / "0000.txt", "--outputs", work / "out.txt")
+run("energy", "--log", work / "log.csv")
+run("energy", "--preset", "second", "--pattern", "1/2")
+run("sweep", "--pattern", "1/2", "--out", work / "gt")
+run("report", "--sweep", work / "gt" / "sweep.json", "--out", work / "re")
+print(loaded())
+run("sweep", "--pattern", "1/2", "--config", work / "noisy.json")
+print(loaded())
+"""
         src = Path(tracker.__file__).resolve().parents[1]
-        done = subprocess.run([sys.executable, "-c", code], cwd=src,
-                              capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              cwd=src, capture_output=True, text=True,
+                              timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert done.stdout == "[]\n['numpy']\n"
 
     def test_associate_splits_leftovers(self):
         cfg = TrackerConfig()

@@ -3,13 +3,12 @@ Frame-drop schedules
 ====================
 
 A drop pattern n/m processes the first n frames of every m-frame block
-and drops the rest. This script walks through building schedules,
-counting processed frames, and the mismatch between the nominal target
-and what a finite sequence actually achieves.
+and drops the rest. This script walks through building schedules (one
+processed flag per frame), counting processed frames, and the mismatch
+between the nominal target and what a finite sequence actually achieves.
 """
 
-from droptrack import (TARGET_PATTERNS, DropPattern, build_schedule,
-                       effective_target, parse_pattern, processed_count)
+from droptrack import TARGET_PATTERNS, DropPattern, build_schedule, parse_pattern
 
 # The six named targets map onto fixed patterns.
 print("named targets:")
@@ -17,24 +16,24 @@ for target, (n, m) in sorted(TARGET_PATTERNS.items(), reverse=True):
     print(f"  {target:>3}% -> {n}/{m}")
 
 
-def unrolled(schedule):
+def unrolled(flags):
     """The schedule frame by frame: P for processed, . for dropped."""
-    return "".join("P" if schedule.is_processed(i) else "."
-                   for i in range(schedule.sequence_length))
+    return "".join("P" if processed else "." for processed in flags)
 
 
-# A schedule is just a pattern and a sequence length.
+# A schedule is its processed flags, one per frame of the sequence.
 pattern = parse_pattern("3/4")
-schedule = build_schedule(pattern, 12)
-print(f"\n3/4 over 12 frames: {unrolled(schedule)}")
-print(f"processed {processed_count(schedule)} of {schedule.sequence_length}")
+flags = build_schedule(pattern, 12)
+print(f"\n3/4 over 12 frames: {unrolled(flags)}")
+print(f"processed {sum(flags)} of {len(flags)}")
 
 # Frame counts rarely divide evenly by m, so the effective percentage
-# drifts from the nominal one. The count needs no unrolling:
-# floor(L/m)*n + min(L mod m, n), the number of P frames.
+# drifts from the nominal one. The count is the sum of the flags, which
+# is floor(L/m)*n + min(L mod m, n): each full block gives n, and the
+# partial block at the end gives its first min(L mod m, n) frames.
 for length in (20, 21, 99, 1059):
-    sched = build_schedule(DropPattern(9, 10), length)
-    count = processed_count(sched)
-    assert count == unrolled(sched).count("P")
+    flags = build_schedule(DropPattern(9, 10), length)
+    count = sum(flags)
+    assert count == (length // 10) * 9 + min(length % 10, 9)
     print(f"9/10 over {length:>4} frames: {count:>4} processed, "
-          f"effective {effective_target(sched):.2f}%")
+          f"effective {100.0 * count / length:.2f}%")

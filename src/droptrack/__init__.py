@@ -8,8 +8,8 @@ predictions.
 
 from .geometry import (Detection, LabeledObject, OrientedBox, bev_iou,
                        footprint_intersection_area, iou_3d, wrap_angle)
-from .schedule import (DropPattern, Schedule, TARGET_PATTERNS, build_schedule,
-                       effective_target, parse_pattern, processed_count)
+from .schedule import (DropPattern, TARGET_PATTERNS, build_schedule,
+                       parse_pattern)
 from .detectors import (NoiseProfile, SceneContext, gt_detect, noisy_detect,
                         scene_context)
 from .tracker import (FrameOutput, TrackEntry, Tracker, TrackerConfig,

@@ -177,9 +177,9 @@ def _cmd_energy(args) -> int:
         return EXIT_OK
     params = energy_params(model, f"energy [{_given(args, _MODEL_FLAGS)}]")
     pattern = parse_pattern("1/1") if args.pattern is None else args.pattern
-    schedule = build_schedule(pattern, 1000 if args.length is None
-                              else args.length)
-    print(f"estimated_draw_watts {estimate_draw_multi(params, [schedule]):.6f}")
+    flags = build_schedule(pattern, 1000 if args.length is None
+                           else args.length)
+    print(f"estimated_draw_watts {estimate_draw_multi(params, [flags]):.6f}")
     return EXIT_OK
 
 

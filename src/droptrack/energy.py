@@ -13,7 +13,6 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .schedule import Schedule, processed_count
 from .tracker import _pairwise_sum
 
 
@@ -58,9 +57,9 @@ def frame_energy_and_time(params: EnergyParams, is_processed: bool) -> tuple[flo
 
 
 def estimate_draw_multi(params: EnergyParams,
-                        schedules: list[Schedule]) -> float:
-    """Average system draw in watts over the wall clock of the schedules,
-    run back to back.
+                        schedules: list[tuple[bool, ...]]) -> float:
+    """Average system draw in watts over the wall clock of the schedules
+    (each a sequence's processed flags), run back to back.
 
     Always within [idle_draw, active_draw]; the division can round a hair
     outside the mathematical sandwich, so the result is clamped.
@@ -71,9 +70,9 @@ def estimate_draw_multi(params: EnergyParams,
     e_drop, t_drop = frame_energy_and_time(params, False)
     energy = 0.0
     duration = 0.0
-    for schedule in schedules:
-        n_proc = processed_count(schedule)
-        n_drop = schedule.sequence_length - n_proc
+    for flags in schedules:
+        n_proc = sum(flags)
+        n_drop = len(flags) - n_proc
         energy += n_proc * e_proc + n_drop * e_drop
         duration += n_proc * t_proc + n_drop * t_drop
     return min(max(energy / duration, params.idle_draw), params.active_draw)

@@ -136,7 +136,7 @@ def parse_kitti_labels(source, sequence_id: str = "",
         origin = str(source)
         try:
             lines = Path(source).read_text().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read labels {origin}: {exc}") from None
 
     rows = _parse_rows(lines, origin, class_set, frame_count)
@@ -200,7 +200,7 @@ def read_frame_outputs(path, sidecar_path=None,
     if sidecar_path is not None:
         try:
             sidecar = json.loads(Path(sidecar_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DatasetError(
                 f"cannot read sidecar {sidecar_path}: {exc}") from None
         valid = isinstance(sidecar, dict)
@@ -215,7 +215,7 @@ def read_frame_outputs(path, sidecar_path=None,
 
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read outputs {path}: {exc}") from None
     entries_by_frame: dict[int, list[TrackEntry]] = {}
     for frame, track_id, _, box, score in _parse_rows(
@@ -255,7 +255,7 @@ def read_frame_outputs(path, sidecar_path=None,
 def load_manifest(path) -> dict[str, int]:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"cannot read manifest {path}: {exc}") from None
     if not isinstance(data, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")

@@ -15,6 +15,7 @@ files.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -31,7 +32,7 @@ from .kitti_io import SequenceData, load_label_dir, load_manifest, \
 from . import metrics
 from .metrics import clear_pooled, hota_pooled
 from .schedule import (DropPattern, TARGET_PATTERNS, build_schedule,
-                       parse_pattern, processed_count)
+                       parse_pattern)
 from .scenario import reference_scenario
 from .tracker import FrameOutput, Tracker, TrackerConfig
 
@@ -62,10 +63,10 @@ class RunConfig:
     tracker: TrackerConfig
     tracker_overrides: dict[DropPattern, TrackerConfig]
     energy: dict[str, EnergyParams]
-    class_set: frozenset[str] = DEFAULT_CLASS_SET
-    similarity: str = "3d-iou"
-    clear_threshold: float = 0.5
-    rng_seed: int = 0
+    class_set: frozenset[str]
+    similarity: str
+    clear_threshold: float
+    rng_seed: int
 
 
 # JSON names of the Python types json.loads returns. An integer may stand
@@ -285,7 +286,7 @@ def read_config_json(path) -> dict:
     """The JSON object in a config file; any read failure is a ConfigError."""
     try:
         data = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
@@ -332,14 +333,18 @@ def variant_detector(config: RunConfig, variant: str):
 
     Detections never depend on the drop pattern, so the cells of a variant
     over the same sequences share one detector, which detects each frame
-    and builds each sequence's per-frame labels once. A bad variant is a
-    ConfigError naming it."""
+    and builds each sequence's per-frame labels once. A bad variant, or a
+    noisy one without numpy installed, is a ConfigError naming it."""
     profile = None
     if variant.startswith("noisy:"):
         name = variant.split(":", 1)[1]
         if name not in config.profiles:
             raise ConfigError(f"variant {variant!r} references undefined "
                               f"profile {name!r}")
+        # Found, not imported: only a noisy draw loads numpy.
+        if importlib.util.find_spec("numpy") is None:
+            raise ConfigError(f"variant {variant!r} draws its noise with "
+                              f"numpy, which is not installed")
         # The run-level seed shifts every profile stream so sweeps with a
         # new seed redraw noise without editing each profile.
         seed = (config.profiles[name].rng_seed + config.rng_seed) % 2**64
@@ -383,11 +388,10 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
                      for seq in sequences]
         outputs_per_sequence: dict[str, list[FrameOutput]] = {}
         tables_per_seq = []
-        for seq, schedule in zip(sequences, schedules):
+        for seq, flags in zip(sequences, schedules):
             tracker = Tracker(tracker_cfg)
-            outputs = [tracker.step(i, detect(seq, i)
-                                    if schedule.is_processed(i) else None)
-                       for i in range(seq.frame_count)]
+            outputs = [tracker.step(i, detect(seq, i) if processed else None)
+                       for i, processed in enumerate(flags)]
             outputs_per_sequence[seq.sequence_id] = outputs
             # Looked up at call time, so the benchmark's traced pass sees it.
             tables_per_seq.append(metrics.build_frame_tables(
@@ -396,8 +400,8 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
         hota_res = hota_pooled(tables_per_seq)
         clear_res = clear_pooled(tables_per_seq, config.clear_threshold)
 
-        total_frames = sum(s.sequence_length for s in schedules)
-        total_processed = sum(processed_count(s) for s in schedules)
+        total_frames = sum(len(flags) for flags in schedules)
+        total_processed = sum(sum(flags) for flags in schedules)
 
         params = config.energy.get(variant, config.energy.get("default"))
         draw = estimate_draw_multi(params, schedules) \
@@ -409,7 +413,6 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
     row = MetricsRow(
         variant=variant,
         target=target_label(pattern),
-        # Pooled over sequences, so not one schedule's effective_target.
         effective_target=100.0 * total_processed / total_frames,
         hota=hota_res.hota,
         det_a=hota_res.det_a,
@@ -494,7 +497,7 @@ def read_sweep_json(path) -> tuple[MetricsRow, ...]:
     """The rows of a sweep.json; a read failure or bad row is a ConfigError."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load sweep report {path}: {exc}") from None
     rows = _typed(_typed(payload, dict, str(path)).get("rows"), list,
                   f"{path}: rows")

@@ -3,7 +3,8 @@
 A schedule marks which frames of a sequence get a detector pass. Patterns
 are "process n out of every m consecutive frames"; within each block of m
 the first n indices are processed, so frame 0 is always processed and a
-tracker can initialize. A schedule is just its pattern and length.
+tracker can initialize. A schedule is its processed flags, one per
+frame, so a count of processed frames is a sum of flags.
 """
 
 from __future__ import annotations
@@ -55,39 +56,9 @@ def parse_pattern(text: str) -> DropPattern:
     return DropPattern(*TARGET_PATTERNS[target])
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A pattern applied to a sequence of `sequence_length` frames."""
-
-    pattern: DropPattern
-    sequence_length: int
-
-    def __post_init__(self):
-        if self.sequence_length < 1:
-            raise ValueError("sequence_length must be positive")
-
-    def is_processed(self, frame_index: int) -> bool:
-        """True when frame_index gets a detector pass: (i mod m) < n."""
-        return frame_index % self.pattern.m < self.pattern.n
-
-
-def build_schedule(pattern: DropPattern, sequence_length: int) -> Schedule:
-    """The schedule of `pattern` over `sequence_length` frames."""
-    return Schedule(pattern=pattern, sequence_length=sequence_length)
-
-
-def processed_count(schedule: Schedule) -> int:
-    """Number of processed frames in the schedule.
-
-    Each full block of m frames contributes n processed frames; a trailing
-    partial block of r frames contributes min(r, n) because the processed
-    indices sit at the front of the block.
-    """
-    full, rem = divmod(schedule.sequence_length, schedule.pattern.m)
-    return full * schedule.pattern.n + min(rem, schedule.pattern.n)
-
-
-def effective_target(schedule: Schedule) -> float:
-    """Achieved processing percentage, which block remainders can shift
-    away from the nominal target (e.g. 90.48% for 9/10 over 21 frames)."""
-    return 100.0 * processed_count(schedule) / schedule.sequence_length
+def build_schedule(pattern: DropPattern, sequence_length: int) -> tuple[bool, ...]:
+    """The processed flags of `pattern` over `sequence_length` frames:
+    frame i gets a detector pass iff (i mod m) < n."""
+    if sequence_length < 1:
+        raise ValueError("sequence_length must be positive")
+    return tuple(i % pattern.m < pattern.n for i in range(sequence_length))

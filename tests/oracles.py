@@ -30,7 +30,6 @@ from droptrack.geometry import (_AREA_EPS, MIN_EXTENT, SIMILARITY_FNS,
                                 wrap_angle)
 from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
                                NoGroundTruthError)
-from droptrack.schedule import Schedule
 from droptrack.tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED,
                                FrameOutput, Tracker, TrackEntry, TrackState,
                                _birth, associate, gated_assignment, predict,
@@ -447,8 +446,9 @@ def per_alpha_hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
 
 # --- energy: 1 ms time-stepped simulation ----------------------------------
 
-def simulate_draw_1ms(params: EnergyParams, schedule: Schedule) -> float:
-    """Average draw from a per-millisecond timeline of the run.
+def simulate_draw_1ms(params: EnergyParams, flags: tuple[bool, ...]) -> float:
+    """Average draw from a per-millisecond timeline of the run, one frame
+    per processed flag.
 
     Parameters are assumed to sit on a whole-millisecond grid, which the
     case generator guarantees.
@@ -456,8 +456,8 @@ def simulate_draw_1ms(params: EnergyParams, schedule: Schedule) -> float:
     ti = int(round(params.inference_time * 1000))
     tc = int(round(params.cycle_time * 1000))
     ticks: list[float] = []
-    for i in range(schedule.sequence_length):
-        if schedule.is_processed(i):
+    for processed in flags:
+        if processed:
             slot = max(tc, ti)
             ticks.extend([params.active_draw] * ti)
             ticks.extend([params.idle_draw] * (slot - ti))

@@ -17,7 +17,7 @@ from droptrack.metrics import build_frame_tables, clear_mot, hota
 from droptrack.pipeline import (config_from_dict, render_sweep_csv,
                                 render_sweep_json, run_sweep, write_report)
 from droptrack.schedule import (TARGET_PATTERNS, DropPattern, build_schedule,
-                                parse_pattern, processed_count)
+                                parse_pattern)
 from droptrack.tracker import (MATCH_EPS, Detection, Tracker, TrackerConfig,
                                gated_assignment)
 
@@ -219,11 +219,11 @@ def test_c07_scheduler_closed_form_and_named_targets():
             for n in range(1, m + 1):
                 pattern = DropPattern(n, m)
                 for length in range(1, 201):
-                    schedule = build_schedule(pattern, length)
+                    flags = build_schedule(pattern, length)
                     expected = (length // m) * n + min(length % m, n)
-                    assert processed_count(schedule) == expected
-                    processed = [i for i in range(length)
-                                 if schedule.is_processed(i)]
+                    assert len(flags) == length
+                    assert sum(flags) == expected
+                    processed = [i for i, flag in enumerate(flags) if flag]
                     assert processed == [i for i in range(length)
                                          if i % m < n]
                     assert len(processed) == expected

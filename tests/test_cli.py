@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,13 @@ def config_root_argv(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[1]")
     return ["sweep", "--config", str(path)]
+
+
+def not_utf8(argv, path):
+    """argv, with the file at path overwritten by bytes that are not
+    UTF-8."""
+    Path(path).write_bytes(b"\xff\n")
+    return argv
 
 
 def label_file_argv(tmp_path, **fields):
@@ -371,6 +379,22 @@ def label_file_argv(tmp_path, **fields):
      "profiles['a:b']: a profile name may not contain"),
     (lambda p: profile_argv(p, "../../../escaped"), EXIT_CONFIG,
      "profiles['../../../escaped']: a profile name may not contain"),
+    # A file that is not UTF-8 is refused like one that cannot be read.
+    (lambda p: not_utf8(sweep_argv(p), p / "config.json"), EXIT_CONFIG,
+     "config.json: 'utf-8' codec can't decode"),
+    (lambda p: not_utf8(["report", "--sweep", str(p / "sweep.json"),
+                         "--out", str(p / "out")], p / "sweep.json"),
+     EXIT_CONFIG, "sweep.json: 'utf-8' codec can't decode"),
+    (lambda p: not_utf8(eval_argv(p), p / "0000.txt"), EXIT_DATASET,
+     "0000.txt: 'utf-8' codec can't decode"),
+    (lambda p: not_utf8(eval_argv(p), p / "out.txt"), EXIT_DATASET,
+     "out.txt: 'utf-8' codec can't decode"),
+    (lambda p: not_utf8(eval_argv(p, extra=["--sidecar", str(p / "s.json")]),
+                        p / "s.json"),
+     EXIT_DATASET, "s.json: 'utf-8' codec can't decode"),
+    (lambda p: not_utf8(kitti_sweep_argv(p, manifest={"0000": 4}),
+                        p / "manifest.json"),
+     EXIT_DATASET, "manifest.json: 'utf-8' codec can't decode"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -415,7 +439,9 @@ def label_file_argv(tmp_path, **fields):
         "score-range-booleans", "score-range-short", "score-range-long",
         "score-range-string", "tracker-birth-variance-negative",
         "variant-undefined-profile", "variant-unknown",
-        "profile-name-colon", "profile-name-path"])
+        "profile-name-colon", "profile-name-path", "config-not-utf8",
+        "report-sweep-not-utf8", "labels-not-utf8", "outputs-not-utf8",
+        "sidecar-not-utf8", "manifest-not-utf8"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -434,6 +460,22 @@ def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "out-is-a-file" in captured.err
+
+
+def test_noisy_variant_without_numpy_fails_before_any_cell(tmp_path, capsys,
+                                                           monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a cell was computed")
+    monkeypatch.setattr(Tracker, "step", no_cell)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # as if not installed
+    out = tmp_path / "r"
+    argv = [*sweep_argv(tmp_path, variants=["gt", "noisy:p"],
+                        profiles={"p": {}}), "--out", str(out)]
+    assert exit_code(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "variant 'noisy:p'" in captured.err and "numpy" in captured.err
+    assert not out.exists()
 
 
 class TestRun:

@@ -24,9 +24,10 @@ from droptrack.pipeline import (
     write_report,
 )
 from droptrack.detectors import NoiseProfile
+from droptrack.energy import ENERGY_PRESETS, estimate_draw_multi
 from droptrack.kitti_io import read_frame_outputs
 from droptrack.pipeline import write_cell_outputs
-from droptrack.schedule import DropPattern
+from droptrack.schedule import DropPattern, build_schedule
 
 
 BASE_CONFIG = {
@@ -233,6 +234,27 @@ class TestRunOnce:
         assert row.processed_frames == 100
         assert row.effective_target == 50.0
         assert row.hota < 100.0
+
+    def test_schedules_with_partial_blocks_pool_over_sequences(self,
+                                                                tmp_path):
+        # 9/10 over 21 and 7 frames: each sequence ends in a partial block,
+        # processing 19 and 7 frames, 26 of 28 in all.
+        for seq_id, length in (("a", 21), ("b", 7)):
+            (tmp_path / f"{seq_id}.txt").write_text("".join(
+                f"{f} 1 Car 0 0 -10 0 0 50 50 1.50 1.80 4.20 2.00 1.65 "
+                f"{10.0 + f:.2f} 0.10\n" for f in range(length)))
+        cfg = make_config(dataset={"kind": "kitti", "path": str(tmp_path)})
+        row, outputs = run_once(cfg, "gt", DropPattern(9, 10))
+        assert {k: len(v) for k, v in outputs.items()} == {"a": 21, "b": 7}
+        predicted = [(k, out.frame_index) for k, v in sorted(outputs.items())
+                     for out in v for e in out.entries
+                     if e.provenance == "predicted"]
+        assert predicted == [("a", 9), ("a", 19)]
+        assert row.processed_frames == 26
+        assert row.effective_target == 100 * 26 / 28
+        assert row.draw_watts == estimate_draw_multi(
+            ENERGY_PRESETS["second"],
+            [build_schedule(DropPattern(9, 10), n) for n in (21, 7)])
 
     def test_frame_tables_built_once_per_sequence(self, monkeypatch):
         # HOTA and CLEAR score the same tables; the reference scenario is

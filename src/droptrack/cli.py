@@ -18,13 +18,14 @@ from pathlib import Path
 from .energy import (ENERGY_PRESETS, estimate_draw_multi, read_power_log_csv,
                      summarize_power_log)
 from .geometry import SIMILARITY_FNS
-from .kitti_io import DatasetError, parse_kitti_labels, read_frame_outputs
+from .kitti_io import (DatasetError, parse_kitti_labels, read_frame_outputs,
+                       read_json_object)
 from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, clear_threshold,
                        config_from_dict, energy_params, output_dir,
-                       read_config_json, read_sweep_json, render_sweep_csv,
-                       run_sweep, write_report)
+                       read_sweep_json, render_sweep_csv, run_sweep,
+                       write_report)
 from .schedule import build_schedule, parse_pattern
 
 EXIT_OK = 0
@@ -98,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     """Merge the JSON config (if any) with command-line overrides."""
-    raw = read_config_json(args.config) if args.config is not None else {}
+    raw = {} if args.config is None \
+        else read_json_object(args.config, "config", ConfigError)
     if args.pattern:
         raw["patterns"] = args.pattern
     raw.setdefault("patterns", ["1/1"])

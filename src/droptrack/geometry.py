@@ -61,13 +61,9 @@ class OrientedBox:
 
     Validation is one chained comparison, which NaN fails like any
     out-of-range value; only a box that fails it has its fields walked for
-    the message. For floats and ints within float range this accepts and
-    refuses exactly what a per-field `math.isfinite` test would, with the
-    same `ValueError` messages. Other inputs may fare differently: an int
-    beyond float range, which `isfinite` refused with `OverflowError`, now
-    passes as a dimension or coordinate (as a yaw it still raises
-    `OverflowError`, from the wrap), and a non-number raises the
-    comparison's `TypeError` instead of `isfinite`'s.
+    the `ValueError` message. A non-number raises the comparison's
+    `TypeError`. An int beyond float range passes as a dimension or
+    coordinate; as a yaw it raises `OverflowError`, from the wrap.
     """
 
     cx: float

@@ -1,5 +1,9 @@
 """KITTI-tracking-format ingestion and output persistence.
 
+It reads every input file except the power log: labels, outputs,
+sidecars and manifests here, the config and `sweep.json` through
+`read_json_object`.
+
 Label rows are whitespace-delimited:
   frame track_id type truncated occluded alpha bbox_left bbox_top
   bbox_right bbox_bottom height width length x y z rotation_y [score]
@@ -32,6 +36,34 @@ _HALF_PI = math.pi / 2.0
 
 class DatasetError(Exception):
     """Malformed or inconsistent dataset input."""
+
+
+def read_text(path, what: str, error: type[Exception] = DatasetError) -> str:
+    """The text of an input file; one that cannot be read or is not UTF-8
+    raises `error` naming `what` and the path."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_json_object(path, what: str,
+                     error: type[Exception] = DatasetError) -> dict:
+    """The JSON object in an input file; read_text's failures, invalid or
+    too deeply nested JSON, or a root that is not an object raise `error`
+    naming the path."""
+    text = read_text(path, what, error)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"cannot read {what} {path}: not valid JSON: {exc}") \
+            from None
+    except RecursionError:
+        raise error(f"cannot read {what} {path}: JSON nested too deeply") \
+            from None
+    if not isinstance(data, dict):
+        raise error(f"{what} root must be a JSON object: {path}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -120,26 +152,17 @@ def _parse_rows(lines: list[str], origin: str,
     return rows
 
 
-def parse_kitti_labels(source, sequence_id: str = "",
+def parse_kitti_labels(path, sequence_id: str = "",
                        frame_count: int | None = None,
                        class_set: frozenset[str] = DEFAULT_CLASS_SET) -> SequenceData:
-    """Parse a label file (path or open text stream) into SequenceData.
+    """Parse a label file into SequenceData.
 
     Rows outside class_set and DontCare rows are skipped; anything else
     malformed raises with its line number. Rows may arrive out of frame
     order; they are re-sorted.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-        origin = getattr(source, "name", "<stream>")
-    else:
-        origin = str(source)
-        try:
-            lines = Path(source).read_text().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"cannot read labels {origin}: {exc}") from None
-
-    rows = _parse_rows(lines, origin, class_set, frame_count)
+    rows = _parse_rows(read_text(path, "labels").splitlines(), str(path),
+                       class_set, frame_count)
     # (frame, id) is unique among kept rows, so sorting never compares boxes.
     kept = sorted((frame, track_id, box, kind)
                   for frame, track_id, kind, box, _ in rows if box is not None)
@@ -198,28 +221,20 @@ def read_frame_outputs(path, sidecar_path=None,
     provenance: dict[str, dict[str, str]] = {}
     stated_count = None
     if sidecar_path is not None:
-        try:
-            sidecar = json.loads(Path(sidecar_path).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DatasetError(
-                f"cannot read sidecar {sidecar_path}: {exc}") from None
-        valid = isinstance(sidecar, dict)
-        provenance = sidecar.get("provenance", {}) if valid else {}
-        stated_count = sidecar.get("frame_count") if valid else None
-        if not (valid and isinstance(provenance, dict)
+        sidecar = read_json_object(sidecar_path, "sidecar")
+        provenance = sidecar.get("provenance", {})
+        stated_count = sidecar.get("frame_count")
+        if not (isinstance(provenance, dict)
                 and all(isinstance(v, dict) for v in provenance.values())
                 and (stated_count is None
                      or type(stated_count) is int and stated_count >= 0)):
             raise DatasetError(f"{sidecar_path}: expected an object with an "
                                f"integer frame_count and provenance objects")
 
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read outputs {path}: {exc}") from None
     entries_by_frame: dict[int, list[TrackEntry]] = {}
     for frame, track_id, _, box, score in _parse_rows(
-            text.splitlines(), str(path), frame_count=frame_count):
+            read_text(path, "outputs").splitlines(), str(path),
+            frame_count=frame_count):
         # Each row takes its sidecar entry out, so what is left names no row.
         prov = provenance.get(str(frame), {}).pop(str(track_id),
                                                   PROVENANCE_UPDATED)
@@ -253,14 +268,8 @@ def read_frame_outputs(path, sidecar_path=None,
 
 
 def load_manifest(path) -> dict[str, int]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"cannot read manifest {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise DatasetError(f"{path}: manifest must be a JSON object")
     out = {}
-    for key, value in data.items():
+    for key, value in read_json_object(path, "manifest").items():
         if type(value) is not int or value < 1:
             raise DatasetError(f"{path}: bad frame count for {key!r}")
         out[str(key)] = value

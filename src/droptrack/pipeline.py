@@ -28,7 +28,7 @@ from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
                      yield_metric)
 from .geometry import DEFAULT_CLASS_SET, SIMILARITY_FNS, Detection
 from .kitti_io import SequenceData, load_label_dir, load_manifest, \
-    write_frame_outputs
+    read_json_object, write_frame_outputs
 from . import metrics
 from .metrics import clear_pooled, hota_pooled
 from .schedule import (DropPattern, TARGET_PATTERNS, build_schedule,
@@ -282,21 +282,8 @@ def config_from_dict(data: dict) -> RunConfig:
     return config
 
 
-def read_config_json(path) -> dict:
-    """The JSON object in a config file; any read failure is a ConfigError."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    return data
-
-
 def config_from_json(path) -> RunConfig:
-    return config_from_dict(read_config_json(path))
+    return config_from_dict(read_json_object(path, "config", ConfigError))
 
 
 def load_sequences(config: RunConfig) -> list[SequenceData]:
@@ -425,14 +412,20 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
     return row, outputs_per_sequence
 
 
-def run_sweep(config: RunConfig, sequences: list[SequenceData] | None = None,
-              outputs_dir=None) -> tuple[MetricsRow, ...]:
+def run_sweep(config: RunConfig, outputs_dir=None) -> tuple[MetricsRow, ...]:
     """Every cell's row, with yield against its variant's 1/1 row. A
     variant's cells share one detector, dropped when the next variant
     starts. With outputs_dir, each cell's tracker outputs are written to
-    outputs_dir/<variant, ':' as '_'>/<n>of<m>/ as the cell ends."""
-    if sequences is None:
-        sequences = load_sequences(config)
+    outputs_dir/<variant, ':' as '_'>/<n>of<m>/ as the cell ends. A noisy
+    variant whose numpy fails to import is a ConfigError before any cell."""
+    noisy = [v for v in config.variants if v.startswith("noisy:")]
+    if noisy:
+        try:  # what the first noisy draw would import
+            importlib.import_module("numpy")
+        except ImportError as exc:
+            raise ConfigError(f"variant {noisy[0]!r} draws its noise with "
+                              f"numpy, which fails to import: {exc}") from None
+    sequences = load_sequences(config)
     rows = []
     for variant in config.variants:
         detect = variant_detector(config, variant)
@@ -495,12 +488,8 @@ def render_sweep_json(rows: tuple[MetricsRow, ...]) -> str:
 
 def read_sweep_json(path) -> tuple[MetricsRow, ...]:
     """The rows of a sweep.json; a read failure or bad row is a ConfigError."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load sweep report {path}: {exc}") from None
-    rows = _typed(_typed(payload, dict, str(path)).get("rows"), list,
-                  f"{path}: rows")
+    rows = _typed(read_json_object(path, "sweep report", ConfigError)
+                  .get("rows"), list, f"{path}: rows")
     return tuple(_from_object(MetricsRow, row, f"{path}: rows[{i}]")
                  for i, row in enumerate(rows))
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,6 +159,18 @@ def not_utf8(argv, path):
     return argv
 
 
+def holding(argv, path, text):
+    """argv, with the file at path overwritten by text."""
+    Path(path).write_text(text)
+    return argv
+
+
+def report_argv(tmp_path):
+    """report over tmp_path/sweep.json, writing to tmp_path/out."""
+    return ["report", "--sweep", str(tmp_path / "sweep.json"), "--out",
+            str(tmp_path / "out")]
+
+
 def label_file_argv(tmp_path, **fields):
     """sweep over one label file in tmp_path, with these dataset fields."""
     (tmp_path / "0000.txt").write_text(kitti_label_row(0, 1) + "\n")
@@ -196,7 +210,7 @@ def label_file_argv(tmp_path, **fields):
      "class_set[1]: DontCare rows are never tracked"),
     (config_root_argv, EXIT_CONFIG, "config root must be a JSON object"),
     (lambda p: ["report", "--sweep", str(p / "missing.json"), "--out",
-                str(p / "out")], EXIT_CONFIG, "cannot load sweep report "),
+                str(p / "out")], EXIT_CONFIG, "cannot read sweep report "),
     # Dataset errors.
     (lambda p: eval_argv(p, label_row=kitti_label_row(1, -1)), EXIT_DATASET,
      "0000.txt:5:"),
@@ -395,6 +409,20 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: not_utf8(kitti_sweep_argv(p, manifest={"0000": 4}),
                         p / "manifest.json"),
      EXIT_DATASET, "manifest.json: 'utf-8' codec can't decode"),
+    # Invalid JSON, or a JSON root that is not an object, is refused like
+    # a file that cannot be read, naming the file.
+    (config_root_argv, EXIT_CONFIG, "config.json"),
+    (lambda p: holding(report_argv(p), p / "sweep.json", "{broken"),
+     EXIT_CONFIG, "sweep.json: not valid JSON"),
+    (lambda p: holding(report_argv(p), p / "sweep.json", "[]"), EXIT_CONFIG,
+     "sweep.json"),
+    (lambda p: kitti_sweep_argv(p, manifest=[]), EXIT_DATASET,
+     "manifest.json"),
+    (lambda p: holding(eval_argv(p), p / "out.txt.meta.json", "{broken"),
+     EXIT_DATASET, "out.txt.meta.json: not valid JSON"),
+    (lambda p: holding(sweep_argv(p), p / "config.json",
+                       "[" * 100_000 + "]" * 100_000),
+     EXIT_CONFIG, "config.json: JSON nested too deeply"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -441,7 +469,9 @@ def label_file_argv(tmp_path, **fields):
         "variant-undefined-profile", "variant-unknown",
         "profile-name-colon", "profile-name-path", "config-not-utf8",
         "report-sweep-not-utf8", "labels-not-utf8", "outputs-not-utf8",
-        "sidecar-not-utf8", "manifest-not-utf8"])
+        "sidecar-not-utf8", "manifest-not-utf8", "config-root-names-file",
+        "report-sweep-not-json", "report-sweep-root-array",
+        "manifest-root-array", "sidecar-not-json", "config-json-too-deep"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -520,11 +550,17 @@ README_SWEEP_SHA256 = \
     "07bc1527210a5323375ef15552efae75281457edfd68566945d84b7818801a25"
 
 
-def test_readme_sweep_reproduces_its_report_and_cell_outputs(tmp_path,
-                                                             capsys):
+def write_readme_config(tmp_path):
+    """The README's ```json config, written to tmp_path/readme.json."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = tmp_path / "readme.json"
     cfg.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    return cfg
+
+
+def test_readme_sweep_reproduces_its_report_and_cell_outputs(tmp_path,
+                                                             capsys):
+    cfg = write_readme_config(tmp_path)
     trees = []
     for run in ("r1", "r2"):
         out = tmp_path / run
@@ -537,6 +573,28 @@ def test_readme_sweep_reproduces_its_report_and_cell_outputs(tmp_path,
     # 12 cells, each one sequence's outputs and their sidecar.
     assert len(trees[0]) == 3 + 12 * 2
     assert trees[0] == trees[1]
+
+
+def test_noisy_variant_with_broken_numpy_fails_before_any_cell(tmp_path):
+    # A numpy that is found but fails to import: the README sweep, whose
+    # gt cells come first, is refused before any cell runs. --out and
+    # --outputs are made before the check, so they exist, empty.
+    fake = tmp_path / "fake" / "numpy"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text('raise ImportError("broken numpy")\n')
+    cfg = write_readme_config(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tmp_path / "fake"), str(src)]))
+    done = subprocess.run(
+        [sys.executable, "-m", "droptrack.cli", "sweep", "--config", str(cfg),
+         "--out", "r", "--outputs", "r/cells"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "noisy:field" in done.stderr and "numpy" in done.stderr
+    assert done.stdout == ""
+    assert not [path for path in (tmp_path / "r" / "cells").rglob("*")
+                if path.is_file()]
 
 
 class TestSweep:

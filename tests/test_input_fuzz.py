@@ -5,7 +5,6 @@ sidecar files with DatasetError (exit 3); any other exception would reach
 the user as a traceback.
 """
 
-import io
 import json
 import tempfile
 from dataclasses import fields
@@ -86,10 +85,13 @@ def corrupted_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(corrupted_rows(), st.none() | st.integers(1, 6))
 def test_label_parsing_raises_only_dataset_error(text, frame_count):
-    try:
-        parse_kitti_labels(io.StringIO(text), frame_count=frame_count)
-    except DatasetError:
-        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.txt"
+        path.write_text(text)
+        try:
+            parse_kitti_labels(path, frame_count=frame_count)
+        except DatasetError:
+            pass
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,5 @@
 """Label-file ingestion, output persistence, and the camera-frame mapping."""
 
-import io
 import json
 import math
 
@@ -29,16 +28,23 @@ def car_row(frame=0, track_id=1, kind="Car", h=1.5, w=1.8, length=4.2,
     return row
 
 
+def labels_file(tmp_path, text):
+    """The path of a label file under tmp_path holding text."""
+    path = tmp_path / "source.txt"
+    path.write_text(text)
+    return path
+
+
 class TestParse:
-    def test_empty_file_with_explicit_length(self):
-        seq = parse_kitti_labels(io.StringIO(""), sequence_id="0001",
-                                 frame_count=10)
+    def test_empty_file_with_explicit_length(self, tmp_path):
+        seq = parse_kitti_labels(labels_file(tmp_path, ""),
+                                 sequence_id="0001", frame_count=10)
         assert seq.frame_count == 10
         assert seq.labels == ()
         assert seq.sequence_id == "0001"
 
-    def test_single_car_row_identity(self):
-        seq = parse_kitti_labels(io.StringIO(car_row()))
+    def test_single_car_row_identity(self, tmp_path):
+        seq = parse_kitti_labels(labels_file(tmp_path, car_row()))
         assert len(seq.labels) == 1
         lab = seq.labels[0]
         assert lab.frame_index == 0
@@ -53,60 +59,60 @@ class TestParse:
         assert lab.box.height == pytest.approx(1.5)
         assert lab.box.yaw == pytest.approx(-0.1 - math.pi / 2.0)
 
-    def test_class_and_dontcare_filter(self):
+    def test_class_and_dontcare_filter(self, tmp_path):
         text = "\n".join([
             car_row(frame=0, track_id=1),
             car_row(frame=0, track_id=2, kind="Pedestrian"),
             car_row(frame=1, track_id=-1, kind="DontCare"),
         ])
-        seq = parse_kitti_labels(io.StringIO(text))
+        seq = parse_kitti_labels(labels_file(tmp_path, text))
         assert len(seq.labels) == 1
         assert seq.labels[0].class_label == "Car"
         # The filtered rows still extend the observed frame range.
         assert seq.frame_count == 2
 
-    def test_rows_resorted(self):
+    def test_rows_resorted(self, tmp_path):
         text = "\n".join([
             car_row(frame=3, track_id=1),
             car_row(frame=0, track_id=2),
             car_row(frame=0, track_id=1, x=5.0),
         ])
-        seq = parse_kitti_labels(io.StringIO(text))
+        seq = parse_kitti_labels(labels_file(tmp_path, text))
         keys = [(lab.frame_index, lab.track_id) for lab in seq.labels]
         assert keys == [(0, 1), (0, 2), (3, 1)]
         assert seq.frame_count == 4
 
-    def test_malformed_row_reports_line_number(self):
+    def test_malformed_row_reports_line_number(self, tmp_path):
         text = car_row() + "\n1 2 Car too few fields\n"
         with pytest.raises(DatasetError, match=":2:"):
-            parse_kitti_labels(io.StringIO(text))
+            parse_kitti_labels(labels_file(tmp_path, text))
 
-    def test_non_numeric_field_reports_line_number(self):
+    def test_non_numeric_field_reports_line_number(self, tmp_path):
         bad = car_row().replace("10.0", "ten")
         with pytest.raises(DatasetError, match=":1:"):
-            parse_kitti_labels(io.StringIO(bad))
+            parse_kitti_labels(labels_file(tmp_path, bad))
 
-    def test_negative_frame_rejected(self):
+    def test_negative_frame_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="negative frame"):
-            parse_kitti_labels(io.StringIO(car_row(frame=-4)))
+            parse_kitti_labels(labels_file(tmp_path, car_row(frame=-4)))
 
-    def test_duplicate_frame_id_rejected(self):
+    def test_duplicate_frame_id_rejected(self, tmp_path):
         text = "\n".join([car_row(), car_row(x=3.0)])
         with pytest.raises(DatasetError, match="duplicate"):
-            parse_kitti_labels(io.StringIO(text))
+            parse_kitti_labels(labels_file(tmp_path, text))
 
-    def test_score_column_tolerated(self):
-        seq = parse_kitti_labels(io.StringIO(car_row(score=0.87)))
+    def test_score_column_tolerated(self, tmp_path):
+        seq = parse_kitti_labels(labels_file(tmp_path, car_row(score=0.87)))
         assert len(seq.labels) == 1
 
-    def test_blank_lines_skipped(self):
+    def test_blank_lines_skipped(self, tmp_path):
         text = "\n\n" + car_row() + "\n\n"
-        seq = parse_kitti_labels(io.StringIO(text))
+        seq = parse_kitti_labels(labels_file(tmp_path, text))
         assert len(seq.labels) == 1
 
-    def test_custom_class_set(self):
+    def test_custom_class_set(self, tmp_path):
         text = "\n".join([car_row(), car_row(track_id=2, kind="Van")])
-        seq = parse_kitti_labels(io.StringIO(text),
+        seq = parse_kitti_labels(labels_file(tmp_path, text),
                                  class_set=frozenset({"Van"}))
         assert [lab.class_label for lab in seq.labels] == ["Van"]
 
@@ -120,8 +126,8 @@ class TestParse:
 
 
 class TestSequenceData:
-    def test_frame_bounds_enforced(self):
-        seq = parse_kitti_labels(io.StringIO(car_row(frame=5)))
+    def test_frame_bounds_enforced(self, tmp_path):
+        seq = parse_kitti_labels(labels_file(tmp_path, car_row(frame=5)))
         with pytest.raises(ValueError):
             SequenceData(sequence_id="x", frame_count=3, labels=seq.labels)
 
@@ -129,9 +135,9 @@ class TestSequenceData:
         with pytest.raises(ValueError, match="frame_count must be positive"):
             SequenceData("x", 0, ())
 
-    def test_labels_by_frame(self):
+    def test_labels_by_frame(self, tmp_path):
         text = "\n".join([car_row(frame=0), car_row(frame=2, track_id=2)])
-        seq = parse_kitti_labels(io.StringIO(text))
+        seq = parse_kitti_labels(labels_file(tmp_path, text))
         per_frame = seq.labels_by_frame()
         assert [len(rows) for rows in per_frame] == [1, 0, 1]
 
@@ -143,7 +149,7 @@ class TestRoundTrips:
                     ry=-2.5),
             car_row(frame=1, track_id=2, x=-7.25, y=1.8, z=5.125, ry=3.0),
         ])
-        seq = parse_kitti_labels(io.StringIO(src))
+        seq = parse_kitti_labels(labels_file(tmp_path, src))
         path = tmp_path / "labels.txt"
         write_kitti_labels(list(seq.labels), path)
         again = parse_kitti_labels(path)
@@ -157,7 +163,7 @@ class TestRoundTrips:
 
     def test_parse_write_parse_fixed_point(self, tmp_path):
         src = "\n".join([car_row(), car_row(frame=1, track_id=2, x=-3.5)])
-        first = parse_kitti_labels(io.StringIO(src))
+        first = parse_kitti_labels(labels_file(tmp_path, src))
         p1 = tmp_path / "a.txt"
         write_kitti_labels(list(first.labels), p1)
         second = parse_kitti_labels(p1)

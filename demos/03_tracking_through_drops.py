@@ -28,11 +28,10 @@ print(f"{'frame':>5} {'mode':<9} {'emitted cx':>10} {'truth cx':>9} "
       f"{'error':>9} hits misses")
 for frame in range(13):
     if frame in DROPPED:
-        output = tracker.step(frame, None)
+        output = tracker.step(None)
         mode = "dropped"
     else:
-        output = tracker.step(frame, [Detection(box=truth_box(frame),
-                                                score=1.0)])
+        output = tracker.step([Detection(box=truth_box(frame), score=1.0)])
         mode = "processed"
     entry = output.entries[0]
     state = tracker.live_tracks()[0]
@@ -49,9 +48,9 @@ print(f"\ntrack id at the end: {output.entries[0].track_id} "
 # Contrast: a processed frame with an empty detection list DOES count
 # misses; after enough of them the track is deleted and its id retired.
 empty_tracker = Tracker(config)
-empty_tracker.step(0, [Detection(box=truth_box(0), score=1.0)])
+empty_tracker.step([Detection(box=truth_box(0), score=1.0)])
 for frame in range(1, 5):
-    out = empty_tracker.step(frame, [])
+    out = empty_tracker.step([])
     print(f"processed-but-empty frame {frame}: "
           f"{len(out.entries)} entries, "
           f"{len(empty_tracker.live_tracks())} live tracks")

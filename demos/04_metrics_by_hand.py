@@ -27,7 +27,7 @@ for frame in range(4):
     ]
     # Output ids 11/12 swap lanes after frame 1.
     top, bottom = (11, 12) if frame < 2 else (12, 11)
-    outputs.append(FrameOutput(frame_index=frame, entries=(
+    outputs.append(FrameOutput((
         TrackEntry(track_id=top, box=box(frame, 0.0), score=1.0,
                    provenance="updated"),
         TrackEntry(track_id=bottom, box=box(frame, 10.0), score=1.0,

@@ -117,7 +117,7 @@ def read_power_log_csv(path) -> PowerLog:
     watts below 0 and no timestamp below the one before; else a ValueError
     naming path:line."""
     watts, times = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if not {"timestamp_s", "watts"} <= set(reader.fieldnames or ()):
             raise ValueError(f"{path}: expected header with 'timestamp_s' "

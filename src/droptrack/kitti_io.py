@@ -42,7 +42,7 @@ def read_text(path, what: str, error: type[Exception] = DatasetError) -> str:
     """The text of an input file; one that cannot be read or is not UTF-8
     raises `error` naming `what` and the path."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
 
@@ -179,28 +179,30 @@ def write_kitti_labels(labels: list[LabeledObject], path) -> None:
     """Inverse of parse_kitti_labels for ground-truth fixtures."""
     rows = [_format_row(lab.frame_index, lab.track_id, lab.class_label, lab.box)
             for lab in sorted(labels, key=lambda l: (l.frame_index, l.track_id))]
-    Path(path).write_text("\n".join(rows) + ("\n" if rows else ""))
+    Path(path).write_text("\n".join(rows) + ("\n" if rows else ""),
+                          encoding="utf-8")
 
 
 def write_frame_outputs(outputs: list[FrameOutput], path) -> None:
-    """Persist tracker outputs as KITTI rows plus a <path>.meta.json sidecar."""
+    """Persist a sequence's tracker outputs, output i being frame i, as
+    KITTI rows plus a <path>.meta.json sidecar."""
     path = Path(path)
     rows = []
     provenance: dict[str, dict[str, str]] = {}
-    frame_count = 0
-    for out in sorted(outputs, key=lambda o: o.frame_index):
-        frame_count = max(frame_count, out.frame_index + 1)
+    for frame, out in enumerate(outputs):
         frame_prov: dict[str, str] = {}
         for entry in sorted(out.entries, key=lambda e: e.track_id):
-            rows.append(_format_row(out.frame_index, entry.track_id, "Car",
+            rows.append(_format_row(frame, entry.track_id, "Car",
                                     entry.box) + f" {entry.score:.6f}")
             frame_prov[str(entry.track_id)] = entry.provenance
         if frame_prov:
-            provenance[str(out.frame_index)] = frame_prov
-    path.write_text("\n".join(rows) + ("\n" if rows else ""))
-    sidecar = {"frame_count": frame_count, "provenance": provenance}
+            provenance[str(frame)] = frame_prov
+    path.write_text("\n".join(rows) + ("\n" if rows else ""),
+                    encoding="utf-8")
+    sidecar = {"frame_count": len(outputs), "provenance": provenance}
     path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8")
 
 
 def read_frame_outputs(path, sidecar_path=None,
@@ -262,8 +264,7 @@ def read_frame_outputs(path, sidecar_path=None,
     if frame_count is None:
         frame_count = stated_count if stated_count is not None \
             else max(last_frame + 1, 1)
-    return [FrameOutput(frame_index=f,
-                        entries=tuple(entries_by_frame.get(f, ())))
+    return [FrameOutput(tuple(entries_by_frame.get(f, ())))
             for f in range(frame_count)]
 
 

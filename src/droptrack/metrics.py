@@ -106,8 +106,8 @@ class FrameTable:
 def build_frame_tables(labels: list[LabeledObject],
                        outputs: list[FrameOutput],
                        similarity="3d-iou") -> list[FrameTable]:
-    """Canonical per-frame tables, frames ascending, ids sorted, each
-    table's `pairs` scored by `pair_similarities`."""
+    """Canonical per-frame tables, one per output (output i is frame i),
+    ids sorted, each table's `pairs` scored by `pair_similarities`."""
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
     for lab in labels:
         frame = by_frame_gt.setdefault(lab.frame_index, {})
@@ -116,24 +116,18 @@ def build_frame_tables(labels: list[LabeledObject],
                              f"in frame {lab.frame_index}")
         frame[lab.track_id] = lab.box
 
-    by_frame_pr: dict[int, dict[int, OrientedBox]] = {}
-    for out in outputs:
-        if out.frame_index in by_frame_pr:
-            raise ValueError(f"duplicate output for frame {out.frame_index}")
-        frame = by_frame_pr[out.frame_index] = {}
-        for entry in out.entries:
-            if entry.track_id in frame:
-                raise ValueError(f"duplicate track id {entry.track_id} "
-                                 f"in frame {out.frame_index}")
-            frame[entry.track_id] = entry.box
-
-    missing = set(by_frame_gt) - set(by_frame_pr)
+    missing = [f for f in by_frame_gt if f >= len(outputs)]
     if missing:
         raise ValueError(f"outputs missing for labeled frames {sorted(missing)}")
 
     tables = []
-    for f in sorted(by_frame_pr):
-        gt, pr = by_frame_gt.get(f, {}), by_frame_pr[f]
+    for f, out in enumerate(outputs):
+        gt, pr = by_frame_gt.get(f, {}), {}
+        for entry in out.entries:
+            if entry.track_id in pr:
+                raise ValueError(f"duplicate track id {entry.track_id} "
+                                 f"in frame {f}")
+            pr[entry.track_id] = entry.box
         gt_ids, pred_ids = tuple(sorted(gt)), tuple(sorted(pr))
         tables.append(FrameTable(gt_ids, pred_ids, pair_similarities(
             [gt[i] for i in gt_ids], [pr[j] for j in pred_ids], similarity)))

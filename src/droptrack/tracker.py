@@ -38,7 +38,7 @@ PROVENANCE_PREDICTED = "predicted"
 MATCH_EPS = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackerConfig:
     cycle_time: float = 0.1
     min_hits_to_confirm: int = 1
@@ -100,15 +100,16 @@ class TrackEntry:
 
 @dataclass(frozen=True)
 class FrameOutput:
-    frame_index: int
+    """One frame's output; a sequence's outputs are a list in which output
+    i is frame i."""
     entries: tuple[TrackEntry, ...]
 
 
-def predict(state: TrackState, dt: float, config: TrackerConfig) -> TrackState:
-    """Constant-velocity extrapolation, F P Fᵀ + dt q I per axis with
-    F = [[1, dt], [0, 1]]; lifecycle fields untouched."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+def predict(state: TrackState, config: TrackerConfig) -> TrackState:
+    """Constant-velocity extrapolation over one cycle, dt =
+    `config.cycle_time`: F P Fᵀ + dt q I per axis with F = [[1, dt],
+    [0, 1]]; lifecycle fields untouched."""
+    dt = config.cycle_time
     m, var, cross = state.mean, state.var, state.cross
     dq = dt * config.process_noise
     mean, new_var, new_cross = m[:], [v + dq for v in var], cross[:]
@@ -317,31 +318,22 @@ def _birth(track_id: int, detection: Detection,
 
 
 class Tracker:
-    """Sequential per-sequence tracker. Feed every frame index exactly once,
-    in order; pass detections=None for dropped frames."""
+    """Sequential per-sequence tracker. Each `step` is the next frame,
+    from frame 0, and predicts one cycle ahead; pass detections=None for
+    dropped frames."""
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self._tracks: list[TrackState] = []
         self._next_id = 1
-        self._last_frame: int | None = None
 
     def live_tracks(self) -> list[TrackState]:
         """Current track states; callers must treat these as read-only."""
         return list(self._tracks)
 
-    def step(self, frame_index: int,
-             detections: list[Detection] | None) -> FrameOutput:
-        # Each step predicts one cycle ahead, so a skipped index would
-        # extrapolate one cycle where it needs several.
-        if self._last_frame is not None and frame_index != self._last_frame + 1:
-            raise ValueError(
-                f"frame indices must be consecutive "
-                f"(got {frame_index} after {self._last_frame})")
-        self._last_frame = frame_index
+    def step(self, detections: list[Detection] | None) -> FrameOutput:
         cfg = self.config
-
-        self._tracks = [predict(t, cfg.cycle_time, cfg) for t in self._tracks]
+        self._tracks = [predict(t, cfg) for t in self._tracks]
         if detections is not None:
             pairs, unmatched_t, unmatched_d = associate(
                 self._tracks, detections, cfg)
@@ -366,4 +358,4 @@ class Tracker:
                                    else PROVENANCE_PREDICTED))
             for t in self._tracks if t.hits >= cfg.min_hits_to_confirm
         )
-        return FrameOutput(frame_index=frame_index, entries=entries)
+        return FrameOutput(entries)

@@ -235,14 +235,14 @@ def _group_frames(labels, outputs, similarity):
     for lab in labels:
         gt_by_frame[lab.frame_index][lab.track_id] = lab.box
     frames = []
-    for out in sorted(outputs, key=lambda o: o.frame_index):
+    for f, out in enumerate(outputs):
         preds = {e.track_id: e.box for e in out.entries}
-        gts = gt_by_frame.get(out.frame_index, {})
+        gts = gt_by_frame.get(f, {})
         gt_ids = sorted(gts)
         pred_ids = sorted(preds)
         sim = [[similarity(gts[gi], preds[pj]) for pj in pred_ids]
                for gi in gt_ids]
-        frames.append((out.frame_index, gt_ids, pred_ids, sim))
+        frames.append((f, gt_ids, pred_ids, sim))
     return frames
 
 
@@ -603,7 +603,7 @@ def random_tracking_instance(seed: int, max_objects: int = 3,
                                       score=float(rng.uniform(0.1, 0.9)),
                                       provenance="updated"))
             next_fp_id += 1
-        outputs.append(FrameOutput(frame_index=f, entries=tuple(entries)))
+        outputs.append(FrameOutput(tuple(entries)))
     return labels, outputs
 
 
@@ -612,7 +612,7 @@ def random_tracking_instance(seed: int, max_objects: int = 3,
 def reference_frame_tables(labels: list[LabeledObject],
                            outputs: list[FrameOutput],
                            similarity="3d-iou") -> list[FrameTable]:
-    """Canonical per-frame tables, frames ascending, ids sorted."""
+    """Canonical per-frame tables, one per output, ids sorted."""
     sim_fn = SIMILARITY_FNS[similarity]
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
     for lab in labels:
@@ -622,25 +622,23 @@ def reference_frame_tables(labels: list[LabeledObject],
                              f"in frame {lab.frame_index}")
         frame[lab.track_id] = lab.box
 
-    by_frame_pr: dict[int, dict[int, OrientedBox]] = {}
-    for out in outputs:
-        if out.frame_index in by_frame_pr:
-            raise ValueError(f"duplicate output for frame {out.frame_index}")
-        frame = by_frame_pr[out.frame_index] = {}
+    by_frame_pr: list[dict[int, OrientedBox]] = []
+    for frame_index, out in enumerate(outputs):
+        frame = {}
+        by_frame_pr.append(frame)
         for entry in out.entries:
             if entry.track_id in frame:
                 raise ValueError(f"duplicate track id {entry.track_id} "
-                                 f"in frame {out.frame_index}")
+                                 f"in frame {frame_index}")
             frame[entry.track_id] = entry.box
 
-    missing = set(by_frame_gt) - set(by_frame_pr)
+    missing = set(by_frame_gt) - set(range(len(by_frame_pr)))
     if missing:
         raise ValueError(f"outputs missing for labeled frames {sorted(missing)}")
 
     tables = []
-    for frame_index in sorted(by_frame_pr):
+    for frame_index, pr in enumerate(by_frame_pr):
         gt = by_frame_gt.get(frame_index, {})
-        pr = by_frame_pr[frame_index]
         gt_ids = tuple(sorted(gt))
         pred_ids = tuple(sorted(pr))
         sim = np.zeros((len(gt_ids), len(pred_ids)))
@@ -711,17 +709,11 @@ class StatusTracker(Tracker):
         super().__init__(config)
         self._status: dict[int, str] = {}
 
-    def step(self, frame_index: int,
-             detections: list[Detection] | None) -> FrameOutput:
-        if self._last_frame is not None and frame_index <= self._last_frame:
-            raise ValueError(
-                f"frame indices must be strictly increasing "
-                f"(got {frame_index} after {self._last_frame})")
-        self._last_frame = frame_index
+    def step(self, detections: list[Detection] | None) -> FrameOutput:
         cfg = self.config
         status = self._status
 
-        self._tracks = [predict(t, cfg.cycle_time, cfg) for t in self._tracks]
+        self._tracks = [predict(t, cfg) for t in self._tracks]
         updated_ids: set[int] = set()
 
         if detections is not None:
@@ -756,4 +748,4 @@ class StatusTracker(Tracker):
                                    else PROVENANCE_PREDICTED))
             for t in self._tracks if status[t.track_id] == CONFIRMED
         )
-        return FrameOutput(frame_index=frame_index, entries=entries)
+        return FrameOutput(entries)

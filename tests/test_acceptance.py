@@ -172,14 +172,13 @@ def test_c05_prediction_bridges_five_frame_gap():
             if frame in dropped:
                 before = [(t.track_id, t.hits, t.consecutive_misses)
                           for t in tracker.live_tracks()]
-                out = tracker.step(frame, None)
+                out = tracker.step(None)
                 after = [(t.track_id, t.hits, t.consecutive_misses)
                          for t in tracker.live_tracks()]
                 assert before == after
                 assert [e.provenance for e in out.entries] == ["predicted"]
             else:
-                out = tracker.step(
-                    frame, [Detection(box=truth(frame), score=1.0)])
+                out = tracker.step([Detection(box=truth(frame), score=1.0)])
                 assert [e.provenance for e in out.entries] == ["updated"]
             assert len(out.entries) == 1
             entry = out.entries[0]

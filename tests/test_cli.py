@@ -597,6 +597,32 @@ def test_noisy_variant_with_broken_numpy_fails_before_any_cell(tmp_path):
                 if path.is_file()]
 
 
+def test_commands_read_and_write_utf8_whatever_the_locale(tmp_path):
+    # A read or write that falls back on the locale's encoding raises
+    # EncodingWarning, here an error, so each command must name UTF-8.
+    (tmp_path / "labels").mkdir()
+    labels = tmp_path / "labels" / "0000.txt"
+    labels.write_text("".join(kitti_label_row(f, 1, x=2.0 + 0.1 * f) + "\n"
+                              for f in range(4)))
+    cfg = write_config(tmp_path, patterns=["1/1", "1/2"], dataset={
+        "kind": "kitti", "path": str(tmp_path / "labels")})
+    (tmp_path / "log.csv").write_text("timestamp_s,watts\n0.0,150\n0.5,250\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["sweep", "--config", str(cfg), "--out", "r",
+                  "--outputs", "r/cells"],
+                 ["report", "--sweep", "r/sweep.json", "--out", "r2"],
+                 ["energy", "--log", "log.csv"],
+                 ["eval", "--labels", str(labels),
+                  "--outputs", "r/cells/gt/1of2/0000.txt"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "droptrack.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK, (argv, done.stderr)
+        assert "EncodingWarning" not in done.stderr
+
+
 class TestSweep:
     def test_grid_with_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -178,10 +178,10 @@ class TestRoundTrips:
             return TrackEntry(track_id=track_id, box=box, score=0.91,
                               provenance=prov)
         return [
-            FrameOutput(frame_index=0, entries=(entry(1, 10.0, "updated"),)),
-            FrameOutput(frame_index=1, entries=(entry(1, 10.3, "predicted"),
-                                                entry(2, 40.0, "updated"))),
-            FrameOutput(frame_index=2, entries=()),
+            FrameOutput((entry(1, 10.0, "updated"),)),
+            FrameOutput((entry(1, 10.3, "predicted"),
+                         entry(2, 40.0, "updated"))),
+            FrameOutput(()),
         ]
 
     def test_output_round_trip(self, tmp_path):
@@ -192,7 +192,6 @@ class TestRoundTrips:
         assert len(loaded) == 3
         assert loaded[2].entries == ()
         for orig, back in zip(outputs, loaded):
-            assert back.frame_index == orig.frame_index
             assert len(back.entries) == len(orig.entries)
             for a, b in zip(orig.entries, back.entries):
                 assert b.track_id == a.track_id

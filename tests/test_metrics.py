@@ -52,7 +52,7 @@ def make_outputs(spec, n_frames):
             TrackEntry(track_id=pid, box=square_box(cx, cy), score=1.0,
                        provenance="updated")
             for pid, cx, cy in spec.get(f, []))
-        outputs.append(FrameOutput(frame_index=f, entries=entries))
+        outputs.append(FrameOutput(entries))
     return outputs
 
 
@@ -209,8 +209,7 @@ class TestHota:
                 entries.append(TrackEntry(track_id=pid, box=e.box,
                                           score=e.score,
                                           provenance=e.provenance))
-            renamed.append(FrameOutput(frame_index=out.frame_index,
-                                       entries=tuple(entries)))
+            renamed.append(FrameOutput(tuple(entries)))
         a = hota(build_frame_tables(labels, outputs))
         b = hota(build_frame_tables(labels, renamed))
         assert b.hota == pytest.approx(a.hota, abs=1e-12)
@@ -225,12 +224,11 @@ class TestHota:
     def test_removing_matched_entry_never_helps(self):
         labels, outputs = perfect_instance()
         damaged = []
-        for out in outputs:
+        for f, out in enumerate(outputs):
             entries = out.entries
-            if out.frame_index == 2:
+            if f == 2:
                 entries = entries[1:]
-            damaged.append(FrameOutput(frame_index=out.frame_index,
-                                       entries=entries))
+            damaged.append(FrameOutput(entries))
         full = hota(build_frame_tables(labels, outputs))
         less = hota(build_frame_tables(labels, damaged))
         for (_, _, d_full, _), (_, _, d_less, _) in zip(full.per_alpha,
@@ -259,15 +257,10 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="duplicate ground-truth"):
             build_frame_tables(labels, make_outputs({}, 1))
 
-    def test_duplicate_output_frame(self):
-        outputs = make_outputs({}, 1) + make_outputs({}, 1)
-        with pytest.raises(ValueError, match="duplicate output"):
-            build_frame_tables([], outputs)
-
     def test_duplicate_pred_id_in_frame(self):
         entry = TrackEntry(track_id=3, box=square_box(), score=1.0,
                            provenance="updated")
-        outputs = [FrameOutput(frame_index=0, entries=(entry, entry))]
+        outputs = [FrameOutput((entry, entry))]
         with pytest.raises(ValueError, match="duplicate track id"):
             build_frame_tables([], outputs)
 
@@ -330,8 +323,7 @@ class TestPooling:
             entries = list(fa.entries) + [
                 TrackEntry(track_id=6, box=e.box, score=e.score,
                            provenance=e.provenance) for e in fb.entries]
-            merged_outputs.append(FrameOutput(frame_index=fa.frame_index,
-                                              entries=tuple(entries)))
+            merged_outputs.append(FrameOutput(tuple(entries)))
         merged = hota(build_frame_tables(merged_labels, merged_outputs))
         assert pooled.hota == pytest.approx(merged.hota, abs=1e-12)
         assert pooled.det_a == pytest.approx(merged.det_a, abs=1e-12)
@@ -550,7 +542,7 @@ def box_sequence(draw):
                                  max_size=len(pred), unique=True))
         labels += [LabeledObject(frame_index=f, track_id=i, box=b)
                    for i, b in zip(gt_ids, gt)]
-        outputs.append(FrameOutput(frame_index=f, entries=tuple(
+        outputs.append(FrameOutput(tuple(
             TrackEntry(track_id=j, box=b, score=1.0, provenance="updated")
             for j, b in zip(pred_ids, pred))))
     return labels, outputs
@@ -575,7 +567,7 @@ def test_frame_tables_bit_identical_to_per_pair_loop(sequence):
 def test_prefilter_never_rejects_an_overlapping_pair(pair):
     a, b = pair
     labels = [LabeledObject(frame_index=0, track_id=0, box=a)]
-    outputs = [FrameOutput(frame_index=0, entries=(
+    outputs = [FrameOutput((
         TrackEntry(track_id=0, box=b, score=1.0, provenance="updated"),))]
     overlap = geometry.footprint_intersection_area
     for similarity, sim_fn in SIMILARITY_FNS.items():

@@ -190,7 +190,7 @@ class TestConfigParsing:
         for pattern, hits in ((DropPattern(1, 1), 3), (DropPattern(1, 4), 1)):
             tracker = cfg.tracker_overrides.get(pattern, cfg.tracker)
             assert tracker.min_hits_to_confirm == hits
-        with pytest.raises(ConfigError, match="unknown fields"):
+        with pytest.raises(ConfigError, match="field 'nope'"):
             config_from_dict({"patterns": ["1/1"],
                               "tracker_overrides": {"1/4": {"nope": 1}}})
 
@@ -246,8 +246,8 @@ class TestRunOnce:
         cfg = make_config(dataset={"kind": "kitti", "path": str(tmp_path)})
         row, outputs = run_once(cfg, "gt", DropPattern(9, 10))
         assert {k: len(v) for k, v in outputs.items()} == {"a": 21, "b": 7}
-        predicted = [(k, out.frame_index) for k, v in sorted(outputs.items())
-                     for out in v for e in out.entries
+        predicted = [(k, f) for k, v in sorted(outputs.items())
+                     for f, out in enumerate(v) for e in out.entries
                      if e.provenance == "predicted"]
         assert predicted == [("a", 9), ("a", 19)]
         assert row.processed_frames == 26
@@ -455,10 +455,10 @@ def output_digest(outputs_per_sequence):
     changed bit changes it."""
     h = hashlib.sha256()
     for seq_id in sorted(outputs_per_sequence):
-        for out in outputs_per_sequence[seq_id]:
+        for f, out in enumerate(outputs_per_sequence[seq_id]):
             for e in out.entries:
                 b = e.box
-                h.update(repr((out.frame_index, e.track_id, e.provenance,
+                h.update(repr((f, e.track_id, e.provenance,
                                e.score, b.cx, b.cy, b.cz, b.length, b.width,
                                b.height, b.yaw)).encode() + b"\n")
     return h.hexdigest()

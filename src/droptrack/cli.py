@@ -24,8 +24,8 @@ from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, clear_threshold,
                        config_from_dict, energy_params, output_dir,
-                       read_sweep_json, render_sweep_csv, run_sweep,
-                       write_report)
+                       read_sweep_json, render_sweep_csv, rng_seed,
+                       run_sweep, write_report)
 from .schedule import build_schedule, parse_pattern
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def _load_config(args):
     if args.variant:
         raw["variants"] = [args.variant]
     if args.seed is not None:
-        raw["rng_seed"] = args.seed
+        raw["rng_seed"] = rng_seed(args.seed, "--seed")
     return config_from_dict(raw)
 
 

@@ -20,10 +20,14 @@ from .geometry import MIN_EXTENT, Detection, LabeledObject, OrientedBox
 # Fallback clutter shape when a sequence has no labels to sample from.
 _FALLBACK_EXTENT = (4.5, 1.8, 1.6, 0.8)
 
+# Noise seeds are u64: a profile's seed and the run-level seed each lie in
+# [0, SEED_BOUND), and a noisy variant draws with their sum modulo it.
+SEED_BOUND = 2**64
+
 
 def gt_detect(labels: list[LabeledObject]) -> list[Detection]:
     """Perfect detector: one score-1.0 detection per label."""
-    return [Detection(box=lab.box, score=1.0) for lab in labels]
+    return [Detection(lab.box, 1.0) for lab in labels]
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,9 @@ class NoiseProfile:
         low, high = self.score_range
         if not (0.0 <= low <= high <= 1.0):
             raise ValueError("score_range must be an ordered pair within [0, 1]")
-        if type(self.rng_seed) is not int or self.rng_seed < 0:
-            raise ValueError("rng_seed must be a nonnegative integer")
+        if type(self.rng_seed) is not int \
+                or not 0 <= self.rng_seed < SEED_BOUND:
+            raise ValueError("rng_seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)

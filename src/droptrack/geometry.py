@@ -51,6 +51,19 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
+def _slot_setters(cls) -> tuple:
+    """The slot `__set__` of each of `cls`'s fields, in field order.
+
+    A record built per frame, row or output entry is a `slots=True`
+    dataclass; a frozen one is `init=False`, and its `__init__` runs its
+    checks, then sets each field with these, at about half the cost of
+    the generated one's `object.__setattr__`. Parameters keep the field
+    names, so `dataclasses.replace` still checks; hot callers pass them by
+    position.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class OrientedBox:
     """A yaw-rotated 3D bounding box, center convention on all axes.
@@ -103,11 +116,6 @@ class OrientedBox:
                 (cx - dxc + dys, cy - dxs - dyc), (cx + dxc + dys, cy + dxs - dyc)]
 
     @property
-    def z_interval(self) -> tuple[float, float]:
-        half = self.height / 2.0
-        return self.cz - half, self.cz + half
-
-    @property
     def footprint_radius(self) -> float:
         """Radius of the footprint's bounding circle about (cx, cy)."""
         return math.hypot(self.length, self.width) / 2.0
@@ -116,15 +124,9 @@ class OrientedBox:
     def footprint_area(self) -> float:
         return self.length * self.width
 
-    @property
-    def volume(self) -> float:
-        return self.length * self.width * self.height
 
-
-# Slot setters for OrientedBox.__init__: the frozen class refuses attribute
-# assignment, and a setter skips the lookup `object.__setattr__` makes.
 (_set_cx, _set_cy, _set_cz, _set_length, _set_width, _set_height,
- _set_yaw) = (OrientedBox.__dict__[f.name].__set__ for f in fields(OrientedBox))
+ _set_yaw) = _slot_setters(OrientedBox)
 
 
 def _check_fields(cx, cy, cz, length, width, height, yaw) -> None:
@@ -138,19 +140,24 @@ def _check_fields(cx, cy, cz, length, width, height, yaw) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Detection:
     """A detector output: a box plus confidence."""
 
     box: OrientedBox
     score: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
+    def __init__(self, box, score):
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must lie in [0, 1], got {score!r}")
+        _set_detection_box(self, box)
+        _set_detection_score(self, score)
 
 
-@dataclass(frozen=True, slots=True)
+_set_detection_box, _set_detection_score = _slot_setters(Detection)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LabeledObject:
     """One ground-truth annotation: a box with identity at a frame."""
 
@@ -159,11 +166,19 @@ class LabeledObject:
     box: OrientedBox
     class_label: str = "Car"
 
-    def __post_init__(self):
-        if self.frame_index < 0:
+    def __init__(self, frame_index, track_id, box, class_label="Car"):
+        if frame_index < 0:
             raise ValueError("frame_index must be nonnegative")
-        if self.track_id < 0:
+        if track_id < 0:
             raise ValueError("track_id must be nonnegative")
+        _set_label_frame_index(self, frame_index)
+        _set_label_track_id(self, track_id)
+        _set_label_box(self, box)
+        _set_label_class(self, class_label)
+
+
+(_set_label_frame_index, _set_label_track_id, _set_label_box,
+ _set_label_class) = _slot_setters(LabeledObject)
 
 
 def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
@@ -229,16 +244,17 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     overlap of the vertical intervals; the union is the usual
     inclusion-exclusion of the two box volumes.
     """
-    alo, ahi = a.z_interval
-    blo, bhi = b.z_interval
-    dz = min(ahi, bhi) - max(alo, blo)
+    a_half, b_half = a.height / 2.0, b.height / 2.0
+    dz = (min(a.cz + a_half, b.cz + b_half)
+          - max(a.cz - a_half, b.cz - b_half))
     if dz <= 0.0:
         return 0.0
     inter_area = footprint_intersection_area(a, b)
     if inter_area == 0.0:
         return 0.0
     inter = inter_area * dz
-    union = a.volume + b.volume - inter
+    union = (a.length * a.width * a.height + b.length * b.width * b.height
+             - inter)
     return min(inter / union, 1.0)
 
 

@@ -246,7 +246,7 @@ def read_frame_outputs(path, sidecar_path=None,
                 f"must be \"{PROVENANCE_UPDATED}\" or "
                 f"\"{PROVENANCE_PREDICTED}\", got {json.dumps(prov)}")
         entries_by_frame.setdefault(frame, []).append(
-            TrackEntry(track_id=track_id, box=box, score=score, provenance=prov))
+            TrackEntry(track_id, box, score, prov))
     rowless = [(frame, track_id) for frame, ids in provenance.items()
                for track_id in ids]
     if rowless:

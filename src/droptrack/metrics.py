@@ -81,7 +81,7 @@ class HotaResult:
     per_alpha: tuple[tuple[float, float, float, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameTable:
     """One frame's matching problem: sorted ids and the (row, column, sim)
     triples of the pairs that overlap, row-major; a row indexes `gt_ids`,

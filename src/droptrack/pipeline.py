@@ -23,7 +23,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .detectors import NoiseProfile, gt_detect, noisy_detect, scene_context
+from .detectors import (SEED_BOUND, NoiseProfile, gt_detect, noisy_detect,
+                        scene_context)
 from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
                      yield_metric)
 from .geometry import DEFAULT_CLASS_SET, SIMILARITY_FNS, Detection
@@ -86,6 +87,15 @@ def _typed(value, kind: type, where: str):
             or type(value) is float and not math.isfinite(value):
         raise ConfigError(f"{where}: expected {_JSON_NAMES[kind]}, "
                           f"got {json.dumps(value)}")
+    return value
+
+
+def rng_seed(value, where: str) -> int:
+    """A run-level noise seed, or a ConfigError naming `where` unless it is
+    an integer in [0, 2**64): a seed outside would alias one inside."""
+    if not 0 <= _typed(value, int, where) < SEED_BOUND:
+        raise ConfigError(f"{where}: expected an integer in [0, 2**64), "
+                          f"got {value}")
     return value
 
 
@@ -272,7 +282,7 @@ def config_from_dict(data: dict) -> RunConfig:
         similarity=similarity,
         clear_threshold=clear_threshold(data.get("clear_threshold", 0.5),
                                         "clear_threshold"),
-        rng_seed=_typed(data.get("rng_seed", 0), int, "rng_seed"),
+        rng_seed=rng_seed(data.get("rng_seed", 0), "rng_seed"),
     )
     for variant in config.variants:
         variant_detector(config, variant)  # a bad variant is a ConfigError
@@ -331,7 +341,7 @@ def variant_detector(config: RunConfig, variant: str):
                               f"numpy, which is not installed")
         # The run-level seed shifts every profile stream so sweeps with a
         # new seed redraw noise without editing each profile.
-        seed = (config.profiles[name].rng_seed + config.rng_seed) % 2**64
+        seed = (config.profiles[name].rng_seed + config.rng_seed) % SEED_BOUND
         profile = replace(config.profiles[name], rng_seed=seed)
     elif variant != "gt":
         raise ConfigError(f"variant {variant!r} must be 'gt' or 'noisy:<profile>'")

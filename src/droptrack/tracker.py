@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
-                       pair_similarities, wrap_angle)
+                       _slot_setters, pair_similarities, wrap_angle)
 
 N_OBSERVED = 7
 
@@ -72,7 +72,7 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be nonnegative and finite")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackState:
     track_id: int
     mean: list[float]
@@ -84,21 +84,29 @@ class TrackState:
 
     def box(self) -> OrientedBox:
         m = self.mean
-        return OrientedBox(cx=m[0], cy=m[1], cz=m[2],
-                           length=max(MIN_EXTENT, m[4]),
-                           width=max(MIN_EXTENT, m[5]),
-                           height=max(MIN_EXTENT, m[6]), yaw=m[3])
+        return OrientedBox(m[0], m[1], m[2], max(MIN_EXTENT, m[4]),
+                           max(MIN_EXTENT, m[5]), max(MIN_EXTENT, m[6]), m[3])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TrackEntry:
     track_id: int
     box: OrientedBox
     score: float
     provenance: str
 
+    def __init__(self, track_id, box, score, provenance):
+        _set_entry_track_id(self, track_id)
+        _set_entry_box(self, box)
+        _set_entry_score(self, score)
+        _set_entry_provenance(self, provenance)
 
-@dataclass(frozen=True)
+
+(_set_entry_track_id, _set_entry_box, _set_entry_score,
+ _set_entry_provenance) = _slot_setters(TrackEntry)
+
+
+@dataclass(frozen=True, slots=True)
 class FrameOutput:
     """One frame's output; a sequence's outputs are a list in which output
     i is frame i."""
@@ -351,11 +359,10 @@ class Tracker:
                     and t.consecutive_misses <= cfg.max_misses_to_delete)]
 
         entries = tuple(
-            TrackEntry(track_id=t.track_id, box=t.box(), score=t.last_score,
-                       provenance=(PROVENANCE_UPDATED
-                                   if detections is not None
-                                   and t.consecutive_misses == 0
-                                   else PROVENANCE_PREDICTED))
+            TrackEntry(t.track_id, t.box(), t.last_score,
+                       PROVENANCE_UPDATED if detections is not None
+                       and t.consecutive_misses == 0
+                       else PROVENANCE_PREDICTED)
             for t in self._tracks if t.hits >= cfg.min_hits_to_confirm
         )
         return FrameOutput(entries)

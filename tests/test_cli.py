@@ -203,6 +203,19 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: sweep_argv(p, clear_threshold="abc"), EXIT_CONFIG,
      "clear_threshold"),
     (lambda p: sweep_argv(p, rng_seed="x"), EXIT_CONFIG, "rng_seed"),
+    # A seed outside [0, 2**64) would draw the noise of the seed it is
+    # congruent to: -1 and 2**65 - 1 that of 2**64 - 1.
+    (lambda p: sweep_argv(p, rng_seed=-1), EXIT_CONFIG,
+     "rng_seed: expected an integer in [0, 2**64), got -1"),
+    (lambda p: sweep_argv(p, rng_seed=2**64), EXIT_CONFIG,
+     "rng_seed: expected an integer in [0, 2**64)"),
+    (lambda p: ["sweep", "--seed", "-1"], EXIT_CONFIG,
+     "--seed: expected an integer in [0, 2**64), got -1"),
+    (lambda p: ["sweep", "--seed", str(2**65 - 1)], EXIT_CONFIG,
+     "--seed: expected an integer in [0, 2**64)"),
+    (lambda p: sweep_argv(p, variants=["noisy:p"],
+                          profiles={"p": {"rng_seed": 2**64}}),
+     EXIT_CONFIG, "profiles['p']: rng_seed must be an integer in [0, 2**64)"),
     (lambda p: sweep_argv(p, class_set="Car"), EXIT_CONFIG, "class_set"),
     # DontCare rows are skipped whatever the scope, so naming the type
     # would drop it silently.
@@ -428,7 +441,9 @@ def label_file_argv(tmp_path, **fields):
         "output-frame-not-int", "tracker-not-object",
         "override-body-not-object", "overrides-not-object",
         "profiles-not-object", "energy-not-object", "clear-threshold-string",
-        "rng-seed-string", "class-set-string", "class-set-dontcare",
+        "rng-seed-string", "rng-seed-negative", "rng-seed-past-u64",
+        "seed-flag-negative", "seed-flag-past-u64", "profile-seed-past-u64",
+        "class-set-string", "class-set-dontcare",
         "config-root-not-object", "report-sweep-missing",
         "label-track-id-negative",
         "frame-count-below-labels", "manifest-count-below-labels",

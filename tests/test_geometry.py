@@ -17,7 +17,8 @@ from droptrack.geometry import (
     pair_similarities,
     wrap_angle,
 )
-from droptrack.tracker import TrackEntry
+from droptrack.metrics import FrameTable
+from droptrack.tracker import FrameOutput, TrackEntry, TrackState
 
 from oracles import (ReferenceBox, reference_footprint,
                      reference_intersection_area)
@@ -197,8 +198,10 @@ class TestValidation:
     def test_derived_quantities(self):
         box = make_box(cz=2.0, length=4.0, width=2.0, height=1.0)
         assert box.footprint_area == 8.0
-        assert box.volume == 8.0
-        assert box.z_interval == (1.5, 2.5)
+        # iou_3d's volume and vertical interval, as it computes them.
+        assert box.length * box.width * box.height == 8.0
+        half = box.height / 2.0
+        assert (box.cz - half, box.cz + half) == (1.5, 2.5)
 
 
 class TestFootprint:
@@ -298,20 +301,45 @@ class TestRecords:
             dataclasses.replace(box, length=-1.0)
         with pytest.raises(ValueError, match="cy must be finite"):
             dataclasses.replace(box, cy=math.nan)
+        # The other slot-setter records check on replace as on construction.
+        label = LabeledObject(0, 1, box)
+        assert dataclasses.replace(label, track_id=2) == \
+            LabeledObject(frame_index=0, track_id=2, box=box, class_label="Car")
+        with pytest.raises(ValueError, match="frame_index must be nonnegative"):
+            dataclasses.replace(label, frame_index=-1)
+        with pytest.raises(ValueError, match="track_id must be nonnegative"):
+            dataclasses.replace(label, track_id=-1)
+        detection = Detection(box, 0.5)
+        assert dataclasses.replace(detection, score=1.0) == Detection(box, 1.0)
+        with pytest.raises(ValueError, match=r"score must lie in \[0, 1\]"):
+            dataclasses.replace(detection, score=1.5)
+        with pytest.raises(ValueError, match=r"score must lie in \[0, 1\]"):
+            dataclasses.replace(detection, score=math.nan)
+        entry = TrackEntry(1, box, 0.5, "updated")
+        assert dataclasses.replace(entry, provenance="predicted") == \
+            TrackEntry(track_id=1, box=box, score=0.5, provenance="predicted")
 
     def test_fields_are_frozen(self):
         box = make_box()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            box.yaw = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del box.cx
+        for record, name in ((box, "cx"), (box, "yaw"),
+                             (Detection(box, 0.5), "score"),
+                             (LabeledObject(0, 1, box), "track_id"),
+                             (LabeledObject(0, 1, box), "class_label"),
+                             (TrackEntry(1, box, 0.5, "updated"), "box")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+            assert getattr(record, name) is not None
 
     def test_slotted(self):
         box = make_box()
         records = [box, Detection(box=box, score=0.5),
                    LabeledObject(frame_index=0, track_id=1, box=box),
                    TrackEntry(track_id=1, box=box, score=0.5,
-                              provenance="updated")]
+                              provenance="updated"),
+                   TrackState(1, [0.0] * 10, [1.0] * 10, [0.0] * 3),
+                   FrameOutput(()), FrameTable((), (), [])]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
         assert box == make_box() and hash(box) == hash(make_box())

@@ -607,5 +607,5 @@ class TestPrefilterMechanism:
         for a, b in calls:
             assert math.hypot(a.cx - b.cx, a.cy - b.cy) <= \
                 a.footprint_radius + b.footprint_radius
-            (alo, ahi), (blo, bhi) = a.z_interval, b.z_interval
-            assert min(ahi, bhi) - max(alo, blo) > 0.0
+            assert (min(a.cz + a.height / 2.0, b.cz + b.height / 2.0)
+                    - max(a.cz - a.height / 2.0, b.cz - b.height / 2.0)) > 0.0

@@ -39,9 +39,8 @@ for row in rows:
     print(f"{row.variant:<12} {row.target:>6} {row.hota:>8.3f} "
           f"{row.mota:>8.3f} {row.motp:>8.3f} {row.draw_watts:>8.1f} {yld}")
 
-# Reports land as CSV (full table), JSON (same rows), and a long-format
-# draw-vs-quality CSV ready for plotting. This demo writes them into a
-# temporary directory that is removed when the block ends.
+# Reports land as CSV (full table) and JSON (same rows). This demo writes
+# them into a temporary directory that is removed when the block ends.
 with tempfile.TemporaryDirectory(prefix="droptrack_sweep_") as out_dir:
     paths = write_report(rows, out_dir)
     print("\nwrote:")

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="detector variant (gt or noisy:<profile>)")
     sweep_p.add_argument("--seed", type=int, default=None, metavar="U64")
     sweep_p.add_argument("--out", type=Path, default=None, metavar="DIR",
-                         help="write sweep.csv, sweep.json and tradeoff.csv")
+                         help="write sweep.csv and sweep.json")
     sweep_p.add_argument("--outputs", type=Path, default=None, metavar="DIR",
                          help="write each cell's tracker outputs to "
                               "DIR/<variant>/<n>of<m>/<sequence>.txt")
@@ -133,8 +133,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     threshold = clear_threshold(args.clear_threshold, "--clear-threshold")
-    sequence = parse_kitti_labels(args.labels, sequence_id=args.labels.stem,
-                                  frame_count=args.frame_count)
+    sequence = parse_kitti_labels(args.labels, frame_count=args.frame_count)
     outputs = read_frame_outputs(args.outputs, args.sidecar,
                                  frame_count=sequence.frame_count)
     tables = metrics.build_frame_tables(list(sequence.labels), outputs,

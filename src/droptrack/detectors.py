@@ -20,6 +20,9 @@ from .geometry import MIN_EXTENT, Detection, LabeledObject, OrientedBox
 # Fallback clutter shape when a sequence has no labels to sample from.
 _FALLBACK_EXTENT = (4.5, 1.8, 1.6, 0.8)
 
+# How far clutter may land beyond the label centers' region, on each side.
+SCENE_MARGIN = 10.0
+
 # Noise seeds are u64: a profile's seed and the run-level seed each lie in
 # [0, SEED_BOUND), and a noisy variant draws with their sum modulo it.
 SEED_BOUND = 2**64
@@ -72,9 +75,9 @@ class SceneContext:
         field(default=(_FALLBACK_EXTENT,))
 
 
-def scene_context(sequence_labels: list[LabeledObject],
-                  margin: float = 10.0) -> SceneContext:
-    """Axis-aligned region of all label centers, expanded by `margin`."""
+def scene_context(sequence_labels: list[LabeledObject]) -> SceneContext:
+    """Axis-aligned region of all label centers, expanded by
+    `SCENE_MARGIN`."""
     if not sequence_labels:
         return SceneContext(x_range=(-50.0, 50.0), y_range=(-50.0, 50.0))
     xs = [lab.box.cx for lab in sequence_labels]
@@ -84,8 +87,8 @@ def scene_context(sequence_labels: list[LabeledObject],
         for lab in sequence_labels
     }))
     return SceneContext(
-        x_range=(min(xs) - margin, max(xs) + margin),
-        y_range=(min(ys) - margin, max(ys) + margin),
+        x_range=(min(xs) - SCENE_MARGIN, max(xs) + SCENE_MARGIN),
+        y_range=(min(ys) - SCENE_MARGIN, max(ys) + SCENE_MARGIN),
         extent_pool=pool,
     )
 

@@ -152,10 +152,9 @@ def _parse_rows(lines: list[str], origin: str,
     return rows
 
 
-def parse_kitti_labels(path, sequence_id: str = "",
-                       frame_count: int | None = None,
+def parse_kitti_labels(path, frame_count: int | None = None,
                        class_set: frozenset[str] = DEFAULT_CLASS_SET) -> SequenceData:
-    """Parse a label file into SequenceData.
+    """Parse a label file into SequenceData, its sequence id the file's stem.
 
     Rows outside class_set and DontCare rows are skipped; anything else
     malformed raises with its line number. Rows may arrive out of frame
@@ -171,7 +170,7 @@ def parse_kitti_labels(path, sequence_id: str = "",
 
     if frame_count is None:
         frame_count = max((row[0] for row in rows), default=0) + 1
-    return SequenceData(sequence_id=sequence_id, frame_count=frame_count,
+    return SequenceData(sequence_id=Path(path).stem, frame_count=frame_count,
                         labels=labels)
 
 
@@ -290,10 +289,8 @@ def load_label_dir(directory, manifest: dict[str, int] | None = None,
                            f"no label file")
     sequences = []
     for label_file in label_files:
-        seq_id = label_file.stem
-        count = manifest.get(seq_id) if manifest else None
-        sequences.append(parse_kitti_labels(label_file, sequence_id=seq_id,
-                                            frame_count=count,
+        count = manifest.get(label_file.stem) if manifest else None
+        sequences.append(parse_kitti_labels(label_file, frame_count=count,
                                             class_set=class_set))
     if not sequences:
         raise DatasetError(f"{directory}: no *.txt label files found")

@@ -370,7 +370,8 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
              sequences: list[SequenceData] | None = None,
              detect=None) -> tuple[MetricsRow, dict[str, list[FrameOutput]]]:
     """One cell: its row and tracker outputs by sequence id, or a
-    ComputationError. `detect` is from variant_detector, else made here."""
+    ComputationError, also when two sequences share an id. `detect` is from
+    variant_detector, else made here."""
     if sequences is None:
         sequences = load_sequences(config)
     if detect is None:
@@ -383,6 +384,9 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
         outputs_per_sequence: dict[str, list[FrameOutput]] = {}
         tables_per_seq = []
         for seq, flags in zip(sequences, schedules):
+            # The detector and the outputs are keyed by sequence id.
+            if seq.sequence_id in outputs_per_sequence:
+                raise ValueError(f"sequence id {seq.sequence_id!r} repeats")
             tracker = Tracker(tracker_cfg)
             outputs = [tracker.step(detect(seq, i) if processed else None)
                        for i, processed in enumerate(flags)]
@@ -471,18 +475,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# tradeoff.csv: the long-format performance-vs-draw table for plotting.
-_TRADEOFF_COLUMNS = ("variant", "target", "draw_watts", "hota")
-
-
-def render_sweep_csv(rows: tuple[MetricsRow, ...],
-                     columns: tuple[str, ...] = _CSV_COLUMNS) -> str:
-    """The rows as CSV, one column per MetricsRow field named."""
+def render_sweep_csv(rows: tuple[MetricsRow, ...]) -> str:
+    """The rows as CSV, one column per MetricsRow field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(_CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in columns])
+        writer.writerow([_fmt(getattr(row, col)) for col in _CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -514,19 +513,16 @@ def output_dir(out_dir):
 
 
 def write_report(rows: tuple[MetricsRow, ...], out_dir) -> dict[str, Path]:
-    """Write sweep.csv, sweep.json and tradeoff.csv; a failure is a ConfigError."""
+    """Write sweep.csv and sweep.json; a failure is a ConfigError."""
     with output_dir(out_dir) as out_dir:
         paths = {
             "sweep_csv": out_dir / "sweep.csv",
             "sweep_json": out_dir / "sweep.json",
-            "tradeoff_csv": out_dir / "tradeoff.csv",
         }
         paths["sweep_csv"].write_text(render_sweep_csv(rows),
                                       encoding="utf-8")
         paths["sweep_json"].write_text(render_sweep_json(rows),
                                        encoding="utf-8")
-        paths["tradeoff_csv"].write_text(
-            render_sweep_csv(rows, _TRADEOFF_COLUMNS), encoding="utf-8")
     return paths
 
 

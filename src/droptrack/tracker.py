@@ -12,7 +12,8 @@ born there, and `predicted` otherwise.
 
 State: `mean` is 10 floats, cx, cy, cz, yaw, length, width, height, vx,
 vy, vz; the first 7 are observed, and yaw and extents follow a random
-walk. Birth, process and measurement noise are diagonal and each velocity
+walk. Birth noise is the constant `BIRTH_VAR`, the same for every run.
+Birth, process and measurement noise are diagonal and each velocity
 couples only to its own position, so the covariance is one (position,
 velocity) 2×2 block per axis x, y, z plus a variance for yaw and each
 extent: `var` holds the 10 diagonal entries, `cross` the 3 couplings. The
@@ -33,6 +34,11 @@ N_OBSERVED = 7
 PROVENANCE_UPDATED = "updated"
 PROVENANCE_PREDICTED = "predicted"
 
+# The birth covariance's diagonal, in `mean`'s order: the pose and extent
+# entries reflect single-shot detector trust; the velocity entries are
+# inflated because birth observes none.
+BIRTH_VAR = (1.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.25, 100.0, 100.0, 100.0)
+
 # Slack on every score-vs-threshold gate, here and in the metrics: a pair
 # whose score equals the threshold up to rounding is eligible.
 MATCH_EPS = 1e-12
@@ -47,12 +53,6 @@ class TrackerConfig:
     association_metric: str = "3d-iou"
     process_noise: float = 1e-2
     measurement_noise: float = 1e-2
-    # Birth covariance: pose/extent blocks reflect single-shot detector
-    # trust; the velocity block is inflated because birth observes none.
-    birth_position_var: float = 1.0
-    birth_yaw_var: float = 0.5
-    birth_extent_var: float = 0.25
-    birth_velocity_var: float = 100.0
 
     def __post_init__(self):
         # Every check is written so that NaN fails it.
@@ -65,9 +65,7 @@ class TrackerConfig:
         if self.association_metric not in SIMILARITY_FNS:
             raise ValueError(f"association_metric must be one of "
                              f"{sorted(SIMILARITY_FNS)}")
-        for name in ("process_noise", "measurement_noise",
-                     "birth_position_var", "birth_yaw_var",
-                     "birth_extent_var", "birth_velocity_var"):
+        for name in ("process_noise", "measurement_noise"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
 
@@ -313,16 +311,13 @@ def associate(tracks: list[TrackState], detections: list[Detection],
     return pairs, unmatched_t, unmatched_d
 
 
-def _birth(track_id: int, detection: Detection,
-           config: TrackerConfig) -> TrackState:
+def _birth(track_id: int, detection: Detection) -> TrackState:
     b = detection.box
     return TrackState(
         track_id=track_id,
         mean=[b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height,
               0.0, 0.0, 0.0],
-        var=[config.birth_position_var] * 3 + [config.birth_yaw_var]
-        + [config.birth_extent_var] * 3 + [config.birth_velocity_var] * 3,
-        cross=[0.0] * 3, last_score=detection.score)
+        var=list(BIRTH_VAR), cross=[0.0] * 3, last_score=detection.score)
 
 
 class Tracker:
@@ -350,7 +345,7 @@ class Tracker:
             for ti in unmatched_t:
                 self._tracks[ti].consecutive_misses += 1
             for dj in unmatched_d:
-                self._tracks.append(_birth(self._next_id, detections[dj], cfg))
+                self._tracks.append(_birth(self._next_id, detections[dj]))
                 self._next_id += 1
             # Matched and born tracks are the ones with no miss.
             self._tracks = [

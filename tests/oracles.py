@@ -730,7 +730,7 @@ class StatusTracker(Tracker):
                 elif trk.consecutive_misses > cfg.max_misses_to_delete:
                     status[trk.track_id] = DEAD
             for dj in unmatched_d:
-                self._tracks.append(_birth(self._next_id, detections[dj], cfg))
+                self._tracks.append(_birth(self._next_id, detections[dj]))
                 status[self._next_id] = TENTATIVE
                 # A birth is detection-backed, not extrapolated.
                 updated_ids.add(self._next_id)

@@ -392,9 +392,10 @@ def label_file_argv(tmp_path, **fields):
      "profiles['p'].score_range: expected an array of 2 numbers"),
     (lambda p: score_range_argv(p, ["a", 1.0]), EXIT_CONFIG,
      "profiles['p'].score_range[0]: expected a finite number"),
-    # A negative birth variance gives the filter a covariance no state has.
+    # The birth covariance is a constant: a birth variance, negative or
+    # not, is refused by name before its value is read.
     (lambda p: sweep_argv(p, tracker={"birth_velocity_var": -100}),
-     EXIT_CONFIG, "tracker: birth_velocity_var must be nonnegative and finite"),
+     EXIT_CONFIG, "unknown tracker field 'birth_velocity_var'"),
     # A variant is refused before any cell runs.
     (lambda p: sweep_argv(p, variants=["noisy:nope"]), EXIT_CONFIG,
      "variant 'noisy:nope' references undefined profile 'nope'"),
@@ -585,8 +586,11 @@ def test_readme_sweep_reproduces_its_report_and_cell_outputs(tmp_path,
                       for path in out.rglob("*") if path.is_file()})
     assert hashlib.sha256(trees[0][Path("sweep.json")]).hexdigest() \
         == README_SWEEP_SHA256
-    # 12 cells, each one sequence's outputs and their sidecar.
-    assert len(trees[0]) == 3 + 12 * 2
+    # The two report files, and 12 cells, each one sequence's outputs and
+    # their sidecar.
+    assert sorted(str(p) for p in trees[0] if p.parent == Path(".")) \
+        == ["sweep.csv", "sweep.json"]
+    assert len(trees[0]) == 2 + 12 * 2
     assert trees[0] == trees[1]
 
 
@@ -646,9 +650,9 @@ class TestSweep:
         assert code == EXIT_OK
         stdout = capsys.readouterr().out
         assert (out / "sweep.csv").exists()
-        assert (out / "sweep.json").exists()
-        assert (out / "tradeoff.csv").exists()
-        assert stdout.count("wrote ") == 3
+        assert sorted(p.name for p in out.iterdir()) \
+            == ["sweep.csv", "sweep.json"]
+        assert stdout.count("wrote ") == 2
         data_rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         assert len(data_rows) == 2
 
@@ -836,17 +840,17 @@ class TestReport:
         code = main(["report", "--sweep", str(first / "sweep.json"),
                      "--out", str(second)])
         assert code == EXIT_OK
+        assert sorted(p.name for p in second.iterdir()) \
+            == ["sweep.csv", "sweep.json"]
         assert (second / "sweep.csv").read_text() \
             == (first / "sweep.csv").read_text()
-        assert (second / "tradeoff.csv").read_text() \
-            == (first / "tradeoff.csv").read_text()
 
     def test_round_trip_bytes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         first = tmp_path / "first"
         assert main(["sweep", "--config", str(cfg), "--out",
                      str(first)]) == EXIT_OK
-        names = ("sweep.csv", "sweep.json", "tradeoff.csv")
+        names = ("sweep.csv", "sweep.json")
         assert capsys.readouterr().out == (first / "sweep.csv").read_text() \
             + "".join(f"wrote {first / name}\n" for name in names)
         second = tmp_path / "second"

@@ -7,6 +7,7 @@ import pytest
 
 from droptrack.detectors import (
     NoiseProfile,
+    SCENE_MARGIN,
     SceneContext,
     gt_detect,
     noisy_detect,
@@ -192,9 +193,9 @@ class TestSceneContext:
     def test_bounds_include_margin(self):
         labels = [make_label(track_id=1, cx=0.0, cy=-5.0),
                   make_label(track_id=2, cx=30.0, cy=5.0)]
-        scene = scene_context(labels, margin=10.0)
-        assert scene.x_range == (-10.0, 40.0)
-        assert scene.y_range == (-15.0, 15.0)
+        scene = scene_context(labels)
+        assert scene.x_range == (0.0 - SCENE_MARGIN, 30.0 + SCENE_MARGIN)
+        assert scene.y_range == (-5.0 - SCENE_MARGIN, 5.0 + SCENE_MARGIN)
 
     def test_extent_pool_from_labels(self):
         labels = [make_label(track_id=1), make_label(track_id=2, cx=8.0)]

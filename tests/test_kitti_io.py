@@ -37,8 +37,9 @@ def labels_file(tmp_path, text):
 
 class TestParse:
     def test_empty_file_with_explicit_length(self, tmp_path):
-        seq = parse_kitti_labels(labels_file(tmp_path, ""),
-                                 sequence_id="0001", frame_count=10)
+        path = tmp_path / "0001.txt"
+        path.write_text("")
+        seq = parse_kitti_labels(path, frame_count=10)
         assert seq.frame_count == 10
         assert seq.labels == ()
         assert seq.sequence_id == "0001"

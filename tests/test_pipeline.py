@@ -3,6 +3,7 @@
 import hashlib
 import json
 import types
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from droptrack.detectors import NoiseProfile
 from droptrack.energy import ENERGY_PRESETS, estimate_draw_multi
 from droptrack.kitti_io import read_frame_outputs
 from droptrack.pipeline import write_cell_outputs
+from droptrack.scenario import reference_scenario
 from droptrack.schedule import DropPattern, build_schedule
 
 
@@ -214,6 +216,21 @@ class TestRunOnce:
         assert row.yield_w_per_pt is None
         assert set(outputs) == {"reference"}
         assert len(outputs["reference"]) == 200
+
+    def test_repeated_sequence_id_rejected(self):
+        # Detections and outputs are keyed by sequence id: a second
+        # sequence under the first one's id would be detected from its
+        # labels, and only one sequence's outputs would come back.
+        seq = reference_scenario()
+        other = replace(seq, frame_count=10, labels=tuple(
+            lab for lab in seq.labels if lab.frame_index < 10))
+        with pytest.raises(ComputationError,
+                           match="sequence id 'reference' repeats"):
+            run_once(make_config(), "gt", DropPattern(1, 1), [seq, other])
+        _, outputs = run_once(make_config(), "gt", DropPattern(1, 1),
+                              [seq, replace(other, sequence_id="other")])
+        assert {k: len(v) for k, v in outputs.items()} \
+            == {"reference": 200, "other": 10}
 
     def test_draw_absent_without_energy_config(self):
         cfg = config_from_dict({"patterns": ["1/1"],
@@ -411,15 +428,18 @@ class TestReports:
         b = run_sweep(make_config())
         assert render_sweep_csv(a) == render_sweep_csv(b)
         assert render_sweep_json(a) == render_sweep_json(b)
-        tradeoff = [write_report(r, tmp_path / name)["tradeoff_csv"]
-                    for r, name in ((a, "a"), (b, "b"))]
-        assert tradeoff[0].read_bytes() == tradeoff[1].read_bytes()
+        for name in ("sweep_csv", "sweep_json"):
+            written = [write_report(r, tmp_path / d)[name].read_bytes()
+                       for r, d in ((a, "a"), (b, "b"))]
+            assert written[0] == written[1]
 
     def test_write_report_files(self, tmp_path):
         rows = run_sweep(make_config(patterns=["1/1"]))
         paths = write_report(rows, tmp_path / "out")
         assert sorted(p.name for p in paths.values()) \
-            == ["sweep.csv", "sweep.json", "tradeoff.csv"]
+            == ["sweep.csv", "sweep.json"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
+            == ["sweep.csv", "sweep.json"]
         payload = json.loads(paths["sweep_json"].read_text())
         assert len(payload["rows"]) == 1
         row = payload["rows"][0]
@@ -427,9 +447,6 @@ class TestReports:
         assert row["yield_w_per_pt"] is None
         header = paths["sweep_csv"].read_text().splitlines()[0]
         assert header.startswith("variant,target,effective_target,hota")
-        assert paths["tradeoff_csv"].read_text() == (
-            "variant,target,draw_watts,hota\n"
-            f"gt,100,270.000000,{row['hota']:.6f}\n")
 
     def test_csv_blank_for_missing_yield(self):
         row = MetricsRow(variant="gt", target="100", effective_target=100.0,

@@ -70,15 +70,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrackerConfig(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [
-        ("birth_velocity_var", -100.0), ("birth_position_var", math.nan),
-        ("birth_yaw_var", math.inf), ("birth_extent_var", -0.25),
-    ])
-    def test_bad_birth_variance_rejected(self, field, value):
-        with pytest.raises(ValueError,
-                           match=f"{field} must be nonnegative and finite"):
-            TrackerConfig(**{field: value})
-
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             TrackerConfig(min_hits_to_confirm=0)
@@ -167,7 +158,7 @@ class TestUpdate:
     def test_scalar_textbook_shift(self):
         # One observed component with prior variance 1, measurement noise 1,
         # innovation 1: the posterior moves halfway.
-        cfg = TrackerConfig(measurement_noise=1.0, birth_position_var=1.0)
+        cfg = TrackerConfig(measurement_noise=1.0)
         mean = [0.0, 0.0, 0.75, 0.0, 4.5, 1.8, 1.5, 0.0, 0.0, 0.0]
         var = [1.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.25, 100.0, 100.0, 100.0]
         state = TrackState(track_id=1, mean=mean, var=var, cross=[0.0] * 3)

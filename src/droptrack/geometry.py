@@ -32,8 +32,8 @@ from dataclasses import dataclass, fields
 # touching edges produces slivers of this magnitude.
 _AREA_EPS = 1e-12
 
-# Object classes a run detects, tracks and scores unless configured otherwise.
-DEFAULT_CLASS_SET = frozenset({"Car"})
+# The one KITTI object type a run loads, tracks, scores and writes.
+TRACKED_CLASS = "Car"
 
 # Floor on the extents of boxes the detector and tracker emit: noise can push
 # an extent to zero or below, and every emitted box must stay a valid
@@ -164,9 +164,9 @@ class LabeledObject:
     frame_index: int
     track_id: int
     box: OrientedBox
-    class_label: str = "Car"
+    class_label: str = TRACKED_CLASS
 
-    def __init__(self, frame_index, track_id, box, class_label="Car"):
+    def __init__(self, frame_index, track_id, box, class_label=TRACKED_CLASS):
         if frame_index < 0:
             raise ValueError("frame_index must be nonnegative")
         if track_id < 0:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import DEFAULT_CLASS_SET, LabeledObject, OrientedBox, wrap_angle
+from .geometry import TRACKED_CLASS, LabeledObject, OrientedBox, wrap_angle
 from .tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED, FrameOutput,
                       TrackEntry)
 
@@ -98,15 +98,15 @@ def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:
             f"{x:.6f} {y:.6f} {box.cx:.6f} {rotation_y:.6f}")
 
 
-def _parse_rows(lines: list[str], origin: str,
-                class_set: frozenset[str] | None = None,
+def _parse_rows(lines: list[str], origin: str, kept_type: str | None = None,
                 frame_count: int | None = None
                 ) -> list[tuple[int, int, str, OrientedBox | None, float]]:
     """Parse 17/18-field rows into (frame, track_id, type, box, score).
 
     Blank lines are skipped and the score defaults to 1.0. With a
-    class_set, rows of other types and DontCare rows come back with box
-    None: their geometry and track id (-1 for DontCare) go unchecked.
+    kept_type (labels), rows of any other type, DontCare included, come
+    back with box None: their geometry and track id (-1 for DontCare) go
+    unchecked. Without one (outputs), every row is kept.
     A malformed row, a row at or past frame_count, a kept row with a
     non-finite score or a repeated (frame, track id) raises DatasetError
     naming origin:line.
@@ -135,7 +135,7 @@ def _parse_rows(lines: list[str], origin: str,
                 raise ValueError(f"frame {frame} outside sequence of "
                                  f"{frame_count} frames")
             box = None
-            if class_set is None or (kind != "DontCare" and kind in class_set):
+            if kept_type is None or kind == kept_type:
                 if track_id < 0:
                     raise ValueError("negative track id")
                 if not -math.inf < score < math.inf:  # NaN fails it too
@@ -152,16 +152,16 @@ def _parse_rows(lines: list[str], origin: str,
     return rows
 
 
-def parse_kitti_labels(path, frame_count: int | None = None,
-                       class_set: frozenset[str] = DEFAULT_CLASS_SET) -> SequenceData:
+def parse_kitti_labels(path, frame_count: int | None = None) -> SequenceData:
     """Parse a label file into SequenceData, its sequence id the file's stem.
 
-    Rows outside class_set and DontCare rows are skipped; anything else
-    malformed raises with its line number. Rows may arrive out of frame
-    order; they are re-sorted.
+    Only TRACKED_CLASS rows become labels: rows of any other type,
+    DontCare included, are skipped, though they still count toward the
+    frame count read from the file. Anything malformed raises with its
+    line number. Rows may arrive out of frame order; they are re-sorted.
     """
     rows = _parse_rows(read_text(path, "labels").splitlines(), str(path),
-                       class_set, frame_count)
+                       TRACKED_CLASS, frame_count)
     # (frame, id) is unique among kept rows, so sorting never compares boxes.
     kept = sorted((frame, track_id, box, kind)
                   for frame, track_id, kind, box, _ in rows if box is not None)
@@ -191,7 +191,7 @@ def write_frame_outputs(outputs: list[FrameOutput], path) -> None:
     for frame, out in enumerate(outputs):
         frame_prov: dict[str, str] = {}
         for entry in sorted(out.entries, key=lambda e: e.track_id):
-            rows.append(_format_row(frame, entry.track_id, "Car",
+            rows.append(_format_row(frame, entry.track_id, TRACKED_CLASS,
                                     entry.box) + f" {entry.score:.6f}")
             frame_prov[str(entry.track_id)] = entry.provenance
         if frame_prov:
@@ -276,8 +276,8 @@ def load_manifest(path) -> dict[str, int]:
     return out
 
 
-def load_label_dir(directory, manifest: dict[str, int] | None = None,
-                   class_set: frozenset[str] = DEFAULT_CLASS_SET) -> list[SequenceData]:
+def load_label_dir(directory, manifest: dict[str, int] | None = None
+                   ) -> list[SequenceData]:
     """Load every *.txt label file in a directory as one sequence each."""
     directory = Path(directory)
     if not directory.is_dir():
@@ -290,8 +290,7 @@ def load_label_dir(directory, manifest: dict[str, int] | None = None,
     sequences = []
     for label_file in label_files:
         count = manifest.get(label_file.stem) if manifest else None
-        sequences.append(parse_kitti_labels(label_file, frame_count=count,
-                                            class_set=class_set))
+        sequences.append(parse_kitti_labels(label_file, frame_count=count))
     if not sequences:
         raise DatasetError(f"{directory}: no *.txt label files found")
     return sequences

@@ -27,7 +27,7 @@ from .detectors import (SEED_BOUND, NoiseProfile, gt_detect, noisy_detect,
                         scene_context)
 from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
                      yield_metric)
-from .geometry import DEFAULT_CLASS_SET, SIMILARITY_FNS, Detection
+from .geometry import SIMILARITY_FNS, Detection
 from .kitti_io import SequenceData, load_label_dir, load_manifest, \
     read_json_object, write_frame_outputs
 from . import metrics
@@ -64,7 +64,6 @@ class RunConfig:
     tracker: TrackerConfig
     tracker_overrides: dict[DropPattern, TrackerConfig]
     energy: dict[str, EnergyParams]
-    class_set: frozenset[str]
     similarity: str
     clear_threshold: float
     rng_seed: int
@@ -251,11 +250,6 @@ def config_from_dict(data: dict) -> RunConfig:
             TrackerConfig, {**asdict(tracker), **_typed(body, dict, where)},
             where)
 
-    class_set = _string_array(data, "class_set", sorted(DEFAULT_CLASS_SET))
-    if "DontCare" in class_set:
-        raise ConfigError(f"class_set[{class_set.index('DontCare')}]: "
-                          f"DontCare rows are never tracked")
-
     similarity = data.get("similarity", "3d-iou")
     known = sorted(SIMILARITY_FNS)
     if similarity not in known:
@@ -278,7 +272,6 @@ def config_from_dict(data: dict) -> RunConfig:
         tracker=tracker,
         tracker_overrides=overrides,
         energy=energy,
-        class_set=frozenset(class_set),
         similarity=similarity,
         clear_threshold=clear_threshold(data.get("clear_threshold", 0.5),
                                         "clear_threshold"),
@@ -296,15 +289,11 @@ def config_from_json(path) -> RunConfig:
 def load_sequences(config: RunConfig) -> list[SequenceData]:
     dataset = config.dataset
     if dataset["kind"] == "reference":
-        # The same class scope as the label files get in kitti_io.
-        seq = reference_scenario()
-        return [replace(seq, labels=tuple(
-            lab for lab in seq.labels if lab.class_label in config.class_set))]
+        return [reference_scenario()]
     manifest = None
     if dataset.get("manifest") is not None:
         manifest = load_manifest(dataset["manifest"])
-    return load_label_dir(dataset["path"], manifest=manifest,
-                          class_set=config.class_set)
+    return load_label_dir(dataset["path"], manifest=manifest)
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,7 @@ def reference_scenario() -> SequenceData:
         for frame in range(car.first_frame, car.last_frame + 1):
             labels.append(LabeledObject(frame_index=frame,
                                         track_id=car.track_id,
-                                        box=car.box_at(frame),
-                                        class_label="Car"))
+                                        box=car.box_at(frame)))
     labels.sort(key=lambda lab: (lab.frame_index, lab.track_id))
     return SequenceData(sequence_id="reference", frame_count=FRAME_COUNT,
                         labels=tuple(labels))

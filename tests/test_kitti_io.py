@@ -111,12 +111,6 @@ class TestParse:
         seq = parse_kitti_labels(labels_file(tmp_path, text))
         assert len(seq.labels) == 1
 
-    def test_custom_class_set(self, tmp_path):
-        text = "\n".join([car_row(), car_row(track_id=2, kind="Van")])
-        seq = parse_kitti_labels(labels_file(tmp_path, text),
-                                 class_set=frozenset({"Van"}))
-        assert [lab.class_label for lab in seq.labels] == ["Van"]
-
     def test_missing_file_is_dataset_error(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read labels"):
             parse_kitti_labels(tmp_path / "absent.txt")

@@ -14,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droptrack import tracker
-from droptrack.geometry import SIMILARITY_FNS, Detection, OrientedBox, wrap_angle
+from droptrack.geometry import (SIMILARITY_FNS, Detection, LabeledObject,
+                                OrientedBox, wrap_angle)
+from droptrack.kitti_io import SequenceData
+from droptrack.pipeline import config_from_dict, run_once
+from droptrack.schedule import DropPattern, build_schedule
 from droptrack.tracker import (
     MATCH_EPS,
     PROVENANCE_PREDICTED,
@@ -597,6 +601,48 @@ class TestVelocityConvergence:
         tracker.step([make_detection(cx=0.6)])
         exact = tracker.live_tracks()[0].mean[7]
         assert exact == pytest.approx(3.0, abs=1e-9)
+
+
+class TestIouGateCliff:
+    """A track is born with zero velocity, so across one gap of m frames
+    its box stays where its car was. A car of length L moving along its
+    length at v is then d = v·m·Δt ahead, at IoU (L − d)/(L + d) with the
+    unmoved box, which the gate g admits exactly when m ≤ m* =
+    ⌊L(1 − g)/((1 + g)·v·Δt)⌋. Once matched, the track has a velocity and
+    keeps its car; past m* every processed frame births a new track."""
+
+    LENGTH = 4.5
+    FRAMES = 200
+
+    @pytest.mark.parametrize("measurement_noise", [0.01, 0.05])
+    @pytest.mark.parametrize("speed", [3.0, 6.0, 9.0, 12.0, 15.0])
+    def test_one_id_up_to_the_cliff_then_one_per_processed_frame(
+            self, speed, measurement_noise):
+        config = config_from_dict({
+            "patterns": ["1/1"],
+            "tracker": {"measurement_noise": measurement_noise}})
+        cfg = config.tracker
+        step = speed * cfg.cycle_time
+        sequence = SequenceData("car", self.FRAMES, tuple(
+            LabeledObject(f, 1, make_box(cx=step * f, length=self.LENGTH))
+            for f in range(self.FRAMES)))
+        m_star = math.floor(self.LENGTH * (1.0 - cfg.gate_iou_min)
+                            / ((1.0 + cfg.gate_iou_min) * step))
+        assert m_star >= 1
+        for m in range(1, m_star + 3):
+            pattern = DropPattern(1, m)
+            _, outputs = run_once(config, "gt", pattern, [sequence])
+            updated = [[entry.track_id for entry in out.entries
+                        if entry.provenance == PROVENANCE_UPDATED]
+                       for out, processed in zip(
+                           outputs["car"],
+                           build_schedule(pattern, self.FRAMES))
+                       if processed]
+            assert all(len(ids) == 1 for ids in updated), m
+            ids = [track_id for (track_id,) in updated]
+            want = [1] * len(ids) if m <= m_star \
+                else list(range(1, len(ids) + 1))
+            assert ids == want, (m, m_star)
 
 
 class TestCovariancePsd:

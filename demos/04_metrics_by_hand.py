@@ -20,10 +20,8 @@ labels = []
 outputs = []
 for frame in range(4):
     labels += [
-        LabeledObject(frame_index=frame, track_id=1, box=box(frame, 0.0),
-                      class_label="Car"),
-        LabeledObject(frame_index=frame, track_id=2, box=box(frame, 10.0),
-                      class_label="Car"),
+        LabeledObject(frame_index=frame, track_id=1, box=box(frame, 0.0)),
+        LabeledObject(frame_index=frame, track_id=2, box=box(frame, 10.0)),
     ]
     # Output ids 11/12 swap lanes after frame 1.
     top, bottom = (11, 12) if frame < 2 else (12, 11)

@@ -25,8 +25,8 @@ from .kitti_io import (DatasetError, SequenceData, load_label_dir,
 from .scenario import (KITTI_VAL_SEQUENCE_LENGTHS, REFERENCE_CARS,
                        reference_scenario)
 from .pipeline import (ComputationError, ConfigError, MetricsRow, RunConfig,
-                       config_from_dict, config_from_json, read_sweep_json,
-                       run_once, run_sweep, variant_detector, write_report)
+                       config_from_dict, config_from_json, run_once,
+                       run_sweep, variant_detector, write_report)
 
 __version__ = "0.1.0"
 

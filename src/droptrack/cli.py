@@ -2,7 +2,7 @@
 
 Subcommands: sweep (the grid, its report files and, with --outputs, each
 cell's tracker outputs), eval (metrics on stored outputs), energy (power
-log or draw model), report (re-render sweep.json).
+log or draw model).
 
 Exit codes: 0 success, 2 configuration error, 3 dataset error,
 4 computation error.
@@ -24,8 +24,7 @@ from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, clear_threshold,
                        config_from_dict, energy_params, output_dir,
-                       read_sweep_json, render_sweep_csv, rng_seed,
-                       run_sweep, write_report)
+                       render_sweep_csv, rng_seed, run_sweep, write_report)
 from .schedule import build_schedule, parse_pattern
 
 EXIT_OK = 0
@@ -88,12 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="N/M", help="drop pattern (default 1/1)")
     energy_p.add_argument("--length", type=_positive(int), default=None,
                           help="schedule length in frames (default 1000)")
-
-    report_p = sub.add_parser("report", help="rewrite the report files "
-                                             "from sweep.json")
-    report_p.add_argument("--sweep", type=Path, required=True,
-                          help="sweep.json produced by the sweep command")
-    report_p.add_argument("--out", type=Path, required=True)
     return parser
 
 
@@ -184,18 +177,10 @@ def _cmd_energy(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    paths = write_report(read_sweep_json(args.sweep), args.out)
-    for name in sorted(paths):
-        print(f"wrote {paths[name]}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "eval": _cmd_eval,
     "energy": _cmd_energy,
-    "report": _cmd_report,
 }
 
 

@@ -32,9 +32,6 @@ from dataclasses import dataclass, fields
 # touching edges produces slivers of this magnitude.
 _AREA_EPS = 1e-12
 
-# The one KITTI object type a run loads, tracks, scores and writes.
-TRACKED_CLASS = "Car"
-
 # Floor on the extents of boxes the detector and tracker emit: noise can push
 # an extent to zero or below, and every emitted box must stay a valid
 # OrientedBox.
@@ -164,9 +161,8 @@ class LabeledObject:
     frame_index: int
     track_id: int
     box: OrientedBox
-    class_label: str = TRACKED_CLASS
 
-    def __init__(self, frame_index, track_id, box, class_label=TRACKED_CLASS):
+    def __init__(self, frame_index, track_id, box):
         if frame_index < 0:
             raise ValueError("frame_index must be nonnegative")
         if track_id < 0:
@@ -174,11 +170,10 @@ class LabeledObject:
         _set_label_frame_index(self, frame_index)
         _set_label_track_id(self, track_id)
         _set_label_box(self, box)
-        _set_label_class(self, class_label)
 
 
-(_set_label_frame_index, _set_label_track_id, _set_label_box,
- _set_label_class) = _slot_setters(LabeledObject)
+(_set_label_frame_index, _set_label_track_id,
+ _set_label_box) = _slot_setters(LabeledObject)
 
 
 def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:

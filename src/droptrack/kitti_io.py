@@ -1,8 +1,7 @@
 """KITTI-tracking-format ingestion and output persistence.
 
 It reads every input file except the power log: labels, outputs,
-sidecars and manifests here, the config and `sweep.json` through
-`read_json_object`.
+sidecars and manifests here, the config through `read_json_object`.
 
 Label rows are whitespace-delimited:
   frame track_id type truncated occluded alpha bbox_left bbox_top
@@ -26,12 +25,15 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import TRACKED_CLASS, LabeledObject, OrientedBox, wrap_angle
+from .geometry import LabeledObject, OrientedBox, wrap_angle
 from .tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED, FrameOutput,
                       TrackEntry)
 
 
 _HALF_PI = math.pi / 2.0
+
+# The one KITTI object type a run loads, tracks, scores and writes.
+TRACKED_CLASS = "Car"
 
 
 class DatasetError(Exception):
@@ -88,25 +90,25 @@ class SequenceData:
         return frames
 
 
-def _format_row(frame: int, track_id: int, kind: str, box: OrientedBox) -> str:
-    """The 17 KITTI label fields of one box, inverting the camera-to-ground
-    map `_parse_rows` applies."""
+def _format_row(frame: int, track_id: int, box: OrientedBox) -> str:
+    """The 17 KITTI label fields of one TRACKED_CLASS box, inverting the
+    camera-to-ground map `_parse_rows` applies."""
     x, y = -box.cy, box.height / 2.0 - box.cz
     rotation_y = wrap_angle(-box.yaw - _HALF_PI)
-    return (f"{frame} {track_id} {kind} 0 0 0 -1 -1 -1 -1 "
+    return (f"{frame} {track_id} {TRACKED_CLASS} 0 0 0 -1 -1 -1 -1 "
             f"{box.height:.6f} {box.width:.6f} {box.length:.6f} "
             f"{x:.6f} {y:.6f} {box.cx:.6f} {rotation_y:.6f}")
 
 
-def _parse_rows(lines: list[str], origin: str, kept_type: str | None = None,
+def _parse_rows(lines: list[str], origin: str,
                 frame_count: int | None = None
-                ) -> list[tuple[int, int, str, OrientedBox | None, float]]:
-    """Parse 17/18-field rows into (frame, track_id, type, box, score).
+                ) -> list[tuple[int, int, OrientedBox | None, float]]:
+    """Parse 17/18-field rows into (frame, track_id, box, score).
 
-    Blank lines are skipped and the score defaults to 1.0. With a
-    kept_type (labels), rows of any other type, DontCare included, come
-    back with box None: their geometry and track id (-1 for DontCare) go
-    unchecked. Without one (outputs), every row is kept.
+    Blank lines are skipped and the score defaults to 1.0. Only
+    TRACKED_CLASS rows are kept: rows of any other type, DontCare
+    included, come back with box None, their geometry, track id (-1 for
+    DontCare) and score unchecked.
     A malformed row, a row at or past frame_count, a kept row with a
     non-finite score or a repeated (frame, track id) raises DatasetError
     naming origin:line.
@@ -120,7 +122,6 @@ def _parse_rows(lines: list[str], origin: str, kept_type: str | None = None,
         if len(fields) not in (17, 18):
             raise DatasetError(
                 f"{origin}:{lineno}: expected 17 or 18 fields, got {len(fields)}")
-        kind = fields[2]
         try:
             frame = int(fields[0])
             track_id = int(fields[1])
@@ -135,7 +136,7 @@ def _parse_rows(lines: list[str], origin: str, kept_type: str | None = None,
                 raise ValueError(f"frame {frame} outside sequence of "
                                  f"{frame_count} frames")
             box = None
-            if kept_type is None or kind == kept_type:
+            if fields[2] == TRACKED_CLASS:
                 if track_id < 0:
                     raise ValueError("negative track id")
                 if not -math.inf < score < math.inf:  # NaN fails it too
@@ -148,7 +149,7 @@ def _parse_rows(lines: list[str], origin: str, kept_type: str | None = None,
                                   -rotation_y - _HALF_PI)
         except ValueError as exc:
             raise DatasetError(f"{origin}:{lineno}: {exc}") from None
-        rows.append((frame, track_id, kind, box, score))
+        rows.append((frame, track_id, box, score))
     return rows
 
 
@@ -161,12 +162,12 @@ def parse_kitti_labels(path, frame_count: int | None = None) -> SequenceData:
     line number. Rows may arrive out of frame order; they are re-sorted.
     """
     rows = _parse_rows(read_text(path, "labels").splitlines(), str(path),
-                       TRACKED_CLASS, frame_count)
+                       frame_count)
     # (frame, id) is unique among kept rows, so sorting never compares boxes.
-    kept = sorted((frame, track_id, box, kind)
-                  for frame, track_id, kind, box, _ in rows if box is not None)
-    labels = tuple(LabeledObject(frame, track_id, box, kind)
-                   for frame, track_id, box, kind in kept)
+    kept = sorted((frame, track_id, box)
+                  for frame, track_id, box, _ in rows if box is not None)
+    labels = tuple(LabeledObject(frame, track_id, box)
+                   for frame, track_id, box in kept)
 
     if frame_count is None:
         frame_count = max((row[0] for row in rows), default=0) + 1
@@ -176,7 +177,7 @@ def parse_kitti_labels(path, frame_count: int | None = None) -> SequenceData:
 
 def write_kitti_labels(labels: list[LabeledObject], path) -> None:
     """Inverse of parse_kitti_labels for ground-truth fixtures."""
-    rows = [_format_row(lab.frame_index, lab.track_id, lab.class_label, lab.box)
+    rows = [_format_row(lab.frame_index, lab.track_id, lab.box)
             for lab in sorted(labels, key=lambda l: (l.frame_index, l.track_id))]
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""),
                           encoding="utf-8")
@@ -191,8 +192,8 @@ def write_frame_outputs(outputs: list[FrameOutput], path) -> None:
     for frame, out in enumerate(outputs):
         frame_prov: dict[str, str] = {}
         for entry in sorted(out.entries, key=lambda e: e.track_id):
-            rows.append(_format_row(frame, entry.track_id, TRACKED_CLASS,
-                                    entry.box) + f" {entry.score:.6f}")
+            rows.append(_format_row(frame, entry.track_id, entry.box)
+                        + f" {entry.score:.6f}")
             frame_prov[str(entry.track_id)] = entry.provenance
         if frame_prov:
             provenance[str(frame)] = frame_prov
@@ -208,6 +209,9 @@ def read_frame_outputs(path, sidecar_path=None,
                        frame_count: int | None = None) -> list[FrameOutput]:
     """Load stored tracker outputs; provenance comes from the sidecar when
     present, defaulting to measurement-updated.
+
+    As in parse_kitti_labels, only TRACKED_CLASS rows become outputs:
+    rows of any other type are skipped.
 
     Every sidecar provenance entry must be "updated" or "predicted" and
     name the (frame, id) of an output row; otherwise DatasetError names
@@ -233,9 +237,10 @@ def read_frame_outputs(path, sidecar_path=None,
                                f"integer frame_count and provenance objects")
 
     entries_by_frame: dict[int, list[TrackEntry]] = {}
-    for frame, track_id, _, box, score in _parse_rows(
-            read_text(path, "outputs").splitlines(), str(path),
-            frame_count=frame_count):
+    for frame, track_id, box, score in _parse_rows(
+            read_text(path, "outputs").splitlines(), str(path), frame_count):
+        if box is None:
+            continue
         # Each row takes its sidecar entry out, so what is left names no row.
         prov = provenance.get(str(frame), {}).pop(str(track_id),
                                                   PROVENANCE_UPDATED)

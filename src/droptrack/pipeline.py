@@ -73,11 +73,10 @@ class RunConfig:
 # for a float; NaN, infinity and booleans pass for nothing.
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a finite number"}
-# The Python type of each dataclass field annotation a config object or a
-# report row sets; an optional field also takes null, and a pair is an
-# array of two numbers.
+# The Python type of each dataclass field annotation a config object sets;
+# a pair is an array of two numbers.
 _FIELD_TYPES = {"float": float, "int": int, "str": str,
-                "tuple[float, float]": tuple, "float | None": float}
+                "tuple[float, float]": tuple}
 
 
 def _typed(value, kind: type, where: str):
@@ -106,8 +105,6 @@ def _string_array(data: dict, key: str, default: list) -> list[str]:
 def _field_value(value, annotation: str, where: str):
     """A JSON field value as its dataclass field stores it: an integer given
     for a float is a float, a pair is a tuple of two floats."""
-    if value is None and annotation.endswith("| None"):
-        return None
     kind = _FIELD_TYPES[annotation]
     if kind is not tuple:
         return kind(_typed(value, kind, where))
@@ -479,14 +476,6 @@ def render_sweep_json(rows: tuple[MetricsRow, ...]) -> str:
     records = [{col: float(_fmt(value)) if isinstance(value, float) else value
                 for col, value in asdict(row).items()} for row in rows]
     return json.dumps({"rows": records}, sort_keys=True, indent=2) + "\n"
-
-
-def read_sweep_json(path) -> tuple[MetricsRow, ...]:
-    """The rows of a sweep.json; a read failure or bad row is a ConfigError."""
-    rows = _typed(read_json_object(path, "sweep report", ConfigError)
-                  .get("rows"), list, f"{path}: rows")
-    return tuple(_from_object(MetricsRow, row, f"{path}: rows[{i}]")
-                 for i, row in enumerate(rows))
 
 
 @contextmanager

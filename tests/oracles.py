@@ -556,8 +556,7 @@ def random_tracking_instance(seed: int, max_objects: int = 3,
             box = OrientedBox(cx=x0 + vx * 0.1 * f, cy=y0 + vy * 0.1 * f,
                               cz=height / 2.0, length=length, width=width,
                               height=height, yaw=yaw)
-            labels.append(LabeledObject(frame_index=f, track_id=tid, box=box,
-                                        class_label="Car"))
+            labels.append(LabeledObject(frame_index=f, track_id=tid, box=box))
 
     # A per-instance id relabeling plus an optional mid-sequence swap of two
     # predicted ids exercises the association terms.

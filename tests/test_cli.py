@@ -1,5 +1,6 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -103,15 +104,11 @@ def power_log_argv(tmp_path, text):
     return ["energy", "--log", str(log)]
 
 
-def out_file_argv(tmp_path, command, flag="--out"):
-    """`command` with `flag` naming an existing regular file."""
+def out_file_argv(tmp_path, flag="--out"):
+    """sweep with `flag` naming an existing regular file."""
     out = tmp_path / "out-is-a-file"
     out.write_text("")
-    if command == "report":
-        sweep = tmp_path / "sweep.json"
-        sweep.write_text(json.dumps({"rows": []}))
-        return ["report", "--sweep", str(sweep), "--out", str(out)]
-    return [command, "--pattern", "1/1", flag, str(out)]
+    return ["sweep", "--pattern", "1/1", flag, str(out)]
 
 
 def profile_argv(tmp_path, *names):
@@ -121,17 +118,6 @@ def profile_argv(tmp_path, *names):
     return [*sweep_argv(tmp_path, variants=[f"noisy:{n}" for n in names],
                         profiles=profiles),
             "--outputs", str(tmp_path / "out" / "cells")]
-
-
-def bad_sweep_row_argv(tmp_path, **fields):
-    """report over a sweep.json whose second row has the given fields."""
-    row = {"variant": "gt", "target": "100", "effective_target": 100.0,
-           "hota": 90.0, "det_a": 90.0, "ass_a": 90.0, "mota": 90.0,
-           "motp": 90.0, "processed_frames": 200, "draw_watts": None,
-           "yield_w_per_pt": None}
-    sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps({"rows": [row, dict(row, **fields)]}))
-    return ["report", "--sweep", str(sweep), "--out", str(tmp_path / "out")]
 
 
 ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
@@ -164,12 +150,6 @@ def holding(argv, path, text):
     """argv, with the file at path overwritten by text."""
     Path(path).write_text(text)
     return argv
-
-
-def report_argv(tmp_path):
-    """report over tmp_path/sweep.json, writing to tmp_path/out."""
-    return ["report", "--sweep", str(tmp_path / "sweep.json"), "--out",
-            str(tmp_path / "out")]
 
 
 def label_file_argv(tmp_path, **fields):
@@ -220,8 +200,6 @@ def label_file_argv(tmp_path, **fields):
     # Car is the one tracked class, so class_set is an unknown key.
     (lambda p: sweep_argv(p, class_set="Car"), EXIT_CONFIG, "class_set"),
     (config_root_argv, EXIT_CONFIG, "config root must be a JSON object"),
-    (lambda p: ["report", "--sweep", str(p / "missing.json"), "--out",
-                str(p / "out")], EXIT_CONFIG, "cannot read sweep report "),
     # Dataset errors.
     (lambda p: eval_argv(p, label_row=kitti_label_row(1, -1)), EXIT_DATASET,
      "0000.txt:5:"),
@@ -249,6 +227,11 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: eval_argv(p, sidecar={"frame_count": 4, "provenance": {
         "0": {"1": "updated", "7": "predicted"}}}),
      EXIT_DATASET, "out.txt.meta.json: frame 0 id 7:"),
+    # A row of another type is skipped, so no sidecar entry may name it.
+    (lambda p: eval_argv(p, kitti_label_row(0, 2, kind="Pedestrian"),
+                         sidecar={"provenance": {"0": {"2": "updated"}}}),
+     EXIT_DATASET,
+     "out.txt.meta.json: frame 0 id 2: provenance for no output row"),
     # A sidecar's frame_count must cover the output rows and stay within
     # the frames read.
     (lambda p: eval_argv(p, sidecar={"frame_count": 2}), EXIT_DATASET,
@@ -308,17 +291,8 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: sweep_argv(p, clear_threshold=2), EXIT_CONFIG,
      "clear_threshold"),
     # An --out that cannot be written is a bad argument.
-    (lambda p: out_file_argv(p, "sweep"), EXIT_CONFIG, "out-is-a-file"),
-    (lambda p: out_file_argv(p, "sweep", "--outputs"), EXIT_CONFIG,
-     "out-is-a-file"),
-    (lambda p: out_file_argv(p, "report"), EXIT_CONFIG, "out-is-a-file"),
-    # A sweep.json row field of the wrong type, named by file, row and field.
-    (lambda p: bad_sweep_row_argv(p, hota="abc"), EXIT_CONFIG,
-     "sweep.json: rows[1].hota"),
-    (lambda p: bad_sweep_row_argv(p, hota=None), EXIT_CONFIG,
-     "sweep.json: rows[1].hota"),
-    (lambda p: bad_sweep_row_argv(p, processed_frames=1.5), EXIT_CONFIG,
-     "sweep.json: rows[1].processed_frames"),
+    (out_file_argv, EXIT_CONFIG, "out-is-a-file"),
+    (lambda p: out_file_argv(p, "--outputs"), EXIT_CONFIG, "out-is-a-file"),
     # Energy flags go through the config's energy reader: a non-finite
     # value, or a preset beside another model flag, is refused.
     (lambda p: ["energy", "--idle-draw", "145", "--active-draw", "395",
@@ -404,9 +378,6 @@ def label_file_argv(tmp_path, **fields):
     # A file that is not UTF-8 is refused like one that cannot be read.
     (lambda p: not_utf8(sweep_argv(p), p / "config.json"), EXIT_CONFIG,
      "config.json: 'utf-8' codec can't decode"),
-    (lambda p: not_utf8(["report", "--sweep", str(p / "sweep.json"),
-                         "--out", str(p / "out")], p / "sweep.json"),
-     EXIT_CONFIG, "sweep.json: 'utf-8' codec can't decode"),
     (lambda p: not_utf8(eval_argv(p), p / "0000.txt"), EXIT_DATASET,
      "0000.txt: 'utf-8' codec can't decode"),
     (lambda p: not_utf8(eval_argv(p), p / "out.txt"), EXIT_DATASET,
@@ -420,10 +391,6 @@ def label_file_argv(tmp_path, **fields):
     # Invalid JSON, or a JSON root that is not an object, is refused like
     # a file that cannot be read, naming the file.
     (config_root_argv, EXIT_CONFIG, "config.json"),
-    (lambda p: holding(report_argv(p), p / "sweep.json", "{broken"),
-     EXIT_CONFIG, "sweep.json: not valid JSON"),
-    (lambda p: holding(report_argv(p), p / "sweep.json", "[]"), EXIT_CONFIG,
-     "sweep.json"),
     (lambda p: kitti_sweep_argv(p, manifest=[]), EXIT_DATASET,
      "manifest.json"),
     (lambda p: holding(eval_argv(p), p / "out.txt.meta.json", "{broken"),
@@ -439,14 +406,14 @@ def label_file_argv(tmp_path, **fields):
         "rng-seed-string", "rng-seed-negative", "rng-seed-past-u64",
         "seed-flag-negative", "seed-flag-past-u64", "profile-seed-past-u64",
         "class-set-string",
-        "config-root-not-object", "report-sweep-missing",
-        "label-track-id-negative",
+        "config-root-not-object", "label-track-id-negative",
         "frame-count-below-labels", "manifest-count-below-labels",
         "output-duplicate-id", "output-score-nan", "output-score-minus-inf",
         "label-score-inf", "sidecar-not-object",
         "sidecar-provenance-entry-not-object",
         "sidecar-provenance-not-string", "sidecar-provenance-unknown",
-        "sidecar-provenance-without-row", "sidecar-frame-count-below-rows",
+        "sidecar-provenance-without-row",
+        "sidecar-provenance-for-skipped-row", "sidecar-frame-count-below-rows",
         "sidecar-frame-count-above-frames", "manifest-count-boolean",
         "manifest-key-without-labels", "energy-pattern",
         "energy-length", "energy-draw-order", "power-log-no-watts",
@@ -461,8 +428,7 @@ def label_file_argv(tmp_path, **fields):
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",
         "eval-clear-threshold-above-one", "clear-threshold-zero",
         "clear-threshold-above-one", "sweep-out-is-file", "outputs-is-file",
-        "report-out-is-file", "sweep-row-hota-string", "sweep-row-hota-null",
-        "sweep-row-frames-fraction", "energy-inference-time-inf",
+        "energy-inference-time-inf",
         "energy-active-draw-inf", "energy-cycle-time-inf",
         "energy-preset-with-draw", "energy-log-with-preset",
         "energy-entry-preset-with-field", "dataset-unknown-field",
@@ -478,9 +444,8 @@ def label_file_argv(tmp_path, **fields):
         "score-range-string", "tracker-birth-variance-negative",
         "variant-undefined-profile", "variant-unknown",
         "profile-name-colon", "profile-name-path", "config-not-utf8",
-        "report-sweep-not-utf8", "labels-not-utf8", "outputs-not-utf8",
+        "labels-not-utf8", "outputs-not-utf8",
         "sidecar-not-utf8", "manifest-not-utf8", "config-root-names-file",
-        "report-sweep-not-json", "report-sweep-root-array",
         "manifest-root-array", "sidecar-not-json", "config-json-too-deep"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
@@ -495,7 +460,7 @@ def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch,
     def no_cell(*args):
         raise AssertionError("a cell was computed")
     monkeypatch.setattr(Tracker, "step", no_cell)
-    argv = out_file_argv(tmp_path, "sweep", flag) + ["--pattern", "50"]
+    argv = out_file_argv(tmp_path, flag) + ["--pattern", "50"]
     assert exit_code(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -624,7 +589,6 @@ def test_commands_read_and_write_utf8_whatever_the_locale(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src))
     for argv in (["sweep", "--config", str(cfg), "--out", "r",
                   "--outputs", "r/cells"],
-                 ["report", "--sweep", "r/sweep.json", "--out", "r2"],
                  ["energy", "--log", "log.csv"],
                  ["eval", "--labels", str(labels),
                   "--outputs", "r/cells/gt/1of2/0000.txt"]):
@@ -642,13 +606,31 @@ class TestSweep:
         out = tmp_path / "report"
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_OK
-        stdout = capsys.readouterr().out
-        assert (out / "sweep.csv").exists()
-        assert sorted(p.name for p in out.iterdir()) \
-            == ["sweep.csv", "sweep.json"]
-        assert stdout.count("wrote ") == 2
+        names = ("sweep.csv", "sweep.json")
+        assert sorted(p.name for p in out.iterdir()) == list(names)
+        # The table, then one line per written file.
+        assert capsys.readouterr().out == (out / "sweep.csv").read_text() \
+            + "".join(f"wrote {out / name}\n" for name in names)
         data_rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         assert len(data_rows) == 2
+
+    def test_report_files_hold_the_same_rows(self, tmp_path, capsys):
+        # Each sweep.json row, printed as sweep.csv prints a row (floats to
+        # 6 decimals, null as blank), is that file's row.
+        def printed(value):
+            if value is None:
+                return ""
+            return f"{value:.6f}" if isinstance(value, float) else str(value)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_readme_config(tmp_path)),
+                     "--out", str(out)]) == EXIT_OK
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as f:
+            csv_rows = list(csv.DictReader(f))
+        json_rows = json.loads((out / "sweep.json").read_text())["rows"]
+        assert len(json_rows) == len(csv_rows) == 12
+        for json_row, csv_row in zip(json_rows, csv_rows):
+            assert {name: printed(value)
+                    for name, value in json_row.items()} == csv_row
 
     def test_seed_override_changes_noisy_results(self, tmp_path, capsys):
         cfg = write_config(
@@ -730,6 +712,23 @@ class TestEval:
             # 96.155048 at 1/4.
             assert float(printed["motp"]) == pytest.approx(row["motp"],
                                                            abs=1e-5), cell
+
+    def test_output_rows_of_other_types_are_skipped(self, tmp_path, capsys):
+        # Beside each frame's Car, a Pedestrian 0.3 m to the side. Output
+        # rows, like label rows, are scoped to Car: it is no false positive.
+        cars = "".join(kitti_label_row(f, 1) + "\n" for f in range(4))
+        labels = tmp_path / "0000.txt"
+        labels.write_text(cars)
+        outputs = tmp_path / "out.txt"
+        outputs.write_text(cars + "".join(
+            kitti_label_row(f, 2, x=2.3, kind="Pedestrian") + "\n"
+            for f in range(4)))
+        assert main(["eval", "--labels", str(labels), "--outputs",
+                     str(outputs)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "hota 100.000000" in out
+        assert "mota 100.000000" in out
+        assert "tp 4 fp 0 fn 0 id_switches 0" in out
 
     def test_frame_tables_built_once(self, tmp_path, capsys, monkeypatch):
         # HOTA and CLEAR score the same tables.
@@ -857,40 +856,3 @@ class TestEnergy:
         code = main(["energy", "--log", str(tmp_path / "absent.csv")])
         assert code == EXIT_CONFIG
         assert "cannot read power log" in capsys.readouterr().err
-
-
-class TestReport:
-    def test_rerender_from_sweep_json(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, patterns=["1/1"])
-        first = tmp_path / "first"
-        assert main(["sweep", "--config", str(cfg), "--out",
-                     str(first)]) == EXIT_OK
-        second = tmp_path / "second"
-        code = main(["report", "--sweep", str(first / "sweep.json"),
-                     "--out", str(second)])
-        assert code == EXIT_OK
-        assert sorted(p.name for p in second.iterdir()) \
-            == ["sweep.csv", "sweep.json"]
-        assert (second / "sweep.csv").read_text() \
-            == (first / "sweep.csv").read_text()
-
-    def test_round_trip_bytes(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        first = tmp_path / "first"
-        assert main(["sweep", "--config", str(cfg), "--out",
-                     str(first)]) == EXIT_OK
-        names = ("sweep.csv", "sweep.json")
-        assert capsys.readouterr().out == (first / "sweep.csv").read_text() \
-            + "".join(f"wrote {first / name}\n" for name in names)
-        second = tmp_path / "second"
-        assert main(["report", "--sweep", str(first / "sweep.json"),
-                     "--out", str(second)]) == EXIT_OK
-        for name in names:
-            assert (second / name).read_bytes() == (first / name).read_bytes()
-
-    def test_bad_sweep_file(self, tmp_path, capsys):
-        bad = tmp_path / "sweep.json"
-        bad.write_text("[]")
-        code = main(["report", "--sweep", str(bad),
-                     "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG

@@ -304,7 +304,7 @@ class TestRecords:
         # The other slot-setter records check on replace as on construction.
         label = LabeledObject(0, 1, box)
         assert dataclasses.replace(label, track_id=2) == \
-            LabeledObject(frame_index=0, track_id=2, box=box, class_label="Car")
+            LabeledObject(frame_index=0, track_id=2, box=box)
         with pytest.raises(ValueError, match="frame_index must be nonnegative"):
             dataclasses.replace(label, frame_index=-1)
         with pytest.raises(ValueError, match="track_id must be nonnegative"):
@@ -324,7 +324,6 @@ class TestRecords:
         for record, name in ((box, "cx"), (box, "yaw"),
                              (Detection(box, 0.5), "score"),
                              (LabeledObject(0, 1, box), "track_id"),
-                             (LabeledObject(0, 1, box), "class_label"),
                              (TrackEntry(1, box, 0.5, "updated"), "box")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, 1.0)

@@ -331,7 +331,7 @@ class TestAssignment:
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is never loaded, and numpy only on a noisy variant's first
-        # draw: eval, energy, report and a gt-only sweep run without it.
+        # draw: eval, energy and a gt-only sweep run without it.
         # The noisy sweep at the end shows numpy is seen when it is loaded.
         row = "Car 0 0 -10 0 0 50 50 1.50 1.80 4.20 2.00 1.65 10.00 0.10"
         rows = "".join(f"{f} 1 {row}\n" for f in range(4))
@@ -359,7 +359,6 @@ run("eval", "--labels", work / "0000.txt", "--outputs", work / "out.txt")
 run("energy", "--log", work / "log.csv")
 run("energy", "--preset", "second", "--pattern", "1/2")
 run("sweep", "--pattern", "1/2", "--out", work / "gt")
-run("report", "--sweep", work / "gt" / "sweep.json", "--out", work / "re")
 print(loaded())
 run("sweep", "--pattern", "1/2", "--config", work / "noisy.json")
 print(loaded())

@@ -17,14 +17,13 @@ from pathlib import Path
 
 from .energy import (ENERGY_PRESETS, estimate_draw_multi, read_power_log_csv,
                      summarize_power_log)
-from .geometry import SIMILARITY_FNS
 from .kitti_io import (DatasetError, parse_kitti_labels, read_frame_outputs,
                        read_json_object)
 from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
-from .pipeline import (ComputationError, ConfigError, clear_threshold,
-                       config_from_dict, energy_params, output_dir,
-                       render_sweep_csv, rng_seed, run_sweep, write_report)
+from .pipeline import (ComputationError, ConfigError, config_from_dict,
+                       energy_params, output_dir, render_sweep_csv, rng_seed,
+                       run_sweep, write_report)
 from .schedule import build_schedule, parse_pattern
 
 EXIT_OK = 0
@@ -70,9 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--outputs", type=Path, required=True)
     eval_p.add_argument("--sidecar", type=Path, default=None)
     eval_p.add_argument("--frame-count", type=_positive(int), default=None)
-    eval_p.add_argument("--similarity", default="3d-iou",
-                        choices=sorted(SIMILARITY_FNS))
-    eval_p.add_argument("--clear-threshold", type=float, default=0.5)
 
     energy_p = sub.add_parser("energy", help="power log summary or draw model")
     energy_p.add_argument("--log", type=Path, default=None,
@@ -125,14 +121,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    threshold = clear_threshold(args.clear_threshold, "--clear-threshold")
     sequence = parse_kitti_labels(args.labels, frame_count=args.frame_count)
     outputs = read_frame_outputs(args.outputs, args.sidecar,
                                  frame_count=sequence.frame_count)
-    tables = metrics.build_frame_tables(list(sequence.labels), outputs,
-                                        args.similarity)
+    tables = metrics.build_frame_tables(list(sequence.labels), outputs)
     hota_res = hota(tables)
-    clear_res = clear_mot(tables, threshold)
+    clear_res = clear_mot(tables)
     print(f"hota {hota_res.hota:.6f}")
     print(f"det_a {hota_res.det_a:.6f}")
     print(f"ass_a {hota_res.ass_a:.6f}")

@@ -113,16 +113,24 @@ def summarize_power_log(log: PowerLog) -> float:
 
 
 def read_power_log_csv(path) -> PowerLog:
-    """Load `timestamp_s,watts` rows (header required): finite numbers, no
-    watts below 0 and no timestamp below the one before; else a ValueError
-    naming path:line."""
+    """Load `timestamp_s,watts` rows under a header naming each once: no
+    row longer than it, finite numbers, no watts below 0 and no timestamp
+    below the one before; else a ValueError naming path:line."""
     watts, times = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if not {"timestamp_s", "watts"} <= set(reader.fieldnames or ()):
+        header = reader.fieldnames or []
+        if not {"timestamp_s", "watts"} <= set(header):
             raise ValueError(f"{path}: expected header with 'timestamp_s' "
                              f"and 'watts' columns")
+        for key in ("timestamp_s", "watts"):
+            if header.count(key) > 1:
+                raise ValueError(f"{path}:{reader.line_num}: header names "
+                                 f"{key!r} twice")
         for row in reader:
+            if None in row:  # DictReader's key for fields past the header
+                raise ValueError(f"{path}:{reader.line_num}: more fields "
+                                 f"than the header's {len(header)}")
             for key in ("timestamp_s", "watts"):
                 try:
                     number = float(row[key])

@@ -14,13 +14,13 @@ its terms one at a time, left to right from 0.0, in vertex order: it
 does not call `sum()`, which uses compensated summation from Python 3.12
 on and would give other last bits there.
 
-`pair_similarities` scores the (row, column) pairs of two box lists,
-for association and for evaluation alike, and returns only the pairs
-that overlap. It is the one place a pair is skipped by its bounds: a pair
-whose footprints' bounding circles are apart gets no exact call. The
-exact functions only clip;
-`iou_3d` first takes the vertical overlap, which its volume needs, and
-returns 0 without clipping when there is none.
+`pair_similarities` scores the (row, column) pairs of two box lists by
+`iou_3d`, the one scoring rule, for association and for evaluation
+alike, and returns only the pairs that overlap. It is the one place a
+pair is skipped by its bounds: a pair whose footprints' bounding circles
+are apart gets no exact call. The exact functions only clip; `iou_3d`
+first takes the vertical overlap, which its volume needs, and returns 0
+without clipping when there is none.
 """
 
 from __future__ import annotations
@@ -253,21 +253,16 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     return min(inter / union, 1.0)
 
 
-# Box similarity functions by the name configs and the command line use.
-SIMILARITY_FNS = {"3d-iou": iou_3d, "bev-iou": bev_iou}
-
-
-def pair_similarities(rows: list[OrientedBox], cols: list[OrientedBox],
-                      similarity: str) -> list[tuple[int, int, float]]:
+def pair_similarities(rows: list[OrientedBox], cols: list[OrientedBox]
+                      ) -> list[tuple[int, int, float]]:
     """The (row, column, sim) triples of the pairs that overlap, `sim > 0`
-    being `SIMILARITY_FNS[similarity]` of the pair, in row-major order.
+    being `iou_3d` of the pair, in row-major order.
 
     A pair whose footprints' bounding circles are apart,
     `hypot(ax - bx, ay - by) > ra + rb`, gets no exact call: its exact
     similarity is 0. Every other pair gets one, and is kept if it scores
     above 0, so a pair missing from the list does not overlap.
     """
-    sim_fn = SIMILARITY_FNS[similarity]
     hypot = math.hypot
     col_circles = [(j, b, b.cx, b.cy, b.footprint_radius)
                    for j, b in enumerate(cols)]
@@ -276,5 +271,5 @@ def pair_similarities(rows: list[OrientedBox], cols: list[OrientedBox],
         ax, ay, ar = a.cx, a.cy, a.footprint_radius
         triples += [(i, j, x) for j, b, bx, by, br in col_circles
                     if hypot(ax - bx, ay - by) <= ar + br
-                    and (x := sim_fn(a, b)) > 0.0]
+                    and (x := iou_3d(a, b)) > 0.0]
     return triples

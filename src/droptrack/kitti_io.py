@@ -52,11 +52,18 @@ def read_text(path, what: str, error: type[Exception] = DatasetError) -> str:
 def read_json_object(path, what: str,
                      error: type[Exception] = DatasetError) -> dict:
     """The JSON object in an input file; read_text's failures, invalid or
-    too deeply nested JSON, or a root that is not an object raise `error`
-    naming the path."""
+    too deeply nested JSON, an object that names a key twice, or a root
+    that is not an object raise `error` naming the path."""
+    def unique_keys(pairs):
+        if len(data := dict(pairs)) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs)
+                       if k in dict(pairs[:i]))
+            raise error(f"cannot read {what} {path}: key {key!r} repeats")
+        return data
+
     text = read_text(path, what, error)
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"cannot read {what} {path}: not valid JSON: {exc}") \
             from None

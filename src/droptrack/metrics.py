@@ -7,7 +7,7 @@ detection step was dropped are judged on predicted boxes.
 which both can share; `hota_pooled` and `clear_pooled` one per sequence.
 
 A frame table is sparse: it holds the (row, column, sim) triples of the
-pairs that overlap, `sim > 0`, as `pair_similarities` returns them, and
+pairs whose 3D IoU `sim` is above 0, as `pair_similarities` returns them, and
 no entry for any other pair. A pair that does not overlap is never a
 match candidate, whatever the threshold. The scoring reads only the
 triples, in plain Python, with no array built per frame.
@@ -24,6 +24,7 @@ zeros in place. The tests check these sums against the installed numpy.
 
 Definitional constants shared with the test oracles:
   - ALPHA_GRID: the 19-point localization-threshold grid 0.05..0.95.
+  - CLEAR_THRESHOLD: the 3D IoU at which CLEAR matches, read at call time.
   - MATCH_EPS: slack on similarity-vs-threshold comparisons (defined
     with the tracker's gated assignment, which both metrics match with).
   - Matching objective: per frame, maximize match count first, then the
@@ -56,6 +57,7 @@ from .tracker import (MATCH_EPS, FrameOutput, _pairwise_sum, conflict_free,
                       gated_assignment)
 
 ALPHA_GRID = tuple(k / 20.0 for k in range(1, 20))
+CLEAR_THRESHOLD = 0.5
 
 
 class NoGroundTruthError(ValueError):
@@ -104,8 +106,7 @@ class FrameTable:
 
 
 def build_frame_tables(labels: list[LabeledObject],
-                       outputs: list[FrameOutput],
-                       similarity="3d-iou") -> list[FrameTable]:
+                       outputs: list[FrameOutput]) -> list[FrameTable]:
     """Canonical per-frame tables, one per output (output i is frame i),
     ids sorted, each table's `pairs` scored by `pair_similarities`."""
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
@@ -130,7 +131,7 @@ def build_frame_tables(labels: list[LabeledObject],
             pr[entry.track_id] = entry.box
         gt_ids, pred_ids = tuple(sorted(gt)), tuple(sorted(pr))
         tables.append(FrameTable(gt_ids, pred_ids, pair_similarities(
-            [gt[i] for i in gt_ids], [pr[j] for j in pred_ids], similarity)))
+            [gt[i] for i in gt_ids], [pr[j] for j in pred_ids])))
     return tables
 
 
@@ -241,8 +242,8 @@ def hota(tables: list[FrameTable]) -> HotaResult:
 
 # --- CLEAR --------------------------------------------------------------
 
-def _clear_counts(tables: list[FrameTable], match_threshold: float):
-    gate = match_threshold - MATCH_EPS
+def _clear_counts(tables: list[FrameTable]):
+    gate = CLEAR_THRESHOLD - MATCH_EPS
     tp = fp = fn = idsw = 0
     gt_total = 0
     iou_sum = 0.0
@@ -283,10 +284,9 @@ def _clear_counts(tables: list[FrameTable], match_threshold: float):
     return tp, fp, fn, idsw, gt_total, iou_sum
 
 
-def clear_pooled(tables_per_seq: list[list[FrameTable]],
-                 match_threshold: float = 0.5) -> ClearResult:
+def clear_pooled(tables_per_seq: list[list[FrameTable]]) -> ClearResult:
     """CLEAR over all sequences: each sequence's counts, summed."""
-    counts = [_clear_counts(t, match_threshold) for t in tables_per_seq]
+    counts = [_clear_counts(t) for t in tables_per_seq]
     # Column sums left to right, from a zero row so that no sequences means
     # no ground truth. Not sum(): from Python 3.12 it compensates floats.
     totals = (0, 0, 0, 0, 0, 0.0)
@@ -301,6 +301,5 @@ def clear_pooled(tables_per_seq: list[list[FrameTable]],
                        id_switches=idsw, gt_total=gt_total)
 
 
-def clear_mot(tables: list[FrameTable],
-              match_threshold: float = 0.5) -> ClearResult:
-    return clear_pooled([tables], match_threshold)
+def clear_mot(tables: list[FrameTable]) -> ClearResult:
+    return clear_pooled([tables])

@@ -27,7 +27,7 @@ from .detectors import (SEED_BOUND, NoiseProfile, gt_detect, noisy_detect,
                         scene_context)
 from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
                      yield_metric)
-from .geometry import SIMILARITY_FNS, Detection
+from .geometry import Detection
 from .kitti_io import SequenceData, load_label_dir, load_manifest, \
     read_json_object, write_frame_outputs
 from . import metrics
@@ -64,8 +64,6 @@ class RunConfig:
     tracker: TrackerConfig
     tracker_overrides: dict[DropPattern, TrackerConfig]
     energy: dict[str, EnergyParams]
-    similarity: str
-    clear_threshold: float
     rng_seed: int
 
 
@@ -75,8 +73,7 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a finite number"}
 # The Python type of each dataclass field annotation a config object sets;
 # a pair is an array of two numbers.
-_FIELD_TYPES = {"float": float, "int": int, "str": str,
-                "tuple[float, float]": tuple}
+_FIELD_TYPES = {"float": float, "int": int, "tuple[float, float]": tuple}
 
 
 def _typed(value, kind: type, where: str):
@@ -145,15 +142,6 @@ def energy_params(entry, where: str) -> EnergyParams:
                               f"known: {sorted(ENERGY_PRESETS)}")
         return ENERGY_PRESETS[name]
     return _from_object(EnergyParams, entry, where)
-
-
-def clear_threshold(value, where: str) -> float:
-    """A CLEAR match threshold, a number in (0, 1]; else a ConfigError."""
-    value = float(_typed(value, float, where))
-    # At 0 or below, CLEAR's gate would admit every overlapping pair.
-    if not 0.0 < value <= 1.0:
-        raise ConfigError(f"{where} must lie in (0, 1], got {value!r}")
-    return value
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -247,11 +235,6 @@ def config_from_dict(data: dict) -> RunConfig:
             TrackerConfig, {**asdict(tracker), **_typed(body, dict, where)},
             where)
 
-    similarity = data.get("similarity", "3d-iou")
-    known = sorted(SIMILARITY_FNS)
-    if similarity not in known:
-        raise ConfigError(f"similarity {similarity!r}: expected one of {known}")
-
     # A draw model for every variant, or for one variant.
     energy_keys = {"default", "gt"} | {f"noisy:{name}" for name in profiles}
     energy = {}
@@ -269,9 +252,6 @@ def config_from_dict(data: dict) -> RunConfig:
         tracker=tracker,
         tracker_overrides=overrides,
         energy=energy,
-        similarity=similarity,
-        clear_threshold=clear_threshold(data.get("clear_threshold", 0.5),
-                                        "clear_threshold"),
         rng_seed=rng_seed(data.get("rng_seed", 0), "rng_seed"),
     )
     for variant in config.variants:
@@ -379,10 +359,10 @@ def run_once(config: RunConfig, variant: str, pattern: DropPattern,
             outputs_per_sequence[seq.sequence_id] = outputs
             # Looked up at call time, so the benchmark's traced pass sees it.
             tables_per_seq.append(metrics.build_frame_tables(
-                list(seq.labels), outputs, config.similarity))
+                list(seq.labels), outputs))
 
         hota_res = hota_pooled(tables_per_seq)
-        clear_res = clear_pooled(tables_per_seq, config.clear_threshold)
+        clear_res = clear_pooled(tables_per_seq)
 
         total_frames = sum(len(flags) for flags in schedules)
         total_processed = sum(sum(flags) for flags in schedules)

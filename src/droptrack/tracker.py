@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (MIN_EXTENT, SIMILARITY_FNS, Detection, OrientedBox,
-                       _slot_setters, pair_similarities, wrap_angle)
+from .geometry import (MIN_EXTENT, Detection, OrientedBox, _slot_setters,
+                       pair_similarities, wrap_angle)
 
 N_OBSERVED = 7
 
@@ -50,7 +50,6 @@ class TrackerConfig:
     min_hits_to_confirm: int = 1
     max_misses_to_delete: int = 2
     gate_iou_min: float = 0.1
-    association_metric: str = "3d-iou"
     process_noise: float = 1e-2
     measurement_noise: float = 1e-2
 
@@ -62,9 +61,6 @@ class TrackerConfig:
             raise ValueError("lifecycle thresholds must be >= 1")
         if not 0.0 <= self.gate_iou_min <= 1.0:
             raise ValueError("gate_iou_min must lie in [0, 1]")
-        if self.association_metric not in SIMILARITY_FNS:
-            raise ValueError(f"association_metric must be one of "
-                             f"{sorted(SIMILARITY_FNS)}")
         for name in ("process_noise", "measurement_noise"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
@@ -300,8 +296,7 @@ def associate(tracks: list[TrackState], detections: list[Detection],
     never matched, whatever the gate."""
     gate = config.gate_iou_min - MATCH_EPS
     triples = pair_similarities([t.box() for t in tracks],
-                                [d.box for d in detections],
-                                config.association_metric)
+                                [d.box for d in detections])
     pairs = gated_assignment((len(tracks), len(detections)),
                              [p for p in triples if p[2] >= gate])
     matched_t = {i for i, _ in pairs}

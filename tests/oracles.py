@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from droptrack.energy import EnergyParams
-from droptrack.geometry import (_AREA_EPS, MIN_EXTENT, SIMILARITY_FNS,
-                                Detection, LabeledObject, OrientedBox, iou_3d,
+from droptrack.geometry import (_AREA_EPS, MIN_EXTENT, Detection,
+                                LabeledObject, OrientedBox, iou_3d,
                                 wrap_angle)
 from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
                                NoGroundTruthError)
@@ -228,7 +228,7 @@ def _best_weighted_matching(eligible: list[list[bool]],
 
 # --- tracking-metric oracles ----------------------------------------------
 
-def _group_frames(labels, outputs, similarity):
+def _group_frames(labels, outputs):
     """(frame, sorted gt ids, sorted pred ids, sim rows) built directly
     from the raw objects; independent of the library's table builder."""
     gt_by_frame = defaultdict(dict)
@@ -240,19 +240,19 @@ def _group_frames(labels, outputs, similarity):
         gts = gt_by_frame.get(f, {})
         gt_ids = sorted(gts)
         pred_ids = sorted(preds)
-        sim = [[similarity(gts[gi], preds[pj]) for pj in pred_ids]
+        sim = [[iou_3d(gts[gi], preds[pj]) for pj in pred_ids]
                for gi in gt_ids]
         frames.append((f, gt_ids, pred_ids, sim))
     return frames
 
 
-def oracle_hota(labels, outputs, similarity=iou_3d):
+def oracle_hota(labels, outputs):
     """Two-pass HOTA with exhaustive per-frame matchings.
 
     Returns (hota, det_a, ass_a, per_alpha) on the 0..100 scale, with the
     same final arithmetic as the library so exact comparison is fair.
     """
-    frames = _group_frames(labels, outputs, similarity)
+    frames = _group_frames(labels, outputs)
 
     gt_count: dict[int, int] = defaultdict(int)
     pred_count: dict[int, int] = defaultdict(int)
@@ -318,12 +318,12 @@ def oracle_hota(labels, outputs, similarity=iou_3d):
     return hota_val, det_val, ass_val, tuple(per_alpha)
 
 
-def oracle_clear(labels, outputs, match_threshold=0.5, similarity=iou_3d):
+def oracle_clear(labels, outputs, match_threshold=0.5):
     """CLEAR counts with carryover-then-exhaustive matching.
 
     Returns (mota, motp, tp, fp, fn, idsw, gt_total).
     """
-    frames = _group_frames(labels, outputs, similarity)
+    frames = _group_frames(labels, outputs)
     tp = fp = fn = idsw = 0
     gt_total = 0
     iou_sum = 0.0
@@ -609,10 +609,9 @@ def random_tracking_instance(seed: int, max_objects: int = 3,
 # --- pair scoring without a prefilter --------------------------------------
 
 def reference_frame_tables(labels: list[LabeledObject],
-                           outputs: list[FrameOutput],
-                           similarity="3d-iou") -> list[FrameTable]:
-    """Canonical per-frame tables, one per output, ids sorted."""
-    sim_fn = SIMILARITY_FNS[similarity]
+                           outputs: list[FrameOutput]) -> list[FrameTable]:
+    """Canonical per-frame tables, one per output, ids sorted, scored by
+    `iou_3d` on every pair."""
     by_frame_gt: dict[int, dict[int, OrientedBox]] = {}
     for lab in labels:
         frame = by_frame_gt.setdefault(lab.frame_index, {})
@@ -643,7 +642,7 @@ def reference_frame_tables(labels: list[LabeledObject],
         sim = np.zeros((len(gt_ids), len(pred_ids)))
         for i, gi in enumerate(gt_ids):
             for j, pj in enumerate(pred_ids):
-                sim[i, j] = sim_fn(gt[gi], pr[pj])
+                sim[i, j] = iou_3d(gt[gi], pr[pj])
         tables.append(dense_frame_table(gt_ids, pred_ids, sim))
     return tables
 
@@ -670,7 +669,6 @@ def reference_associate(tracks, detections, config):
     """(scores, pairs, unmatched tracks, unmatched detections) from a
     per-pair loop over every (track, detection) pair, each track box
     built with an explicit yaw wrap."""
-    similarity = SIMILARITY_FNS[config.association_metric]
     scores = np.zeros((len(tracks), len(detections)))
     for i, trk in enumerate(tracks):
         m = trk.mean
@@ -680,7 +678,7 @@ def reference_associate(tracks, detections, config):
                          height=max(MIN_EXTENT, float(m[6])),
                          yaw=wrap_angle(float(m[3])))
         for j, det in enumerate(detections):
-            scores[i, j] = similarity(tb, det.box)
+            scores[i, j] = iou_3d(tb, det.box)
     pairs = gated_assignment(scores.shape, eligible_triples(
         scores, (scores > 0) & (scores >= config.gate_iou_min - MATCH_EPS)))
     matched_t = {i for i, _ in pairs}

@@ -13,8 +13,6 @@ import pytest
 from droptrack import metrics
 from droptrack.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATASET, EXIT_OK,
                            main)
-from droptrack.kitti_io import parse_kitti_labels, read_frame_outputs
-from droptrack.metrics import build_frame_tables, clear_pooled, hota_pooled
 from droptrack.tracker import Tracker
 
 
@@ -160,7 +158,10 @@ def label_file_argv(tmp_path, **fields):
 
 
 @pytest.mark.parametrize("build, code, needle", [
-    (lambda p: sweep_argv(p, similarity="nope"), EXIT_CONFIG, "similarity"),
+    # 3D IoU is the one scoring rule and CLEAR matches at the fixed 0.5, so
+    # similarity and clear_threshold are unknown keys.
+    (lambda p: sweep_argv(p, similarity="nope"), EXIT_CONFIG,
+     "unknown config keys ['similarity']"),
     (lambda p: sweep_argv(p, tracker_overrides={"bogus": {}}), EXIT_CONFIG,
      "tracker_overrides['bogus']"),
     (lambda p: sweep_argv(p, tracker_overrides={"1/2": {"cycle_time": -1}}),
@@ -182,7 +183,7 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: sweep_argv(p, profiles=[1]), EXIT_CONFIG, "profiles"),
     (lambda p: sweep_argv(p, energy=[1]), EXIT_CONFIG, "energy"),
     (lambda p: sweep_argv(p, clear_threshold="abc"), EXIT_CONFIG,
-     "clear_threshold"),
+     "unknown config keys ['clear_threshold']"),
     (lambda p: sweep_argv(p, rng_seed="x"), EXIT_CONFIG, "rng_seed"),
     # A seed outside [0, 2**64) would draw the noise of the seed it is
     # congruent to: -1 and 2**65 - 1 that of 2**64 - 1.
@@ -276,20 +277,20 @@ def label_file_argv(tmp_path, **fields):
     # truth to score.
     (lambda p: kitti_sweep_argv(p, kind="Van"),
      EXIT_COMPUTE, "variant=gt pattern=1/1"),
-    # A CLEAR threshold outside (0, 1] would gate nothing, every
-    # overlapping pair passing it, or would match nothing.
+    # CLEAR matches at the fixed 0.5: a threshold is refused, whatever its
+    # value, as an unknown eval flag or config key.
     (lambda p: eval_argv(p, extra=["--clear-threshold", "nan"]), EXIT_CONFIG,
-     "--clear-threshold"),
+     "unrecognized arguments: --clear-threshold"),
     (lambda p: eval_argv(p, extra=["--clear-threshold", "-1"]), EXIT_CONFIG,
-     "--clear-threshold"),
+     "unrecognized arguments: --clear-threshold"),
     (lambda p: eval_argv(p, extra=["--clear-threshold", "0"]), EXIT_CONFIG,
-     "--clear-threshold"),
+     "unrecognized arguments: --clear-threshold"),
     (lambda p: eval_argv(p, extra=["--clear-threshold", "2"]), EXIT_CONFIG,
-     "--clear-threshold"),
+     "unrecognized arguments: --clear-threshold"),
     (lambda p: sweep_argv(p, clear_threshold=0), EXIT_CONFIG,
-     "clear_threshold"),
+     "unknown config keys ['clear_threshold']"),
     (lambda p: sweep_argv(p, clear_threshold=2), EXIT_CONFIG,
-     "clear_threshold"),
+     "unknown config keys ['clear_threshold']"),
     # An --out that cannot be written is a bad argument.
     (out_file_argv, EXIT_CONFIG, "out-is-a-file"),
     (lambda p: out_file_argv(p, "--outputs"), EXIT_CONFIG, "out-is-a-file"),
@@ -398,6 +399,29 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: holding(sweep_argv(p), p / "config.json",
                        "[" * 100_000 + "]" * 100_000),
      EXIT_CONFIG, "config.json: JSON nested too deeply"),
+    # A key named twice, at any depth, is refused, not read as its last
+    # value.
+    (lambda p: holding(sweep_argv(p), p / "config.json",
+                       '{"patterns": ["1/1"], "variants": ["gt"], '
+                       '"patterns": ["1/10"]}'),
+     EXIT_CONFIG, "config.json: key 'patterns' repeats"),
+    (lambda p: holding(sweep_argv(p), p / "config.json",
+                       '{"patterns": ["1/1"], "tracker": '
+                       '{"gate_iou_min": 0.5, "gate_iou_min": 0.1}}'),
+     EXIT_CONFIG, "config.json: key 'gate_iou_min' repeats"),
+    (lambda p: holding(kitti_sweep_argv(p, manifest={"0000": 4}),
+                       p / "manifest.json", '{"0000": 4, "0000": 5}'),
+     EXIT_DATASET, "manifest.json: key '0000' repeats"),
+    (lambda p: holding(eval_argv(p), p / "out.txt.meta.json",
+                       '{"provenance": {"0": {"1": "predicted"}, '
+                       '"0": {"1": "updated"}}}'),
+     EXIT_DATASET, "out.txt.meta.json: key '0' repeats"),
+    # A power-log row longer than its header, or a header that names a
+    # read column twice, would have a field dropped or read in its place.
+    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,100,5\n"),
+     EXIT_CONFIG, "log.csv:2: more fields than the header's 2"),
+    (lambda p: power_log_argv(p, "timestamp_s,watts,watts\n0,100,5\n"),
+     EXIT_CONFIG, "log.csv:1: header names 'watts' twice"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -446,7 +470,10 @@ def label_file_argv(tmp_path, **fields):
         "profile-name-colon", "profile-name-path", "config-not-utf8",
         "labels-not-utf8", "outputs-not-utf8",
         "sidecar-not-utf8", "manifest-not-utf8", "config-root-names-file",
-        "manifest-root-array", "sidecar-not-json", "config-json-too-deep"])
+        "manifest-root-array", "sidecar-not-json", "config-json-too-deep",
+        "config-key-repeats", "tracker-key-repeats", "manifest-key-repeats",
+        "sidecar-frame-key-repeats", "power-log-extra-field",
+        "power-log-watts-twice"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -741,45 +768,6 @@ class TestEval:
         monkeypatch.setattr(metrics, "build_frame_tables", counting)
         assert main(eval_argv(tmp_path)) == EXIT_OK
         assert len(calls) == 1
-
-    def test_similarity_flag_scores_both_metrics(self, tmp_path, capsys):
-        # Outputs sit 0.3 m beside and 0.6 m below the 1.5 m tall labels:
-        # bird's-eye IoU about 0.84, 3D IoU under the 0.5 CLEAR threshold.
-        labels = tmp_path / "0000.txt"
-        labels.write_text("".join(kitti_label_row(f, 1, x=0.3 * f) + "\n"
-                                  for f in range(4)))
-        outputs = tmp_path / "out.txt"
-        outputs.write_text("".join(
-            kitti_label_row(f, 7, x=0.3 * f + 0.3).replace(" 1.65 ",
-                                                           " 2.25 ") + "\n"
-            for f in range(4)))
-        printed = {}
-        for similarity in ("bev-iou", "3d-iou"):
-            assert main(["eval", "--labels", str(labels), "--outputs",
-                         str(outputs), "--similarity", similarity]) == EXIT_OK
-            printed[similarity] = capsys.readouterr().out
-        tables = build_frame_tables(list(parse_kitti_labels(labels).labels),
-                                    read_frame_outputs(outputs), "bev-iou")
-        h, c = hota_pooled([tables]), clear_pooled([tables])
-        assert printed["bev-iou"] == (
-            f"hota {h.hota:.6f}\ndet_a {h.det_a:.6f}\nass_a {h.ass_a:.6f}\n"
-            f"mota {c.mota:.6f}\nmotp {c.motp:.6f}\n"
-            f"tp {c.tp} fp {c.fp} fn {c.fn} id_switches {c.id_switches}\n")
-        assert printed["3d-iou"] != printed["bev-iou"]
-
-    def test_boxes_that_do_not_overlap_never_match(self, tmp_path, capsys):
-        # The prediction sits 50 m behind the ground truth: their IoU is
-        # 0, which the gate 1e-12 - MATCH_EPS would admit.
-        labels = tmp_path / "0000.txt"
-        labels.write_text(kitti_label_row(0, 1, z=10.0) + "\n")
-        outputs = tmp_path / "out.txt"
-        outputs.write_text(kitti_label_row(0, 1, z=60.0) + "\n")
-        assert main(["eval", "--labels", str(labels), "--outputs",
-                     str(outputs), "--frame-count", "1",
-                     "--clear-threshold", "1e-12"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "mota -100.000000" in out
-        assert "tp 0 fp 1 fn 1 id_switches 0" in out
 
     def test_no_ground_truth_is_compute_error(self, tmp_path, capsys):
         labels = tmp_path / "empty.txt"

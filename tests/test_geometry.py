@@ -14,7 +14,6 @@ from droptrack.geometry import (
     bev_iou,
     footprint_intersection_area,
     iou_3d,
-    pair_similarities,
     wrap_angle,
 )
 from droptrack.metrics import FrameTable
@@ -244,13 +243,6 @@ class TestListClipOracle:
         for box in pair:
             assert _hex_corners(box.footprint()) == \
                 _hex_corners(reference_footprint(box))
-
-
-# `pair_similarities`' scores are checked against per-pair exact calls
-# through both of its callers, in test_metrics and test_tracker.
-def test_pair_similarities_refuses_an_unknown_name():
-    with pytest.raises(KeyError):
-        pair_similarities([], [], "nope")
 
 
 # Values a box field may be given: NaN, infinities, signed zeros, negatives,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droptrack import geometry, metrics, tracker
-from droptrack.geometry import SIMILARITY_FNS, LabeledObject, OrientedBox
+from droptrack.geometry import LabeledObject, OrientedBox, iou_3d
 from droptrack.metrics import (
     ALPHA_GRID,
     MATCH_EPS,
@@ -112,16 +112,26 @@ class TestClearClosedForms:
         assert res.mota == pytest.approx(50.0, abs=1e-12)
         assert res.motp == pytest.approx(100.0, abs=1e-12)
 
-    def test_below_threshold_is_miss_plus_clutter(self):
+    def test_below_threshold_is_miss_plus_clutter(self, monkeypatch):
         labels = make_labels({0: [(1, 0.0, 0.0)]})
         outputs = make_outputs({0: [(9, 0.8, 0.0)]}, 1)  # IoU 0.4286
         res = clear_mot(build_frame_tables(labels, outputs))
         assert (res.tp, res.fn, res.fp) == (0, 1, 1)
         assert res.mota == pytest.approx(-100.0, abs=1e-12)
-        loose = clear_mot(build_frame_tables(labels, outputs),
-                          match_threshold=0.4)
+        monkeypatch.setattr(metrics, "CLEAR_THRESHOLD", 0.4)
+        loose = clear_mot(build_frame_tables(labels, outputs))
         assert loose.tp == 1
         assert loose.motp == pytest.approx(100.0 * 1.2 / 2.8, abs=1e-9)
+
+    def test_boxes_that_do_not_overlap_never_match(self, monkeypatch):
+        # The prediction sits 50 m from the ground truth: their IoU is
+        # 0, which the gate 1e-12 - MATCH_EPS would admit.
+        monkeypatch.setattr(metrics, "CLEAR_THRESHOLD", 1e-12)
+        labels = make_labels({0: [(1, 0.0, 0.0)]})
+        outputs = make_outputs({0: [(1, 50.0, 0.0)]}, 1)
+        res = clear_mot(build_frame_tables(labels, outputs))
+        assert (res.tp, res.fp, res.fn, res.id_switches) == (0, 1, 1, 0)
+        assert res.mota == -100.0
 
     def test_match_exactly_at_threshold(self):
         # Offset 2/3 on 2x2 squares gives IoU 0.5; the epsilon slack must
@@ -552,14 +562,13 @@ def box_sequence(draw):
 @given(box_sequence())
 def test_frame_tables_bit_identical_to_per_pair_loop(sequence):
     labels, outputs = sequence
-    for similarity in SIMILARITY_FNS:
-        got = build_frame_tables(labels, outputs, similarity)
-        want = reference_frame_tables(labels, outputs, similarity)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.gt_ids, g.pred_ids) == (w.gt_ids, w.pred_ids)
-            assert g.sim.shape == w.sim.shape
-            assert np.array_equal(g.sim, w.sim)
+    got = build_frame_tables(labels, outputs)
+    want = reference_frame_tables(labels, outputs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.gt_ids, g.pred_ids) == (w.gt_ids, w.pred_ids)
+        assert g.sim.shape == w.sim.shape
+        assert np.array_equal(g.sim, w.sim)
 
 
 @settings(max_examples=400, deadline=None)
@@ -570,19 +579,18 @@ def test_prefilter_never_rejects_an_overlapping_pair(pair):
     outputs = [FrameOutput((
         TrackEntry(track_id=0, box=b, score=1.0, provenance="updated"),))]
     overlap = geometry.footprint_intersection_area
-    for similarity, sim_fn in SIMILARITY_FNS.items():
-        exact = sim_fn(a, b)
-        calls = []
+    exact = iou_3d(a, b)
+    calls = []
 
-        def counting(x, y):
-            calls.append((x, y))
-            return overlap(x, y)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "footprint_intersection_area", counting)
-            (table,) = build_frame_tables(labels, outputs, similarity)
-        assert table.sim[0, 0] == exact
-        if exact > 0.0:
-            assert calls == [(a, b)]
+    def counting(x, y):
+        calls.append((x, y))
+        return overlap(x, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "footprint_intersection_area", counting)
+        (table,) = build_frame_tables(labels, outputs)
+    assert table.sim[0, 0] == exact
+    if exact > 0.0:
+        assert calls == [(a, b)]
 
 
 class TestPrefilterMechanism:
@@ -599,7 +607,7 @@ class TestPrefilterMechanism:
             calls.append((a, b))
             return overlap(a, b)
         monkeypatch.setattr(geometry, "footprint_intersection_area", counting)
-        tables = build_frame_tables(list(seq.labels), outputs, "3d-iou")
+        tables = build_frame_tables(list(seq.labels), outputs)
 
         pairs = sum(t.sim.size for t in tables)
         overlapping = sum(int(np.count_nonzero(t.sim)) for t in tables)

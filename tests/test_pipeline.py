@@ -76,8 +76,6 @@ class TestConfigParsing:
         assert cfg.variants == ("gt",)
         assert cfg.patterns == (DropPattern(1, 1),)
         assert cfg.dataset == {"kind": "reference"}
-        assert cfg.similarity == "3d-iou"
-        assert cfg.clear_threshold == 0.5
 
     def test_named_targets_accepted(self):
         cfg = config_from_dict({"patterns": [90, "75"]})

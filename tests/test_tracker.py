@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droptrack import tracker
-from droptrack.geometry import (SIMILARITY_FNS, Detection, LabeledObject,
-                                OrientedBox, wrap_angle)
+from droptrack.geometry import (Detection, LabeledObject, OrientedBox,
+                                wrap_angle)
 from droptrack.kitti_io import SequenceData
 from droptrack.pipeline import config_from_dict, run_once
 from droptrack.schedule import DropPattern, build_schedule
@@ -83,10 +83,6 @@ class TestConfigValidation:
     def test_bad_gate(self):
         with pytest.raises(ValueError):
             TrackerConfig(gate_iou_min=1.5)
-
-    def test_bad_metric(self):
-        with pytest.raises(ValueError):
-            TrackerConfig(association_metric="chamfer")
 
     def test_negative_noise(self):
         with pytest.raises(ValueError):
@@ -391,9 +387,6 @@ print(loaded())
                       make_detection(cx=20.0, cz=10.75)]
         cfg = TrackerConfig(gate_iou_min=0.0)
         assert associate(tracks, detections, cfg) == ([(0, 0)], [1], [1, 2])
-        cfg = TrackerConfig(gate_iou_min=0.0, association_metric="bev-iou")
-        assert associate(tracks, detections, cfg) == ([(0, 0), (1, 2)], [],
-                                                      [1])
 
     def test_associate_empty_inputs(self):
         cfg = TrackerConfig()
@@ -745,9 +738,8 @@ class TestAssociatePrefilter:
            st.lists(random_boxes, max_size=3),
            st.lists(st.sampled_from([0.0, 2 * math.pi, -2 * math.pi,
                                      4 * math.pi]), min_size=4, max_size=4),
-           st.sampled_from(sorted(SIMILARITY_FNS)),
            st.sampled_from([0.0, 0.1, 0.5]))
-    def test_matches_per_pair_loop(self, pairs, extra, turns, metric, gate):
+    def test_matches_per_pair_loop(self, pairs, extra, turns, gate):
         # Track yaws off by whole turns also pin that `TrackState.box()`
         # needs no wrap of its own.
         tracks = [TrackState(track_id=n + 1, var=[1.0] * 10, cross=[0.0] * 3,
@@ -756,7 +748,7 @@ class TestAssociatePrefilter:
                   for n, ((a, _), turn) in enumerate(zip(pairs, turns))]
         detections = [Detection(box=b, score=1.0)
                       for b in [b for _, b in pairs] + extra]
-        cfg = TrackerConfig(association_metric=metric, gate_iou_min=gate)
+        cfg = TrackerConfig(gate_iou_min=gate)
         seen = []
         front_door = tracker.gated_assignment
 

@@ -14,13 +14,38 @@ its terms one at a time, left to right from 0.0, in vertex order: it
 does not call `sum()`, which uses compensated summation from Python 3.12
 on and would give other last bits there.
 
-`pair_similarities` scores the (row, column) pairs of two box lists by
-`iou_3d`, the one scoring rule, for association and for evaluation
-alike, and returns only the pairs that overlap. It is the one place a
-pair is skipped by its bounds: a pair whose footprints' bounding circles
-are apart gets no exact call. The exact functions only clip; `iou_3d`
+`candidate_pairs` walks the (row, column) pairs of two box lists in
+row-major order and is the one place a pair is skipped by its bounds: a
+pair whose footprints' bounding circles are apart cannot overlap and gets
+no exact call. `pair_similarities` scores its candidates by `iou_3d`, the
+one scoring rule, for association and for evaluation alike, and returns
+only the pairs that overlap. The exact functions only clip; `iou_3d`
 first takes the vertical overlap, which its volume needs, and returns 0
 without clipping when there is none.
+
+`iou_3d_at_least(a, b, gate)` proves `iou_3d(a, b) >= gate` and
+`iou_3d(a, b) > 0` without clipping, for a caller that needs only the
+gate decision; when it returns False, nothing is proved and the caller
+makes the exact call. The proof: let m be the midpoint of the two
+centres and ρ the smaller of m's depths inside the two footprints. The
+disk of radius ρ about m lies inside both footprints, so I >= πρ²·dz,
+with `dz` the vertical overlap exactly as `iou_3d` computes it, and
+IoU = I / (Va + Vb - I) is at least the gate when
+I·(1 + gate) >= gate·(Va + Vb). The margins cover rounding. Let M be the
+largest centre coordinate of the pair plus the half-length and
+half-width of both boxes, so that every footprint and clipped coordinate
+is below M, and u = 2⁻⁵³. The computed corners, clip edges and clipped
+vertices lie within 300·u·M (about 2⁻⁴⁵·M) of the exact ones, so the
+computed polygon still holds the disk once ρ is shrunk by
+`_CERT_ROUNDING`·M = 2⁻³⁶·M. Each shoelace term is below 2M², so the
+computed area of the (at most eight-vertex) polygon is off by less than
+200·u·M², well under `_CERT_ROUNDING`·M², which the area bound
+subtracts; π is taken as 3.14159 below it. The gate inequality must hold
+with the relative margin `_CERT_REL` (2⁻⁴⁰, which covers the few
+roundings of the volumes and of the quotient) and with `_CERT_TINY`
+added to the gate, which keeps the quotient from underflowing to 0. The
+analysis assumes that nothing overflows or underflows: the certificate
+returns False when M or `dz` exceeds `_CERT_RANGE` (2¹⁶ m).
 """
 
 from __future__ import annotations
@@ -38,6 +63,12 @@ _AREA_EPS = 1e-12
 MIN_EXTENT = 0.05
 
 _INF = math.inf
+
+# The certificate's margins (see the module docstring).
+_CERT_RANGE = 2.0 ** 16
+_CERT_ROUNDING = 2.0 ** -36
+_CERT_REL = 1.0 + 2.0 ** -40
+_CERT_TINY = 2.0 ** -900
 
 
 def wrap_angle(theta: float) -> float:
@@ -253,23 +284,62 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     return min(inter / union, 1.0)
 
 
+def iou_3d_at_least(a: OrientedBox, b: OrientedBox, gate: float) -> bool:
+    """True only if `iou_3d(a, b) >= gate` and `iou_3d(a, b) > 0`, proved
+    by the disk certificate of the module docstring without clipping.
+    False proves nothing: the caller makes the exact call."""
+    # `iou_3d`'s vertical overlap, operation for operation: the same bits.
+    a_half, b_half = a.height / 2.0, b.height / 2.0
+    dz = (min(a.cz + a_half, b.cz + b_half)
+          - max(a.cz - a_half, b.cz - b_half))
+    if not 0.0 < dz <= _CERT_RANGE:
+        return False
+    ax, ay, bx, by = a.cx, a.cy, b.cx, b.cy
+    la, wa, lb, wb = (a.length / 2.0, a.width / 2.0,
+                      b.length / 2.0, b.width / 2.0)
+    reach = max(abs(ax), abs(ay), abs(bx), abs(by)) + la + wa + lb + wb
+    if not reach <= _CERT_RANGE:
+        return False
+    # The midpoint lies h from a's centre and -h from b's; its depth in a
+    # footprint is the smaller of its distances to the long and short
+    # edges, read off h's components along and across the heading.
+    hx, hy = (bx - ax) / 2.0, (by - ay) / 2.0
+    ca, sa, cb, sb = (math.cos(a.yaw), math.sin(a.yaw),
+                      math.cos(b.yaw), math.sin(b.yaw))
+    rho = min(la - abs(hx * ca + hy * sa), wa - abs(hy * ca - hx * sa),
+              lb - abs(hx * cb + hy * sb), wb - abs(hy * cb - hx * sb)
+              ) - _CERT_ROUNDING * reach
+    if rho <= 0.0:
+        return False
+    area = 3.14159 * rho * rho - _CERT_ROUNDING * reach * reach
+    if not area > _AREA_EPS:
+        return False
+    vol = a.length * a.width * a.height + b.length * b.width * b.height
+    return area * dz >= vol * ((gate + _CERT_TINY) * _CERT_REL / (1.0 + gate))
+
+
+def candidate_pairs(rows: list[OrientedBox], cols: list[OrientedBox]):
+    """The (row, row box, column, column box) of each pair that may
+    overlap, row-major: a pair whose footprints' bounding circles are
+    apart, `hypot(ax - bx, ay - by) > ra + rb`, does not overlap and is
+    skipped."""
+    hypot = math.hypot
+    col_circles = [(j, b, b.cx, b.cy, b.footprint_radius)
+                   for j, b in enumerate(cols)]
+    for i, a in enumerate(rows):
+        ax, ay, ar = a.cx, a.cy, a.footprint_radius
+        for j, b, bx, by, br in col_circles:
+            if hypot(ax - bx, ay - by) <= ar + br:
+                yield i, a, j, b
+
+
 def pair_similarities(rows: list[OrientedBox], cols: list[OrientedBox]
                       ) -> list[tuple[int, int, float]]:
     """The (row, column, sim) triples of the pairs that overlap, `sim > 0`
     being `iou_3d` of the pair, in row-major order.
 
-    A pair whose footprints' bounding circles are apart,
-    `hypot(ax - bx, ay - by) > ra + rb`, gets no exact call: its exact
-    similarity is 0. Every other pair gets one, and is kept if it scores
+    Each of `candidate_pairs` gets one exact call and is kept if it scores
     above 0, so a pair missing from the list does not overlap.
     """
-    hypot = math.hypot
-    col_circles = [(j, b, b.cx, b.cy, b.footprint_radius)
-                   for j, b in enumerate(cols)]
-    triples = []
-    for i, a in enumerate(rows):
-        ax, ay, ar = a.cx, a.cy, a.footprint_radius
-        triples += [(i, j, x) for j, b, bx, by, br in col_circles
-                    if hypot(ax - bx, ay - by) <= ar + br
-                    and (x := iou_3d(a, b)) > 0.0]
-    return triples
+    return [(i, j, x) for i, a, j, b in candidate_pairs(rows, cols)
+            if (x := iou_3d(a, b)) > 0.0]

@@ -42,6 +42,13 @@ its eligible pairs. Each pair keeps its similarities on those frames,
 sorted once; its match count at an alpha is how many pass that alpha's
 gate, found by bisection. Only the other frames go through the front
 door, once per alpha.
+
+Alignment, the Jaccard weight of a (gt id, pred id) pair over all
+frames, is read only there, so it is built only for the pairs eligible
+on a conflicted frame: each one's potential is summed over every frame
+that holds it, in frame order, as a full build would sum it, and a frame
+holding none of them has no row and column sums taken. A run without a
+conflicted frame builds no alignment.
 """
 
 from __future__ import annotations
@@ -169,22 +176,11 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
         raise NoGroundTruthError("no ground truth; HOTA undefined")
 
     thresholds = [alpha - MATCH_EPS for alpha in ALPHA_GRID]
-    potential: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-    tiny = sys.float_info.epsilon
     # matches[pair]: its sims on the conflict-free frames it is eligible on;
     # after the frame loop, the frames on which it is matched at each alpha.
     matches: dict[tuple[tuple[int, int], tuple[int, int]], list] = {}
     conflicted = []
     for gts, prs, triples in frames:
-        # A pair that does not overlap, or has a denominator at or below
-        # eps, has a zero ratio and adds nothing; the others are summed in
-        # row-major order.
-        row_sums, col_sums = _axis_sums(len(gts), len(prs), triples)
-        for i, j, x in triples:
-            if (denom := row_sums[i] + col_sums[j] - x) > tiny:
-                key = (gts[i], prs[j])
-                potential[key] = potential.get(key, 0.0) + x / denom
-
         pairs = [p for p in triples if p[2] >= thresholds[0]]
         if conflict_free(pairs):
             for i, j, x in pairs:
@@ -199,13 +195,29 @@ def hota_pooled(tables_per_seq: list[list[FrameTable]]) -> HotaResult:
         matches[pair] = [len(sims) - bisect_left(sims, threshold)
                          for threshold in thresholds]
 
-    # Jaccard alignment between each (gt id, pred id) pair over the whole
-    # sequence, the association weight inside matching. Only conflicted
-    # frames need it: elsewhere the matching does not depend on scores.
+    # Jaccard alignment between each (gt id, pred id) pair over all frames,
+    # the association weight inside matching. Only conflicted frames read
+    # it: elsewhere the matching does not depend on scores. So only the
+    # pairs eligible on a conflicted frame get a potential, each summed
+    # over every frame that holds it, frames and pairs in order.
+    potential = dict.fromkeys(((gts[i], prs[j]) for gts, prs, pairs
+                               in conflicted for i, j, _ in pairs), 0.0)
+    tiny = sys.float_info.epsilon
+    for gts, prs, triples in (frames if potential else ()):
+        held = [(i, j, x, key) for i, j, x in triples
+                if (key := (gts[i], prs[j])) in potential]
+        if not held:
+            continue
+        # A pair whose denominator is at or below eps has a zero ratio and
+        # adds nothing.
+        row_sums, col_sums = _axis_sums(len(gts), len(prs), triples)
+        for i, j, x, key in held:
+            if (denom := row_sums[i] + col_sums[j] - x) > tiny:
+                potential[key] += x / denom
     align = {(g, p): pot / (gt_count[g] + pred_count[p] - pot)
              for (g, p), pot in potential.items()}
     for gts, prs, pairs in conflicted:
-        weighted = [(i, j, x, align.get((gts[i], prs[j]), 0.0) * x)
+        weighted = [(i, j, x, align[(gts[i], prs[j])] * x)
                     for i, j, x in pairs]
         for a, threshold in enumerate(thresholds):
             for i, j in gated_assignment((len(gts), len(prs)), [

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (MIN_EXTENT, Detection, OrientedBox, _slot_setters,
-                       pair_similarities, wrap_angle)
+                       candidate_pairs, iou_3d, iou_3d_at_least, wrap_angle)
 
 N_OBSERVED = 7
 
@@ -291,14 +291,33 @@ def gated_assignment(shape: tuple[int, int],
 
 def associate(tracks: list[TrackState], detections: list[Detection],
               config: TrackerConfig):
-    """Split (tracks × detections) into matches and leftovers, scored by
-    `pair_similarities`: a track and a detection that do not overlap are
-    never matched, whatever the gate."""
-    gate = config.gate_iou_min - MATCH_EPS
-    triples = pair_similarities([t.box() for t in tracks],
-                                [d.box for d in detections])
-    pairs = gated_assignment((len(tracks), len(detections)),
-                             [p for p in triples if p[2] >= gate])
+    """Split (tracks × detections) into matches and leftovers.
+
+    A pair of `candidate_pairs` is eligible when `iou_3d_at_least`
+    certifies it or its exact `iou_3d` is above 0 and passes the gate: a
+    track and a detection that do not overlap are never matched, whatever
+    the gate. Scores are read only on a frame whose eligible pairs share a
+    row or a column; only then are the certified pairs scored exactly, and
+    `gated_assignment` gets every eligible pair's exact triple, row-major.
+    A conflict-free frame matches all of its eligible pairs.
+    """
+    gate = config.gate_iou_min
+    floor = gate - MATCH_EPS
+    # (row, column, row box, column box, exact score or None if certified)
+    eligible = []
+    for i, a, j, b in candidate_pairs([t.box() for t in tracks],
+                                      [d.box for d in detections]):
+        if iou_3d_at_least(a, b, gate):
+            eligible.append((i, j, a, b, None))
+        elif (x := iou_3d(a, b)) > 0.0 and x >= floor:
+            eligible.append((i, j, a, b, x))
+    if conflict_free(eligible):
+        pairs = [(i, j) for i, j, _, _, _ in eligible]
+    else:
+        pairs = gated_assignment(
+            (len(tracks), len(detections)),
+            [(i, j, iou_3d(a, b) if x is None else x)
+             for i, j, a, b, x in eligible])
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]

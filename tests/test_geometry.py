@@ -8,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droptrack.geometry import (
+    _CERT_RANGE,
+    MIN_EXTENT,
     Detection,
     LabeledObject,
     OrientedBox,
     bev_iou,
     footprint_intersection_area,
     iou_3d,
+    iou_3d_at_least,
     wrap_angle,
 )
 from droptrack.metrics import FrameTable
@@ -21,7 +24,8 @@ from droptrack.tracker import FrameOutput, TrackEntry, TrackState
 
 from oracles import (ReferenceBox, reference_footprint,
                      reference_intersection_area)
-from strategies import any_yaw, clip_pairs, finite_coord, random_boxes
+from strategies import (EDGE_OFFSETS, any_yaw, clip_pairs, finite_coord,
+                        random_boxes)
 
 
 def make_box(cx=0.0, cy=0.0, cz=1.0, length=4.0, width=2.0, height=1.5,
@@ -163,6 +167,141 @@ class TestProperties:
         bb = OrientedBox(cx=b.cx, cy=b.cy, cz=a.cz, length=b.length,
                          width=b.width, height=a.height, yaw=b.yaw)
         assert iou_3d(a, bb) == pytest.approx(bev_iou(a, bb), abs=1e-12)
+
+
+# Yaws on both sides of 0 and of ±pi, where the heading's sign flips.
+_EDGE_YAWS = st.one_of(any_yaw, st.sampled_from([
+    0.0, 1e-12, -1e-12, 1e-6, -1e-6, math.pi, -math.pi, math.pi - 1e-9,
+    -math.pi + 1e-9, math.nextafter(math.pi, 0.0),
+    math.nextafter(-math.pi, 0.0)]))
+_EXTENTS = st.one_of(st.sampled_from([MIN_EXTENT, MIN_EXTENT * 1.5, 1.8, 4.5]),
+                     st.floats(min_value=MIN_EXTENT, max_value=8.0))
+# Centre coordinates within 20 m either side of the bound on the
+# coordinates the certificate's error analysis covers.
+_FAR = st.tuples(st.sampled_from([1.0, -1.0]),
+                 st.floats(min_value=_CERT_RANGE - 20.0,
+                           max_value=_CERT_RANGE + 20.0)
+                 ).map(lambda t: t[0] * t[1])
+# The fraction of the touching distance a centre offset covers: up to and
+# just past touching, either way.
+_FRACTIONS = st.one_of(
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=-1.2, max_value=1.2),
+    st.tuples(st.sampled_from([1.0, -1.0]), EDGE_OFFSETS).map(
+        lambda t: t[0] + t[1]))
+_GATES = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                   st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def certificate_pairs(draw):
+    """(a, b, gate): a centred near the origin or, one time in five, near
+    the certified coordinate range's bound; b offset from a along and
+    across a's heading, turned a little, half a turn or at random, and
+    stacked on a with its vertical interval overlapping, just touching or
+    just apart. b has a's extents half the time. The gate is one of note,
+    any, or a multiple of the exact score from 0 to 1.5, mostly below 0.6,
+    where pairs certify."""
+    yaw = draw(_EDGE_YAWS)
+    la, wa = draw(_EXTENTS), draw(_EXTENTS)
+    lb, wb = ((la, wa) if draw(st.booleans())
+              else (draw(_EXTENTS), draw(_EXTENTS)))
+    ha, hb = (draw(st.sampled_from([0.5, 1.0, 1.5, 3.25])) for _ in range(2))
+    cx, cy = draw(finite_coord), draw(finite_coord)
+    far = draw(st.sampled_from([None, None, None, None, "x", "y"]))
+    if far == "x":
+        cx = draw(_FAR)
+    elif far == "y":
+        cy = draw(_FAR)
+    a = OrientedBox(cx, cy, draw(st.integers(-8, 8)) / 4.0, la, wa, ha, yaw)
+    along = draw(_FRACTIONS) * (la + lb) / 2.0
+    across = draw(_FRACTIONS) * (wa + wb) / 2.0
+    c, s = math.cos(yaw), math.sin(yaw)
+    twist = draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, math.pi,
+                                  math.pi / 2, draw(any_yaw)]))
+    stack = draw(st.sampled_from(["overlap", "overlap", "touch", "gap"]))
+    if stack == "overlap":
+        dz = draw(st.floats(min_value=-1.0, max_value=1.0)) * (ha + hb) / 2.0
+    else:
+        # Dyadic heights and centres: touching intervals meet exactly.
+        dz = draw(st.sampled_from([1.0, -1.0])) * (ha + hb) / 2.0
+        if stack == "gap":
+            dz += math.copysign(draw(st.sampled_from([1e-15, 1e-9, 0.5])), dz)
+    b = OrientedBox(a.cx + along * c - across * s, a.cy + along * s + across * c,
+                    a.cz + dz, lb, wb, hb, yaw + twist)
+    if draw(st.booleans()):
+        return a, b, draw(_GATES)
+    return a, b, min(1.0, iou_3d(a, b) * draw(st.one_of(
+        st.floats(0.0, 0.6), st.floats(0.0, 1.5))))
+
+
+class TestCertificate:
+    """`iou_3d_at_least` is sound: when it certifies a pair, the exact
+    score passes the gate and is above 0."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(certificate_pairs())
+    def test_certified_pairs_pass_the_gate(self, drawn):
+        a, b, gate = drawn
+        if iou_3d_at_least(a, b, gate):
+            # The gate itself, without association's MATCH_EPS slack.
+            x = iou_3d(a, b)
+            assert x >= gate and x > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(clip_pairs(), _GATES)
+    def test_certified_clip_pairs_pass_the_gate(self, pair, gate):
+        a, b = pair
+        if iou_3d_at_least(a, b, gate):
+            x = iou_3d(a, b)
+            assert x >= gate and x > 0.0
+
+    # Two aligned boxes, b narrower and 1 m ahead: the midpoint is 1 m deep
+    # in a and 0.8 m deep in b, and the certified gates end between
+    # 0.16228553 and 0.1622855389; without the rounding margins they would
+    # end at 0.16228553894 (and near 0.279 with the larger depth).
+    NEAR = (OrientedBox(0.0, 0.0, 1.0, 4.0, 2.0, 1.5, 0.0),
+            OrientedBox(1.0, 0.0, 1.0, 4.0, 1.6, 1.5, 0.0))
+
+    def test_just_inside_the_certified_region(self):
+        a, b = self.NEAR
+        assert iou_3d_at_least(a, b, 0.16228553)
+        assert iou_3d(a, b) >= 0.16228553
+
+    def test_just_outside_the_certified_region(self):
+        # Fails if the margins go, or if the disk takes the larger depth.
+        assert not iou_3d_at_least(*self.NEAR, 0.1622855389)
+
+    def test_disk_takes_the_smaller_depth(self):
+        # A 1 m cube inside a 10 m square: the midpoint is 3 m deep in a
+        # but outside b. A disk of the larger depth would certify an IoU
+        # of 0.39; the exact one is 0.01.
+        a = OrientedBox(0.0, 0.0, 0.5, 10.0, 10.0, 1.0, 0.0)
+        b = OrientedBox(4.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0)
+        assert iou_3d(a, b) < 0.1
+        assert not iou_3d_at_least(a, b, 0.1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coordinate_range(self, sign):
+        # The bound M of two identical 4 x 2 boxes is their centre
+        # coordinate plus twice 2 + 1 m: within the range at 65,529 m, past
+        # it at 65,531 m, along either axis.
+        for cx, cy in ((sign * 65529.0, 0.0), (0.0, sign * 65529.0)):
+            box = make_box(cx=cx, cy=cy)
+            assert abs(cx) + abs(cy) + 6.0 < _CERT_RANGE
+            assert iou_3d_at_least(box, box, 0.1)
+        for cx, cy in ((sign * 65531.0, 0.0), (0.0, sign * 65531.0)):
+            box = make_box(cx=cx, cy=cy)
+            assert abs(cx) + abs(cy) + 6.0 > _CERT_RANGE
+            assert not iou_3d_at_least(box, box, 0.1)
+            assert iou_3d(box, box) == 1.0
+
+    def test_stacked_boxes_are_never_certified(self):
+        a = make_box()
+        for dz in (1.5, -1.5, 1.5 + 1e-9):
+            b = make_box(cz=a.cz + dz)
+            assert iou_3d(a, b) == 0.0
+            assert not iou_3d_at_least(a, b, 0.0)
 
 
 class TestValidation:

@@ -406,6 +406,26 @@ class TestConflictFreeFrames:
         assert front_door_calls == []
         assert res == per_alpha_hota_pooled([tables])
 
+    @pytest.mark.parametrize("instance", [
+        swap_instance, *[lambda seed=seed: random_tracking_instance(seed)
+                         for seed in (0, 1, 2, 3, 7)]],
+        ids=["demo04", "seed0", "seed1", "seed2", "seed3", "seed7"])
+    def test_conflict_free_tables_build_no_alignment(self, monkeypatch,
+                                                     instance):
+        # Alignment weighs only a conflicted frame's matching: without one,
+        # no frame's row and column sums are taken.
+        calls = []
+        real = metrics._axis_sums
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        tables = build_frame_tables(*instance())
+        monkeypatch.setattr(metrics, "_axis_sums", counting)
+        res = hota_pooled([tables, tables])
+        assert calls == []
+        assert res == per_alpha_hota_pooled([tables, tables])
+
     def test_one_conflicted_frame_is_solved_at_each_alpha(self,
                                                           front_door_calls):
         tables = build_frame_tables(*conflicted_instance())
@@ -429,6 +449,47 @@ class TestConflictFreeFrames:
         both = sum(tables[2].sim.min() >= a - MATCH_EPS for a in ALPHA_GRID)
         assert both >= 1
         assert hungarian_runs == [(2, 1)] * both
+
+
+def alignment_instance(near, far):
+    """Four frames: pred 5 follows gt `far` on frames 0, 1 and 3. On frame
+    2 gt 1 sits at 0 m and gt 2 at 1 m, and pred 5 at 0.45 m is nearer to
+    gt `near`, so raw similarity alone would match it to gt `near`."""
+    spec = {f: [(far, 10.0, 0.0)] for f in (0, 1, 3)}
+    spec[2] = [(1, 0.0, 0.0), (2, 1.0, 0.0)]
+    x_near = 0.45 if near == 1 else 0.55
+    out = {f: [(5, 10.1, 0.0)] for f in (0, 1, 3)} | {2: [(5, x_near, 0.0)]}
+    return make_labels(spec), make_outputs(out, 4)
+
+
+def test_alignment_decides_conflicted_frames_across_two_sequences():
+    # In each sequence pred 5 overlaps both ground truths on frame 2; its
+    # alignment with the gt it follows outweighs the other gt's higher
+    # similarity there. The two sequences reuse ids 1, 2 and 5, with the
+    # roles of gt 1 and gt 2 swapped: pooling keys them by sequence. The
+    # oracle sees the two as one sequence, the second's frames after the
+    # first's and its ids moved past the first's.
+    seqs = [alignment_instance(near=1, far=2), alignment_instance(near=2, far=1)]
+    tables = [build_frame_tables(*seq) for seq in seqs]
+    assert [has_conflict(t) for ts in tables for t in ts] == \
+        [False, False, True, False] * 2
+    (labels_a, outputs_a), (labels_b, outputs_b) = seqs
+    labels = labels_a + [LabeledObject(frame_index=lab.frame_index + 4,
+                                       track_id=lab.track_id + 100,
+                                       box=lab.box) for lab in labels_b]
+    outputs = outputs_a + [FrameOutput(tuple(
+        TrackEntry(track_id=e.track_id + 100, box=e.box, score=e.score,
+                   provenance=e.provenance) for e in out.entries))
+        for out in outputs_b]
+    res = hota_pooled(tables)
+    want = oracle_hota(labels, outputs)
+    got = (res.hota, res.det_a, res.ass_a, res.per_alpha)
+    assert [x.hex() for x in got[:3]] == [x.hex() for x in want[:3]]
+    assert [[x.hex() for x in row] for row in got[3]] == \
+        [[x.hex() for x in row] for row in want[3]]
+    # Matched by raw similarity, frame 2 would pair pred 5 with the nearer
+    # gt in both sequences, and AssA would differ.
+    assert res == per_alpha_hota_pooled(tables)
 
 
 # Similarities at each alpha and just below it: the gate admits alpha,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droptrack import tracker
+from droptrack import geometry, tracker
 from droptrack.geometry import (Detection, LabeledObject, OrientedBox,
                                 wrap_angle)
 from droptrack.kitti_io import SequenceData
@@ -760,10 +760,67 @@ class TestAssociatePrefilter:
             got = associate(tracks, detections, cfg)
         scores, *want = reference_associate(tracks, detections, cfg)
         assert list(got) == want
-        if tracks and detections:
-            # The oracle's matrix, gated, row-major; a pair that does not
-            # overlap is never eligible.
-            rows, cols = np.nonzero((scores > 0) & (scores >= gate - MATCH_EPS))
-            assert seen == [(scores.shape, [
-                (i, j, scores[i, j]) for i, j in zip(rows.tolist(),
-                                                     cols.tolist())])]
+        # The oracle's matrix, gated, row-major; a pair that does not
+        # overlap is never eligible. Its scores are read only when two
+        # eligible pairs share a row or a column: then the solver gets
+        # each one's exact score, as a float.
+        rows, cols = np.nonzero((scores > 0) & (scores >= gate - MATCH_EPS))
+        triples = [(i, j, float(scores[i, j]))
+                   for i, j in zip(rows.tolist(), cols.tolist())]
+        if not conflict_free(triples):
+            assert seen == [(scores.shape, triples)]
+            assert all(type(x) is float for _, _, x in seen[0][1])
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        """Each exact overlap (`footprint_intersection_area`) call, and
+        each `gated_assignment` call, as they happen."""
+        calls = {"overlap": [], "front_door": []}
+        overlap, front_door = (geometry.footprint_intersection_area,
+                               tracker.gated_assignment)
+
+        def counting_overlap(a, b):
+            calls["overlap"].append((a, b))
+            return overlap(a, b)
+
+        def capturing(shape, triples):
+            calls["front_door"].append((shape, triples))
+            return front_door(shape, triples)
+        monkeypatch.setattr(geometry, "footprint_intersection_area",
+                            counting_overlap)
+        monkeypatch.setattr(tracker, "gated_assignment", capturing)
+        return calls
+
+    @staticmethod
+    def tracks_at(*xs):
+        tracks = [make_state(cx=x) for x in xs]
+        for n, t in enumerate(tracks):
+            t.track_id = n + 1
+        return tracks
+
+    def test_conflict_free_aligned_frame_makes_no_exact_call(self,
+                                                             exact_calls):
+        # Each track has its detection 0.2 m ahead and no other within
+        # reach: every pair is certified, and no two share a row or column.
+        tracks = self.tracks_at(0.0, 10.0, 20.0)
+        detections = [make_detection(cx=x + 0.2) for x in (0.0, 10.0, 20.0)]
+        got = associate(tracks, detections, TrackerConfig())
+        assert exact_calls == {"overlap": [], "front_door": []}
+        assert got == ([(0, 0), (1, 1), (2, 2)], [], [])
+        _, *want = reference_associate(tracks, detections, TrackerConfig())
+        assert list(got) == want
+
+    def test_detection_overlapping_two_tracks_is_scored_exactly(
+            self, exact_calls):
+        # The detection at 0.4 m overlaps both tracks, so the frame has a
+        # conflict: both pairs get an exact score, and the solver gets the
+        # oracle's row-major triples.
+        tracks = self.tracks_at(0.0, 1.2)
+        detections = [make_detection(cx=0.4)]
+        cfg = TrackerConfig()
+        got = associate(tracks, detections, cfg)
+        assert len(exact_calls["overlap"]) == 2
+        scores, *want = reference_associate(tracks, detections, cfg)
+        assert exact_calls["front_door"] == [
+            ((2, 1), [(0, 0, scores[0, 0]), (1, 0, scores[1, 0])])]
+        assert list(got) == want == [[(0, 0)], [1], []]

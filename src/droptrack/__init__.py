@@ -17,8 +17,8 @@ from .tracker import (FrameOutput, TrackEntry, Tracker, TrackerConfig,
 from .metrics import (ALPHA_GRID, ClearResult, HotaResult, NoGroundTruthError,
                       build_frame_tables, clear_mot, clear_pooled, hota,
                       hota_pooled)
-from .energy import (ENERGY_PRESETS, EnergyParams, PowerLog, estimate_draw_multi,
-                     read_power_log_csv, summarize_power_log, yield_metric)
+from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
+                     yield_metric)
 from .kitti_io import (DatasetError, SequenceData, load_label_dir,
                        load_manifest, parse_kitti_labels, read_frame_outputs,
                        write_frame_outputs, write_kitti_labels)

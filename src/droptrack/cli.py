@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: sweep (the grid, its report files and, with --outputs, each
-cell's tracker outputs), eval (metrics on stored outputs), energy (power
-log or draw model).
+cell's tracker outputs), eval (metrics on stored outputs), energy (the
+modeled draw of one drop pattern).
 
 Exit codes: 0 success, 2 configuration error, 3 dataset error,
 4 computation error.
@@ -15,8 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .energy import (ENERGY_PRESETS, estimate_draw_multi, read_power_log_csv,
-                     summarize_power_log)
+from .energy import ENERGY_PRESETS, estimate_draw_multi
 from .kitti_io import (DatasetError, parse_kitti_labels, read_frame_outputs,
                        read_json_object)
 from . import metrics
@@ -70,9 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--sidecar", type=Path, default=None)
     eval_p.add_argument("--frame-count", type=_positive(int), default=None)
 
-    energy_p = sub.add_parser("energy", help="power log summary or draw model")
-    energy_p.add_argument("--log", type=Path, default=None,
-                          help="CSV power log (timestamp_s,watts)")
+    energy_p = sub.add_parser("energy", help="modeled draw of a drop pattern")
     energy_p.add_argument("--preset", choices=sorted(ENERGY_PRESETS),
                           default=None)
     energy_p.add_argument("--idle-draw", type=float, default=None)
@@ -93,7 +90,7 @@ def _load_config(args):
     if args.pattern:
         raw["patterns"] = args.pattern
     raw.setdefault("patterns", ["1/1"])
-    if args.variant:
+    if args.variant is not None:
         raw["variants"] = [args.variant]
     if args.seed is not None:
         raw["rng_seed"] = rng_seed(args.seed, "--seed")
@@ -142,28 +139,11 @@ _MODEL_FLAGS = ("preset", "idle_draw", "active_draw", "inference_time",
                 "cycle_time")
 
 
-def _given(args, names) -> str:
-    """The flags among `names` that were given, as typed, comma-separated."""
-    return ", ".join("--" + name.replace("_", "-") for name in names
-                     if getattr(args, name) is not None)
-
-
 def _cmd_energy(args) -> int:
     model = {name: getattr(args, name) for name in _MODEL_FLAGS
              if getattr(args, name) is not None}
-    if args.log is not None:
-        flags = _given(args, _MODEL_FLAGS + ("pattern", "length"))
-        if flags:
-            raise ConfigError(f"--log takes no model or schedule flags, "
-                              f"got [{flags}]")
-        try:
-            log = read_power_log_csv(args.log)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read power log {args.log}: {exc}") \
-                from None
-        print(f"median_draw_watts {summarize_power_log(log):.6f}")
-        return EXIT_OK
-    params = energy_params(model, f"energy [{_given(args, _MODEL_FLAGS)}]")
+    given = ", ".join("--" + name.replace("_", "-") for name in model)
+    params = energy_params(model, f"energy [{given}]")
     pattern = parse_pattern("1/1") if args.pattern is None else args.pattern
     flags = build_schedule(pattern, 1000 if args.length is None
                            else args.length)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import MIN_EXTENT, Detection, LabeledObject, OrientedBox
 
@@ -72,7 +72,11 @@ class SceneContext:
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     extent_pool: tuple[tuple[float, float, float, float], ...] = \
-        field(default=(_FALLBACK_EXTENT,))
+        (_FALLBACK_EXTENT,)
+
+    def __post_init__(self):
+        if not self.extent_pool:
+            raise ValueError("extent_pool must hold at least one extent")
 
 
 def scene_context(sequence_labels: list[LabeledObject]) -> SceneContext:
@@ -137,7 +141,7 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
 
     n_fp = int(rng.poisson(profile.false_positives_per_frame)) \
         if profile.false_positives_per_frame > 0.0 else 0
-    pool = scene.extent_pool if scene.extent_pool else (_FALLBACK_EXTENT,)
+    pool = scene.extent_pool
     for _ in range(n_fp):
         cx = rng.uniform(*scene.x_range)
         cy = rng.uniform(*scene.y_range)

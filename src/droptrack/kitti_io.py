@@ -1,7 +1,7 @@
 """KITTI-tracking-format ingestion and output persistence.
 
-It reads every input file except the power log: labels, outputs,
-sidecars and manifests here, the config through `read_json_object`.
+It reads every input file: labels, outputs, sidecars and manifests
+here, the config through `read_json_object`.
 
 Label rows are whitespace-delimited:
   frame track_id type truncated occluded alpha bbox_left bbox_top
@@ -64,7 +64,7 @@ def read_json_object(path, what: str,
     text = read_text(path, what, error)
     try:
         data = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise error(f"cannot read {what} {path}: not valid JSON: {exc}") \
             from None
     except RecursionError:

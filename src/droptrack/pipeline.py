@@ -18,7 +18,7 @@ import csv
 import importlib.util
 import io
 import json
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -77,9 +77,10 @@ _FIELD_TYPES = {"float": float, "int": int, "tuple[float, float]": tuple}
 
 
 def _typed(value, kind: type, where: str):
-    """value itself, or a ConfigError naming `where` if its type is wrong."""
+    """value itself, or a ConfigError naming `where` if its type is wrong
+    or, for a float field, it is NaN or beyond float range."""
     if not (type(value) is kind or kind is float and type(value) is int) \
-            or type(value) is float and not math.isfinite(value):
+            or kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where}: expected {_JSON_NAMES[kind]}, "
                           f"got {json.dumps(value)}")
     return value

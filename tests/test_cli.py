@@ -96,12 +96,6 @@ def kitti_sweep_argv(tmp_path, manifest=None, kind="Car", **overrides):
     return sweep_argv(tmp_path, dataset=dataset, **overrides)
 
 
-def power_log_argv(tmp_path, text):
-    log = tmp_path / "log.csv"
-    log.write_text(text)
-    return ["energy", "--log", str(log)]
-
-
 def out_file_argv(tmp_path, flag="--out"):
     """sweep with `flag` naming an existing regular file."""
     out = tmp_path / "out-is-a-file"
@@ -250,27 +244,6 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: ENERGY_MODEL + ["--length", "0"], EXIT_CONFIG, "--length"),
     (lambda p: ["energy", "--idle-draw", "300", "--active-draw", "100",
                 "--inference-time", "0.05"], EXIT_CONFIG, "--idle-draw"),
-    (lambda p: power_log_argv(p, "timestamp_s,power\n0,1\n"), EXIT_CONFIG,
-     "log.csv"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.01,abc\n"),
-     EXIT_CONFIG, "log.csv:3:"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.01,nan\n"),
-     EXIT_CONFIG, "log.csv:3:"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,inf\n0.01,1\n"),
-     EXIT_CONFIG, "log.csv:2:"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n0.5,-5\n"),
-     EXIT_CONFIG, "log.csv:3: watts -5.0 is below 0"),
-    # Timestamps are read: each a finite number, none below the one before.
-    (lambda p: power_log_argv(p, "watts\n1\n2\n"), EXIT_CONFIG,
-     "log.csv: expected header with 'timestamp_s' and 'watts' columns"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\nabc,1\n"),
-     EXIT_CONFIG, "log.csv:3: bad timestamp_s value 'abc'"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n,1\n0.01,1\n"),
-     EXIT_CONFIG, "log.csv:2: bad timestamp_s value ''"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\nnan,1\n"),
-     EXIT_CONFIG, "log.csv:3: bad timestamp_s value 'nan'"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0.02,1\n0.01,1\n"),
-     EXIT_CONFIG, "log.csv:3: timestamp_s 0.01 is below 0.02"),
     (lambda p: eval_argv(p, extra=["--frame-count", "0"]), EXIT_CONFIG,
      "--frame-count"),
     # A failing cell names itself: a label set with no Car has no ground
@@ -305,8 +278,6 @@ def label_file_argv(tmp_path, **fields):
      "cycle_time"),
     (lambda p: ["energy", "--preset", "second", "--idle-draw", "100",
                 "--cycle-time", "0.2"], EXIT_CONFIG, "idle_draw"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
-     + ["--preset", "second", "--idle-draw", "1"], EXIT_CONFIG, "--preset"),
     (lambda p: sweep_argv(p, energy={"default": {"preset": "second",
                                                  "cycle_time": 0.5}}),
      EXIT_CONFIG, "cycle_time"),
@@ -326,11 +297,6 @@ def label_file_argv(tmp_path, **fields):
      'dataset.path: expected a non-empty string, got ""'),
     (lambda p: label_file_argv(p, manifest=""), EXIT_CONFIG,
      'dataset.manifest: expected a non-empty string, got ""'),
-    # energy refuses the flags of the mode it is not in.
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
-     + ["--pattern", "1/2", "--length", "7"], EXIT_CONFIG, "--pattern"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,1\n")
-     + ["--length", "7"], EXIT_CONFIG, "--length"),
     # A misspelt top-level key is refused by name, not run without it; of
     # `jobs`, only the value 1 every run uses is accepted.
     (lambda p: sweep_argv(p, tracker_overide={"1/2": {"min_hits_to_confirm": 1}}),
@@ -416,12 +382,25 @@ def label_file_argv(tmp_path, **fields):
                        '{"provenance": {"0": {"1": "predicted"}, '
                        '"0": {"1": "updated"}}}'),
      EXIT_DATASET, "out.txt.meta.json: key '0' repeats"),
-    # A power-log row longer than its header, or a header that names a
-    # read column twice, would have a field dropped or read in its place.
-    (lambda p: power_log_argv(p, "timestamp_s,watts\n0,100,5\n"),
-     EXIT_CONFIG, "log.csv:2: more fields than the header's 2"),
-    (lambda p: power_log_argv(p, "timestamp_s,watts,watts\n0,100,5\n"),
-     EXIT_CONFIG, "log.csv:1: header names 'watts' twice"),
+    # An integer literal past Python's digit limit is invalid JSON.
+    (lambda p: holding(sweep_argv(p), p / "config.json",
+                       '{"rng_seed": 1' + "0" * 5000 + "}"),
+     EXIT_CONFIG, "config.json: not valid JSON"),
+    (lambda p: holding(eval_argv(p), p / "out.txt.meta.json",
+                       '{"frame_count": 1' + "0" * 5000 + "}"),
+     EXIT_DATASET, "out.txt.meta.json: not valid JSON"),
+    # An integer given for a float field must fit a float.
+    (lambda p: sweep_argv(p, tracker={"process_noise": 10 ** 400}),
+     EXIT_CONFIG, "tracker.process_noise: expected a finite number"),
+    (lambda p: score_range_argv(p, [0.5, 10 ** 400]), EXIT_CONFIG,
+     "profiles['p'].score_range[1]: expected a finite number"),
+    # An empty variant names none, so it is refused, not run as the
+    # default.
+    (lambda p: ["sweep", "--variant", ""], EXIT_CONFIG,
+     "variant '' must be 'gt' or 'noisy:<profile>'"),
+    # energy reads no power log: --log is an unknown flag.
+    (lambda p: ["energy", "--log", "log.csv"], EXIT_CONFIG,
+     "unrecognized arguments: --log"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -440,13 +419,7 @@ def label_file_argv(tmp_path, **fields):
         "sidecar-provenance-for-skipped-row", "sidecar-frame-count-below-rows",
         "sidecar-frame-count-above-frames", "manifest-count-boolean",
         "manifest-key-without-labels", "energy-pattern",
-        "energy-length", "energy-draw-order", "power-log-no-watts",
-        "power-log-bad-watts",
-        "power-log-nan-watts", "power-log-inf-watts",
-        "power-log-negative-watts",
-        "power-log-no-timestamp", "power-log-bad-timestamp",
-        "power-log-empty-timestamp", "power-log-nan-timestamp",
-        "power-log-timestamp-decreases", "eval-frame-count-zero",
+        "energy-length", "energy-draw-order", "eval-frame-count-zero",
         "run-cell-failure",
         "eval-clear-threshold-nan",
         "eval-clear-threshold-negative", "eval-clear-threshold-zero",
@@ -454,12 +427,11 @@ def label_file_argv(tmp_path, **fields):
         "clear-threshold-above-one", "sweep-out-is-file", "outputs-is-file",
         "energy-inference-time-inf",
         "energy-active-draw-inf", "energy-cycle-time-inf",
-        "energy-preset-with-draw", "energy-log-with-preset",
-        "energy-entry-preset-with-field", "dataset-unknown-field",
+        "energy-preset-with-draw", "energy-entry-preset-with-field",
+        "dataset-unknown-field",
         "dataset-kitti-path-null", "dataset-reference-path",
         "dataset-reference-manifest", "dataset-kitti-path-empty",
         "dataset-kitti-manifest-empty",
-        "energy-log-with-pattern", "energy-log-with-length",
         "config-unknown-key",
         "config-jobs-not-one", "energy-key-typo",
         "energy-key-undefined-profile", "patterns-repeat",
@@ -472,8 +444,9 @@ def label_file_argv(tmp_path, **fields):
         "sidecar-not-utf8", "manifest-not-utf8", "config-root-names-file",
         "manifest-root-array", "sidecar-not-json", "config-json-too-deep",
         "config-key-repeats", "tracker-key-repeats", "manifest-key-repeats",
-        "sidecar-frame-key-repeats", "power-log-extra-field",
-        "power-log-watts-twice"])
+        "sidecar-frame-key-repeats", "config-int-too-long",
+        "sidecar-int-too-long", "tracker-float-overflow",
+        "score-range-float-overflow", "variant-empty", "energy-log-removed"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -611,12 +584,10 @@ def test_commands_read_and_write_utf8_whatever_the_locale(tmp_path):
                               for f in range(4)))
     cfg = write_config(tmp_path, patterns=["1/1", "1/2"], dataset={
         "kind": "kitti", "path": str(tmp_path / "labels")})
-    (tmp_path / "log.csv").write_text("timestamp_s,watts\n0.0,150\n0.5,250\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for argv in (["sweep", "--config", str(cfg), "--out", "r",
                   "--outputs", "r/cells"],
-                 ["energy", "--log", "log.csv"],
                  ["eval", "--labels", str(labels),
                   "--outputs", "r/cells/gt/1of2/0000.txt"]):
         done = subprocess.run(
@@ -817,30 +788,3 @@ class TestEnergy:
     def test_missing_params_is_config_error(self, capsys):
         assert main(["energy", "--idle-draw", "150"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
-
-    def test_log_summary(self, tmp_path, capsys):
-        log = tmp_path / "log.csv"
-        rows = ["timestamp_s,watts"]
-        rows += [f"{i / 100.0:.2f},{200.0 + (i % 2)}" for i in range(300)]
-        log.write_text("\n".join(rows) + "\n")
-        code = main(["energy", "--log", str(log)])
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.startswith("median_draw_watts ")
-        assert float(out.split()[1]) == pytest.approx(200.5, abs=0.5)
-
-    def test_log_windows_come_from_timestamps(self, tmp_path, capsys):
-        # 10 Hz, 3 s at 100 W then 1 s at 1000 W, twice: six of the eight
-        # 1 s windows read 100 W. Windows of 100 samples read 325 W.
-        log = tmp_path / "log.csv"
-        rows = ["timestamp_s,watts"]
-        rows += [f"{i / 10:.1f},{1000 if i % 40 >= 30 else 100}"
-                 for i in range(80)]
-        log.write_text("\n".join(rows) + "\n")
-        assert main(["energy", "--log", str(log)]) == EXIT_OK
-        assert capsys.readouterr().out == "median_draw_watts 100.000000\n"
-
-    def test_missing_log_is_config_error(self, tmp_path, capsys):
-        code = main(["energy", "--log", str(tmp_path / "absent.csv")])
-        assert code == EXIT_CONFIG
-        assert "cannot read power log" in capsys.readouterr().err

@@ -206,3 +206,11 @@ class TestSceneContext:
         scene = scene_context([])
         assert scene.x_range == (-50.0, 50.0)
         assert isinstance(scene, SceneContext)
+        assert scene.extent_pool == ((4.5, 1.8, 1.6, 0.8),)
+
+    def test_empty_extent_pool_rejected(self):
+        # Clutter draws its shape from the pool, so an empty one is refused
+        # when built, not when the first false positive is drawn.
+        with pytest.raises(ValueError, match="extent_pool"):
+            SceneContext(x_range=(0.0, 1.0), y_range=(0.0, 1.0),
+                         extent_pool=())

@@ -1,19 +1,16 @@
-"""Duty-cycle draw model, power-log summaries, and the yield ratio."""
+"""Duty-cycle draw model and the yield ratio."""
 
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droptrack.energy import (
     ENERGY_PRESETS,
     EnergyParams,
-    PowerLog,
     estimate_draw_multi,
     frame_energy_and_time,
-    read_power_log_csv,
-    summarize_power_log,
     yield_metric,
 )
 from droptrack.schedule import DropPattern, build_schedule
@@ -157,104 +154,6 @@ class TestEstimateDraw:
         for name, level in expected.items():
             assert estimate_draw_multi(ENERGY_PRESETS[name], [full]) \
                 == pytest.approx(level, abs=1e-9)
-
-
-def power_log(samples):
-    """A log sampled at 100 Hz from t = 0."""
-    return PowerLog(samples=tuple(samples),
-                    timestamps=tuple(i / 100 for i in range(len(samples))))
-
-
-# One window per entry: the seconds it starts after the previous window's
-# start (above 1 leaves seconds with no sample), its sample count, and
-# values its samples cycle through.
-power_windows = st.lists(
-    st.tuples(st.integers(1, 3), st.integers(1, 300),
-              st.lists(st.floats(0.0, 1e4), min_size=1, max_size=16)),
-    min_size=1, max_size=6)
-
-
-class TestPowerLog:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerLog(samples=(), timestamps=())
-        with pytest.raises(ValueError):
-            PowerLog(samples=(1.0, -2.0), timestamps=(0.0, 0.01))
-        with pytest.raises(ValueError, match="one timestamp per"):
-            PowerLog(samples=(1.0, 2.0), timestamps=(0.0,))
-        with pytest.raises(ValueError, match="nondecreasing"):
-            PowerLog(samples=(1.0, 2.0), timestamps=(0.02, 0.01))
-
-    @pytest.mark.parametrize("samples, timestamps", [
-        ((1.0, 2.0), (0.0, math.nan)), ((1.0, 2.0), (0.0, math.inf)),
-        ((math.nan, 2.0), (0.0, 1.0)), ((math.inf, 2.0), (0.0, 1.0))],
-        ids=["timestamp-nan", "timestamp-inf", "sample-nan", "sample-inf"])
-    def test_non_finite_values_rejected(self, samples, timestamps):
-        with pytest.raises(ValueError, match="finite"):
-            PowerLog(samples=samples, timestamps=timestamps)
-
-    def test_constant_log(self):
-        assert summarize_power_log(power_log((200.0,) * 500)) == 200.0
-
-    def test_median_of_three_windows(self):
-        samples = (100.0,) * 100 + (300.0,) * 100 + (200.0,) * 100
-        assert summarize_power_log(power_log(samples)) == 200.0
-
-    def test_spike_window_ignored(self):
-        base = [250.0] * 1000
-        base[300:400] = [5000.0] * 100
-        assert summarize_power_log(power_log(base)) == 250.0
-
-    def test_partial_trailing_window(self):
-        samples = (100.0,) * 100 + (400.0,) * 50
-        # Windows average to {100, 400}; even count takes the midpoint.
-        assert summarize_power_log(power_log(samples)) == 250.0
-
-    def test_windows_are_whole_seconds_of_timestamps(self):
-        # 10 Hz from t = 0.5 s with no sample in [2, 4): windows 0 (five
-        # samples) and 1 at 100 W, window 4 (five samples) at 1000 W, and no
-        # window for 2 or 3 s. Windows of ten samples from the start would
-        # give {100, 550} and a median of 325.
-        timestamps = [0.5 + i / 10 for i in range(15)] \
-            + [4 + i / 10 for i in range(5)]
-        samples = [100.0] * 15 + [1000.0] * 5
-        log = PowerLog(samples=tuple(samples), timestamps=tuple(timestamps))
-        assert summarize_power_log(log) == 100.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-40, 40), power_windows)
-    @example(-5, [(1, 300, [0.1, 7.3, 250.9])])
-    @example(-2, [(1, 129, [0.3, 1e4, 2.2]), (3, 7, [5.5, 0.7])])
-    @example(0, [(2, 200, [1.1, 3.3]), (1, 1, [4.4]), (2, 150, [0.2, 9.9])])
-    def test_summary_is_numpys_median_of_window_means(self, first, windows):
-        # numpy is the oracle here, as scipy is for the assignment solver.
-        np = pytest.importorskip("numpy")
-        timestamps, samples, second = [], [], first
-        for step, count, values in windows:
-            second += step
-            timestamps += [second + i / count for i in range(count)]
-            samples += [values[i % len(values)] for i in range(count)]
-        seconds = np.floor(timestamps)
-        starts = np.flatnonzero(seconds[1:] != seconds[:-1]) + 1
-        want = np.median([w.mean() for w in np.split(np.asarray(samples),
-                                                      starts)])
-        log = PowerLog(samples=tuple(samples), timestamps=tuple(timestamps))
-        assert summarize_power_log(log).hex() == float(want).hex()
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "power.csv"
-        rows = ["timestamp_s,watts"] + [f"{i/100.0},{200+i%3}" for i in range(250)]
-        path.write_text("\n".join(rows) + "\n")
-        log = read_power_log_csv(path)
-        assert len(log.samples) == 250
-        assert log.samples[0] == 200.0
-        assert log.timestamps[:2] == (0.0, 0.01)
-
-    def test_csv_requires_watts_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("timestamp_s,volts\n0.0,12.0\n")
-        with pytest.raises(ValueError, match="watts"):
-            read_power_log_csv(path)
 
 
 class TestYield:

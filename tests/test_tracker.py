@@ -333,8 +333,6 @@ class TestAssignment:
         rows = "".join(f"{f} 1 {row}\n" for f in range(4))
         (tmp_path / "0000.txt").write_text(rows)
         (tmp_path / "out.txt").write_text(rows)
-        (tmp_path / "log.csv").write_text(
-            "timestamp_s,watts\n0.0,200\n0.5,300\n1.2,250\n")
         (tmp_path / "noisy.json").write_text(json.dumps({
             "variants": ["noisy:p"],
             "profiles": {"p": {"center_sigma": 0.1}}}))
@@ -352,7 +350,6 @@ def run(*argv):
 def loaded():
     return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
 run("eval", "--labels", work / "0000.txt", "--outputs", work / "out.txt")
-run("energy", "--log", work / "log.csv")
 run("energy", "--preset", "second", "--pattern", "1/2")
 run("sweep", "--pattern", "1/2", "--out", work / "gt")
 print(loaded())

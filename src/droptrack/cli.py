@@ -21,7 +21,7 @@ from .kitti_io import (DatasetError, parse_kitti_labels, read_frame_outputs,
 from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, config_from_dict,
-                       energy_params, output_dir, render_sweep_csv, rng_seed,
+                       energy_params, output_dir, render_sweep_csv,
                        run_sweep, write_report)
 from .schedule import build_schedule, parse_pattern
 
@@ -42,6 +42,13 @@ def _positive(convert):
     return parse
 
 
+def _path(text: str) -> Path:
+    """Argument type: a Path, but not "", the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError('expected a non-empty path, got ""')
+    return Path(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="droptrack",
@@ -49,24 +56,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep_p = sub.add_parser("sweep", help="evaluate the full grid")
-    sweep_p.add_argument("--config", type=Path, default=None,
+    sweep_p.add_argument("--config", type=_path, default=None,
                          help="JSON run configuration")
     sweep_p.add_argument("--pattern", action="append", default=None,
                          metavar="N/M", help="drop pattern or named target, "
                                              "repeatable")
     sweep_p.add_argument("--variant", default=None,
                          help="detector variant (gt or noisy:<profile>)")
-    sweep_p.add_argument("--seed", type=int, default=None, metavar="U64")
-    sweep_p.add_argument("--out", type=Path, default=None, metavar="DIR",
+    sweep_p.add_argument("--out", type=_path, default=None, metavar="DIR",
                          help="write sweep.csv and sweep.json")
-    sweep_p.add_argument("--outputs", type=Path, default=None, metavar="DIR",
+    sweep_p.add_argument("--outputs", type=_path, default=None, metavar="DIR",
                          help="write each cell's tracker outputs to "
                               "DIR/<variant>/<n>of<m>/<sequence>.txt")
 
     eval_p = sub.add_parser("eval", help="metrics for stored outputs")
-    eval_p.add_argument("--labels", type=Path, required=True)
-    eval_p.add_argument("--outputs", type=Path, required=True)
-    eval_p.add_argument("--sidecar", type=Path, default=None)
+    eval_p.add_argument("--labels", type=_path, required=True)
+    eval_p.add_argument("--outputs", type=_path, required=True)
     eval_p.add_argument("--frame-count", type=_positive(int), default=None)
 
     energy_p = sub.add_parser("energy", help="modeled draw of a drop pattern")
@@ -92,8 +97,6 @@ def _load_config(args):
     raw.setdefault("patterns", ["1/1"])
     if args.variant is not None:
         raw["variants"] = [args.variant]
-    if args.seed is not None:
-        raw["rng_seed"] = rng_seed(args.seed, "--seed")
     return config_from_dict(raw)
 
 
@@ -119,8 +122,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     sequence = parse_kitti_labels(args.labels, frame_count=args.frame_count)
-    outputs = read_frame_outputs(args.outputs, args.sidecar,
-                                 frame_count=sequence.frame_count)
+    outputs = read_frame_outputs(args.outputs, sequence.frame_count)
     tables = metrics.build_frame_tables(list(sequence.labels), outputs)
     hota_res = hota(tables)
     clear_res = clear_mot(tables)

@@ -23,10 +23,6 @@ _FALLBACK_EXTENT = (4.5, 1.8, 1.6, 0.8)
 # How far clutter may land beyond the label centers' region, on each side.
 SCENE_MARGIN = 10.0
 
-# Noise seeds are u64: a profile's seed and the run-level seed each lie in
-# [0, SEED_BOUND), and a noisy variant draws with their sum modulo it.
-SEED_BOUND = 2**64
-
 
 def gt_detect(labels: list[LabeledObject]) -> list[Detection]:
     """Perfect detector: one score-1.0 detection per label."""
@@ -35,7 +31,7 @@ def gt_detect(labels: list[LabeledObject]) -> list[Detection]:
 
 @dataclass(frozen=True)
 class NoiseProfile:
-    """Quality knobs for the synthetic noisy detector."""
+    """Quality knobs for the noisy detector; the run's seed keys its draws."""
 
     detection_probability: float = 1.0
     false_positives_per_frame: float = 0.0
@@ -43,7 +39,6 @@ class NoiseProfile:
     extent_sigma: float = 0.0
     yaw_sigma: float = 0.0
     score_range: tuple[float, float] = (1.0, 1.0)
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.detection_probability <= 1.0:
@@ -56,9 +51,6 @@ class NoiseProfile:
         low, high = self.score_range
         if not (0.0 <= low <= high <= 1.0):
             raise ValueError("score_range must be an ordered pair within [0, 1]")
-        if type(self.rng_seed) is not int \
-                or not 0 <= self.rng_seed < SEED_BOUND:
-            raise ValueError("rng_seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -97,18 +89,19 @@ def scene_context(sequence_labels: list[LabeledObject]) -> SceneContext:
     )
 
 
-def _frame_rng(profile: NoiseProfile, sequence_id: str, frame_index: int):
+def _frame_rng(seed: int, sequence_id: str, frame_index: int):
     import numpy as np  # here, so that only a noisy draw loads numpy
     seq_key = zlib.crc32(sequence_id.encode("utf-8"))
-    ss = np.random.SeedSequence(entropy=profile.rng_seed,
+    ss = np.random.SeedSequence(entropy=seed,
                                 spawn_key=(seq_key, frame_index))
     return np.random.default_rng(ss)
 
 
 def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
-                 frame_index: int, sequence_id: str,
+                 seed: int, frame_index: int, sequence_id: str,
                  scene: SceneContext) -> list[Detection]:
-    """Emit perturbed detections for one frame.
+    """Emit perturbed detections for one frame, drawn from the stream of
+    (seed, sequence_id, frame_index); seed is a u64.
 
     Each label survives with detection_probability; survivors get
     zero-mean Gaussian jitter on center, extents, and yaw, and a score
@@ -116,7 +109,7 @@ def noisy_detect(labels: list[LabeledObject], profile: NoiseProfile,
     uniformly in `scene`, built once from the whole sequence's labels, with
     shapes drawn from its extent pool.
     """
-    rng = _frame_rng(profile, sequence_id, frame_index)
+    rng = _frame_rng(seed, sequence_id, frame_index)
     out: list[Detection] = []
 
     # Fixed iteration order keeps the draw sequence reproducible.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,13 @@ TRACKED_CLASS = "Car"
 
 class DatasetError(Exception):
     """Malformed or inconsistent dataset input."""
+
+
+def excerpt(value) -> str:
+    """value as JSON, cut to 40 characters with the cut marked."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else \
+        f"{text[:40]}... ({len(text)} characters)"
 
 
 def read_text(path, what: str, error: type[Exception] = DatasetError) -> str:
@@ -64,9 +72,13 @@ def read_json_object(path, what: str,
     text = read_text(path, what, error)
     try:
         data = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+    except json.JSONDecodeError as exc:
         raise error(f"cannot read {what} {path}: not valid JSON: {exc}") \
             from None
+    except ValueError:  # json.loads refuses an integer past the digit limit
+        raise error(f"cannot read {what} {path}: not valid JSON: an integer "
+                    f"literal has more than {sys.get_int_max_str_digits()} "
+                    f"digits") from None
     except RecursionError:
         raise error(f"cannot read {what} {path}: JSON nested too deeply") \
             from None
@@ -212,10 +224,10 @@ def write_frame_outputs(outputs: list[FrameOutput], path) -> None:
         encoding="utf-8")
 
 
-def read_frame_outputs(path, sidecar_path=None,
-                       frame_count: int | None = None) -> list[FrameOutput]:
-    """Load stored tracker outputs; provenance comes from the sidecar when
-    present, defaulting to measurement-updated.
+def read_frame_outputs(path, frame_count: int | None = None
+                       ) -> list[FrameOutput]:
+    """Load stored tracker outputs, with provenance from the <path>.meta.json
+    sidecar if there is one, else measurement-updated.
 
     As in parse_kitti_labels, only TRACKED_CLASS rows become outputs:
     rows of any other type are skipped.
@@ -227,12 +239,10 @@ def read_frame_outputs(path, sidecar_path=None,
     without rows are allowed.
     """
     path = Path(path)
-    if sidecar_path is None:
-        candidate = path.with_suffix(path.suffix + ".meta.json")
-        sidecar_path = candidate if candidate.exists() else None
+    sidecar_path = path.with_suffix(path.suffix + ".meta.json")
     provenance: dict[str, dict[str, str]] = {}
     stated_count = None
-    if sidecar_path is not None:
+    if sidecar_path.exists():
         sidecar = read_json_object(sidecar_path, "sidecar")
         provenance = sidecar.get("provenance", {})
         stated_count = sidecar.get("frame_count")
@@ -255,7 +265,7 @@ def read_frame_outputs(path, sidecar_path=None,
             raise DatasetError(
                 f"{sidecar_path}: frame {frame} id {track_id}: provenance "
                 f"must be \"{PROVENANCE_UPDATED}\" or "
-                f"\"{PROVENANCE_PREDICTED}\", got {json.dumps(prov)}")
+                f"\"{PROVENANCE_PREDICTED}\", got {excerpt(prov)}")
         entries_by_frame.setdefault(frame, []).append(
             TrackEntry(track_id, box, score, prov))
     rowless = [(frame, track_id) for frame, ids in provenance.items()

@@ -23,13 +23,12 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .detectors import (SEED_BOUND, NoiseProfile, gt_detect, noisy_detect,
-                        scene_context)
+from .detectors import NoiseProfile, gt_detect, noisy_detect, scene_context
 from .energy import (ENERGY_PRESETS, EnergyParams, estimate_draw_multi,
                      yield_metric)
 from .geometry import Detection
-from .kitti_io import SequenceData, load_label_dir, load_manifest, \
-    read_json_object, write_frame_outputs
+from .kitti_io import SequenceData, excerpt, load_label_dir, \
+    load_manifest, read_json_object, write_frame_outputs
 from . import metrics
 from .metrics import clear_pooled, hota_pooled
 from .schedule import (DropPattern, TARGET_PATTERNS, build_schedule,
@@ -82,16 +81,7 @@ def _typed(value, kind: type, where: str):
     if not (type(value) is kind or kind is float and type(value) is int) \
             or kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where}: expected {_JSON_NAMES[kind]}, "
-                          f"got {json.dumps(value)}")
-    return value
-
-
-def rng_seed(value, where: str) -> int:
-    """A run-level noise seed, or a ConfigError naming `where` unless it is
-    an integer in [0, 2**64): a seed outside would alias one inside."""
-    if not 0 <= _typed(value, int, where) < SEED_BOUND:
-        raise ConfigError(f"{where}: expected an integer in [0, 2**64), "
-                          f"got {value}")
+                          f"got {excerpt(value)}")
     return value
 
 
@@ -109,7 +99,7 @@ def _field_value(value, annotation: str, where: str):
     items = _typed(value, list, where)
     if len(items) != 2:
         raise ConfigError(f"{where}: expected an array of 2 numbers, "
-                          f"got {json.dumps(value)}")
+                          f"got {excerpt(value)}")
     return tuple(float(_typed(item, float, f"{where}[{i}]"))
                  for i, item in enumerate(items))
 
@@ -147,6 +137,7 @@ def energy_params(entry, where: str) -> EnergyParams:
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _DATASET_FIELDS = {"kind", "path", "manifest"}
+SEED_BOUND = 2**64  # a noise seed outside [0, 2**64) would alias one inside
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -245,6 +236,11 @@ def config_from_dict(data: dict) -> RunConfig:
                               f"or 'noisy:<profile>' of a defined profile")
         energy[key] = energy_params(body, f"energy[{key!r}]")
 
+    seed = _typed(data.get("rng_seed", 0), int, "rng_seed")
+    if not 0 <= seed < SEED_BOUND:
+        raise ConfigError(f"rng_seed: expected an integer in [0, 2**64), "
+                          f"got {excerpt(seed)}")
+
     config = RunConfig(
         dataset=dataset,
         variants=tuple(variants),
@@ -253,7 +249,7 @@ def config_from_dict(data: dict) -> RunConfig:
         tracker=tracker,
         tracker_overrides=overrides,
         energy=energy,
-        rng_seed=rng_seed(data.get("rng_seed", 0), "rng_seed"),
+        rng_seed=seed,
     )
     for variant in config.variants:
         variant_detector(config, variant)  # a bad variant is a ConfigError
@@ -306,10 +302,7 @@ def variant_detector(config: RunConfig, variant: str):
         if importlib.util.find_spec("numpy") is None:
             raise ConfigError(f"variant {variant!r} draws its noise with "
                               f"numpy, which is not installed")
-        # The run-level seed shifts every profile stream so sweeps with a
-        # new seed redraw noise without editing each profile.
-        seed = (config.profiles[name].rng_seed + config.rng_seed) % SEED_BOUND
-        profile = replace(config.profiles[name], rng_seed=seed)
+        profile = config.profiles[name]
     elif variant != "gt":
         raise ConfigError(f"variant {variant!r} must be 'gt' or 'noisy:<profile>'")
     detected: dict[tuple[str, int], list[Detection]] = {}
@@ -327,7 +320,8 @@ def variant_detector(config: RunConfig, variant: str):
             frames, scene = per_sequence[seq.sequence_id]
             # Looked up at call time, so the benchmark's traced pass sees them.
             detected[key] = gt_detect(frames[frame_index]) if profile is None \
-                else noisy_detect(frames[frame_index], profile, frame_index,
+                else noisy_detect(frames[frame_index], profile,
+                                  config.rng_seed, frame_index,
                                   seq.sequence_id, scene)
         return detected[key]
     return detect

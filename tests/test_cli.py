@@ -185,13 +185,13 @@ def label_file_argv(tmp_path, **fields):
      "rng_seed: expected an integer in [0, 2**64), got -1"),
     (lambda p: sweep_argv(p, rng_seed=2**64), EXIT_CONFIG,
      "rng_seed: expected an integer in [0, 2**64)"),
-    (lambda p: ["sweep", "--seed", "-1"], EXIT_CONFIG,
-     "--seed: expected an integer in [0, 2**64), got -1"),
-    (lambda p: ["sweep", "--seed", str(2**65 - 1)], EXIT_CONFIG,
-     "--seed: expected an integer in [0, 2**64)"),
+    # The config's rng_seed is the one noise seed: no flag or profile field
+    # sets another.
+    (lambda p: ["sweep", "--seed", "7"], EXIT_CONFIG,
+     "unrecognized arguments: --seed 7"),
     (lambda p: sweep_argv(p, variants=["noisy:p"],
-                          profiles={"p": {"rng_seed": 2**64}}),
-     EXIT_CONFIG, "profiles['p']: rng_seed must be an integer in [0, 2**64)"),
+                          profiles={"p": {"rng_seed": 1}}),
+     EXIT_CONFIG, "unknown profiles['p'] field 'rng_seed'"),
     # Car is the one tracked class, so class_set is an unknown key.
     (lambda p: sweep_argv(p, class_set="Car"), EXIT_CONFIG, "class_set"),
     (config_root_argv, EXIT_CONFIG, "config root must be a JSON object"),
@@ -349,9 +349,8 @@ def label_file_argv(tmp_path, **fields):
      "0000.txt: 'utf-8' codec can't decode"),
     (lambda p: not_utf8(eval_argv(p), p / "out.txt"), EXIT_DATASET,
      "out.txt: 'utf-8' codec can't decode"),
-    (lambda p: not_utf8(eval_argv(p, extra=["--sidecar", str(p / "s.json")]),
-                        p / "s.json"),
-     EXIT_DATASET, "s.json: 'utf-8' codec can't decode"),
+    (lambda p: not_utf8(eval_argv(p), p / "out.txt.meta.json"),
+     EXIT_DATASET, "out.txt.meta.json: 'utf-8' codec can't decode"),
     (lambda p: not_utf8(kitti_sweep_argv(p, manifest={"0000": 4}),
                         p / "manifest.json"),
      EXIT_DATASET, "manifest.json: 'utf-8' codec can't decode"),
@@ -401,13 +400,17 @@ def label_file_argv(tmp_path, **fields):
     # energy reads no power log: --log is an unknown flag.
     (lambda p: ["energy", "--log", "log.csv"], EXIT_CONFIG,
      "unrecognized arguments: --log"),
+    # The sidecar is always <outputs>.meta.json: --sidecar is an unknown
+    # flag.
+    (lambda p: eval_argv(p, extra=["--sidecar", "x"]), EXIT_CONFIG,
+     "unrecognized arguments: --sidecar x"),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
         "override-body-not-object", "overrides-not-object",
         "profiles-not-object", "energy-not-object", "clear-threshold-string",
         "rng-seed-string", "rng-seed-negative", "rng-seed-past-u64",
-        "seed-flag-negative", "seed-flag-past-u64", "profile-seed-past-u64",
+        "seed-flag-removed", "profile-seed-removed",
         "class-set-string",
         "config-root-not-object", "label-track-id-negative",
         "frame-count-below-labels", "manifest-count-below-labels",
@@ -446,11 +449,57 @@ def label_file_argv(tmp_path, **fields):
         "config-key-repeats", "tracker-key-repeats", "manifest-key-repeats",
         "sidecar-frame-key-repeats", "config-int-too-long",
         "sidecar-int-too-long", "tracker-float-overflow",
-        "score-range-float-overflow", "variant-empty", "energy-log-removed"])
+        "score-range-float-overflow", "variant-empty", "energy-log-removed",
+        "eval-sidecar-removed"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, flag", [
+    (lambda p: ["sweep", "--config", ""], "--config"),
+    (lambda p: ["sweep", "--pattern", "1/2", "--out", ""], "--out"),
+    (lambda p: ["sweep", "--pattern", "1/2", "--outputs", ""], "--outputs"),
+    (lambda p: [*eval_argv(p), "--labels", ""], "--labels"),
+    (lambda p: [*eval_argv(p), "--outputs", ""], "--outputs"),
+], ids=["sweep-config", "sweep-out", "sweep-outputs", "eval-labels",
+        "eval-outputs"])
+def test_empty_path_flag_is_refused(tmp_path, capsys, monkeypatch, build,
+                                    flag):
+    # "" would name the current directory: read as a file, or written into.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert exit_code(build(tmp_path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f'argument {flag}: expected a non-empty path, got ""' \
+        in captured.err
+    assert captured.out == ""
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("build, code, needle", [
+    (lambda p: sweep_argv(p, tracker={"process_noise": 10 ** 400}),
+     EXIT_CONFIG, "tracker.process_noise: expected a finite number, got 1"),
+    (lambda p: sweep_argv(p, rng_seed=10 ** 4000), EXIT_CONFIG,
+     "rng_seed: expected an integer in [0, 2**64), got 1"),
+    (lambda p: holding(sweep_argv(p), p / "config.json",
+                       '{"rng_seed": 1' + "0" * 5000 + "}"),
+     EXIT_CONFIG, "config.json: not valid JSON: an integer literal has more "
+                  "than"),
+    (lambda p: eval_argv(p, sidecar={"provenance": {"0": {"1": "x" * 5000}}}),
+     EXIT_DATASET, "out.txt.meta.json: frame 0 id 1: provenance must be"),
+], ids=["float-field", "seed", "int-literal", "provenance"])
+def test_refusal_echoes_a_short_excerpt(tmp_path, capsys, build, code,
+                                        needle):
+    # A refusal names the culprit without printing a long value whole, or
+    # advice about the interpreter's digit limit.
+    assert exit_code(build(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err) - len(str(tmp_path)) < 200
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--outputs"],
@@ -629,18 +678,6 @@ class TestSweep:
         for json_row, csv_row in zip(json_rows, csv_rows):
             assert {name: printed(value)
                     for name, value in json_row.items()} == csv_row
-
-    def test_seed_override_changes_noisy_results(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, patterns=["1/1"], variants=["noisy:p"],
-            profiles={"p": {"detection_probability": 0.8,
-                            "center_sigma": 0.3}},
-            tracker={"measurement_noise": 0.05})
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        first = capsys.readouterr().out
-        assert main(["sweep", "--config", str(cfg), "--seed", "7"]) == EXIT_OK
-        second = capsys.readouterr().out
-        assert first != second
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -60,15 +60,6 @@ class TestNoiseProfileValidation:
                            match=f"{field} must be nonnegative and finite"):
             NoiseProfile(**{field: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_bad_rng_seed_names_the_field(self, seed):
-        with pytest.raises(ValueError, match="rng_seed"):
-            NoiseProfile(rng_seed=seed)
-
-    def test_rng_seed_bounds(self):
-        assert NoiseProfile(rng_seed=0).rng_seed == 0
-        assert NoiseProfile(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
-
     def test_score_range_ordering(self):
         with pytest.raises(ValueError):
             NoiseProfile(score_range=(0.9, 0.1))
@@ -81,14 +72,14 @@ class TestNoisyDetect:
         labels = sorted((make_label(track_id=i, cx=6.0 * i)
                          for i in range(1, 5)), key=lambda lab: lab.track_id)
         profile = NoiseProfile()
-        dets = noisy_detect(labels, profile, 7, "s", scene_context(labels))
+        dets = noisy_detect(labels, profile, 0, 7, "s", scene_context(labels))
         ref = gt_detect(labels)
         assert dets == ref
 
     def test_zero_probability_empty(self):
         labels = [make_label(track_id=i) for i in range(1, 4)]
         profile = NoiseProfile(detection_probability=0.0)
-        assert noisy_detect(labels, profile, 0, "",
+        assert noisy_detect(labels, profile, 0, 0, "",
                             scene_context(labels)) == []
 
     def test_reproducible_byte_for_byte(self):
@@ -96,41 +87,41 @@ class TestNoisyDetect:
         profile = NoiseProfile(detection_probability=0.8, center_sigma=0.3,
                                extent_sigma=0.1, yaw_sigma=0.05,
                                false_positives_per_frame=1.0,
-                               score_range=(0.2, 0.9), rng_seed=42)
+                               score_range=(0.2, 0.9))
         scene = scene_context(labels)
-        a = noisy_detect(labels, profile, 3, "seq", scene)
-        b = noisy_detect(labels, profile, 3, "seq", scene)
+        a = noisy_detect(labels, profile, 42, 3, "seq", scene)
+        b = noisy_detect(labels, profile, 42, 3, "seq", scene)
         assert a == b
 
     def test_streams_differ_by_frame_and_sequence(self):
         labels = [make_label(track_id=i, cx=4.0 * i) for i in range(1, 6)]
-        profile = NoiseProfile(center_sigma=0.5, rng_seed=1)
+        profile = NoiseProfile(center_sigma=0.5)
         scene = scene_context(labels)
-        base = noisy_detect(labels, profile, 3, "seq", scene)
-        assert noisy_detect(labels, profile, 4, "seq", scene) != base
-        assert noisy_detect(labels, profile, 3, "other", scene) != base
+        base = noisy_detect(labels, profile, 1, 3, "seq", scene)
+        assert noisy_detect(labels, profile, 1, 4, "seq", scene) != base
+        assert noisy_detect(labels, profile, 1, 3, "other", scene) != base
 
     def test_noise_independent_of_other_frames(self):
         # The draw for frame k depends only on (seed, sequence, k), so a
         # variant that drops different frames sees identical noise on the
         # frames both variants share.
         labels = [make_label(track_id=i, cx=4.0 * i) for i in range(1, 6)]
-        profile = NoiseProfile(center_sigma=0.4, rng_seed=9)
+        profile = NoiseProfile(center_sigma=0.4)
         scene = scene_context(labels)
-        lone = noisy_detect(labels, profile, 11, "seq", scene)
+        lone = noisy_detect(labels, profile, 9, 11, "seq", scene)
         for earlier in (0, 5, 10):
-            noisy_detect(labels, profile, earlier, "seq", scene)
-        again = noisy_detect(labels, profile, 11, "seq", scene)
+            noisy_detect(labels, profile, 9, earlier, "seq", scene)
+        again = noisy_detect(labels, profile, 9, 11, "seq", scene)
         assert lone == again
 
     def test_detection_probability_law_of_large_numbers(self):
-        profile = NoiseProfile(detection_probability=0.9, rng_seed=123)
+        profile = NoiseProfile(detection_probability=0.9)
         labels = [make_label(track_id=i, cx=3.0 * i) for i in range(1, 11)]
         scene = scene_context(labels)
         emitted = 0
         total = 0
         for frame in range(1000):
-            dets = noisy_detect(labels, profile, frame, "lln", scene)
+            dets = noisy_detect(labels, profile, 123, frame, "lln", scene)
             emitted += len(dets)
             total += len(labels)
         assert total == 10000
@@ -138,21 +129,21 @@ class TestNoisyDetect:
 
     def test_score_range_respected(self):
         profile = NoiseProfile(score_range=(0.25, 0.75),
-                               false_positives_per_frame=2.0, rng_seed=5)
+                               false_positives_per_frame=2.0)
         labels = [make_label(track_id=i, cx=3.0 * i) for i in range(1, 6)]
         scene = scene_context(labels)
         for frame in range(50):
-            for det in noisy_detect(labels, profile, frame, "sc", scene):
+            for det in noisy_detect(labels, profile, 5, frame, "sc", scene):
                 assert 0.25 <= det.score <= 0.75
 
     def test_false_positives_inside_region(self):
         profile = NoiseProfile(detection_probability=0.0,
-                               false_positives_per_frame=3.0, rng_seed=2)
+                               false_positives_per_frame=3.0)
         labels = [make_label(track_id=1, cx=0.0), make_label(track_id=2, cx=40.0)]
         scene = scene_context(labels)
         seen = 0
         for frame in range(100):
-            for det in noisy_detect(labels, profile, frame, "fp", scene):
+            for det in noisy_detect(labels, profile, 2, frame, "fp", scene):
                 seen += 1
                 assert scene.x_range[0] <= det.box.cx <= scene.x_range[1]
                 assert scene.y_range[0] <= det.box.cy <= scene.y_range[1]
@@ -160,11 +151,11 @@ class TestNoisyDetect:
 
     def test_perturbed_boxes_stay_valid(self):
         profile = NoiseProfile(center_sigma=1.0, extent_sigma=3.0,
-                               yaw_sigma=4.0, rng_seed=8)
+                               yaw_sigma=4.0)
         labels = [make_label(track_id=i) for i in range(1, 4)]
         scene = scene_context(labels)
         for frame in range(200):
-            for det in noisy_detect(labels, profile, frame, "v", scene):
+            for det in noisy_detect(labels, profile, 8, frame, "v", scene):
                 assert det.box.length >= 0.05
                 assert det.box.width >= 0.05
                 assert det.box.height >= 0.05
@@ -176,11 +167,11 @@ class TestNoisyDetect:
         profile = NoiseProfile(detection_probability=0.9, center_sigma=0.5,
                                extent_sigma=0.5, yaw_sigma=0.2,
                                false_positives_per_frame=2.0,
-                               score_range=(0.5, 1.0), rng_seed=4)
+                               score_range=(0.5, 1.0))
         labels = [make_label(track_id=i, cx=3.0 * i) for i in range(1, 5)]
         scene = scene_context(labels)
         dets = [det for frame in range(20)
-                for det in noisy_detect(labels, profile, frame, "f", scene)]
+                for det in noisy_detect(labels, profile, 4, frame, "f", scene)]
         assert len(dets) > 80
         for det in dets:
             assert type(det.score) is float

@@ -6,6 +6,8 @@ import types
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import droptrack
 import droptrack.metrics as metrics
@@ -24,7 +26,7 @@ from droptrack.pipeline import (
     variant_detector,
     write_report,
 )
-from droptrack.detectors import NoiseProfile
+from droptrack.detectors import NoiseProfile, noisy_detect, scene_context
 from droptrack.energy import ENERGY_PRESETS, estimate_draw_multi
 from droptrack.kitti_io import read_frame_outputs
 from droptrack.pipeline import write_cell_outputs
@@ -377,7 +379,7 @@ class TestSharedDetections:
 
         def counting(name, detect):
             def wrapper(labels, *args):
-                calls[name].append(args[1] if args else None)
+                calls[name].append(args[2] if args else None)
                 return detect(labels, *args)
             return wrapper
         monkeypatch.setattr(pipeline, "gt_detect",
@@ -389,6 +391,21 @@ class TestSharedDetections:
         assert len(calls["gt"]) == frames
         assert len(calls["noisy"]) == frames
         assert len(set(calls["noisy"])) == frames
+
+    @settings(max_examples=25, deadline=None)
+    @example(seed=0, frame=0)
+    @example(seed=2**63, frame=101)
+    @example(seed=2**64 - 1, frame=199)
+    @given(seed=st.integers(0, 2**64 - 1), frame=st.integers(0, 199))
+    def test_run_seed_reaches_the_draw_unchanged(self, seed, frame):
+        # The config's rng_seed is the one noise seed: a noisy variant
+        # draws with it as given, with no offset and no modulus.
+        cfg = config_from_dict(dict(README_CONFIG, rng_seed=seed))
+        seq = reference_scenario()
+        direct = noisy_detect(seq.labels_by_frame()[frame],
+                              cfg.profiles["field"], seed, frame,
+                              seq.sequence_id, scene_context(list(seq.labels)))
+        assert variant_detector(cfg, "noisy:field")(seq, frame) == direct
 
     def test_scene_context_only_for_noisy_misses(self, monkeypatch):
         built = []

@@ -9,7 +9,8 @@ untouched. With noiseless input the velocity estimate becomes exact
 after the third update, so predictions across a gap land on the truth.
 """
 
-from droptrack import Detection, OrientedBox, Tracker, TrackerConfig
+from droptrack import (FRAME_PERIOD, Detection, OrientedBox, Tracker,
+                       TrackerConfig)
 
 config = TrackerConfig(process_noise=0.0, measurement_noise=0.0)
 tracker = Tracker(config)
@@ -18,7 +19,7 @@ VX = 3.0  # m/s along x, 10 Hz frames -> 0.3 m per frame
 
 
 def truth_box(frame):
-    return OrientedBox(cx=VX * config.cycle_time * frame, cy=0.0, cz=0.75,
+    return OrientedBox(cx=VX * FRAME_PERIOD * frame, cy=0.0, cz=0.75,
                        length=4.5, width=1.8, height=1.5, yaw=0.0)
 
 

@@ -8,8 +8,8 @@ predictions.
 
 from .geometry import (Detection, LabeledObject, OrientedBox, bev_iou,
                        footprint_intersection_area, iou_3d, wrap_angle)
-from .schedule import (DropPattern, TARGET_PATTERNS, build_schedule,
-                       parse_pattern)
+from .schedule import (FRAME_PERIOD, DropPattern, TARGET_PATTERNS,
+                       build_schedule, parse_pattern)
 from .detectors import (NoiseProfile, SceneContext, gt_detect, noisy_detect,
                         scene_context)
 from .tracker import (FrameOutput, TrackEntry, Tracker, TrackerConfig,

@@ -21,9 +21,9 @@ from .kitti_io import (DatasetError, parse_kitti_labels, read_frame_outputs,
 from . import metrics
 from .metrics import NoGroundTruthError, clear_mot, hota
 from .pipeline import (ComputationError, ConfigError, config_from_dict,
-                       energy_params, output_dir, render_sweep_csv,
-                       run_sweep, write_report)
-from .schedule import build_schedule, parse_pattern
+                       energy_params, output_dir, read_pattern,
+                       render_sweep_csv, run_sweep, write_report)
+from .schedule import DropPattern, build_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +40,14 @@ def _positive(convert):
         return value
     parse.__name__ = convert.__name__
     return parse
+
+
+def _pattern(text: str) -> DropPattern:
+    """Argument type: a drop pattern, refused as the config refuses it."""
+    try:
+        return read_pattern(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _path(text: str) -> Path:
@@ -80,8 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     energy_p.add_argument("--idle-draw", type=float, default=None)
     energy_p.add_argument("--active-draw", type=float, default=None)
     energy_p.add_argument("--inference-time", type=float, default=None)
-    energy_p.add_argument("--cycle-time", type=float, default=None)
-    energy_p.add_argument("--pattern", type=parse_pattern, default=None,
+    energy_p.add_argument("--pattern", type=_pattern, default=None,
                           metavar="N/M", help="drop pattern (default 1/1)")
     energy_p.add_argument("--length", type=_positive(int), default=None,
                           help="schedule length in frames (default 1000)")
@@ -137,8 +144,7 @@ def _cmd_eval(args) -> int:
 
 
 # The energy flags that set the draw model, named as in a config entry.
-_MODEL_FLAGS = ("preset", "idle_draw", "active_draw", "inference_time",
-                "cycle_time")
+_MODEL_FLAGS = ("preset", "idle_draw", "active_draw", "inference_time")
 
 
 def _cmd_energy(args) -> int:
@@ -146,7 +152,7 @@ def _cmd_energy(args) -> int:
              if getattr(args, name) is not None}
     given = ", ".join("--" + name.replace("_", "-") for name in model)
     params = energy_params(model, f"energy [{given}]")
-    pattern = parse_pattern("1/1") if args.pattern is None else args.pattern
+    pattern = DropPattern(1, 1) if args.pattern is None else args.pattern
     flags = build_schedule(pattern, 1000 if args.length is None
                            else args.length)
     print(f"estimated_draw_watts {estimate_draw_multi(params, [flags]):.6f}")

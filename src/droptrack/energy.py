@@ -1,9 +1,9 @@
 """Duty-cycle system-draw model and yield.
 
-The draw model has two levels: active during inference, idle otherwise.
-A processed frame occupies max(cycle_time, inference_time) of wall clock,
-so heavy models stretch the cycle and dropping frames saves relatively
-less for them. A dropped frame occupies exactly one idle cycle.
+The draw model has two levels: active during inference, idle otherwise. A
+processed frame occupies max(FRAME_PERIOD, inference_time) of wall clock,
+so heavy models stretch the frame and dropping frames saves relatively
+less for them. A dropped frame occupies one idle FRAME_PERIOD.
 """
 
 from __future__ import annotations
@@ -11,21 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .schedule import FRAME_PERIOD
+
 
 @dataclass(frozen=True)
 class EnergyParams:
     idle_draw: float
     active_draw: float
     inference_time: float
-    cycle_time: float = 0.1
 
     def __post_init__(self):
         # Every check is written so that NaN fails it.
         if not 0.0 <= self.idle_draw <= self.active_draw < math.inf:
             raise ValueError("need 0 <= idle_draw <= active_draw < inf")
-        for name in ("inference_time", "cycle_time"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.inference_time < math.inf:
+            raise ValueError("inference_time must be positive and finite")
 
 
 # Documentation fixtures for the four detector-class presets used in the
@@ -45,11 +45,11 @@ ENERGY_PRESETS: dict[str, EnergyParams] = {
 def frame_energy_and_time(params: EnergyParams, is_processed: bool) -> tuple[float, float]:
     """(joules, seconds) one frame contributes to the run."""
     if is_processed:
-        slot = max(params.cycle_time, params.inference_time)
+        slot = max(FRAME_PERIOD, params.inference_time)
         energy = params.active_draw * params.inference_time \
-            + params.idle_draw * max(0.0, params.cycle_time - params.inference_time)
+            + params.idle_draw * max(0.0, FRAME_PERIOD - params.inference_time)
         return energy, slot
-    return params.idle_draw * params.cycle_time, params.cycle_time
+    return params.idle_draw * FRAME_PERIOD, FRAME_PERIOD
 
 
 def estimate_draw_multi(params: EnergyParams,

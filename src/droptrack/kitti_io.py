@@ -42,8 +42,15 @@ class DatasetError(Exception):
 
 
 def excerpt(value) -> str:
-    """value as JSON, cut to 40 characters with the cut marked."""
-    text = json.dumps(value)
+    """value as JSON, cut to 40 characters with the cut marked. An integer
+    past the interpreter's digit limit, which JSON cannot print, is named
+    by that limit, as is a value holding one."""
+    try:
+        text = json.dumps(value)
+    except ValueError:
+        what = "an" if isinstance(value, int) else "a value with an"
+        return f"{what} integer of more than " \
+            f"{sys.get_int_max_str_digits()} digits"
     return text if len(text) <= 40 else \
         f"{text[:40]}... ({len(text)} characters)"
 
@@ -66,7 +73,8 @@ def read_json_object(path, what: str,
         if len(data := dict(pairs)) < len(pairs):
             key = next(k for i, (k, _) in enumerate(pairs)
                        if k in dict(pairs[:i]))
-            raise error(f"cannot read {what} {path}: key {key!r} repeats")
+            raise error(f"cannot read {what} {path}: key {excerpt(key)} "
+                        f"repeats")
         return data
 
     text = read_text(path, what, error)
@@ -271,8 +279,9 @@ def read_frame_outputs(path, frame_count: int | None = None
     rowless = [(frame, track_id) for frame, ids in provenance.items()
                for track_id in ids]
     if rowless:
-        raise DatasetError(f"{sidecar_path}: frame {rowless[0][0]} id "
-                           f"{rowless[0][1]}: provenance for no output row")
+        frame, track_id = map(excerpt, rowless[0])
+        raise DatasetError(f"{sidecar_path}: frame {frame} id {track_id}: "
+                           f"provenance for no output row")
 
     last_frame = max(entries_by_frame, default=-1)
     if stated_count is not None:
@@ -293,7 +302,7 @@ def load_manifest(path) -> dict[str, int]:
     out = {}
     for key, value in read_json_object(path, "manifest").items():
         if type(value) is not int or value < 1:
-            raise DatasetError(f"{path}: bad frame count for {key!r}")
+            raise DatasetError(f"{path}: bad frame count for {excerpt(key)}")
         out[str(key)] = value
     return out
 
@@ -307,8 +316,8 @@ def load_label_dir(directory, manifest: dict[str, int] | None = None
     label_files = sorted(directory.glob("*.txt"))
     unknown = sorted(set(manifest or ()) - {f.stem for f in label_files})
     if unknown:
-        raise DatasetError(f"{directory}: manifest key {unknown[0]!r} names "
-                           f"no label file")
+        raise DatasetError(f"{directory}: manifest key {excerpt(unknown[0])} "
+                           f"names no label file")
     sequences = []
     for label_file in label_files:
         count = manifest.get(label_file.stem) if manifest else None

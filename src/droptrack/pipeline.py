@@ -110,12 +110,22 @@ def _from_object(cls, body, where: str):
     values = {}
     for name, value in _typed(body, dict, where).items():
         if name not in annotations:
-            raise ConfigError(f"unknown {where} field {name!r}")
+            raise ConfigError(f"unknown {where} field {excerpt(name)}")
         values[name] = _field_value(value, annotations[name],
                                     f"{where}.{name}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def read_pattern(raw, where: str = "") -> DropPattern:
+    """The pattern a config value or flag names; a bad one is a ConfigError
+    giving `where`, by default the value's excerpt, and the reason."""
+    try:
+        return parse_pattern(str(raw))
+    except ValueError as exc:
+        where = where or f"invalid pattern {excerpt(raw)}"
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -126,11 +136,12 @@ def energy_params(entry, where: str) -> EnergyParams:
         others = sorted(set(entry) - {"preset"})
         if others:
             raise ConfigError(f"{where}: a preset takes no other fields, "
-                              f"got {others}")
+                              f"got {excerpt(others)}")
         name = _typed(entry["preset"], str, f"{where}.preset")
         if name not in ENERGY_PRESETS:
-            raise ConfigError(f"{where}: unknown energy preset {name!r}; "
-                              f"known: {sorted(ENERGY_PRESETS)}")
+            raise ConfigError(f"{where}: unknown energy preset "
+                              f"{excerpt(name)}; known: "
+                              f"{sorted(ENERGY_PRESETS)}")
         return ENERGY_PRESETS[name]
     return _from_object(EnergyParams, entry, where)
 
@@ -150,16 +161,17 @@ def config_from_dict(data: dict) -> RunConfig:
     if type(data.get("jobs")) is int and data["jobs"] == 1:
         unknown.discard("jobs")
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys {excerpt(sorted(unknown))}")
 
     dataset = data.get("dataset", {"kind": "reference"})
     if not isinstance(dataset, dict) or "kind" not in dataset:
         raise ConfigError("dataset must be an object with a 'kind' field")
     unknown = set(dataset) - _DATASET_FIELDS
     if unknown:
-        raise ConfigError(f"dataset: unknown fields {sorted(unknown)}")
+        raise ConfigError(f"dataset: unknown fields "
+                          f"{excerpt(sorted(unknown))}")
     if dataset["kind"] not in ("reference", "kitti"):
-        raise ConfigError(f"unknown dataset kind {dataset['kind']!r}")
+        raise ConfigError(f"unknown dataset kind {excerpt(dataset['kind'])}")
     # The reference scenario is built in code, so a file it would not read
     # is refused rather than ignored.
     files = sorted(set(dataset) - {"kind"})
@@ -184,13 +196,10 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("config requires at least one pattern")
     patterns = []
     for i, raw in enumerate(_typed(raw_patterns, list, "patterns")):
-        try:
-            pattern = parse_pattern(str(raw))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        pattern = read_pattern(raw)
         if pattern in patterns:
-            raise ConfigError(f"patterns[{i}]: {str(raw)!r} repeats "
-                              f"pattern {pattern}")
+            raise ConfigError(f"patterns[{i}]: {excerpt(raw)} repeats "
+                              f"pattern {excerpt(str(pattern))}")
         patterns.append(pattern)
 
     variants = _string_array(data, "variants", ["gt"])
@@ -198,12 +207,13 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("config requires at least one variant")
     for i, variant in enumerate(variants):
         if variant in variants[:i]:
-            raise ConfigError(f"variants[{i}]: {variant!r} is named twice")
+            raise ConfigError(f"variants[{i}]: {excerpt(variant)} is named "
+                              f"twice")
 
     profiles = {}
     for name, body in _typed(data.get("profiles", {}), dict,
                              "profiles").items():
-        where = f"profiles[{name!r}]"
+        where = f"profiles[{excerpt(name)}]"
         # The name becomes one directory of a sweep's cell outputs, with
         # ':' written as '_': a path separator or ':' would let two
         # variants share a directory, or leave the outputs directory.
@@ -215,14 +225,11 @@ def config_from_dict(data: dict) -> RunConfig:
     overrides = {}
     for key, body in _typed(data.get("tracker_overrides", {}), dict,
                             "tracker_overrides").items():
-        where = f"tracker_overrides[{key!r}]"
-        try:
-            pattern = parse_pattern(str(key))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        where = f"tracker_overrides[{excerpt(key)}]"
+        pattern = read_pattern(key, where)
         if pattern in overrides:
-            raise ConfigError(f"{where}: pattern {pattern} already has an "
-                              f"override")
+            raise ConfigError(f"{where}: pattern {excerpt(str(pattern))} "
+                              f"already has an override")
         overrides[pattern] = _from_object(
             TrackerConfig, {**asdict(tracker), **_typed(body, dict, where)},
             where)
@@ -232,9 +239,10 @@ def config_from_dict(data: dict) -> RunConfig:
     energy = {}
     for key, body in _typed(data.get("energy", {}), dict, "energy").items():
         if key not in energy_keys:
-            raise ConfigError(f"energy[{key!r}]: expected 'default', 'gt' "
-                              f"or 'noisy:<profile>' of a defined profile")
-        energy[key] = energy_params(body, f"energy[{key!r}]")
+            raise ConfigError(f"energy[{excerpt(key)}]: expected 'default', "
+                              f"'gt' or 'noisy:<profile>' of a defined "
+                              f"profile")
+        energy[key] = energy_params(body, f"energy[{excerpt(key)}]")
 
     seed = _typed(data.get("rng_seed", 0), int, "rng_seed")
     if not 0 <= seed < SEED_BOUND:
@@ -296,15 +304,16 @@ def variant_detector(config: RunConfig, variant: str):
     if variant.startswith("noisy:"):
         name = variant.split(":", 1)[1]
         if name not in config.profiles:
-            raise ConfigError(f"variant {variant!r} references undefined "
-                              f"profile {name!r}")
+            raise ConfigError(f"variant {excerpt(variant)} references "
+                              f"undefined profile {excerpt(name)}")
         # Found, not imported: only a noisy draw loads numpy.
         if importlib.util.find_spec("numpy") is None:
-            raise ConfigError(f"variant {variant!r} draws its noise with "
-                              f"numpy, which is not installed")
+            raise ConfigError(f"variant {excerpt(variant)} draws its noise "
+                              f"with numpy, which is not installed")
         profile = config.profiles[name]
     elif variant != "gt":
-        raise ConfigError(f"variant {variant!r} must be 'gt' or 'noisy:<profile>'")
+        raise ConfigError(f"variant {excerpt(variant)} must be 'gt' or "
+                          f"'noisy:<profile>'")
     detected: dict[tuple[str, int], list[Detection]] = {}
     per_sequence = {}  # sequence_id -> (labels by frame, scene)
 
@@ -395,8 +404,9 @@ def run_sweep(config: RunConfig, outputs_dir=None) -> tuple[MetricsRow, ...]:
         try:  # what the first noisy draw would import
             importlib.import_module("numpy")
         except ImportError as exc:
-            raise ConfigError(f"variant {noisy[0]!r} draws its noise with "
-                              f"numpy, which fails to import: {exc}") from None
+            raise ConfigError(f"variant {excerpt(noisy[0])} draws its noise "
+                              f"with numpy, which fails to import: {exc}") \
+                from None
     sequences = load_sequences(config)
     rows = []
     for variant in config.variants:

@@ -1,8 +1,8 @@
 """Bundled synthetic reference scenario.
 
-Seven constant-velocity cars over 200 frames at 10 Hz: four present from
-frame 0, three entering mid-sequence, one lateral mover whose path crosses
-the longitudinal lanes (timed so no two ground-truth boxes ever overlap).
+Seven constant-velocity cars over 200 frames `FRAME_PERIOD` apart: four
+present from frame 0, three entering mid-sequence, one lateral mover whose
+path crosses the lanes (timed so no two ground-truth boxes ever overlap).
 Entry frames are chosen so that each coarser drop pattern delays at least
 one track birth a little longer, which makes the performance-vs-target
 curve strictly ordered instead of relying on ties.
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .geometry import LabeledObject, OrientedBox
 from .kitti_io import SequenceData
+from .schedule import FRAME_PERIOD
 
 FRAME_COUNT = 200
-FRAME_DT = 0.1
 
 # KITTI tracking validation-split lengths, used as a scheduler fixture for
 # comparing per-target processed-frame totals against published counts.
@@ -45,7 +45,7 @@ class ReferenceCar:
     height: float
 
     def box_at(self, frame_index: int) -> OrientedBox:
-        t = (frame_index - self.first_frame) * FRAME_DT
+        t = (frame_index - self.first_frame) * FRAME_PERIOD
         return OrientedBox(cx=self.x0 + self.vx * t, cy=self.y0 + self.vy * t,
                            cz=self.height / 2.0, length=self.length,
                            width=self.width, height=self.height, yaw=self.yaw)

@@ -2,13 +2,13 @@
 
 A constant-velocity Kalman filter carries each track; frames without a
 detector pass still produce output by extrapolating every live track one
-cycle. Lifecycle counters (hits, consecutive misses) move only on frames
-the detector actually processed, so one miss budget works across drop
-patterns. A track is output once it has `min_hits_to_confirm` hits; an
-unmatched track dies while it has fewer, or once its consecutive misses
-exceed `max_misses_to_delete`. An output entry is `updated` on a
-processed frame where its track has no miss, meaning it was matched or
-born there, and `predicted` otherwise.
+`FRAME_PERIOD`. Lifecycle counters (hits, consecutive misses) move only
+on frames the detector actually processed, so one miss budget works
+across drop patterns. A track is output once it has
+`min_hits_to_confirm` hits; an unmatched track dies while it has fewer,
+or once its consecutive misses exceed `max_misses_to_delete`. An output
+entry is `updated` on a processed frame where its track has no miss,
+meaning it was matched or born there, and `predicted` otherwise.
 
 State: `mean` is 10 floats, cx, cy, cz, yaw, length, width, height, vx,
 vy, vz; the first 7 are observed, and yaw and extents follow a random
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .geometry import (MIN_EXTENT, Detection, OrientedBox, _slot_setters,
                        candidate_pairs, iou_3d, iou_3d_at_least, wrap_angle)
+from .schedule import FRAME_PERIOD
 
 N_OBSERVED = 7
 
@@ -46,7 +47,6 @@ MATCH_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    cycle_time: float = 0.1
     min_hits_to_confirm: int = 1
     max_misses_to_delete: int = 2
     gate_iou_min: float = 0.1
@@ -55,8 +55,6 @@ class TrackerConfig:
 
     def __post_init__(self):
         # Every check is written so that NaN fails it.
-        if not 0.0 < self.cycle_time < math.inf:
-            raise ValueError("cycle_time must be positive and finite")
         if self.min_hits_to_confirm < 1 or self.max_misses_to_delete < 1:
             raise ValueError("lifecycle thresholds must be >= 1")
         if not 0.0 <= self.gate_iou_min <= 1.0:
@@ -108,10 +106,10 @@ class FrameOutput:
 
 
 def predict(state: TrackState, config: TrackerConfig) -> TrackState:
-    """Constant-velocity extrapolation over one cycle, dt =
-    `config.cycle_time`: F P Fᵀ + dt q I per axis with F = [[1, dt],
-    [0, 1]]; lifecycle fields untouched."""
-    dt = config.cycle_time
+    """Constant-velocity extrapolation over one frame, dt =
+    `FRAME_PERIOD`: F P Fᵀ + dt q I per axis with F = [[1, dt], [0, 1]];
+    lifecycle fields untouched."""
+    dt = FRAME_PERIOD
     m, var, cross = state.mean, state.var, state.cross
     dq = dt * config.process_noise
     mean, new_var, new_cross = m[:], [v + dq for v in var], cross[:]

@@ -30,6 +30,7 @@ from droptrack.geometry import (_AREA_EPS, MIN_EXTENT, Detection,
                                 wrap_angle)
 from droptrack.metrics import (ALPHA_GRID, MATCH_EPS, FrameTable, HotaResult,
                                NoGroundTruthError)
+from droptrack.schedule import FRAME_PERIOD
 from droptrack.tracker import (PROVENANCE_PREDICTED, PROVENANCE_UPDATED,
                                FrameOutput, Tracker, TrackEntry, TrackState,
                                _birth, associate, gated_assignment, predict,
@@ -454,7 +455,7 @@ def simulate_draw_1ms(params: EnergyParams, flags: tuple[bool, ...]) -> float:
     case generator guarantees.
     """
     ti = int(round(params.inference_time * 1000))
-    tc = int(round(params.cycle_time * 1000))
+    tc = int(round(FRAME_PERIOD * 1000))
     ticks: list[float] = []
     for processed in flags:
         if processed:

@@ -112,6 +112,9 @@ def profile_argv(tmp_path, *names):
             "--outputs", str(tmp_path / "out" / "cells")]
 
 
+# A 3,000-character key, name or pattern, which a refusal cuts to 40.
+LONG = "x" * 3000
+
 ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
                 "--inference-time", "0.05"]
 
@@ -155,9 +158,9 @@ def label_file_argv(tmp_path, **fields):
     # 3D IoU is the one scoring rule and CLEAR matches at the fixed 0.5, so
     # similarity and clear_threshold are unknown keys.
     (lambda p: sweep_argv(p, similarity="nope"), EXIT_CONFIG,
-     "unknown config keys ['similarity']"),
+     'unknown config keys ["similarity"]'),
     (lambda p: sweep_argv(p, tracker_overrides={"bogus": {}}), EXIT_CONFIG,
-     "tracker_overrides['bogus']"),
+     'tracker_overrides["bogus"]'),
     (lambda p: sweep_argv(p, tracker_overrides={"1/2": {"cycle_time": -1}}),
      EXIT_CONFIG, "cycle_time"),
     (lambda p: sweep_argv(p) + ["--jobs", "2"], EXIT_CONFIG, "--jobs"),
@@ -171,13 +174,13 @@ def label_file_argv(tmp_path, **fields):
     # Config values of the wrong JSON type.
     (lambda p: sweep_argv(p, tracker=5), EXIT_CONFIG, "tracker"),
     (lambda p: sweep_argv(p, tracker_overrides={"1/2": 5}), EXIT_CONFIG,
-     "tracker_overrides['1/2']"),
+     'tracker_overrides["1/2"]'),
     (lambda p: sweep_argv(p, tracker_overrides=[1]), EXIT_CONFIG,
      "tracker_overrides"),
     (lambda p: sweep_argv(p, profiles=[1]), EXIT_CONFIG, "profiles"),
     (lambda p: sweep_argv(p, energy=[1]), EXIT_CONFIG, "energy"),
     (lambda p: sweep_argv(p, clear_threshold="abc"), EXIT_CONFIG,
-     "unknown config keys ['clear_threshold']"),
+     'unknown config keys ["clear_threshold"]'),
     (lambda p: sweep_argv(p, rng_seed="x"), EXIT_CONFIG, "rng_seed"),
     # A seed outside [0, 2**64) would draw the noise of the seed it is
     # congruent to: -1 and 2**65 - 1 that of 2**64 - 1.
@@ -191,7 +194,7 @@ def label_file_argv(tmp_path, **fields):
      "unrecognized arguments: --seed 7"),
     (lambda p: sweep_argv(p, variants=["noisy:p"],
                           profiles={"p": {"rng_seed": 1}}),
-     EXIT_CONFIG, "unknown profiles['p'] field 'rng_seed'"),
+     EXIT_CONFIG, 'unknown profiles["p"] field "rng_seed"'),
     # Car is the one tracked class, so class_set is an unknown key.
     (lambda p: sweep_argv(p, class_set="Car"), EXIT_CONFIG, "class_set"),
     (config_root_argv, EXIT_CONFIG, "config root must be a JSON object"),
@@ -221,12 +224,12 @@ def label_file_argv(tmp_path, **fields):
      EXIT_DATASET, "out.txt.meta.json: frame 2 id 1:"),
     (lambda p: eval_argv(p, sidecar={"frame_count": 4, "provenance": {
         "0": {"1": "updated", "7": "predicted"}}}),
-     EXIT_DATASET, "out.txt.meta.json: frame 0 id 7:"),
+     EXIT_DATASET, 'out.txt.meta.json: frame "0" id "7":'),
     # A row of another type is skipped, so no sidecar entry may name it.
     (lambda p: eval_argv(p, kitti_label_row(0, 2, kind="Pedestrian"),
                          sidecar={"provenance": {"0": {"2": "updated"}}}),
      EXIT_DATASET,
-     "out.txt.meta.json: frame 0 id 2: provenance for no output row"),
+     'out.txt.meta.json: frame "0" id "2": provenance for no output row'),
     # A sidecar's frame_count must cover the output rows and stay within
     # the frames read.
     (lambda p: eval_argv(p, sidecar={"frame_count": 2}), EXIT_DATASET,
@@ -236,9 +239,9 @@ def label_file_argv(tmp_path, **fields):
     # A manifest frame count must be an integer, not a boolean, and every
     # manifest key must name a label file.
     (lambda p: kitti_sweep_argv(p, manifest={"0000": True}), EXIT_DATASET,
-     "manifest.json: bad frame count for '0000'"),
+     'manifest.json: bad frame count for "0000"'),
     (lambda p: kitti_sweep_argv(p, manifest={"000": 50}), EXIT_DATASET,
-     "manifest key '000'"),
+     'manifest key "000"'),
     # Command-line argument errors.
     (lambda p: ENERGY_MODEL + ["--pattern", "3/2"], EXIT_CONFIG, "--pattern"),
     (lambda p: ENERGY_MODEL + ["--length", "0"], EXIT_CONFIG, "--length"),
@@ -261,9 +264,9 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: eval_argv(p, extra=["--clear-threshold", "2"]), EXIT_CONFIG,
      "unrecognized arguments: --clear-threshold"),
     (lambda p: sweep_argv(p, clear_threshold=0), EXIT_CONFIG,
-     "unknown config keys ['clear_threshold']"),
+     'unknown config keys ["clear_threshold"]'),
     (lambda p: sweep_argv(p, clear_threshold=2), EXIT_CONFIG,
-     "unknown config keys ['clear_threshold']"),
+     'unknown config keys ["clear_threshold"]'),
     # An --out that cannot be written is a bad argument.
     (out_file_argv, EXIT_CONFIG, "out-is-a-file"),
     (lambda p: out_file_argv(p, "--outputs"), EXIT_CONFIG, "out-is-a-file"),
@@ -274,10 +277,11 @@ def label_file_argv(tmp_path, **fields):
      "inference_time"),
     (lambda p: ["energy", "--idle-draw", "145", "--active-draw", "inf",
                 "--inference-time", "0.05"], EXIT_CONFIG, "active_draw"),
+    # The frame period is FRAME_PERIOD, so --cycle-time is an unknown flag.
     (lambda p: ENERGY_MODEL + ["--cycle-time", "inf"], EXIT_CONFIG,
-     "cycle_time"),
+     "unrecognized arguments: --cycle-time inf"),
     (lambda p: ["energy", "--preset", "second", "--idle-draw", "100",
-                "--cycle-time", "0.2"], EXIT_CONFIG, "idle_draw"),
+                "--inference-time", "0.2"], EXIT_CONFIG, "idle_draw"),
     (lambda p: sweep_argv(p, energy={"default": {"preset": "second",
                                                  "cycle_time": 0.5}}),
      EXIT_CONFIG, "cycle_time"),
@@ -300,48 +304,48 @@ def label_file_argv(tmp_path, **fields):
     # A misspelt top-level key is refused by name, not run without it; of
     # `jobs`, only the value 1 every run uses is accepted.
     (lambda p: sweep_argv(p, tracker_overide={"1/2": {"min_hits_to_confirm": 1}}),
-     EXIT_CONFIG, "unknown config keys ['tracker_overide']"),
+     EXIT_CONFIG, 'unknown config keys ["tracker_overide"]'),
     (lambda p: sweep_argv(p, jobs=2), EXIT_CONFIG,
-     "unknown config keys ['jobs']"),
+     'unknown config keys ["jobs"]'),
     # An energy key must name a variant: default, gt or a defined profile.
     (lambda p: sweep_argv(p, energy={"defualt": {"preset": "second"}}),
-     EXIT_CONFIG, "energy['defualt']"),
+     EXIT_CONFIG, 'energy["defualt"]'),
     (lambda p: sweep_argv(p, energy={"noisy:field": {"preset": "second"}}),
-     EXIT_CONFIG, "energy['noisy:field']"),
+     EXIT_CONFIG, 'energy["noisy:field"]'),
     # A pattern or variant named twice would run or override it twice.
     (lambda p: sweep_argv(p, patterns=["1/2", "50"]), EXIT_CONFIG,
-     "patterns[1]: '50' repeats pattern 1/2"),
+     'patterns[1]: "50" repeats pattern "1/2"'),
     (lambda p: ["sweep", "--pattern", "1/2", "--pattern", "50"], EXIT_CONFIG,
-     "'50' repeats pattern 1/2"),
+     '"50" repeats pattern "1/2"'),
     (lambda p: sweep_argv(p, variants=["gt", "gt"]), EXIT_CONFIG,
-     "variants[1]: 'gt'"),
+     'variants[1]: "gt"'),
     (lambda p: sweep_argv(p, tracker_overrides={
         "1/2": {"min_hits_to_confirm": 3}, "50": {"min_hits_to_confirm": 1}}),
-     EXIT_CONFIG, "tracker_overrides['50']: pattern 1/2"),
+     EXIT_CONFIG, 'tracker_overrides["50"]: pattern "1/2"'),
     # A score range is an array of exactly two numbers.
     (lambda p: score_range_argv(p, [True, True]), EXIT_CONFIG,
-     "profiles['p'].score_range[0]: expected a finite number, got true"),
+     'profiles["p"].score_range[0]: expected a finite number, got true'),
     (lambda p: score_range_argv(p, [0.5]), EXIT_CONFIG,
-     "profiles['p'].score_range: expected an array of 2 numbers"),
+     'profiles["p"].score_range: expected an array of 2 numbers'),
     (lambda p: score_range_argv(p, [0.5, 1.0, 1.0]), EXIT_CONFIG,
-     "profiles['p'].score_range: expected an array of 2 numbers"),
+     'profiles["p"].score_range: expected an array of 2 numbers'),
     (lambda p: score_range_argv(p, ["a", 1.0]), EXIT_CONFIG,
-     "profiles['p'].score_range[0]: expected a finite number"),
+     'profiles["p"].score_range[0]: expected a finite number'),
     # The birth covariance is a constant: a birth variance, negative or
     # not, is refused by name before its value is read.
     (lambda p: sweep_argv(p, tracker={"birth_velocity_var": -100}),
-     EXIT_CONFIG, "unknown tracker field 'birth_velocity_var'"),
+     EXIT_CONFIG, 'unknown tracker field "birth_velocity_var"'),
     # A variant is refused before any cell runs.
     (lambda p: sweep_argv(p, variants=["noisy:nope"]), EXIT_CONFIG,
-     "variant 'noisy:nope' references undefined profile 'nope'"),
+     'variant "noisy:nope" references undefined profile "nope"'),
     (lambda p: sweep_argv(p, variants=["oracle"]), EXIT_CONFIG,
-     "variant 'oracle' must be 'gt' or 'noisy:<profile>'"),
+     'variant "oracle" must be \'gt\' or \'noisy:<profile>\''),
     # A profile name is one directory of the cell outputs: with ':' as '_',
     # "a:b" would share "a_b"'s, and a path would leave --outputs.
     (lambda p: profile_argv(p, "a:b", "a_b"), EXIT_CONFIG,
-     "profiles['a:b']: a profile name may not contain"),
+     'profiles["a:b"]: a profile name may not contain'),
     (lambda p: profile_argv(p, "../../../escaped"), EXIT_CONFIG,
-     "profiles['../../../escaped']: a profile name may not contain"),
+     'profiles["../../../escaped"]: a profile name may not contain'),
     # A file that is not UTF-8 is refused like one that cannot be read.
     (lambda p: not_utf8(sweep_argv(p), p / "config.json"), EXIT_CONFIG,
      "config.json: 'utf-8' codec can't decode"),
@@ -369,18 +373,18 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: holding(sweep_argv(p), p / "config.json",
                        '{"patterns": ["1/1"], "variants": ["gt"], '
                        '"patterns": ["1/10"]}'),
-     EXIT_CONFIG, "config.json: key 'patterns' repeats"),
+     EXIT_CONFIG, 'config.json: key "patterns" repeats'),
     (lambda p: holding(sweep_argv(p), p / "config.json",
                        '{"patterns": ["1/1"], "tracker": '
                        '{"gate_iou_min": 0.5, "gate_iou_min": 0.1}}'),
-     EXIT_CONFIG, "config.json: key 'gate_iou_min' repeats"),
+     EXIT_CONFIG, 'config.json: key "gate_iou_min" repeats'),
     (lambda p: holding(kitti_sweep_argv(p, manifest={"0000": 4}),
                        p / "manifest.json", '{"0000": 4, "0000": 5}'),
-     EXIT_DATASET, "manifest.json: key '0000' repeats"),
+     EXIT_DATASET, 'manifest.json: key "0000" repeats'),
     (lambda p: holding(eval_argv(p), p / "out.txt.meta.json",
                        '{"provenance": {"0": {"1": "predicted"}, '
                        '"0": {"1": "updated"}}}'),
-     EXIT_DATASET, "out.txt.meta.json: key '0' repeats"),
+     EXIT_DATASET, 'out.txt.meta.json: key "0" repeats'),
     # An integer literal past Python's digit limit is invalid JSON.
     (lambda p: holding(sweep_argv(p), p / "config.json",
                        '{"rng_seed": 1' + "0" * 5000 + "}"),
@@ -392,11 +396,11 @@ def label_file_argv(tmp_path, **fields):
     (lambda p: sweep_argv(p, tracker={"process_noise": 10 ** 400}),
      EXIT_CONFIG, "tracker.process_noise: expected a finite number"),
     (lambda p: score_range_argv(p, [0.5, 10 ** 400]), EXIT_CONFIG,
-     "profiles['p'].score_range[1]: expected a finite number"),
+     'profiles["p"].score_range[1]: expected a finite number'),
     # An empty variant names none, so it is refused, not run as the
     # default.
     (lambda p: ["sweep", "--variant", ""], EXIT_CONFIG,
-     "variant '' must be 'gt' or 'noisy:<profile>'"),
+     'variant "" must be \'gt\' or \'noisy:<profile>\''),
     # energy reads no power log: --log is an unknown flag.
     (lambda p: ["energy", "--log", "log.csv"], EXIT_CONFIG,
      "unrecognized arguments: --log"),
@@ -404,6 +408,24 @@ def label_file_argv(tmp_path, **fields):
     # flag.
     (lambda p: eval_argv(p, extra=["--sidecar", "x"]), EXIT_CONFIG,
      "unrecognized arguments: --sidecar x"),
+    # Frames are FRAME_PERIOD apart: no tracker, override or energy entry
+    # sets a cycle time, even the one every run uses.
+    (lambda p: sweep_argv(p, tracker={"cycle_time": 0.1}), EXIT_CONFIG,
+     'unknown tracker field "cycle_time"'),
+    (lambda p: sweep_argv(p, tracker_overrides={"1/2": {"cycle_time": 0.1}}),
+     EXIT_CONFIG, 'unknown tracker_overrides["1/2"] field "cycle_time"'),
+    (lambda p: sweep_argv(p, energy={"default": {
+        "idle_draw": 145, "active_draw": 395, "inference_time": 0.05,
+        "cycle_time": 0.1}}),
+     EXIT_CONFIG, 'unknown energy["default"] field "cycle_time"'),
+    (lambda p: ENERGY_MODEL + ["--cycle-time", "0.1"], EXIT_CONFIG,
+     "unrecognized arguments: --cycle-time 0.1"),
+    # energy and sweep refuse a bad pattern with one reason.
+    (lambda p: ENERGY_MODEL + ["--pattern", "3/2"], EXIT_CONFIG,
+     'argument --pattern: invalid pattern "3/2": pattern requires '
+     '1 <= n <= m'),
+    (lambda p: ["sweep", "--pattern", "3/2"], EXIT_CONFIG,
+     'invalid pattern "3/2": pattern requires 1 <= n <= m'),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -450,7 +472,10 @@ def label_file_argv(tmp_path, **fields):
         "sidecar-frame-key-repeats", "config-int-too-long",
         "sidecar-int-too-long", "tracker-float-overflow",
         "score-range-float-overflow", "variant-empty", "energy-log-removed",
-        "eval-sidecar-removed"])
+        "eval-sidecar-removed", "tracker-cycle-time-removed",
+        "override-cycle-time-removed", "energy-entry-cycle-time-removed",
+        "energy-cycle-time-flag-removed", "energy-pattern-reason",
+        "sweep-pattern-reason"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -490,7 +515,57 @@ def test_empty_path_flag_is_refused(tmp_path, capsys, monkeypatch, build,
                   "than"),
     (lambda p: eval_argv(p, sidecar={"provenance": {"0": {"1": "x" * 5000}}}),
      EXIT_DATASET, "out.txt.meta.json: frame 0 id 1: provenance must be"),
-], ids=["float-field", "seed", "int-literal", "provenance"])
+    # A key, name or pattern of 3,000 characters is cut like a value.
+    (lambda p: sweep_argv(p, variants=["noisy:p"],
+                          profiles={"p": {LONG: 1}}),
+     EXIT_CONFIG, 'unknown profiles["p"] field "xxx'),
+    (lambda p: sweep_argv(p, **{LONG: 1}), EXIT_CONFIG,
+     'unknown config keys ["xxx'),
+    (lambda p: sweep_argv(p, dataset={"kind": "reference", LONG: 1}),
+     EXIT_CONFIG, 'dataset: unknown fields ["xxx'),
+    (lambda p: sweep_argv(p, dataset={"kind": LONG}), EXIT_CONFIG,
+     'unknown dataset kind "xxx'),
+    (lambda p: sweep_argv(p, profiles={LONG + "/": {}}), EXIT_CONFIG,
+     'profiles["xxx'),
+    (lambda p: sweep_argv(p, tracker_overrides={LONG: {}}), EXIT_CONFIG,
+     'tracker_overrides["xxx'),
+    (lambda p: sweep_argv(p, energy={LONG: {"preset": "second"}}),
+     EXIT_CONFIG, 'energy["xxx'),
+    (lambda p: sweep_argv(p, energy={"default": {"preset": LONG}}),
+     EXIT_CONFIG, 'energy["default"]: unknown energy preset "xxx'),
+    (lambda p: sweep_argv(p, energy={"default": {"preset": "second",
+                                                 LONG: 1}}),
+     EXIT_CONFIG, 'energy["default"]: a preset takes no other fields'),
+    (lambda p: sweep_argv(p, variants=[LONG]), EXIT_CONFIG,
+     'variant "xxx'),
+    (lambda p: sweep_argv(p, variants=[f"noisy:{LONG}"]), EXIT_CONFIG,
+     'variant "noisy:xxx'),
+    (lambda p: sweep_argv(p, variants=[LONG, LONG]), EXIT_CONFIG,
+     'variants[1]: "xxx'),
+    (lambda p: sweep_argv(p, patterns=["9" * 3000]), EXIT_CONFIG,
+     'invalid pattern "999'),
+    (lambda p: sweep_argv(p, patterns=["1/" + "9" * 3000,
+                                       "01/" + "9" * 3000]),
+     EXIT_CONFIG, 'patterns[1]: "01/999'),
+    (lambda p: sweep_argv(p, tracker_overrides={
+        "1/" + "9" * 3000: {}, "01/" + "9" * 3000: {}}),
+     EXIT_CONFIG, 'already has an override'),
+    (lambda p: holding(sweep_argv(p), p / "config.json",
+                       f'{{"{LONG}": 1, "{LONG}": 2}}'),
+     EXIT_CONFIG, 'config.json: key "xxx'),
+    (lambda p: kitti_sweep_argv(p, manifest={"0000": 4, LONG: 1}),
+     EXIT_DATASET, 'manifest key "xxx'),
+    (lambda p: kitti_sweep_argv(p, manifest={"0000": 4, LONG: 0}),
+     EXIT_DATASET, 'bad frame count for "xxx'),
+    (lambda p: eval_argv(p, sidecar={"provenance": {LONG: {LONG: "updated"}}}),
+     EXIT_DATASET, 'out.txt.meta.json: frame "xxx'),
+], ids=["float-field", "seed", "int-literal", "provenance", "field-name",
+        "config-key", "dataset-field", "dataset-kind", "profile-name",
+        "override-key", "energy-key", "preset-name", "preset-other-field",
+        "variant", "variant-profile", "variant-repeat", "pattern",
+        "pattern-repeat", "override-repeat",
+        "json-key-repeat", "manifest-key", "manifest-count-key",
+        "sidecar-key"])
 def test_refusal_echoes_a_short_excerpt(tmp_path, capsys, build, code,
                                         needle):
     # A refusal names the culprit without printing a long value whole, or
@@ -500,6 +575,16 @@ def test_refusal_echoes_a_short_excerpt(tmp_path, capsys, build, code,
     assert needle in err
     assert len(err) - len(str(tmp_path)) < 200
     assert "set_int_max_str_digits" not in err
+
+
+def test_energy_pattern_refusal_echoes_a_short_excerpt(capsys):
+    # argparse prints its usage first; the refusal is the last line.
+    assert exit_code(["energy", "--preset", "second",
+                      "--pattern", "9" * 3000]) == EXIT_CONFIG
+    refusal = capsys.readouterr().err.splitlines()[-1]
+    assert refusal.startswith('droptrack energy: error: argument --pattern: '
+                              'invalid pattern "999')
+    assert len(refusal) < 200
 
 
 @pytest.mark.parametrize("flag", ["--out", "--outputs"],
@@ -528,7 +613,7 @@ def test_noisy_variant_without_numpy_fails_before_any_cell(tmp_path, capsys,
     assert exit_code(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "variant 'noisy:p'" in captured.err and "numpy" in captured.err
+    assert 'variant "noisy:p"' in captured.err and "numpy" in captured.err
     assert not out.exists()
 
 
@@ -561,7 +646,7 @@ class TestRun:
 
     def test_bad_target_rejected_by_parser(self, capsys):
         assert main(["sweep", "--pattern", "42"]) == EXIT_CONFIG
-        assert "unknown target 42; named targets are" \
+        assert 'invalid pattern "42": unknown target; named targets are' \
             in capsys.readouterr().err
 
     def test_missing_subcommand(self):

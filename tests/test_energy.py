@@ -13,14 +13,14 @@ from droptrack.energy import (
     frame_energy_and_time,
     yield_metric,
 )
-from droptrack.schedule import DropPattern, build_schedule
+from droptrack.schedule import FRAME_PERIOD, DropPattern, build_schedule
 
 from oracles import simulate_draw_1ms
 
 
-def params(idle=150.0, active=350.0, ti=0.05, cycle=0.1):
+def params(idle=150.0, active=350.0, ti=0.05):
     return EnergyParams(idle_draw=idle, active_draw=active,
-                        inference_time=ti, cycle_time=cycle)
+                        inference_time=ti)
 
 
 class TestParamsValidation:
@@ -36,26 +36,22 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             EnergyParams(idle_draw=100.0, active_draw=200.0,
                          inference_time=0.0)
-        with pytest.raises(ValueError):
-            EnergyParams(idle_draw=100.0, active_draw=200.0,
-                         inference_time=0.05, cycle_time=0.0)
 
     @pytest.mark.parametrize("field,value", [
         ("inference_time", math.nan), ("inference_time", math.inf),
-        ("cycle_time", math.nan), ("cycle_time", math.inf),
         ("active_draw", math.nan), ("active_draw", math.inf),
         ("idle_draw", math.nan),
     ])
     def test_non_finite_value_names_the_field(self, field, value):
         fields = {"idle_draw": 100.0, "active_draw": 200.0,
-                  "inference_time": 0.05, "cycle_time": 0.1, field: value}
+                  "inference_time": 0.05, field: value}
         with pytest.raises(ValueError, match=field):
             EnergyParams(**fields)
 
 
 class TestEstimateDraw:
     def test_full_duty_equals_active(self):
-        p = params(ti=0.1, cycle=0.1)
+        p = params(ti=FRAME_PERIOD)
         s = build_schedule(DropPattern(1, 1), 50)
         assert estimate_draw_multi(p, [s]) \
             == pytest.approx(p.active_draw, abs=1e-9)
@@ -63,27 +59,27 @@ class TestEstimateDraw:
     def test_idle_bound_when_inference_negligible(self):
         # No 0/m pattern exists, so the idle floor shows up in the limit of
         # a tiny inference share instead.
-        p = params(ti=1e-6, cycle=0.1)
+        p = params(ti=1e-6)
         s = build_schedule(DropPattern(1, 10), 100)
         assert estimate_draw_multi(p, [s]) \
             == pytest.approx(p.idle_draw, rel=1e-3)
 
     def test_worked_half_rate_example(self):
-        p = params(idle=150.0, active=350.0, ti=0.05, cycle=0.1)
+        p = params(idle=150.0, active=350.0, ti=0.05)
         half = build_schedule(DropPattern(1, 2), 100)
         full = build_schedule(DropPattern(1, 1), 100)
         assert estimate_draw_multi(p, [half]) == pytest.approx(200.0, abs=1e-9)
         assert estimate_draw_multi(p, [full]) == pytest.approx(250.0, abs=1e-9)
 
     def test_frame_terms(self):
-        p = params(idle=150.0, active=350.0, ti=0.05, cycle=0.1)
+        p = params(idle=150.0, active=350.0, ti=0.05)
         assert frame_energy_and_time(p, True) \
             == (pytest.approx(350 * 0.05 + 150 * 0.05), pytest.approx(0.1))
         assert frame_energy_and_time(p, False) \
             == (pytest.approx(15.0), pytest.approx(0.1))
 
     def test_cycle_stretching_slot(self):
-        p = params(ti=0.25, cycle=0.1)
+        p = params(ti=0.25)
         energy, slot = frame_energy_and_time(p, True)
         assert slot == 0.25
         assert energy == pytest.approx(350.0 * 0.25)
@@ -110,7 +106,7 @@ class TestEstimateDraw:
     def test_monotone_in_processing_without_stretching(self, ti_ms, m, length):
         p = EnergyParams(idle_draw=150.0, active_draw=350.0,
                          inference_time=ti_ms / 1000.0)
-        assert p.inference_time <= p.cycle_time
+        assert p.inference_time <= FRAME_PERIOD
         draws = [estimate_draw_multi(
                      p, [build_schedule(DropPattern(n, m), length)])
                  for n in range(1, m + 1)]
@@ -121,7 +117,7 @@ class TestEstimateDraw:
         # With inference longer than the cycle, processed frames also take
         # longer, so cutting half the frames saves less than half the
         # relative draw headroom compared with a non-stretching model.
-        stretching = params(ti=0.2, cycle=0.1)
+        stretching = params(ti=0.2)
         half = build_schedule(DropPattern(1, 2), 200)
         full = build_schedule(DropPattern(1, 1), 200)
         rel_draw_cut = 1.0 - estimate_draw_multi(stretching, [half]) \
@@ -130,7 +126,7 @@ class TestEstimateDraw:
         assert rel_draw_cut < rel_frame_cut
 
     def test_simulation_agreement_spot(self):
-        p = params(idle=145.0, active=395.0, ti=0.05, cycle=0.1)
+        p = params(idle=145.0, active=395.0, ti=0.05)
         for pattern in [(1, 1), (9, 10), (1, 2), (1, 10)]:
             s = build_schedule(DropPattern(*pattern), 137)
             assert estimate_draw_multi(p, [s]) \

@@ -254,7 +254,7 @@ class TestManifestAndDirs:
         with pytest.raises(DatasetError):
             load_manifest(path)
         path.write_text(json.dumps({"0001": True}))
-        with pytest.raises(DatasetError, match="'0001'"):
+        with pytest.raises(DatasetError, match='"0001"'):
             load_manifest(path)
 
     def test_load_label_dir(self, tmp_path):

@@ -98,6 +98,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"patterns": ["4/3"]})
 
+    @pytest.mark.parametrize("field, data", [
+        ("rng_seed", {"rng_seed": 10 ** 5000}),
+        ("tracker.process_noise", {"tracker": {"process_noise": 10 ** 5000}}),
+    ], ids=["seed", "float-field"])
+    def test_integer_past_the_digit_limit_is_a_config_error(self, field,
+                                                            data):
+        # Only a Python caller can pass one: the JSON reader refuses the
+        # literal. The refusal names the field and the integer's size.
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"patterns": ["1/1"], **data})
+        assert str(info.value).startswith(f"{field}: expected ")
+        assert str(info.value).endswith(
+            "got an integer of more than 4300 digits")
+
     def test_unknown_dataset_kind(self):
         with pytest.raises(ConfigError, match="dataset"):
             config_from_dict({"patterns": ["1/1"],
@@ -150,10 +164,11 @@ class TestConfigParsing:
         cfg = config_from_dict({"patterns": ["1/1"], "jobs": 1})
         assert cfg == config_from_dict({"patterns": ["1/1"]})
         for jobs in (2, True, 1.0, "1"):
-            with pytest.raises(ConfigError, match=r"unknown config keys \['jobs'\]"):
+            with pytest.raises(ConfigError,
+                               match=r'unknown config keys \["jobs"\]'):
                 config_from_dict({"patterns": ["1/1"], "jobs": jobs})
         with pytest.raises(ConfigError,
-                           match=r"unknown config keys \['seed', 'variant'\]"):
+                           match=r'unknown config keys \["seed", "variant"\]'):
             config_from_dict({"patterns": ["1/1"], "jobs": 1, "variant": "gt",
                               "seed": 1})
 
@@ -192,7 +207,7 @@ class TestConfigParsing:
         for pattern, hits in ((DropPattern(1, 1), 3), (DropPattern(1, 4), 1)):
             tracker = cfg.tracker_overrides.get(pattern, cfg.tracker)
             assert tracker.min_hits_to_confirm == hits
-        with pytest.raises(ConfigError, match="field 'nope'"):
+        with pytest.raises(ConfigError, match='field "nope"'):
             config_from_dict({"patterns": ["1/1"],
                               "tracker_overrides": {"1/4": {"nope": 1}}})
 
@@ -242,7 +257,7 @@ class TestRunOnce:
     @pytest.mark.parametrize("variant", ["oracle", "noisy:nope"])
     def test_unknown_variant_rejected(self, variant):
         cfg = make_config()
-        with pytest.raises(ConfigError, match=f"variant {variant!r}"):
+        with pytest.raises(ConfigError, match=f'variant "{variant}"'):
             run_once(cfg, variant, DropPattern(1, 1))
 
     def test_half_rate_processes_half(self):

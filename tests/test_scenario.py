@@ -8,11 +8,11 @@ from droptrack.geometry import iou_3d
 from droptrack.kitti_io import SequenceData
 from droptrack.scenario import (
     FRAME_COUNT,
-    FRAME_DT,
     KITTI_VAL_SEQUENCE_LENGTHS,
     REFERENCE_CARS,
     reference_scenario,
 )
+from droptrack.schedule import FRAME_PERIOD
 
 
 class TestReferenceScenario:
@@ -35,8 +35,8 @@ class TestReferenceScenario:
         car = REFERENCE_CARS[0]
         b0 = car.box_at(0)
         b10 = car.box_at(10)
-        assert b10.cx - b0.cx == pytest.approx(car.vx * 10 * FRAME_DT)
-        assert b10.cy - b0.cy == pytest.approx(car.vy * 10 * FRAME_DT)
+        assert b10.cx - b0.cx == pytest.approx(car.vx * 10 * FRAME_PERIOD)
+        assert b10.cy - b0.cy == pytest.approx(car.vy * 10 * FRAME_PERIOD)
         assert b10.yaw == b0.yaw
         assert (b10.length, b10.width, b10.height) \
             == (b0.length, b0.width, b0.height)

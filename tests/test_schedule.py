@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droptrack.energy import ENERGY_PRESETS, frame_energy_and_time
+from droptrack.scenario import REFERENCE_CARS
 from droptrack.schedule import (
+    FRAME_PERIOD,
     TARGET_PATTERNS,
     DropPattern,
     build_schedule,
     parse_pattern,
 )
+from droptrack.tracker import TrackerConfig, TrackState, predict
 
 
 def processed_indices(flags):
@@ -139,3 +143,22 @@ class TestCounts:
             gap = 0 if processed else gap + 1
             worst = max(worst, gap)
         assert worst <= pattern.m - pattern.n
+
+
+def test_every_frame_step_is_one_frame_period():
+    # The scenario's cars, the tracker's predict and a dropped frame's
+    # modeled time all advance by the one FRAME_PERIOD.
+    assert FRAME_PERIOD == 0.1
+    for car in REFERENCE_CARS:
+        a, b = car.box_at(car.first_frame), car.box_at(car.first_frame + 1)
+        assert (b.cx - a.cx, b.cy - a.cy) == pytest.approx(
+            (car.vx * FRAME_PERIOD, car.vy * FRAME_PERIOD), abs=1e-12)
+    mean = [0.0] * 7 + [3.0, -2.0, 0.5]
+    state = predict(TrackState(1, mean, [1.0] * 10, [0.0] * 3),
+                    TrackerConfig())
+    assert state.mean[:3] == [3.0 * FRAME_PERIOD, -2.0 * FRAME_PERIOD,
+                              0.5 * FRAME_PERIOD]
+    for params in ENERGY_PRESETS.values():
+        energy, seconds = frame_energy_and_time(params, False)
+        assert seconds == FRAME_PERIOD
+        assert energy == params.idle_draw * FRAME_PERIOD

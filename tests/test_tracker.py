@@ -18,7 +18,7 @@ from droptrack.geometry import (Detection, LabeledObject, OrientedBox,
                                 wrap_angle)
 from droptrack.kitti_io import SequenceData
 from droptrack.pipeline import config_from_dict, run_once
-from droptrack.schedule import DropPattern, build_schedule
+from droptrack.schedule import FRAME_PERIOD, DropPattern, build_schedule
 from droptrack.tracker import (
     MATCH_EPS,
     PROVENANCE_PREDICTED,
@@ -63,11 +63,12 @@ def zero_noise_config(**kwargs):
 
 class TestConfigValidation:
     def test_bad_cycle_time(self):
-        with pytest.raises(ValueError):
-            TrackerConfig(cycle_time=0.0)
+        # The frame period is FRAME_PERIOD, not a setting: any cycle_time
+        # is refused.
+        with pytest.raises(TypeError, match="cycle_time"):
+            TrackerConfig(cycle_time=FRAME_PERIOD)
 
     @pytest.mark.parametrize("field,value", [
-        ("cycle_time", math.nan), ("cycle_time", math.inf),
         ("process_noise", math.nan), ("measurement_noise", math.inf),
     ])
     def test_non_finite_value_rejected_at_construction(self, field, value):
@@ -89,10 +90,12 @@ class TestConfigValidation:
             TrackerConfig(process_noise=-1.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("cycle_time", 0.0), ("gate_iou_min", 5.0),
+        ("cycle_time", 0.0), ("process_noise", -1.0), ("gate_iou_min", 5.0),
     ])
     def test_fields_cannot_be_assigned_after_validation(self, field, value):
-        # Validation runs once, at construction; predict relies on it.
+        # Validation runs once, at construction; predict relies on it. Nor
+        # can a removed setting such as cycle_time be attached afterwards:
+        # predict steps by FRAME_PERIOD.
         config = TrackerConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, field, value)
@@ -114,18 +117,21 @@ class TestPredict:
         assert sum(out.var) > sum(state.var)
 
     def test_five_small_steps_equal_one_large_in_mean(self):
+        # Five predicts move the mean by 5 * FRAME_PERIOD * v.
         cfg = TrackerConfig()
-        state = make_state(vx=2.0)
+        state = make_state(cx=1.0, cy=-2.0, cz=0.5, vx=2.0, vy=-1.0, vz=0.5)
         stepped = state
         for _ in range(5):
             stepped = predict(stepped, cfg)
-        direct = predict(state, TrackerConfig(cycle_time=0.5))
-        assert stepped.mean[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(stepped.mean, direct.mean, atol=1e-12)
+        want = state.mean[:]
+        for k in range(3):
+            want[k] += 5 * FRAME_PERIOD * state.mean[k + 7]
+        assert stepped.mean[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(stepped.mean, want, atol=1e-12)
 
     def test_yaw_and_extents_unchanged(self):
         state = make_state(vx=5.0, vy=-2.0)
-        out = predict(state, TrackerConfig(cycle_time=0.3))
+        out = predict(state, TrackerConfig())
         assert np.allclose(out.mean[3:7], state.mean[3:7])
 
 
@@ -611,7 +617,7 @@ class TestIouGateCliff:
             "patterns": ["1/1"],
             "tracker": {"measurement_noise": measurement_noise}})
         cfg = config.tracker
-        step = speed * cfg.cycle_time
+        step = speed * FRAME_PERIOD
         sequence = SequenceData("car", self.FRAMES, tuple(
             LabeledObject(f, 1, make_box(cx=step * f, length=self.LENGTH))
             for f in range(self.FRAMES)))
@@ -672,16 +678,16 @@ def assert_state_close(state, want_mean, want_cov):
 
 
 class TestPredictMatchesTextbook:
-    """predict's per-axis blocks against the full-matrix F P Fᵀ + dt q I."""
+    """predict's per-axis blocks against the full-matrix F P Fᵀ + dt q I,
+    dt = FRAME_PERIOD."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.sampled_from([0.05, 0.1, 0.3]),
-           st.sampled_from([0.0, 1e-3, 0.5]))
-    def test_matches_reference(self, data, dt, q):
+    @given(st.data(), st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_matches_reference(self, data, q):
         state = random_filter_state(data)
         want_mean, want_cov = textbook_kalman_predict(
-            np.array(state.mean), full_covariance(state), dt, q)
-        out = predict(state, TrackerConfig(cycle_time=dt, process_noise=q))
+            np.array(state.mean), full_covariance(state), FRAME_PERIOD, q)
+        out = predict(state, TrackerConfig(process_noise=q))
         assert_state_close(out, want_mean, want_cov)
         assert all(type(x) is float for x in out.mean + out.var + out.cross)
 
@@ -700,9 +706,7 @@ class TestUpdateMatchesTextbook:
         state = random_filter_state(data)
         for _ in range(data.draw(st.integers(1, 8))):
             if data.draw(st.booleans()):
-                state = predict(state, TrackerConfig(
-                    cycle_time=data.draw(st.sampled_from([0.05, 0.1, 0.3])),
-                    process_noise=q, measurement_noise=r))
+                state = predict(state, cfg)
             offset = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=7,
                                         max_size=7))
             m = state.mean

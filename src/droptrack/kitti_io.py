@@ -175,9 +175,29 @@ def _parse_rows(lines: list[str], origin: str,
                 box = OrientedBox(z, -x, h / 2.0 - y, length, w, h,
                                   -rotation_y - _HALF_PI)
         except ValueError as exc:
-            raise DatasetError(f"{origin}:{lineno}: {exc}") from None
+            reason = _unparsed_field(fields) or exc
+            raise DatasetError(f"{origin}:{lineno}: {reason}") from None
         rows.append((frame, track_id, box, score))
     return rows
+
+
+# The row fields read as numbers, by index; the first two are integers.
+_NUMERIC_FIELDS = {0: "frame", 1: "track_id", 10: "height", 11: "width",
+                   12: "length", 13: "x", 14: "y", 15: "z", 16: "rotation_y",
+                   17: "score"}
+
+
+def _unparsed_field(fields: list[str]) -> str | None:
+    """The refusal of a row's first numeric field that does not parse,
+    naming it and showing its excerpt; None when every one parses."""
+    for index, name in _NUMERIC_FIELDS.items():
+        if index < len(fields):
+            try:
+                (int if index < 2 else float)(fields[index])
+            except ValueError:
+                kind = "an integer" if index < 2 else "a number"
+                return f"{name}: expected {kind}, got {excerpt(fields[index])}"
+    return None
 
 
 def parse_kitti_labels(path, frame_count: int | None = None) -> SequenceData:

@@ -123,7 +123,11 @@ def read_pattern(raw, where: str = "") -> DropPattern:
     """The pattern a config value or flag names; a bad one is a ConfigError
     giving `where`, by default the value's excerpt, and the reason."""
     try:
-        return parse_pattern(str(raw))
+        text = str(raw)
+    except ValueError:  # an int past the digit limit names no pattern
+        text = ""
+    try:
+        return parse_pattern(text)
     except ValueError as exc:
         where = where or f"invalid pattern {excerpt(raw)}"
         raise ConfigError(f"{where}: {exc}") from None

@@ -1,14 +1,15 @@
 """Drop-aware tracking by detection.
 
-A constant-velocity Kalman filter carries each track; frames without a
-detector pass still produce output by extrapolating every live track one
-`FRAME_PERIOD`. Lifecycle counters (hits, consecutive misses) move only
-on frames the detector actually processed, so one miss budget works
-across drop patterns. A track is output once it has
-`min_hits_to_confirm` hits; an unmatched track dies while it has fewer,
-or once its consecutive misses exceed `max_misses_to_delete`. An output
-entry is `updated` on a processed frame where its track has no miss,
-meaning it was matched or born there, and `predicted` otherwise.
+A constant-velocity Kalman filter carries each track in one `TrackState`,
+which `predict` and `update` change in place from birth to deletion.
+Frames without a detector pass still produce output by extrapolating
+every live track one `FRAME_PERIOD`. Lifecycle counters (hits,
+consecutive misses) move only on frames the detector actually processed,
+so one miss budget works across drop patterns. A track is output once it
+has `min_hits_to_confirm` hits; an unmatched track dies while it has
+fewer, or once its consecutive misses exceed `max_misses_to_delete`. An
+output entry is `updated` on a processed frame where its track has no
+miss, meaning it was matched or born there, and `predicted` otherwise.
 
 State: `mean` is 10 floats, cx, cy, cz, yaw, length, width, height, vx,
 vy, vz; the first 7 are observed, and yaw and extents follow a random
@@ -55,7 +56,7 @@ class TrackerConfig:
 
     def __post_init__(self):
         # Every check is written so that NaN fails it.
-        if self.min_hits_to_confirm < 1 or self.max_misses_to_delete < 1:
+        if not self.min_hits_to_confirm >= 1 <= self.max_misses_to_delete:
             raise ValueError("lifecycle thresholds must be >= 1")
         if not 0.0 <= self.gate_iou_min <= 1.0:
             raise ValueError("gate_iou_min must lie in [0, 1]")
@@ -75,9 +76,10 @@ class TrackState:
     last_score: float = 0.0
 
     def box(self) -> OrientedBox:
-        m = self.mean
-        return OrientedBox(m[0], m[1], m[2], max(MIN_EXTENT, m[4]),
-                           max(MIN_EXTENT, m[5]), max(MIN_EXTENT, m[6]), m[3])
+        m, lo = self.mean, MIN_EXTENT
+        return OrientedBox(m[0], m[1], m[2], m[4] if m[4] > lo else lo,
+                           m[5] if m[5] > lo else lo,
+                           m[6] if m[6] > lo else lo, m[3])
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -105,27 +107,25 @@ class FrameOutput:
     entries: tuple[TrackEntry, ...]
 
 
-def predict(state: TrackState, config: TrackerConfig) -> TrackState:
-    """Constant-velocity extrapolation over one frame, dt =
-    `FRAME_PERIOD`: F P Fᵀ + dt q I per axis with F = [[1, dt], [0, 1]];
-    lifecycle fields untouched."""
+def predict(state: TrackState, config: TrackerConfig) -> None:
+    """Extrapolate `state` in place one frame, dt = `FRAME_PERIOD`: F P Fᵀ
+    + dt q I per axis, F = [[1, dt], [0, 1]]; yaw's mean and counters kept."""
     dt = FRAME_PERIOD
     m, var, cross = state.mean, state.var, state.cross
     dq = dt * config.process_noise
-    mean, new_var, new_cross = m[:], [v + dq for v in var], cross[:]
-    mean[3] = wrap_angle(m[3])
     for k in range(3):
         c, v = cross[k], var[k + N_OBSERVED]
-        mean[k] = m[k] + dt * m[k + N_OBSERVED]
-        new_cross[k] = nc = c + dt * v
-        new_var[k] = var[k] + dt * c + nc * dt + dq
-    return TrackState(state.track_id, mean, new_var, new_cross, state.hits,
-                      state.consecutive_misses, state.last_score)
+        m[k] += dt * m[k + N_OBSERVED]
+        cross[k] = nc = c + dt * v
+        var[k] = var[k] + dt * c + nc * dt + dq
+    for k in range(3, 10):
+        var[k] += dq
 
 
 def update(state: TrackState, detection: Detection,
-           config: TrackerConfig) -> TrackState:
-    """Kalman measurement update on the 7 observed components."""
+           config: TrackerConfig) -> None:
+    """Kalman measurement update of `state` in place on the 7 observed
+    components; counts the hit and keeps the detection's score."""
     m, var, cross = state.mean, state.var, state.cross
     b = detection.box
     innovation = [b.cx - m[0], b.cy - m[1], b.cz - m[2],
@@ -140,29 +140,28 @@ def update(state: TrackState, detection: Detection,
     s = [v + r for v in var[:N_OBSERVED]]
     top = max(s)
     cutoff = 1e-12 * top if top >= 1e-12 else math.inf
-    mean, new_var, new_cross = m[:], var[:], cross[:]
     for i, e in enumerate(innovation):
         if s[i] <= cutoff:
             continue
         inv, p = 1.0 / s[i], var[i]
         g = p * inv
         a = 1.0 - g
-        mean[i] = m[i] + g * e
+        m[i] += g * e
         # Joseph form entry by entry, terms in the matrix products' order:
         # I - K H = [[a, 0], [-h, 1]] and K = [g, h] on a (position,
         # velocity) block; the two cross entries are averaged (symmetrised).
-        new_var[i] = a * p * a + r * g * g
+        var[i] = a * p * a + r * g * g
         if i < 3:
             c, v, h = cross[i], var[i + N_OBSERVED], cross[i] * inv
             vp = c - h * p
-            mean[i + N_OBSERVED] = m[i + N_OBSERVED] + h * e
-            new_var[i + N_OBSERVED] = v - h * c - vp * h + r * h * h
-            new_cross[i] = 0.5 * ((a * c - a * p * h + r * g * h)
-                                  + (vp * a + r * h * g))
-    mean[3] = wrap_angle(mean[3])
-    return TrackState(state.track_id, mean, new_var, new_cross,
-                      hits=state.hits + 1, consecutive_misses=0,
-                      last_score=detection.score)
+            m[i + N_OBSERVED] += h * e
+            var[i + N_OBSERVED] = v - h * c - vp * h + r * h * h
+            cross[i] = 0.5 * ((a * c - a * p * h + r * g * h)
+                              + (vp * a + r * h * g))
+    m[3] = wrap_angle(m[3])
+    state.hits += 1
+    state.consecutive_misses = 0
+    state.last_score = detection.score
 
 
 def _max_sum_assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
@@ -343,25 +342,26 @@ class Tracker:
         self._next_id = 1
 
     def live_tracks(self) -> list[TrackState]:
-        """Current track states; callers must treat these as read-only."""
+        """Live track states; the next `step` changes them, so copy to keep."""
         return list(self._tracks)
 
     def step(self, detections: list[Detection] | None) -> FrameOutput:
-        cfg = self.config
-        self._tracks = [predict(t, cfg) for t in self._tracks]
+        cfg, tracks = self.config, self._tracks
+        for t in tracks:
+            predict(t, cfg)
         if detections is not None:
             pairs, unmatched_t, unmatched_d = associate(
-                self._tracks, detections, cfg)
+                tracks, detections, cfg)
             for ti, dj in pairs:
-                self._tracks[ti] = update(self._tracks[ti], detections[dj], cfg)
+                update(tracks[ti], detections[dj], cfg)
             for ti in unmatched_t:
-                self._tracks[ti].consecutive_misses += 1
+                tracks[ti].consecutive_misses += 1
             for dj in unmatched_d:
-                self._tracks.append(_birth(self._next_id, detections[dj]))
+                tracks.append(_birth(self._next_id, detections[dj]))
                 self._next_id += 1
             # Matched and born tracks are the ones with no miss.
             self._tracks = [
-                t for t in self._tracks if t.consecutive_misses == 0
+                t for t in tracks if t.consecutive_misses == 0
                 or (t.hits >= cfg.min_hits_to_confirm
                     and t.consecutive_misses <= cfg.max_misses_to_delete)]
 

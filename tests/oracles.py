@@ -700,7 +700,8 @@ class StatusTracker(Tracker):
     """The library's `Tracker` as it stood when each track stored a
     tentative/confirmed/dead status, its `step` kept verbatim but for where
     the status lives (a dict keyed by track id, beside the library's
-    states): confirmation computed from the hit count must reproduce its
+    states) and for predict and update changing each state in place:
+    confirmation computed from the hit count must reproduce its
     outputs exactly."""
 
     def __init__(self, config=None):
@@ -711,14 +712,15 @@ class StatusTracker(Tracker):
         cfg = self.config
         status = self._status
 
-        self._tracks = [predict(t, cfg) for t in self._tracks]
+        for t in self._tracks:
+            predict(t, cfg)
         updated_ids: set[int] = set()
 
         if detections is not None:
             pairs, unmatched_t, unmatched_d = associate(
                 self._tracks, detections, cfg)
             for ti, dj in pairs:
-                self._tracks[ti] = update(self._tracks[ti], detections[dj], cfg)
+                update(self._tracks[ti], detections[dj], cfg)
                 updated_ids.add(self._tracks[ti].track_id)
             for ti in unmatched_t:
                 trk = self._tracks[ti]

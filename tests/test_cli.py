@@ -112,8 +112,16 @@ def profile_argv(tmp_path, *names):
             "--outputs", str(tmp_path / "out" / "cells")]
 
 
-# A 3,000-character key, name or pattern, which a refusal cuts to 40.
+# A 3,000-character key, name, pattern or field, which a refusal cuts to 40.
 LONG = "x" * 3000
+
+
+def long_field_row(index, text=LONG):
+    """A Car label row whose field `index` is `text`."""
+    fields = kitti_label_row(0, 2).split()
+    fields[index] = text
+    return " ".join(fields)
+
 
 ENERGY_MODEL = ["energy", "--idle-draw", "150", "--active-draw", "350",
                 "--inference-time", "0.05"]
@@ -426,6 +434,9 @@ def label_file_argv(tmp_path, **fields):
      '1 <= n <= m'),
     (lambda p: ["sweep", "--pattern", "3/2"], EXIT_CONFIG,
      'invalid pattern "3/2": pattern requires 1 <= n <= m'),
+    # A numeric field that does not parse is named, and shown cut.
+    (lambda p: eval_argv(p, label_row=long_field_row(13)), EXIT_DATASET,
+     '0000.txt:5: x: expected a number, got "xxx'),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -475,7 +486,7 @@ def label_file_argv(tmp_path, **fields):
         "eval-sidecar-removed", "tracker-cycle-time-removed",
         "override-cycle-time-removed", "energy-entry-cycle-time-removed",
         "energy-cycle-time-flag-removed", "energy-pattern-reason",
-        "sweep-pattern-reason"])
+        "sweep-pattern-reason", "label-x-not-a-number"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -559,13 +570,17 @@ def test_empty_path_flag_is_refused(tmp_path, capsys, monkeypatch, build,
      EXIT_DATASET, 'bad frame count for "xxx'),
     (lambda p: eval_argv(p, sidecar={"provenance": {LONG: {LONG: "updated"}}}),
      EXIT_DATASET, 'out.txt.meta.json: frame "xxx'),
+    (lambda p: eval_argv(p, label_row=long_field_row(13)), EXIT_DATASET,
+     '0000.txt:5: x: expected a number, got "xxx'),
+    (lambda p: eval_argv(p, output_row=long_field_row(0, "1" * 5000)),
+     EXIT_DATASET, 'out.txt:5: frame: expected an integer, got "111'),
 ], ids=["float-field", "seed", "int-literal", "provenance", "field-name",
         "config-key", "dataset-field", "dataset-kind", "profile-name",
         "override-key", "energy-key", "preset-name", "preset-other-field",
         "variant", "variant-profile", "variant-repeat", "pattern",
         "pattern-repeat", "override-repeat",
         "json-key-repeat", "manifest-key", "manifest-count-key",
-        "sidecar-key"])
+        "sidecar-key", "label-float-field", "output-int-field"])
 def test_refusal_echoes_a_short_excerpt(tmp_path, capsys, build, code,
                                         needle):
     # A refusal names the culprit without printing a long value whole, or

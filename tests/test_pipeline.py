@@ -112,6 +112,19 @@ class TestConfigParsing:
         assert str(info.value).endswith(
             "got an integer of more than 4300 digits")
 
+    @pytest.mark.parametrize("data, where", [
+        ({"patterns": [10 ** 5000]},
+         "invalid pattern an integer of more than 4300 digits"),
+        ({"patterns": ["1/1"], "tracker_overrides": {10 ** 5000: {}}},
+         "tracker_overrides[an integer of more than 4300 digits]"),
+    ], ids=["pattern", "override-key"])
+    def test_pattern_past_the_digit_limit_gives_its_own_reason(self, data,
+                                                               where):
+        # Not the interpreter's advice on raising its digit limit.
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value) == f"{where}: expected 'n/m' or a named target"
+
     def test_unknown_dataset_kind(self):
         with pytest.raises(ConfigError, match="dataset"):
             config_from_dict({"patterns": ["1/1"],

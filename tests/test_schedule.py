@@ -154,8 +154,8 @@ def test_every_frame_step_is_one_frame_period():
         assert (b.cx - a.cx, b.cy - a.cy) == pytest.approx(
             (car.vx * FRAME_PERIOD, car.vy * FRAME_PERIOD), abs=1e-12)
     mean = [0.0] * 7 + [3.0, -2.0, 0.5]
-    state = predict(TrackState(1, mean, [1.0] * 10, [0.0] * 3),
-                    TrackerConfig())
+    state = TrackState(1, mean, [1.0] * 10, [0.0] * 3)
+    predict(state, TrackerConfig())
     assert state.mean[:3] == [3.0 * FRAME_PERIOD, -2.0 * FRAME_PERIOD,
                               0.5 * FRAME_PERIOD]
     for params in ENERGY_PRESETS.values():

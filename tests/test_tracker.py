@@ -54,6 +54,12 @@ def make_state(cx=0.0, cy=0.0, cz=0.75, vx=0.0, vy=0.0, vz=0.0):
     return TrackState(track_id=1, mean=mean, var=[1.0] * 10, cross=[0.0] * 3)
 
 
+def copy_state(state):
+    """A copy of `state` that no later predict or update of it changes."""
+    return dataclasses.replace(state, mean=state.mean[:], var=state.var[:],
+                               cross=state.cross[:])
+
+
 def zero_noise_config(**kwargs):
     defaults = dict(process_noise=0.0, measurement_noise=0.0,
                     min_hits_to_confirm=1, max_misses_to_delete=2)
@@ -81,6 +87,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrackerConfig(max_misses_to_delete=0)
 
+    @pytest.mark.parametrize("field", ["min_hits_to_confirm",
+                                       "max_misses_to_delete"])
+    def test_nan_threshold_rejected(self, field):
+        # NaN would confirm no track, or delete every track at its first
+        # miss.
+        with pytest.raises(ValueError, match="lifecycle thresholds"):
+            TrackerConfig(**{field: math.nan})
+
     def test_bad_gate(self):
         with pytest.raises(ValueError):
             TrackerConfig(gate_iou_min=1.5)
@@ -104,25 +118,30 @@ class TestConfigValidation:
 class TestPredict:
     def test_constant_velocity_step(self):
         state = make_state(vx=2.0)
-        out = predict(state, TrackerConfig())
-        assert out.mean[0] == pytest.approx(0.2, abs=1e-12)
-        assert out.mean[1] == 0.0
-        assert out.hits == state.hits
-        assert out.consecutive_misses == state.consecutive_misses
+        state.hits, state.consecutive_misses, state.last_score = 3, 1, 0.25
+        before = copy_state(state)
+        assert predict(state, TrackerConfig()) is None
+        assert state.mean[0] == pytest.approx(0.2, abs=1e-12)
+        assert state.mean[1] == 0.0
+        assert (state.track_id, state.hits, state.consecutive_misses,
+                state.last_score) == (before.track_id, before.hits,
+                                      before.consecutive_misses,
+                                      before.last_score)
 
     def test_zero_velocity_box_fixed_covariance_grows(self):
         state = make_state()
-        out = predict(state, TrackerConfig())
-        assert np.allclose(out.mean, state.mean)
-        assert sum(out.var) > sum(state.var)
+        before = copy_state(state)
+        predict(state, TrackerConfig())
+        assert np.allclose(state.mean, before.mean)
+        assert sum(state.var) > sum(before.var)
 
     def test_five_small_steps_equal_one_large_in_mean(self):
         # Five predicts move the mean by 5 * FRAME_PERIOD * v.
         cfg = TrackerConfig()
         state = make_state(cx=1.0, cy=-2.0, cz=0.5, vx=2.0, vy=-1.0, vz=0.5)
-        stepped = state
+        stepped = copy_state(state)
         for _ in range(5):
-            stepped = predict(stepped, cfg)
+            predict(stepped, cfg)
         want = state.mean[:]
         for k in range(3):
             want[k] += 5 * FRAME_PERIOD * state.mean[k + 7]
@@ -131,33 +150,38 @@ class TestPredict:
 
     def test_yaw_and_extents_unchanged(self):
         state = make_state(vx=5.0, vy=-2.0)
-        out = predict(state, TrackerConfig())
-        assert np.allclose(out.mean[3:7], state.mean[3:7])
+        state.mean[3] = math.pi
+        before = copy_state(state)
+        predict(state, TrackerConfig())
+        assert state.mean[3:7] == before.mean[3:7]
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
         cfg = TrackerConfig()
         state = make_state(cx=3.0, cy=-1.0)
+        before = copy_state(state)
         det = make_detection(cx=3.0, cy=-1.0)
-        out = update(state, det, cfg)
-        assert np.allclose(out.mean[:7], state.mean[:7], atol=1e-12)
-        assert sum(out.var[:7]) < sum(state.var[:7])
+        assert update(state, det, cfg) is None
+        assert np.allclose(state.mean[:7], before.mean[:7], atol=1e-12)
+        assert sum(state.var[:7]) < sum(before.var[:7])
 
     def test_counters_after_update(self):
         state = make_state()
         state.consecutive_misses = 2
-        out = update(state, make_detection(), TrackerConfig())
-        assert out.hits == state.hits + 1
-        assert out.consecutive_misses == 0
+        before = copy_state(state)
+        update(state, make_detection(score=0.75), TrackerConfig())
+        assert state.hits == before.hits + 1
+        assert state.consecutive_misses == 0
+        assert state.last_score == 0.75
 
     def test_zero_measurement_noise_snaps_to_detection(self):
         cfg = zero_noise_config()
         state = make_state(cx=1.0, cy=2.0)
         det = make_detection(cx=1.7, cy=2.4, cz=0.9)
-        out = update(state, det, cfg)
+        update(state, det, cfg)
         b = det.box
-        assert np.allclose(out.mean[:7],
+        assert np.allclose(state.mean[:7],
                            [b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height],
                            atol=1e-9)
 
@@ -169,8 +193,8 @@ class TestUpdate:
         var = [1.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.25, 100.0, 100.0, 100.0]
         state = TrackState(track_id=1, mean=mean, var=var, cross=[0.0] * 3)
         det = make_detection(cx=1.0)
-        out = update(state, det, cfg)
-        assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
+        update(state, det, cfg)
+        assert state.mean[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_yaw_innovation_wraps(self):
         # Prior just below +pi, measurement just above -pi: the innovation
@@ -181,9 +205,8 @@ class TestUpdate:
         state = TrackState(track_id=1, mean=mean, var=[1.0] * 10,
                            cross=[0.0] * 3)
         det = Detection(box=make_box(yaw=-math.pi + 0.05), score=1.0)
-        out = update(state, det, cfg)
-        from droptrack.geometry import wrap_angle
-        assert abs(wrap_angle(out.mean[3] - math.pi)) < 0.06
+        update(state, det, cfg)
+        assert abs(wrap_angle(state.mean[3] - math.pi)) < 0.06
 
 
 @st.composite
@@ -486,6 +509,22 @@ class TestStepLifecycle:
                  for t in tracker.live_tracks()]
         assert before == after
 
+    def test_one_state_carries_a_track_until_it_is_deleted(self):
+        # predict and update change the track's one TrackState: the object
+        # born on frame 0 is the live one through drops, a match and a
+        # miss, until the second miss exceeds the budget.
+        tracker = Tracker(zero_noise_config(max_misses_to_delete=1))
+        tracker.step([make_detection()])
+        (state,) = tracker.live_tracks()
+        for dets in (None, [make_detection(cx=0.1)], None, [], None):
+            tracker.step(dets)
+            (live,) = tracker.live_tracks()
+            assert live is state
+        assert (state.hits, state.consecutive_misses) == (2, 1)
+        assert state.mean[0] != 0.0
+        tracker.step([])
+        assert tracker.live_tracks() == []
+
     def test_processed_empty_frame_counts_misses(self):
         tracker = Tracker(zero_noise_config())
         tracker.step([make_detection()])
@@ -648,12 +687,12 @@ class TestCovariancePsd:
                             measurement_noise=rnd.uniform(0.0, 0.5))
         state = make_state(cx=rnd.uniform(-5, 5), vx=rnd.uniform(-3, 3))
         for _ in range(12):
-            state = predict(state, cfg)
+            predict(state, cfg)
             assert np.linalg.eigvalsh(full_covariance(state)).min() >= -1e-9
             if rnd.random() < 0.7:
                 det = make_detection(cx=state.mean[0] + rnd.uniform(-1, 1),
                                      cy=state.mean[1] + rnd.uniform(-1, 1))
-                state = update(state, det, cfg)
+                update(state, det, cfg)
                 assert np.linalg.eigvalsh(full_covariance(state)).min() \
                     >= -1e-9
 
@@ -687,9 +726,10 @@ class TestPredictMatchesTextbook:
         state = random_filter_state(data)
         want_mean, want_cov = textbook_kalman_predict(
             np.array(state.mean), full_covariance(state), FRAME_PERIOD, q)
-        out = predict(state, TrackerConfig(process_noise=q))
-        assert_state_close(out, want_mean, want_cov)
-        assert all(type(x) is float for x in out.mean + out.var + out.cross)
+        predict(state, TrackerConfig(process_noise=q))
+        assert_state_close(state, want_mean, want_cov)
+        assert all(type(x) is float
+                   for x in state.mean + state.var + state.cross)
 
 
 class TestUpdateMatchesTextbook:
@@ -706,7 +746,7 @@ class TestUpdateMatchesTextbook:
         state = random_filter_state(data)
         for _ in range(data.draw(st.integers(1, 8))):
             if data.draw(st.booleans()):
-                state = predict(state, cfg)
+                predict(state, cfg)
             offset = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=7,
                                         max_size=7))
             m = state.mean
@@ -720,7 +760,7 @@ class TestUpdateMatchesTextbook:
                           box.width, box.height])
             want_mean, want_cov = textbook_kalman_update(
                 np.array(m), full_covariance(state), z, r)
-            state = update(state, Detection(box=box, score=1.0), cfg)
+            update(state, Detection(box=box, score=1.0), cfg)
             assert_state_close(state, want_mean, want_cov)
 
     def test_position_velocity_coupling_accepted(self):
@@ -728,9 +768,9 @@ class TestUpdateMatchesTextbook:
         # innovation.
         state = make_state()
         state.cross[0] = 0.5
-        out = update(state, make_detection(cx=1.0), TrackerConfig())
-        assert out.mean[7] != 0.0
-        assert out.mean[8] == 0.0
+        update(state, make_detection(cx=1.0), TrackerConfig())
+        assert state.mean[7] != 0.0
+        assert state.mean[8] == 0.0
 
 
 class TestAssociatePrefilter:

@@ -260,9 +260,10 @@ def read_frame_outputs(path, frame_count: int | None = None
     As in parse_kitti_labels, only TRACKED_CLASS rows become outputs:
     rows of any other type are skipped.
 
-    Every sidecar provenance entry must be "updated" or "predicted" and
-    name the (frame, id) of an output row; otherwise DatasetError names
-    the sidecar, the frame and the id. A stated frame_count must lie past
+    A sidecar key other than frame_count and provenance is refused. Every
+    sidecar provenance entry must be "updated" or "predicted" and name the
+    (frame, id) of an output row; otherwise DatasetError names the
+    sidecar, the frame and the id. A stated frame_count must lie past
     the last output row and not past a given frame_count; trailing frames
     without rows are allowed.
     """
@@ -272,6 +273,10 @@ def read_frame_outputs(path, frame_count: int | None = None
     stated_count = None
     if sidecar_path.exists():
         sidecar = read_json_object(sidecar_path, "sidecar")
+        unknown = sorted(set(sidecar) - {"frame_count", "provenance"})
+        if unknown:
+            raise DatasetError(f"{sidecar_path}: unknown keys "
+                               f"{excerpt(unknown)}")
         provenance = sidecar.get("provenance", {})
         stated_count = sidecar.get("frame_count")
         if not (isinstance(provenance, dict)

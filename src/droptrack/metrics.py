@@ -14,13 +14,11 @@ triples, in plain Python, with no array built per frame.
 
 HOTA's denominators need each frame's row and column sums, whose order
 sets their last bit. They are numpy's `sim.sum(axis=1)` and
-`sim.sum(axis=0)` of the dense matrix, bit for bit: a row is summed
-pairwise as numpy's `pairwise_sum` does it (left to right from 0.0 below
-8 entries), a column left to right, except in a one-column matrix, which
-numpy sums pairwise. Adding +0.0 is exact, so a left-to-right sum over
-the triples alone is the dense one; only a row of 8 or more entries, or
-the column of a one-column table of 8 or more rows, is summed with its
-zeros in place. The tests check these sums against the installed numpy.
+`sim.sum(axis=0)` of the dense matrix, bit for bit: the dense matrix is
+built, each row is summed pairwise as numpy's `pairwise_sum` does it
+(left to right from 0.0 below 8 entries), and each column left to right,
+except in a one-column matrix, which numpy sums pairwise. The tests
+check these sums against the installed numpy.
 
 Definitional constants shared with the test oracles:
   - ALPHA_GRID: the 19-point localization-threshold grid 0.05..0.95.
@@ -60,8 +58,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .geometry import LabeledObject, OrientedBox, pair_similarities
-from .tracker import (MATCH_EPS, FrameOutput, _pairwise_sum, conflict_free,
-                      gated_assignment)
+from .tracker import (MATCH_EPS, FrameOutput, _pairwise_sum,
+                      _sequential_sum, conflict_free, gated_assignment)
 
 ALPHA_GRID = tuple(k / 20.0 for k in range(1, 20))
 CLEAR_THRESHOLD = 0.5
@@ -147,21 +145,13 @@ def _axis_sums(n_rows: int, n_cols: int,
                ) -> tuple[list[float], list[float]]:
     """A table's row and column sums, bit for bit numpy's `sum(axis=1)`
     and `sum(axis=0)` of its dense matrix (see the module docstring)."""
-    rows, cols = [0.0] * n_rows, [0.0] * n_cols
+    dense = [[0.0] * n_cols for _ in range(n_rows)]
     for i, j, x in pairs:
-        rows[i] += x
-        cols[j] += x
-    if n_cols >= 8:
-        dense = [[0.0] * n_cols for _ in range(n_rows)]
-        for i, j, x in pairs:
-            dense[i][j] = x
-        rows = [_pairwise_sum(row) for row in dense]
-    elif n_cols == 1 and n_rows >= 8:
-        column = [0.0] * n_rows
-        for i, _, x in pairs:
-            column[i] = x
-        cols = [_pairwise_sum(column)]
-    return rows, cols
+        dense[i][j] = x
+    columns = [[row[j] for row in dense] for j in range(n_cols)]
+    return ([_pairwise_sum(row) for row in dense],
+            [_pairwise_sum(columns[0])] if n_cols == 1
+            else [_sequential_sum(column) for column in columns])
 
 
 # --- HOTA ---------------------------------------------------------------
@@ -254,57 +244,51 @@ def hota(tables: list[FrameTable]) -> HotaResult:
 
 # --- CLEAR --------------------------------------------------------------
 
-def _clear_counts(tables: list[FrameTable]):
-    gate = CLEAR_THRESHOLD - MATCH_EPS
-    tp = fp = fn = idsw = 0
-    gt_total = 0
-    iou_sum = 0.0
-    prev: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for t in tables:
-        gt_ids, pred_ids = t.gt_ids, t.pred_ids
-        gt_total += len(gt_ids)
-        # The pairs that pass the gate, by (gt id, pred id), row-major.
-        gated = {(gt_ids[i], pred_ids[j]): x for i, j, x in t.pairs
-                 if x >= gate}
-
-        # Keep last frame's pairs that still exist and still pass.
-        pairs = {gi: pj for gi, pj in prev.items() if (gi, pj) in gated}
-
-        rem_g = [gi for gi in gt_ids if gi not in pairs]
-        used = set(pairs.values())
-        rem_p = [pj for pj in pred_ids if pj not in used]
-        if rem_g and rem_p:
-            row = {gi: i for i, gi in enumerate(rem_g)}
-            col = {pj: j for j, pj in enumerate(rem_p)}
-            eligible = [(row[gi], col[pj], x)
-                        for (gi, pj), x in gated.items()
-                        if gi in row and pj in col]
-            for i, j in gated_assignment((len(rem_g), len(rem_p)), eligible):
-                pairs[rem_g[i]] = rem_p[j]
-
-        tp += len(pairs)
-        fn += len(gt_ids) - len(pairs)
-        fp += len(pred_ids) - len(pairs)
-        for gi in sorted(pairs):
-            pj = pairs[gi]
-            iou_sum += gated[(gi, pj)]
-            if gi in last and last[gi] != pj:
-                idsw += 1
-            last[gi] = pj
-        prev = pairs
-    return tp, fp, fn, idsw, gt_total, iou_sum
-
-
 def clear_pooled(tables_per_seq: list[list[FrameTable]]) -> ClearResult:
-    """CLEAR over all sequences: each sequence's counts, summed."""
-    counts = [_clear_counts(t) for t in tables_per_seq]
-    # Column sums left to right, from a zero row so that no sequences means
-    # no ground truth. Not sum(): from Python 3.12 it compensates floats.
-    totals = (0, 0, 0, 0, 0, 0.0)
-    for row in counts:
-        totals = tuple(a + b for a, b in zip(totals, row))
-    tp, fp, fn, idsw, gt_total, iou_sum = totals
+    """CLEAR over all sequences: each sequence's counts, summed. The IoU
+    sum adds each sequence's own sum, left to right; not sum(), which
+    from Python 3.12 compensates floats."""
+    gate = CLEAR_THRESHOLD - MATCH_EPS
+    tp = fp = fn = idsw = gt_total = 0
+    iou_sum = 0.0
+    for tables in tables_per_seq:
+        seq_iou_sum = 0.0
+        prev: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for t in tables:
+            gt_ids, pred_ids = t.gt_ids, t.pred_ids
+            gt_total += len(gt_ids)
+            # The pairs that pass the gate, by (gt id, pred id), row-major.
+            gated = {(gt_ids[i], pred_ids[j]): x for i, j, x in t.pairs
+                     if x >= gate}
+
+            # Keep last frame's pairs that still exist and still pass.
+            pairs = {gi: pj for gi, pj in prev.items() if (gi, pj) in gated}
+
+            rem_g = [gi for gi in gt_ids if gi not in pairs]
+            used = set(pairs.values())
+            rem_p = [pj for pj in pred_ids if pj not in used]
+            if rem_g and rem_p:
+                row = {gi: i for i, gi in enumerate(rem_g)}
+                col = {pj: j for j, pj in enumerate(rem_p)}
+                eligible = [(row[gi], col[pj], x)
+                            for (gi, pj), x in gated.items()
+                            if gi in row and pj in col]
+                for i, j in gated_assignment((len(rem_g), len(rem_p)),
+                                             eligible):
+                    pairs[rem_g[i]] = rem_p[j]
+
+            tp += len(pairs)
+            fn += len(gt_ids) - len(pairs)
+            fp += len(pred_ids) - len(pairs)
+            for gi in sorted(pairs):
+                pj = pairs[gi]
+                seq_iou_sum += gated[(gi, pj)]
+                if gi in last and last[gi] != pj:
+                    idsw += 1
+                last[gi] = pj
+            prev = pairs
+        iou_sum += seq_iou_sum
     if gt_total == 0:
         raise NoGroundTruthError("no ground truth; MOTA undefined")
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total)

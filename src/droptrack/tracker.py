@@ -45,12 +45,15 @@ BIRTH_VAR = (1.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.25, 100.0, 100.0, 100.0)
 # whose score equals the threshold up to rounding is eligible.
 MATCH_EPS = 1e-12
 
+# The 3D IoU a (track, detection) pair must reach to be matched, read by
+# `associate` at call time.
+GATE_IOU_MIN = 0.1
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
     min_hits_to_confirm: int = 1
     max_misses_to_delete: int = 2
-    gate_iou_min: float = 0.1
     process_noise: float = 1e-2
     measurement_noise: float = 1e-2
 
@@ -58,8 +61,6 @@ class TrackerConfig:
         # Every check is written so that NaN fails it.
         if not self.min_hits_to_confirm >= 1 <= self.max_misses_to_delete:
             raise ValueError("lifecycle thresholds must be >= 1")
-        if not 0.0 <= self.gate_iou_min <= 1.0:
-            raise ValueError("gate_iou_min must lie in [0, 1]")
         for name in ("process_noise", "measurement_noise"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
@@ -286,19 +287,19 @@ def gated_assignment(shape: tuple[int, int],
     return [p for p in _max_sum_assignment(weights) if p in eligible]
 
 
-def associate(tracks: list[TrackState], detections: list[Detection],
-              config: TrackerConfig):
+def associate(tracks: list[TrackState], detections: list[Detection]):
     """Split (tracks × detections) into matches and leftovers.
 
     A pair of `candidate_pairs` is eligible when `iou_3d_at_least`
-    certifies it or its exact `iou_3d` is above 0 and passes the gate: a
-    track and a detection that do not overlap are never matched, whatever
-    the gate. Scores are read only on a frame whose eligible pairs share a
-    row or a column; only then are the certified pairs scored exactly, and
-    `gated_assignment` gets every eligible pair's exact triple, row-major.
+    certifies it or its exact `iou_3d` is above 0 and passes the gate
+    `GATE_IOU_MIN`: a track and a detection that do not overlap are never
+    matched, whatever the gate. Scores are read only on a frame whose
+    eligible pairs share a row or a column; only then are the certified
+    pairs scored exactly, and `gated_assignment` gets every eligible
+    pair's exact triple, row-major.
     A conflict-free frame matches all of its eligible pairs.
     """
-    gate = config.gate_iou_min
+    gate = GATE_IOU_MIN
     floor = gate - MATCH_EPS
     # (row, column, row box, column box, exact score or None if certified)
     eligible = []
@@ -350,8 +351,7 @@ class Tracker:
         for t in tracks:
             predict(t, cfg)
         if detections is not None:
-            pairs, unmatched_t, unmatched_d = associate(
-                tracks, detections, cfg)
+            pairs, unmatched_t, unmatched_d = associate(tracks, detections)
             for ti, dj in pairs:
                 update(tracks[ti], detections[dj], cfg)
             for ti in unmatched_t:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from droptrack import tracker
 from droptrack.energy import EnergyParams
 from droptrack.geometry import (_AREA_EPS, MIN_EXTENT, Detection,
                                 LabeledObject, OrientedBox, iou_3d,
@@ -666,10 +667,11 @@ def eligible_triples(scores, eligible) -> list[tuple[int, int, float]]:
             for j, keep in enumerate(row) if keep]
 
 
-def reference_associate(tracks, detections, config):
+def reference_associate(tracks, detections):
     """(scores, pairs, unmatched tracks, unmatched detections) from a
     per-pair loop over every (track, detection) pair, each track box
-    built with an explicit yaw wrap."""
+    built with an explicit yaw wrap, gated at `tracker.GATE_IOU_MIN` as
+    it stands at call time."""
     scores = np.zeros((len(tracks), len(detections)))
     for i, trk in enumerate(tracks):
         m = trk.mean
@@ -681,7 +683,7 @@ def reference_associate(tracks, detections, config):
         for j, det in enumerate(detections):
             scores[i, j] = iou_3d(tb, det.box)
     pairs = gated_assignment(scores.shape, eligible_triples(
-        scores, (scores > 0) & (scores >= config.gate_iou_min - MATCH_EPS)))
+        scores, (scores > 0) & (scores >= tracker.GATE_IOU_MIN - MATCH_EPS)))
     matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     return (scores, pairs,
@@ -718,7 +720,7 @@ class StatusTracker(Tracker):
 
         if detections is not None:
             pairs, unmatched_t, unmatched_d = associate(
-                self._tracks, detections, cfg)
+                self._tracks, detections)
             for ti, dj in pairs:
                 update(self._tracks[ti], detections[dj], cfg)
                 updated_ids.add(self._tracks[ti].track_id)

@@ -384,8 +384,8 @@ def label_file_argv(tmp_path, **fields):
      EXIT_CONFIG, 'config.json: key "patterns" repeats'),
     (lambda p: holding(sweep_argv(p), p / "config.json",
                        '{"patterns": ["1/1"], "tracker": '
-                       '{"gate_iou_min": 0.5, "gate_iou_min": 0.1}}'),
-     EXIT_CONFIG, 'config.json: key "gate_iou_min" repeats'),
+                       '{"process_noise": 0.5, "process_noise": 0.1}}'),
+     EXIT_CONFIG, 'config.json: key "process_noise" repeats'),
     (lambda p: holding(kitti_sweep_argv(p, manifest={"0000": 4}),
                        p / "manifest.json", '{"0000": 4, "0000": 5}'),
      EXIT_DATASET, 'manifest.json: key "0000" repeats'),
@@ -437,6 +437,17 @@ def label_file_argv(tmp_path, **fields):
     # A numeric field that does not parse is named, and shown cut.
     (lambda p: eval_argv(p, label_row=long_field_row(13)), EXIT_DATASET,
      '0000.txt:5: x: expected a number, got "xxx'),
+    # The association gate is tracker.GATE_IOU_MIN: no tracker or override
+    # entry sets it, even to the value every run uses.
+    (lambda p: sweep_argv(p, tracker={"gate_iou_min": 0.1}), EXIT_CONFIG,
+     'unknown tracker field "gate_iou_min"'),
+    (lambda p: sweep_argv(p, tracker_overrides={"1/2": {"gate_iou_min": 0.1}}),
+     EXIT_CONFIG, 'unknown tracker_overrides["1/2"] field "gate_iou_min"'),
+    # A sidecar holds frame_count and provenance only: a misspelt key is
+    # refused, not read as no provenance.
+    (lambda p: eval_argv(p, sidecar={"frame_count": 4, "provenanse": {
+        "0": {"1": "bogus"}}}),
+     EXIT_DATASET, 'out.txt.meta.json: unknown keys ["provenanse"]'),
 ], ids=["similarity", "override-key", "override-value", "jobs-flag",
         "manifest", "output-frame-past-end", "output-frame-negative",
         "output-frame-not-int", "tracker-not-object",
@@ -486,7 +497,9 @@ def label_file_argv(tmp_path, **fields):
         "eval-sidecar-removed", "tracker-cycle-time-removed",
         "override-cycle-time-removed", "energy-entry-cycle-time-removed",
         "energy-cycle-time-flag-removed", "energy-pattern-reason",
-        "sweep-pattern-reason", "label-x-not-a-number"])
+        "sweep-pattern-reason", "label-x-not-a-number",
+        "tracker-gate-removed", "override-gate-removed",
+        "sidecar-unknown-key"])
 def test_bad_input_exit_code_names_the_culprit(tmp_path, capsys, build, code,
                                                needle):
     assert exit_code(build(tmp_path)) == code
@@ -574,13 +587,16 @@ def test_empty_path_flag_is_refused(tmp_path, capsys, monkeypatch, build,
      '0000.txt:5: x: expected a number, got "xxx'),
     (lambda p: eval_argv(p, output_row=long_field_row(0, "1" * 5000)),
      EXIT_DATASET, 'out.txt:5: frame: expected an integer, got "111'),
+    (lambda p: eval_argv(p, sidecar={"frame_count": 4, LONG: {}}),
+     EXIT_DATASET, 'out.txt.meta.json: unknown keys ["xxx'),
 ], ids=["float-field", "seed", "int-literal", "provenance", "field-name",
         "config-key", "dataset-field", "dataset-kind", "profile-name",
         "override-key", "energy-key", "preset-name", "preset-other-field",
         "variant", "variant-profile", "variant-repeat", "pattern",
         "pattern-repeat", "override-repeat",
         "json-key-repeat", "manifest-key", "manifest-count-key",
-        "sidecar-key", "label-float-field", "output-int-field"])
+        "sidecar-key", "label-float-field", "output-int-field",
+        "sidecar-unknown-key"])
 def test_refusal_echoes_a_short_excerpt(tmp_path, capsys, build, code,
                                         needle):
     # A refusal names the culprit without printing a long value whole, or

@@ -311,6 +311,20 @@ class TestPooling:
         assert result.motp == 77.63636363636365  # 100 * 8.540000000000001 / 11
         assert result.motp != 100.0 * (math.fsum(ious) / 11)
 
+    def test_motp_adds_each_sequences_own_sum(self):
+        # Two matched pairs in each of two sequences. Each sequence's IoU
+        # sum is added to the total as that sequence ends: (0.652 + 0.93)
+        # + (0.898 + 0.699). One running sum over all four pairs gives
+        # 1 ulp less, and MOTP 79.475 instead of 79.47500000000001.
+        ious = [[0.652, 0.93], [0.898, 0.699]]
+        tables = [[dense_frame_table((1,), (1,), np.array([[iou]]))
+                   for iou in seq] for seq in ious]
+        result = clear_pooled(tables)
+        assert (result.tp, result.id_switches) == (4, 0)
+        assert result.motp.hex() == "0x1.3de6666666667p+6"
+        running = ((0.652 + 0.93) + 0.898) + 0.699
+        assert result.motp != 100.0 * (running / 4)
+
     def test_id_collisions_across_sequences_stay_separate(self):
         # Both sequences reuse gt id 1 / pred id 5. Pooling must treat them
         # as different identities: the result has to match a single merged

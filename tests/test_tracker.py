@@ -96,8 +96,10 @@ class TestConfigValidation:
             TrackerConfig(**{field: math.nan})
 
     def test_bad_gate(self):
-        with pytest.raises(ValueError):
-            TrackerConfig(gate_iou_min=1.5)
+        # The gate is the constant GATE_IOU_MIN, not a setting: any
+        # gate_iou_min is refused.
+        with pytest.raises(TypeError, match="gate_iou_min"):
+            TrackerConfig(gate_iou_min=tracker.GATE_IOU_MIN)
 
     def test_negative_noise(self):
         with pytest.raises(ValueError):
@@ -108,8 +110,9 @@ class TestConfigValidation:
     ])
     def test_fields_cannot_be_assigned_after_validation(self, field, value):
         # Validation runs once, at construction; predict relies on it. Nor
-        # can a removed setting such as cycle_time be attached afterwards:
-        # predict steps by FRAME_PERIOD.
+        # can a removed setting such as cycle_time or gate_iou_min be
+        # attached afterwards: predict steps by FRAME_PERIOD and associate
+        # gates at GATE_IOU_MIN.
         config = TrackerConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, field, value)
@@ -393,16 +396,16 @@ print(loaded())
         assert done.stdout == "[]\n['numpy']\n"
 
     def test_associate_splits_leftovers(self):
-        cfg = TrackerConfig()
         tracks = [make_state(cx=0.0), make_state(cx=50.0)]
         tracks[1].track_id = 2
         detections = [make_detection(cx=0.2), make_detection(cx=200.0)]
-        pairs, un_t, un_d = associate(tracks, detections, cfg)
+        pairs, un_t, un_d = associate(tracks, detections)
         assert pairs == [(0, 0)]
         assert un_t == [1]
         assert un_d == [1]
 
-    def test_gate_zero_never_pairs_boxes_that_do_not_overlap(self):
+    def test_gate_zero_never_pairs_boxes_that_do_not_overlap(self,
+                                                              monkeypatch):
         # Detection 1 is 50 m from both tracks; detection 2 sits on track
         # 2's footprint, 10 m above it, so the two overlap from above but
         # not in 3D. A pair that does not overlap scores 0, which a gate of
@@ -411,14 +414,13 @@ print(loaded())
         tracks[1].track_id = 2
         detections = [make_detection(cx=0.2), make_detection(cx=50.0),
                       make_detection(cx=20.0, cz=10.75)]
-        cfg = TrackerConfig(gate_iou_min=0.0)
-        assert associate(tracks, detections, cfg) == ([(0, 0)], [1], [1, 2])
+        monkeypatch.setattr(tracker, "GATE_IOU_MIN", 0.0)
+        assert associate(tracks, detections) == ([(0, 0)], [1], [1, 2])
 
     def test_associate_empty_inputs(self):
-        cfg = TrackerConfig()
-        pairs, un_t, un_d = associate([], [make_detection()], cfg)
+        pairs, un_t, un_d = associate([], [make_detection()])
         assert (pairs, un_t, un_d) == ([], [], [0])
-        pairs, un_t, un_d = associate([make_state()], [], cfg)
+        pairs, un_t, un_d = associate([make_state()], [])
         assert (pairs, un_t, un_d) == ([], [0], [])
 
 
@@ -655,13 +657,12 @@ class TestIouGateCliff:
         config = config_from_dict({
             "patterns": ["1/1"],
             "tracker": {"measurement_noise": measurement_noise}})
-        cfg = config.tracker
         step = speed * FRAME_PERIOD
         sequence = SequenceData("car", self.FRAMES, tuple(
             LabeledObject(f, 1, make_box(cx=step * f, length=self.LENGTH))
             for f in range(self.FRAMES)))
-        m_star = math.floor(self.LENGTH * (1.0 - cfg.gate_iou_min)
-                            / ((1.0 + cfg.gate_iou_min) * step))
+        gate = tracker.GATE_IOU_MIN
+        m_star = math.floor(self.LENGTH * (1.0 - gate) / ((1.0 + gate) * step))
         assert m_star >= 1
         for m in range(1, m_star + 3):
             pattern = DropPattern(1, m)
@@ -789,7 +790,6 @@ class TestAssociatePrefilter:
                   for n, ((a, _), turn) in enumerate(zip(pairs, turns))]
         detections = [Detection(box=b, score=1.0)
                       for b in [b for _, b in pairs] + extra]
-        cfg = TrackerConfig(gate_iou_min=gate)
         seen = []
         front_door = tracker.gated_assignment
 
@@ -798,8 +798,9 @@ class TestAssociatePrefilter:
             return front_door(shape, triples)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tracker, "gated_assignment", capturing)
-            got = associate(tracks, detections, cfg)
-        scores, *want = reference_associate(tracks, detections, cfg)
+            mp.setattr(tracker, "GATE_IOU_MIN", gate)
+            got = associate(tracks, detections)
+            scores, *want = reference_associate(tracks, detections)
         assert list(got) == want
         # The oracle's matrix, gated, row-major; a pair that does not
         # overlap is never eligible. Its scores are read only when two
@@ -845,10 +846,10 @@ class TestAssociatePrefilter:
         # reach: every pair is certified, and no two share a row or column.
         tracks = self.tracks_at(0.0, 10.0, 20.0)
         detections = [make_detection(cx=x + 0.2) for x in (0.0, 10.0, 20.0)]
-        got = associate(tracks, detections, TrackerConfig())
+        got = associate(tracks, detections)
         assert exact_calls == {"overlap": [], "front_door": []}
         assert got == ([(0, 0), (1, 1), (2, 2)], [], [])
-        _, *want = reference_associate(tracks, detections, TrackerConfig())
+        _, *want = reference_associate(tracks, detections)
         assert list(got) == want
 
     def test_detection_overlapping_two_tracks_is_scored_exactly(
@@ -858,10 +859,9 @@ class TestAssociatePrefilter:
         # oracle's row-major triples.
         tracks = self.tracks_at(0.0, 1.2)
         detections = [make_detection(cx=0.4)]
-        cfg = TrackerConfig()
-        got = associate(tracks, detections, cfg)
+        got = associate(tracks, detections)
         assert len(exact_calls["overlap"]) == 2
-        scores, *want = reference_associate(tracks, detections, cfg)
+        scores, *want = reference_associate(tracks, detections)
         assert exact_calls["front_door"] == [
             ((2, 1), [(0, 0, scores[0, 0]), (1, 0, scores[1, 0])])]
         assert list(got) == want == [[(0, 0)], [1], []]
